@@ -36,7 +36,7 @@ def _common_run_args(sub) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker count (default: available parallelism)",
+        help="ignored; the sweep runs on one thread",
     )
     sub.add_argument(
         "--json", action="store_true", help="also write JSON mirrors of the CSV files"
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         else:
             config = preset_config(args.name, args.trials, args.seed)
-        records, summaries = run_experiment(config, threads=args.threads)
+        records, summaries = run_experiment(config)
         written = write_outputs(args.out, config, records, summaries, json_mirror=args.json)
         failed = sum(s.num_failed for s in summaries)
         print(

@@ -69,6 +69,11 @@ class DecodingCodebook:
         return DecodingCodebook(self.codewords[: 1 << bits], bits)
 
 
+def codebook_bytes(num_users: int, bits: int) -> int:
+    """Memory held by a codebook of ``2**bits`` complex128 user x user matrices."""
+    return (1 << bits) * num_users * num_users * 16
+
+
 def generate_codebook(
     num_users: int,
     bits: int,
@@ -85,7 +90,7 @@ def generate_codebook(
     if bits < 0:
         raise ValueError("bits must be nonnegative")
     size = 1 << bits
-    need = size * num_users * num_users * 16
+    need = codebook_bytes(num_users, bits)
     if need > max_bytes:
         raise CodebookBudgetError(
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {max_bytes}"

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
+
 MODES = ("ideal-rsi", "quantized-rsi")
 
 PRESET_NAMES = (
@@ -96,6 +98,17 @@ class ExperimentConfig:
         if self.D < worst:
             raise ConfigError(
                 f"D={self.D} is below the largest user count {worst}; zero-forcing needs D >= P"
+            )
+        if self.L < worst:
+            raise ConfigError(
+                f"L={self.L} is below the largest user count {worst}; the Gram matrix has "
+                "rank at most L, so every trial would be ill-conditioned"
+            )
+        need = codebook_bytes(worst, max(self.b_grid))
+        if need > DEFAULT_BUDGET_BYTES:
+            raise ConfigError(
+                f"codebook of 2**{max(self.b_grid)} matrices for {worst} users needs "
+                f"{need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
             )
 
     def to_dict(self) -> dict:

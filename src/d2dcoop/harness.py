@@ -2,21 +2,22 @@
 
 Determinism contract: every trial owns a private generator seeded from
 ``(master_seed, stream, trial_index)``, so records are bitwise
-reproducible and independent of worker scheduling. The same trial index
-reuses the same channel across all grid points, which makes curves
-paired comparisons. The decoding codebook is seeded from
+reproducible. Each channel is drawn and factorised once per
+(users, trial) and shared by every grid point of that user count, which
+makes curves paired comparisons. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
 smaller codebooks are exact prefixes of bigger ones.
 """
 
+import copy
 import dataclasses
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInvalidError, eigen_spectrum, snr_lower_bound_terms
+from .bounds import BoundInvalidError, EigenSpectrum, eigen_spectrum, snr_lower_bound_terms
 from .channel import draw_environment, inner_precoder, analytic_covariance, sample_channel
 from .codebook import DecodingCodebook, generate_codebook, select_codeword
 from .config import ExperimentConfig
@@ -130,26 +131,27 @@ def codebook_for(config: ExperimentConfig, users: int, bits: int) -> DecodingCod
     return generate_codebook(users, bits, rng)
 
 
-def run_trial(
-    config: ExperimentConfig,
-    point: GridPoint,
-    trial: int,
-    codebook: DecodingCodebook | None = None,
-    environment=None,
-) -> TrialRecord:
-    """Execute one trial: draw a channel, evaluate every strategy on it.
+@dataclass(frozen=True)
+class TrialState:
+    """What one trial draws before any grid point is evaluated.
 
-    Produces the cooperative capacity under the configured sharing mode,
-    the plain zero-forcing baseline, the perfect-cooperation capacity
-    from the eigen-spectrum, and (for two or more users) the analytic
-    lower-bound capacity. Ill-conditioned channels yield a flagged record
-    with empty capacities.
+    Everything here depends only on (users, trial), so every grid point
+    of that user count reuses it. ``rng`` is the trial generator right
+    after the channel draw; each point's overload audit draws from its
+    own copy. ``a_inv`` is None when the channel is ill-conditioned.
     """
-    if codebook is None:
-        codebook = codebook_for(config, point.users, point.bits)
-    elif codebook.bits != point.bits or codebook.num_users != point.users:
-        raise ValueError("codebook does not match the grid point")
 
+    trial: int
+    rng: np.random.Generator
+    inner: np.ndarray
+    channel: np.ndarray
+    h_e: np.ndarray
+    a_inv: np.ndarray | None
+    spectrum: EigenSpectrum | None
+
+
+def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=None) -> TrialState:
+    """Draw the channel of one trial and factorise its effective channel."""
     rng = trial_rng(config.master_seed, trial)
     env = environment
     if env is None:
@@ -160,20 +162,37 @@ def run_trial(
             sector_center=config.sector_center,
             sector_spread=config.sector_spread,
         )
-    h = sample_channel(env, point.users, rng)
+    h = sample_channel(env, users, rng)
     w = inner_precoder(analytic_covariance(env), config.D)
     h_e = effective_channel(w, h)
-    noise_power = 10.0 ** (-point.snr_db / 10.0)
-
     try:
         a_inv = gram_inverse(h_e)
     except IllConditionedChannelError:
+        return TrialState(trial, rng, w, h, h_e, None, None)
+    return TrialState(trial, rng, w, h, h_e, a_inv, eigen_spectrum(h_e))
+
+
+def evaluate_point(
+    config: ExperimentConfig,
+    point: GridPoint,
+    state: TrialState,
+    codebook: DecodingCodebook,
+) -> TrialRecord:
+    """Evaluate every strategy of one grid point on a drawn trial.
+
+    Produces the cooperative capacity under the configured sharing mode,
+    the plain zero-forcing baseline, the perfect-cooperation capacity
+    from the eigen-spectrum, and (for two or more users) the analytic
+    lower-bound capacity. Ill-conditioned channels yield a flagged record
+    with empty capacities.
+    """
+    if state.a_inv is None:
         return TrialRecord(
             point.users, point.bits, point.snr_db, point.gamma_db,
-            point.bandwidth_ratio, trial, None, None, None, None, 1, None,
+            point.bandwidth_ratio, state.trial, None, None, None, None, 1, None,
         )
-
-    spectrum = eigen_spectrum(h_e)
+    h_e, a_inv, spectrum = state.h_e, state.a_inv, state.spectrum
+    noise_power = 10.0 ** (-point.snr_db / 10.0)
     capacity_ideal = capacity(spectrum.eigenvalues / noise_power)
     capacity_zf = capacity(noncooperative_baseline_snr(h_e, noise_power, a_inv))
 
@@ -186,7 +205,7 @@ def run_trial(
         if link_bits > 0:
             quantizer = QuantizerConfig(link_bits, config.tau)
             _, overload = empirical_snr(
-                w, h, chosen, noise_power, rng,
+                state.inner, state.channel, chosen, noise_power, copy.deepcopy(state.rng),
                 num_symbols=OVERLOAD_AUDIT_SYMBOLS, quantizer=quantizer,
             )
         else:
@@ -207,49 +226,48 @@ def run_trial(
 
     return TrialRecord(
         point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
-        trial, capacity_coop, capacity_zf, capacity_ideal, capacity_bound, 0, overload,
+        state.trial, capacity_coop, capacity_zf, capacity_ideal, capacity_bound, 0, overload,
     )
 
 
-def run_experiment(
+def run_trial(
     config: ExperimentConfig,
-    threads: int | None = None,
+    point: GridPoint,
+    trial: int,
+    codebook: DecodingCodebook | None = None,
     environment=None,
-):
+) -> TrialRecord:
+    """Execute one trial at one grid point: the reference path of the sweep."""
+    if codebook is None:
+        codebook = codebook_for(config, point.users, point.bits)
+    elif codebook.bits != point.bits or codebook.num_users != point.users:
+        raise ValueError("codebook does not match the grid point")
+    return evaluate_point(
+        config, point, draw_trial(config, point.users, trial, environment), codebook
+    )
+
+
+def run_experiment(config: ExperimentConfig, environment=None):
     """Run the full Cartesian sweep; returns (records, summaries).
 
-    Records come back sorted by (grid point, trial index) regardless of
-    the worker pool's scheduling. Pass ``environment`` to condition the
-    whole sweep on one fixed scattering environment instead of redrawing
-    per trial.
+    Records come in (grid point, trial index) order. Each user count's
+    trials are drawn once and shared by all of its grid points. Pass
+    ``environment`` to condition the whole sweep on one fixed scattering
+    environment instead of redrawing per trial.
     """
     config.validate()
     points = list(grid_points(config))
-    codebooks = {
-        users: codebook_for(config, users, max(config.b_grid))
-        for users in config.user_counts()
-    }
-
-    def run_point(index_point):
-        index, point = index_point
-        book = codebooks[point.users].prefix(point.bits)
-        return index, [
-            run_trial(config, point, trial, book, environment)
+    records: list[TrialRecord] = []
+    # grid_points runs users outermost, so each user count's points are contiguous
+    for users, group in itertools.groupby(points, key=lambda point: point.users):
+        book = codebook_for(config, users, max(config.b_grid))
+        states = [
+            draw_trial(config, users, trial, environment)
             for trial in range(config.num_trials)
         ]
-
-    tasks = list(enumerate(points))
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be a positive integer")
-    if threads == 1 or len(tasks) == 1:
-        results = [run_point(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, tasks))
-
-    records: list[TrialRecord] = []
-    for _, chunk in sorted(results, key=lambda item: item[0]):
-        records.extend(chunk)
+        for point in group:
+            prefix = book.prefix(point.bits)
+            records.extend(evaluate_point(config, point, state, prefix) for state in states)
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
         for i, point in enumerate(points)

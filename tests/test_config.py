@@ -48,6 +48,8 @@ def test_missing_fields_take_defaults():
         {"user_count_grid": [0]},
         {"D": 4, "user_count_grid": [3, 5]},
         {"D": 70},
+        {"L": 2},
+        {"b_grid": [30]},
     ],
 )
 def test_invalid_values_rejected(overrides):
