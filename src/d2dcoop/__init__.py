@@ -11,10 +11,8 @@ the capacity experiments as machine-readable CSV.
 
 from .bounds import (
     BoundInvalidError,
-    EigenSpectrum,
     aligned_cell_distortion,
     cell_distortion,
-    eigen_spectrum,
     empirical_cell_distortion,
     empirical_quantization_cell_distortion,
     expected_cell_distortion,
@@ -23,18 +21,15 @@ from .bounds import (
     snr_lower_bound_terms,
 )
 from .channel import (
-    InnerPrecoder,
     ScatteringEnvironment,
     analytic_covariance,
     draw_environment,
     inner_precoder,
     sample_channel,
-    steering_vector,
 )
 from .codebook import (
     CodebookBudgetError,
     DecodingCodebook,
-    average_snr,
     generate_codebook,
     load_codebook,
     save_codebook,
@@ -62,12 +57,13 @@ from .harness import (
 )
 from .linklevel import empirical_snr
 from .precoding import (
+    EigenSpectrum,
     IllConditionedChannelError,
     effective_channel,
+    eigen_spectrum,
     gram,
     gram_inverse,
     noncooperative_baseline_snr,
-    per_user_snr,
     per_user_snr_gram,
     snr_denominators,
     zf_outer_precoder,
@@ -76,8 +72,6 @@ from .quantization import (
     CooperationLink,
     QuantizerConfig,
     bits_from_bandwidth,
-    effective_noise_power,
-    effective_noise_power_constant_amplitude,
     overload_count,
     overload_fraction,
     quantization_noise_variance,

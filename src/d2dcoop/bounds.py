@@ -7,23 +7,11 @@ lower bound on the expected average SNR, and the perfect-cooperation
 limit that both converge to as the codebook grows.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .channel import analytic_covariance, draw_environment, inner_precoder, sample_channel
 from .codebook import DecodingCodebook, generate_codebook, select_codeword
-from .linalg import sorted_eigh
-from .precoding import effective_channel, gram
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSpectrum:
-    """Eigenvalues (descending) and eigenmatrix of the effective Gram."""
-
-    eigenvalues: np.ndarray
-    eigenmatrix: np.ndarray
+from .precoding import EigenSpectrum, effective_channel, eigen_spectrum, gram_inverse
 
 
 class BoundInvalidError(RuntimeError):
@@ -35,12 +23,6 @@ class BoundInvalidError(RuntimeError):
         )
         self.user = int(user)
         self.value = float(value)
-
-
-def eigen_spectrum(h_e: np.ndarray) -> EigenSpectrum:
-    """Deterministic eigendecomposition of the effective-channel Gram."""
-    vals, vecs = sorted_eigh(gram(h_e))
-    return EigenSpectrum(vals, vecs)
 
 
 def expected_cell_distortion(bits: int, num_users: int) -> float:
@@ -114,18 +96,20 @@ def aligned_cell_distortion(decoding: np.ndarray, eigenmatrix: np.ndarray) -> np
     by maximizing total squared overlap, then the residual distortion is
     measured. Entry p belongs to eigenvector p.
     """
+    # imported here so that importing the package, and with it the CLI, skips scipy
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(np.asarray(eigenmatrix).conj().T @ np.asarray(decoding)) ** 2
     rows, cols = linear_sum_assignment(-overlap)
     return 1.0 - overlap[rows, cols]
 
 
-def _random_eigenbases(num_trials, num_users, rng, num_antennas, num_paths, effective_dim):
+def _random_spectra(num_trials, num_users, rng, num_antennas, num_paths, effective_dim):
     for _ in range(num_trials):
         env = draw_environment(num_antennas, num_paths, rng)
         h = sample_channel(env, num_users, rng)
         w = inner_precoder(analytic_covariance(env), effective_dim)
-        h_e = effective_channel(w, h)
-        yield h_e, eigen_spectrum(h_e)
+        yield eigen_spectrum(effective_channel(w, h))
 
 
 def empirical_cell_distortion(
@@ -154,11 +138,11 @@ def empirical_cell_distortion(
     elif codebook.bits != bits or codebook.num_users != num_users:
         raise ValueError("codebook does not match (num_users, bits)")
     total = 0.0
-    channels = _random_eigenbases(
+    spectra = _random_spectra(
         num_trials, num_users, rng, num_antennas, num_paths, effective_dim
     )
-    for h_e, spectrum in channels:
-        _, chosen, _ = select_codeword(codebook, h_e, noise_power)
+    for spectrum in spectra:
+        _, chosen, _ = select_codeword(codebook, gram_inverse(spectrum), noise_power)
         total += float(aligned_cell_distortion(chosen, spectrum.eigenmatrix).mean())
     return total / num_trials
 
@@ -186,10 +170,10 @@ def empirical_quantization_cell_distortion(
     elif codebook.bits != bits or codebook.num_users != num_users:
         raise ValueError("codebook does not match (num_users, bits)")
     total = 0.0
-    channels = _random_eigenbases(
+    spectra = _random_spectra(
         num_trials, num_users, rng, num_antennas, num_paths, effective_dim
     )
-    for _, spectrum in channels:
+    for spectrum in spectra:
         u = spectrum.eigenmatrix
         # [k, p] = |u_p^H q_p(k)|^2 over codewords k
         overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2

@@ -55,32 +55,12 @@ class ScatteringEnvironment:
         return 1.0 / self.num_paths
 
 
-@dataclass(frozen=True, eq=False)
-class InnerPrecoder:
-    """Statistical reduction stage: top eigenvectors of the covariance.
-
-    ``matrix`` has orthonormal columns ordered by descending eigenvalue;
-    ``captured_energy`` is the sum of the retained eigenvalues.
-    """
-
-    matrix: np.ndarray
-    captured_energy: float
-
-
-def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
-    """Array response of a half-wavelength ULA to a planar wavefront.
-
-    Entry ``m`` equals ``exp(1j * pi * sin(theta) * m)``, so the squared
-    norm is exactly the antenna count.
-    """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be a positive integer")
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return np.exp(1j * np.pi * np.sin(theta) * np.arange(num_antennas))
-
-
 def _steering_matrix(env: ScatteringEnvironment, angles=None) -> np.ndarray:
+    """Half-wavelength ULA responses, one column per path angle.
+
+    Entry ``(m, l)`` is ``exp(1j * pi * sin(theta_l) * m)``, so every
+    column has squared norm equal to the antenna count.
+    """
     if angles is None:
         angles = env.path_angles
     phase = np.pi * np.outer(np.arange(env.num_antennas), np.sin(angles))
@@ -143,11 +123,12 @@ def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
     return (r + r.conj().T) / 2.0
 
 
-def inner_precoder(covariance: np.ndarray, dim: int) -> InnerPrecoder:
-    """Top-``dim`` eigenvectors of the spatial covariance.
+def inner_precoder(covariance: np.ndarray, dim: int) -> np.ndarray:
+    """Top-``dim`` eigenvectors of the spatial covariance (antennas x dim).
 
-    Columns are ordered by descending eigenvalue with deterministic
-    phases and tie-breaking (see :func:`d2dcoop.linalg.sorted_eigh`).
+    Columns are orthonormal and ordered by descending eigenvalue with
+    deterministic phases and tie-breaking (see
+    :func:`d2dcoop.linalg.sorted_eigh`).
     """
     r = np.asarray(covariance)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -160,5 +141,5 @@ def inner_precoder(covariance: np.ndarray, dim: int) -> InnerPrecoder:
     if float(np.abs(r - r.conj().T).max()) > tol:
         raise ValueError("covariance must be Hermitian")
     r = (r + r.conj().T) / 2.0
-    vals, vecs = sorted_eigh(r)
-    return InnerPrecoder(vecs[:, :dim].copy(), float(vals[:dim].sum()))
+    _, vecs = sorted_eigh(r)
+    return vecs[:, :dim].copy()

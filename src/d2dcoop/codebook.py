@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import phase_canonicalize
-from .precoding import gram_inverse, snr_denominators
+from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
 
@@ -104,40 +104,17 @@ def generate_codebook(
     return DecodingCodebook(np.ascontiguousarray(vecs), bits)
 
 
-def average_snr(
-    h_e: np.ndarray,
-    decoding: np.ndarray,
-    noise_power: float,
-    gram_inv: np.ndarray | None = None,
-) -> float:
-    """Average over users of the per-user post-decoding SNR."""
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
-    if gram_inv is None:
-        gram_inv = gram_inverse(h_e)
-    denoms = snr_denominators(decoding, gram_inv)
-    return float((1.0 / denoms).mean() / noise_power)
-
-
-def select_codeword(
-    codebook: DecodingCodebook,
-    h_e: np.ndarray,
-    noise_power: float,
-    gram_inv: np.ndarray | None = None,
-):
+def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_power: float):
     """Pick the codeword maximizing the average post-decoding SNR.
 
-    The Gram inverse is computed once and reused across all codewords
-    and columns. Ties break to the lowest index. Returns
+    ``gram_inv`` is the effective-channel Gram inverse, reused across all
+    codewords and columns. Ties break to the lowest index. Returns
     ``(index, codeword, average_snr)``.
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    if gram_inv is None:
-        gram_inv = gram_inverse(h_e)
     cw = codebook.codewords
-    projected = np.matmul(gram_inv[None, :, :], cw)
-    denoms = np.sum(cw.conj() * projected, axis=1).real
+    denoms = snr_denominators(cw, gram_inv)
     snrs = (1.0 / denoms).sum(axis=1) / (noise_power * codebook.num_users)
     index = int(np.argmax(snrs))
     return index, cw[index], float(snrs[index])

@@ -223,3 +223,5 @@ def _check_grid(grid, name, predicate) -> None:
     for entry in grid:
         if not predicate(entry):
             raise ConfigError(f"{name} has invalid entry {entry!r}")
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"{name} has duplicate entries; each would write the same rows twice")

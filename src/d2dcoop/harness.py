@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInvalidError, EigenSpectrum, eigen_spectrum, snr_lower_bound_terms
+from .bounds import BoundInvalidError, snr_lower_bound_terms
 from .channel import draw_environment, inner_precoder, analytic_covariance, sample_channel
 from .codebook import DecodingCodebook, generate_codebook, select_codeword
 from .config import ExperimentConfig
 from .linklevel import empirical_snr
 from .precoding import (
+    EigenSpectrum,
     IllConditionedChannelError,
     effective_channel,
+    eigen_spectrum,
     gram_inverse,
     noncooperative_baseline_snr,
     snr_denominators,
@@ -138,16 +140,17 @@ class TrialState:
     Everything here depends only on (users, trial), so every grid point
     of that user count reuses it. ``rng`` is the trial generator right
     after the channel draw; each point's overload audit draws from its
-    own copy. ``a_inv`` is None when the channel is ill-conditioned.
+    own copy. ``spectrum`` is the one factorisation of the effective
+    Gram; ``a_inv`` is its inverse, None when the channel is
+    ill-conditioned.
     """
 
     trial: int
     rng: np.random.Generator
     inner: np.ndarray
     channel: np.ndarray
-    h_e: np.ndarray
+    spectrum: EigenSpectrum
     a_inv: np.ndarray | None
-    spectrum: EigenSpectrum | None
 
 
 def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=None) -> TrialState:
@@ -164,12 +167,12 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=Non
         )
     h = sample_channel(env, users, rng)
     w = inner_precoder(analytic_covariance(env), config.D)
-    h_e = effective_channel(w, h)
+    spectrum = eigen_spectrum(effective_channel(w, h))
     try:
-        a_inv = gram_inverse(h_e)
+        a_inv = gram_inverse(spectrum)
     except IllConditionedChannelError:
-        return TrialState(trial, rng, w, h, h_e, None, None)
-    return TrialState(trial, rng, w, h, h_e, a_inv, eigen_spectrum(h_e))
+        a_inv = None
+    return TrialState(trial, rng, w, h, spectrum, a_inv)
 
 
 def evaluate_point(
@@ -191,16 +194,16 @@ def evaluate_point(
             point.users, point.bits, point.snr_db, point.gamma_db,
             point.bandwidth_ratio, state.trial, None, None, None, None, 1, None,
         )
-    h_e, a_inv, spectrum = state.h_e, state.a_inv, state.spectrum
+    a_inv, spectrum = state.a_inv, state.spectrum
     noise_power = 10.0 ** (-point.snr_db / 10.0)
     capacity_ideal = capacity(spectrum.eigenvalues / noise_power)
-    capacity_zf = capacity(noncooperative_baseline_snr(h_e, noise_power, a_inv))
+    capacity_zf = capacity(noncooperative_baseline_snr(a_inv, noise_power))
 
-    _, chosen, _ = select_codeword(codebook, h_e, noise_power, a_inv)
+    _, chosen, _ = select_codeword(codebook, a_inv, noise_power)
     overload: float | None
     if config.mode == "quantized-rsi":
         link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
-        coop_snrs = quantized_snr(h_e, chosen, noise_power, link, config.tau, a_inv)
+        coop_snrs = quantized_snr(chosen, a_inv, noise_power, link, config.tau)
         link_bits = bits_from_bandwidth(link)
         if link_bits > 0:
             quantizer = QuantizerConfig(link_bits, config.tau)

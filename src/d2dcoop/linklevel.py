@@ -26,12 +26,14 @@ def empirical_snr(
     num_symbols: int = 100_000,
     quantizer: QuantizerConfig | None = None,
 ):
-    """Measure per-user SINR by actually running the link.
+    """Oracle: measure per-user SINR by actually running the link.
 
-    Returns ``(snrs, overload)`` where ``snrs`` is one linear SINR
-    estimate per user and ``overload`` is the fraction of shared signal
-    components that saturated the quantizer (0.0 when ``quantizer`` is
-    None, i.e. ideal sample sharing).
+    Independent of the closed forms in :mod:`d2dcoop.precoding` and
+    :mod:`d2dcoop.quantization`; ``inner`` is the antennas x dims inner
+    precoder. Returns ``(snrs, overload)`` where ``snrs`` is one linear
+    SINR estimate per user and ``overload`` is the fraction of shared
+    signal components that saturated the quantizer (0.0 when
+    ``quantizer`` is None, i.e. ideal sample sharing).
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")

@@ -1,15 +1,27 @@
-"""Effective channel, zero-forcing outer precoder, and closed-form SNR.
+"""Effective channel, Gram factorisation, zero-forcing outer precoder, SNR.
 
 The outer precoder is zero-forcing with per-stream (unit column norm)
 power normalization against the overall channel "effective channel times
 decoding matrix". With that normalization the post-decoding SNR of user
 ``p`` has the closed form ``1 / (N0 * [(Q^H A Q)^{-1}]_{pp})`` with
 ``A`` the effective-channel Gram matrix; the equivalent quadratic form
-``1 / (N0 * q_p^H A^{-1} q_p)`` is the cheap production path because one
-Gram inverse is reused across users and codewords.
+``1 / (N0 * q_p^H A^{-1} q_p)`` (:func:`snr_denominators`) is the
+production path because one Gram inverse is reused across users and
+codewords.
+
+The Gram is factorised once per channel, by :func:`eigen_spectrum`. That
+one eigendecomposition yields the condition number and the inverse
+(:func:`gram_inverse`) as well as the spectrum the bounds are built on.
+:func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles: they
+factorise the overall-channel Gram on their own route (SVD condition
+number, LU inverse), independent of the production path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .linalg import sorted_eigh
 
 COND_LIMIT = 1e12
 
@@ -25,13 +37,21 @@ class IllConditionedChannelError(RuntimeError):
         self.condition_number = float(condition_number)
 
 
-def effective_channel(inner, channel: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class EigenSpectrum:
+    """Eigenvalues (descending) and eigenmatrix of the effective Gram."""
+
+    eigenvalues: np.ndarray
+    eigenmatrix: np.ndarray
+
+
+def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """Project the physical channel through the inner precoder.
 
-    ``inner`` may be an :class:`~d2dcoop.channel.InnerPrecoder` or the
-    bare matrix with orthonormal columns. Result is dims x users.
+    ``inner`` has orthonormal columns (antennas x dims). Result is
+    dims x users.
     """
-    w = np.asarray(getattr(inner, "matrix", inner))
+    w = np.asarray(inner)
     h = np.asarray(channel)
     if w.ndim != 2 or h.ndim != 2 or w.shape[0] != h.shape[0]:
         raise ValueError(
@@ -46,49 +66,39 @@ def gram(h_e: np.ndarray) -> np.ndarray:
     return h_e.conj().T @ h_e
 
 
-def gram_inverse(h_e: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Inverse of the effective-channel Gram matrix, with a conditioning gate.
+def eigen_spectrum(h_e: np.ndarray) -> EigenSpectrum:
+    """Deterministic eigendecomposition of the effective-channel Gram."""
+    vals, vecs = sorted_eigh(gram(h_e))
+    return EigenSpectrum(vals, vecs)
 
-    Raises :class:`IllConditionedChannelError` when the condition number
-    exceeds ``cond_limit``; callers record such channels as failed trials
-    rather than silently producing garbage SNRs.
+
+def gram_inverse(spectrum: EigenSpectrum, cond_limit: float = COND_LIMIT) -> np.ndarray:
+    """Inverse of the effective-channel Gram from its eigendecomposition.
+
+    The condition number is ``lambda_max / lambda_min``; a nonpositive
+    smallest eigenvalue counts as infinitely ill conditioned. Raises
+    :class:`IllConditionedChannelError` above ``cond_limit``; callers
+    record such channels as failed trials rather than silently producing
+    garbage SNRs.
     """
-    a = gram(h_e)
-    cond = float(np.linalg.cond(a))
+    lam = np.asarray(spectrum.eigenvalues, dtype=float)
+    v = np.asarray(spectrum.eigenmatrix)
+    smallest = float(lam.min())
+    cond = float(lam.max()) / smallest if smallest > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedChannelError(cond, cond_limit)
-    return np.linalg.inv(a)
+    return (v / lam) @ v.conj().T
 
 
 def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
-    """Per-user quadratic forms q_p^H A^{-1} q_p for all columns at once."""
-    q = np.asarray(decoding)
-    return np.einsum("ip,ij,jp->p", q.conj(), gram_inv, q).real
+    """Per-user quadratic forms ``q_p^H A^{-1} q_p`` for every column.
 
-
-def per_user_snr(
-    h_e: np.ndarray,
-    decoding: np.ndarray,
-    noise_power: float,
-    user: int,
-    gram_inv: np.ndarray | None = None,
-) -> float:
-    """Post-decoding linear SNR of one user (quadratic-form path).
-
-    ``user`` is a 0-based column index into the decoding matrix. Pass a
-    precomputed ``gram_inv`` to amortize the inversion across users and
-    codewords.
+    ``decoding`` is one users x users matrix or a stack of them (leading
+    axes); the result drops the row axis, so a stack of codewords gives
+    one row of denominators per codeword.
     """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
     q = np.asarray(decoding)
-    if not 0 <= user < q.shape[1]:
-        raise ValueError(f"user index {user} out of range")
-    if gram_inv is None:
-        gram_inv = gram_inverse(h_e)
-    qp = q[:, user]
-    denom = float(np.real(qp.conj() @ gram_inv @ qp))
-    return 1.0 / (noise_power * denom)
+    return np.sum(q.conj() * (gram_inv @ q), axis=-2).real
 
 
 def per_user_snr_gram(
@@ -98,15 +108,18 @@ def per_user_snr_gram(
     user: int,
     cond_limit: float = COND_LIMIT,
 ) -> float:
-    """Same SNR via the diagonal of the inverted overall-channel Gram.
+    """Oracle: one user's SNR from the diagonal of the inverted overall Gram.
 
-    Independent evaluation route kept as a cross-check oracle for
-    :func:`per_user_snr`; it inverts the Gram of ``h_e @ decoding``
-    directly instead of reusing the effective-channel Gram inverse.
+    Independent evaluation route for the quadratic form of
+    :func:`snr_denominators`: it inverts the Gram of ``h_e @ decoding``
+    directly (SVD condition number, LU inverse) instead of reusing the
+    effective-channel Gram inverse. ``user`` is a 0-based column index.
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
     overall = np.asarray(h_e) @ np.asarray(decoding)
+    if not 0 <= user < overall.shape[1]:
+        raise ValueError(f"user index {user} out of range")
     g = gram(overall)
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > cond_limit:
@@ -115,11 +128,7 @@ def per_user_snr_gram(
     return 1.0 / (noise_power * float(m[user, user].real))
 
 
-def noncooperative_baseline_snr(
-    h_e: np.ndarray,
-    noise_power: float,
-    gram_inv: np.ndarray | None = None,
-) -> np.ndarray:
+def noncooperative_baseline_snr(gram_inv: np.ndarray, noise_power: float) -> np.ndarray:
     """Per-user SNRs of plain zero-forcing without any receiver pooling.
 
     That is the identity decoding matrix: each user demodulates from its
@@ -127,8 +136,6 @@ def noncooperative_baseline_snr(
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    if gram_inv is None:
-        gram_inv = gram_inverse(h_e)
     return 1.0 / (noise_power * np.diagonal(gram_inv).real)
 
 
@@ -137,9 +144,11 @@ def zf_outer_precoder(
     decoding: np.ndarray,
     cond_limit: float = COND_LIMIT,
 ) -> np.ndarray:
-    """Zero-forcing outer precoder against the overall channel.
+    """Oracle: zero-forcing outer precoder against the overall channel.
 
-    Returns a dims x users matrix with unit-norm columns such that
+    Used by the brute-force transceiver, so it factorises the overall
+    Gram on its own route (SVD condition number, LU inverse). Returns a
+    dims x users matrix with unit-norm columns such that
     ``decoding^H @ h_e^H @ V`` is diagonal with positive real entries;
     the p-th diagonal entry equals ``1 / sqrt([(Q^H A Q)^{-1}]_{pp})``.
     """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precoding import gram_inverse, noncooperative_baseline_snr, snr_denominators
+from .precoding import noncooperative_baseline_snr, snr_denominators
 
 
 @dataclass(frozen=True)
@@ -116,62 +116,25 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
     return 2 * int(math.floor(rate_budget_bits(link) / 2.0))
 
 
-def effective_noise_power(
-    noise_power: float, quant_variance: float, decoding_vector: np.ndarray, user: int
-) -> float:
-    """Total noise seen by one user decoding from pooled quantized samples.
-
-    The user's own sample is never quantized, so the extra term is scaled
-    by the decoding weight mass on everyone else's samples:
-    ``N0 + (1 - |q_p[p]|^2) * sigma_q^2`` (exact form).
-    """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
-    if quant_variance < 0:
-        raise ValueError("quant_variance must be nonnegative")
-    qp = np.asarray(decoding_vector)
-    own = float(np.abs(qp[user]) ** 2)
-    return noise_power + (1.0 - own) * quant_variance
-
-
-def effective_noise_power_constant_amplitude(
-    noise_power: float, quant_variance: float, num_users: int
-) -> float:
-    """Companion approximation assuming constant-amplitude decoding vectors.
-
-    With ``|q_p[p]|^2 = 1/P`` the exact form reduces to
-    ``N0 + sigma_q^2 * (P - 1) / P``. Kept for comparison against the
-    exact per-user form.
-    """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
-    if quant_variance < 0:
-        raise ValueError("quant_variance must be nonnegative")
-    if num_users < 1:
-        raise ValueError("num_users must be a positive integer")
-    return noise_power + quant_variance * (num_users - 1) / num_users
-
-
 def quantized_snr(
-    h_e: np.ndarray,
     decoding: np.ndarray,
+    gram_inv: np.ndarray,
     noise_power: float,
     link: CooperationLink,
     clip_level: float,
-    gram_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-user SNRs with quantized sample sharing over ``link``.
 
     The analytic production path: the closed-form SNR with the noise
-    power replaced by each user's effective noise. When the link budget
-    rounds down to zero bits the users fall back to plain zero-forcing
-    (identity decoding) instead of consuming garbage samples.
+    power replaced by each user's effective noise. The user's own sample
+    is never quantized, so user ``p`` sees
+    ``N0 + (1 - |q_p[p]|^2) * sigma_q^2``. When the link budget rounds
+    down to zero bits the users fall back to plain zero-forcing (identity
+    decoding) instead of consuming garbage samples.
     """
     bits = bits_from_bandwidth(link)
-    if gram_inv is None:
-        gram_inv = gram_inverse(h_e)
     if bits == 0:
-        return noncooperative_baseline_snr(h_e, noise_power, gram_inv)
+        return noncooperative_baseline_snr(gram_inv, noise_power)
     sigma_q2 = quantization_noise_variance(QuantizerConfig(bits, clip_level))
     q = np.asarray(decoding)
     denoms = snr_denominators(q, gram_inv)

@@ -13,6 +13,20 @@ def gaussian_effective_channel(rng, dim=6, users=4) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
+def inverse_of(h_e) -> np.ndarray:
+    """Gram inverse of an effective channel, taken from its eigen-spectrum."""
+    from d2dcoop import eigen_spectrum, gram_inverse
+
+    return gram_inverse(eigen_spectrum(h_e))
+
+
+def average_snr(decoding, gram_inv, noise_power) -> float:
+    """Average SNR of one decoding matrix, scored by the production selector."""
+    from d2dcoop import DecodingCodebook, select_codeword
+
+    return select_codeword(DecodingCodebook(np.asarray(decoding)[None], 0), gram_inv, noise_power)[2]
+
+
 def pipeline_channel(rng, num_antennas=64, num_paths=20, effective_dim=6, users=4):
     """One realistic channel through the full inner-precoder pipeline."""
     from d2dcoop import (

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from conftest import pipeline_channel
+from conftest import average_snr, pipeline_channel
 from d2dcoop import (
     ExperimentConfig,
     QuantizerConfig,
     aligned_cell_distortion,
-    average_snr,
     empirical_snr,
     expected_cell_distortion,
     generate_codebook,
@@ -24,9 +23,8 @@ from d2dcoop import (
     snr_lower_bound,
     uniform_quantize,
 )
-from d2dcoop.bounds import eigen_spectrum
 from d2dcoop.harness import aggregate_csv_lines, trial_csv_lines, write_outputs
-from d2dcoop.precoding import gram, gram_inverse, snr_denominators
+from d2dcoop.precoding import eigen_spectrum, gram, gram_inverse, snr_denominators
 from d2dcoop.quantization import CooperationLink, bits_from_bandwidth
 
 DIM, USERS = 6, 4
@@ -118,15 +116,15 @@ def test_criterion_02_cauchy_schwarz_cap(algebra_instances):
     worst_slack = np.inf
     worst_attain = 0.0
     for h_e, q in zip(hs, qs):
-        a_inv = gram_inverse(h_e)
         spectrum = eigen_spectrum(h_e)
+        a_inv = gram_inverse(spectrum)
         cap = float(spectrum.eigenvalues.sum() / USERS)
         projected = np.matmul(a_inv[None], codebook.codewords)
         denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
         values = (1.0 / denoms).sum(axis=1) / USERS
-        values = np.append(values, average_snr(h_e, q, 1.0, a_inv))
+        values = np.append(values, average_snr(q, a_inv, 1.0))
         worst_slack = min(worst_slack, float((cap - values.max()) / cap))
-        attained = average_snr(h_e, spectrum.eigenmatrix, 1.0, a_inv)
+        attained = average_snr(spectrum.eigenmatrix, a_inv, 1.0)
         worst_attain = max(worst_attain, abs(attained - cap) / cap)
     ok = worst_slack >= -1e-9 and worst_attain < 1e-9
     _report(
@@ -143,7 +141,7 @@ def test_criterion_03_full_chain_oracle():
     for _ in range(20):
         _, h, w, h_e = pipeline_channel(rng)
         q = unitary_group.rvs(USERS, random_state=rng)
-        closed = 1.0 / (1.0 * snr_denominators(q, gram_inverse(h_e)))
+        closed = 1.0 / (1.0 * snr_denominators(q, gram_inverse(eigen_spectrum(h_e))))
         measured, _ = empirical_snr(w, h, q, 1.0, rng, num_symbols=100_000)
         worst = max(worst, float(np.max(np.abs(measured - closed) / closed)))
     ok = worst < 0.03
@@ -179,7 +177,7 @@ def test_criterion_05_cell_distortion_band():
             spectrum = eigen_spectrum(h_e)
             u = spectrum.eigenmatrix
             overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
-            a_inv = gram_inverse(h_e)
+            a_inv = gram_inverse(spectrum)
             projected = np.matmul(a_inv[None], codebook.codewords)
             denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
             objective = (1.0 / denoms).sum(axis=1)
@@ -372,7 +370,7 @@ def test_criterion_10_bound_sanity():
     for _ in range(500):
         _, _, _, h_e = pipeline_channel(rng)
         spectrum = eigen_spectrum(h_e)
-        a_inv = gram_inverse(h_e)
+        a_inv = gram_inverse(spectrum)
         projected = np.matmul(a_inv[None], codebook.codewords)
         denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
         objective = (1.0 / denoms).sum(axis=1) / (noise_power * USERS)

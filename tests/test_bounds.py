@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_effective_channel, haar_unitary
+from conftest import average_snr, gaussian_effective_channel, haar_unitary
 from d2dcoop import (
     EigenSpectrum,
     aligned_cell_distortion,
-    average_snr,
     cell_distortion,
     eigen_spectrum,
     empirical_quantization_cell_distortion,
     expected_cell_distortion,
+    gram_inverse,
     ideal_cooperation_snr,
     snr_lower_bound,
     snr_lower_bound_terms,
@@ -117,7 +117,7 @@ class TestIdealCooperation:
         h_e = gaussian_effective_channel(rng, 6, 4)
         spectrum = eigen_spectrum(h_e)
         assert ideal_cooperation_snr(spectrum, 1.7) == pytest.approx(
-            average_snr(h_e, spectrum.eigenmatrix, 1.7), rel=1e-9
+            average_snr(spectrum.eigenmatrix, gram_inverse(spectrum), 1.7), rel=1e-9
         )
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import d2dcoop
 from d2dcoop.cli import main
 from d2dcoop.config import preset_config
 
@@ -99,3 +104,21 @@ def test_cli_runs_are_byte_identical(tmp_path):
 
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_import_skips_scipy():
+    # scipy is only needed by the distortion audit, not by any sweep
+    probe = (
+        "import sys, d2dcoop.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(d2dcoop.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"

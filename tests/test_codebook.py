@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_effective_channel, pipeline_channel
+from conftest import average_snr, gaussian_effective_channel, inverse_of, pipeline_channel
 from d2dcoop import (
     CodebookBudgetError,
     DecodingCodebook,
-    average_snr,
     generate_codebook,
+    gram_inverse,
     load_codebook,
     noncooperative_baseline_snr,
-    per_user_snr,
+    per_user_snr_gram,
     save_codebook,
     select_codeword,
 )
-from d2dcoop.bounds import eigen_spectrum
-from d2dcoop.precoding import gram
+from d2dcoop.precoding import eigen_spectrum, gram
 
 
 def test_codebook_size_is_power_of_two():
@@ -59,34 +58,39 @@ def test_codebook_shape_validation():
 
 
 class TestAverageSnr:
+    """The score ``select_codeword`` returns for a one-codeword codebook."""
+
     def test_matches_mean_of_per_user(self):
         rng = np.random.default_rng(3)
         h_e = gaussian_effective_channel(rng, 6, 4)
         q = generate_codebook(4, 0, rng)[0]
-        mean = np.mean([per_user_snr(h_e, q, 2.0, p) for p in range(4)])
-        assert average_snr(h_e, q, 2.0) == pytest.approx(mean, rel=1e-10)
+        mean = np.mean([per_user_snr_gram(h_e, q, 2.0, p) for p in range(4)])
+        assert average_snr(q, inverse_of(h_e), 2.0) == pytest.approx(mean, rel=1e-10)
 
     def test_eigenbasis_attains_mean_eigenvalue(self):
         rng = np.random.default_rng(4)
         h_e = gaussian_effective_channel(rng, 6, 4)
         spectrum = eigen_spectrum(h_e)
         expected = spectrum.eigenvalues.sum() / (2.0 * 4)
-        assert average_snr(h_e, spectrum.eigenmatrix, 2.0) == pytest.approx(
-            expected, rel=1e-9
-        )
+        assert average_snr(
+            spectrum.eigenmatrix, gram_inverse(spectrum), 2.0
+        ) == pytest.approx(expected, rel=1e-9)
 
     def test_identity_matches_baseline_mean(self):
         rng = np.random.default_rng(5)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        assert average_snr(h_e, np.eye(4), 1.0) == pytest.approx(
-            noncooperative_baseline_snr(h_e, 1.0).mean()
+        a_inv = inverse_of(h_e)
+        assert average_snr(np.eye(4), a_inv, 1.0) == pytest.approx(
+            noncooperative_baseline_snr(a_inv, 1.0).mean()
         )
 
     def test_single_user(self):
         rng = np.random.default_rng(6)
         h_e = gaussian_effective_channel(rng, 6, 1)
         q = np.eye(1, dtype=complex)
-        assert average_snr(h_e, q, 1.0) == pytest.approx(per_user_snr(h_e, q, 1.0, 0))
+        assert average_snr(q, inverse_of(h_e), 1.0) == pytest.approx(
+            per_user_snr_gram(h_e, q, 1.0, 0)
+        )
 
 
 class TestSelection:
@@ -94,7 +98,7 @@ class TestSelection:
         rng = np.random.default_rng(7)
         cb = generate_codebook(4, 0, rng)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        index, q, _ = select_codeword(cb, h_e, 1.0)
+        index, q, _ = select_codeword(cb, inverse_of(h_e), 1.0)
         assert index == 0
         assert np.array_equal(q, cb[0])
 
@@ -106,7 +110,7 @@ class TestSelection:
         random_words = generate_codebook(4, 2, rng).codewords.copy()
         random_words[2] = spectrum.eigenmatrix
         cb = DecodingCodebook(random_words, 2)
-        index, _, best = select_codeword(cb, h_e, 1.0)
+        index, _, best = select_codeword(cb, gram_inverse(spectrum), 1.0)
         assert index == 2
         cap = spectrum.eigenvalues.sum() / 4.0
         assert best == pytest.approx(cap, rel=1e-9)
@@ -115,11 +119,12 @@ class TestSelection:
         rng = np.random.default_rng(9)
         cb = generate_codebook(4, 5, rng)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        index, q, best = select_codeword(cb, h_e, 0.7)
-        values = [average_snr(h_e, cb[k], 0.7) for k in range(len(cb))]
+        a_inv = inverse_of(h_e)
+        index, q, best = select_codeword(cb, a_inv, 0.7)
+        values = [average_snr(cb[k], a_inv, 0.7) for k in range(len(cb))]
         assert best == pytest.approx(max(values), rel=1e-12)
         assert index == int(np.argmax(values))
-        assert best == pytest.approx(average_snr(h_e, q, 0.7), rel=1e-12)
+        assert best == pytest.approx(average_snr(q, a_inv, 0.7), rel=1e-12)
 
     def test_ties_break_to_lowest_index(self):
         rng = np.random.default_rng(10)
@@ -127,15 +132,16 @@ class TestSelection:
         base[1] = base[0]
         cb = DecodingCodebook(base, 1)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        index, _, _ = select_codeword(cb, h_e, 1.0)
+        index, _, _ = select_codeword(cb, inverse_of(h_e), 1.0)
         assert index == 0
 
     def test_argmax_invariant_to_noise_rescaling(self):
         rng = np.random.default_rng(11)
         cb = generate_codebook(4, 6, rng)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        idx_a, _, _ = select_codeword(cb, h_e, 1.0)
-        idx_b, _, _ = select_codeword(cb, h_e, 7.3)
+        a_inv = inverse_of(h_e)
+        idx_a, _, _ = select_codeword(cb, a_inv, 1.0)
+        idx_b, _, _ = select_codeword(cb, a_inv, 7.3)
         assert idx_a == idx_b
 
     def test_selected_snr_monotone_in_bits_per_trial(self):
@@ -143,10 +149,10 @@ class TestSelection:
         rng = np.random.default_rng(12)
         cb = generate_codebook(4, 4, np.random.default_rng(99))
         for trial in range(200):
-            h_e = gaussian_effective_channel(rng, 6, 4)
+            a_inv = inverse_of(gaussian_effective_channel(rng, 6, 4))
             previous = -np.inf
             for bits in range(5):
-                _, _, value = select_codeword(cb.prefix(bits), h_e, 1.0)
+                _, _, value = select_codeword(cb.prefix(bits), a_inv, 1.0)
                 assert value >= previous
                 previous = value
 
@@ -158,16 +164,16 @@ class TestSelection:
         words[5] = np.eye(4)
         cb = DecodingCodebook(words, 3)
         for _ in range(20):
-            h_e = gaussian_effective_channel(rng, 6, 4)
-            _, _, best = select_codeword(cb, h_e, 1.0)
-            assert best >= average_snr(h_e, np.eye(4), 1.0) - 1e-12
+            a_inv = inverse_of(gaussian_effective_channel(rng, 6, 4))
+            _, _, best = select_codeword(cb, a_inv, 1.0)
+            assert best >= average_snr(np.eye(4), a_inv, 1.0) - 1e-12
 
     def test_cap_bounds_selection_on_pipeline_channels(self):
         rng = np.random.default_rng(13)
         cb = generate_codebook(4, 6, rng)
         for _ in range(20):
             _, _, _, h_e = pipeline_channel(rng)
-            _, _, best = select_codeword(cb, h_e, 1.0)
+            _, _, best = select_codeword(cb, inverse_of(h_e), 1.0)
             cap = np.linalg.eigvalsh(gram(h_e)).sum() / 4.0
             assert best <= cap * (1 + 1e-9)
 

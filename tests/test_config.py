@@ -50,6 +50,10 @@ def test_missing_fields_take_defaults():
         {"D": 70},
         {"L": 2},
         {"b_grid": [30]},
+        {"user_count_grid": [3, 3]},
+        {"snr_db_grid": [-5.0, -5.0]},
+        {"b_grid": [6, 6]},
+        {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1.0, 1.0]},
     ],
 )
 def test_invalid_values_rejected(overrides):

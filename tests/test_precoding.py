@@ -3,23 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_effective_channel, haar_unitary
+from conftest import average_snr, gaussian_effective_channel, haar_unitary, inverse_of
 from d2dcoop import (
+    DecodingCodebook,
     IllConditionedChannelError,
     effective_channel,
+    eigen_spectrum,
     gram_inverse,
     noncooperative_baseline_snr,
-    per_user_snr,
     per_user_snr_gram,
+    select_codeword,
     zf_outer_precoder,
 )
-from d2dcoop.codebook import average_snr
 from d2dcoop.precoding import gram, snr_denominators
 
 
 def orthonormal_columns(dim, users, rng):
     q, _ = np.linalg.qr(gaussian_effective_channel(rng, dim, users))
     return q
+
+
+def zf_snrs(h_e, decoding, noise_power):
+    """Production per-user SNRs: the quadratic form on the Gram inverse."""
+    return 1.0 / (noise_power * snr_denominators(decoding, inverse_of(h_e)))
 
 
 class TestEffectiveChannel:
@@ -85,68 +91,70 @@ class TestPerUserSnr:
     def test_single_user_matched_filter_snr(self):
         rng = np.random.default_rng(7)
         h_e = gaussian_effective_channel(rng, 6, 1)
-        snr = per_user_snr(h_e, np.eye(1), 0.5, 0)
-        assert snr == pytest.approx(np.linalg.norm(h_e) ** 2 / 0.5, rel=1e-10)
+        expected = np.linalg.norm(h_e) ** 2 / 0.5
+        assert zf_snrs(h_e, np.eye(1), 0.5)[0] == pytest.approx(expected, rel=1e-10)
+        assert per_user_snr_gram(h_e, np.eye(1), 0.5, 0) == pytest.approx(expected, rel=1e-10)
 
     def test_eigenbasis_decoding_reaches_eigenvalues(self):
         rng = np.random.default_rng(8)
         h_e = gaussian_effective_channel(rng, 6, 4)
         vals, vecs = np.linalg.eigh(gram(h_e))
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        for p in range(4):
-            assert per_user_snr(h_e, vecs, 2.0, p) == pytest.approx(
-                vals[p] / 2.0, rel=1e-9
-            )
+        assert np.allclose(zf_snrs(h_e, vecs, 2.0), vals / 2.0, rtol=1e-9)
 
     def test_orthogonal_columns_identity_decoding(self):
         rng = np.random.default_rng(9)
         q = orthonormal_columns(6, 3, rng)
         norms = np.array([2.0, 1.0, 0.5])
         h_e = q * norms
-        for p in range(3):
-            assert per_user_snr(h_e, np.eye(3), 1.0, p) == pytest.approx(
-                norms[p] ** 2, rel=1e-9
-            )
+        assert np.allclose(zf_snrs(h_e, np.eye(3), 1.0), norms**2, rtol=1e-9)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_quadratic_form_matches_matrix_form(self, seed):
+        # production quadratic form against the Gram-diagonal oracle
         rng = np.random.default_rng(seed)
         h_e = gaussian_effective_channel(rng, 6, 4)
         q = haar_unitary(4, rng)
+        production = zf_snrs(h_e, q, 1.0)
         for p in range(4):
-            a = per_user_snr(h_e, q, 1.0, p)
-            b = per_user_snr_gram(h_e, q, 1.0, p)
-            assert a == pytest.approx(b, rel=1e-8)
+            oracle = per_user_snr_gram(h_e, q, 1.0, p)
+            assert production[p] == pytest.approx(oracle, rel=1e-8)
 
     def test_input_validation(self):
         rng = np.random.default_rng(10)
         h_e = gaussian_effective_channel(rng, 6, 4)
+        a_inv = inverse_of(h_e)
         with pytest.raises(ValueError):
-            per_user_snr(h_e, np.eye(4), 0.0, 0)
+            per_user_snr_gram(h_e, np.eye(4), 0.0, 0)
         with pytest.raises(ValueError):
-            per_user_snr(h_e, np.eye(4), 1.0, 4)
+            per_user_snr_gram(h_e, np.eye(4), 1.0, 4)
+        with pytest.raises(ValueError):
+            noncooperative_baseline_snr(a_inv, 0.0)
+        with pytest.raises(ValueError):
+            select_codeword(DecodingCodebook(np.eye(4)[None], 0), a_inv, 0.0)
 
 
 class TestBaseline:
     def test_orthonormal_channel(self):
         rng = np.random.default_rng(11)
         h_e = orthonormal_columns(6, 4, rng)
-        assert np.allclose(noncooperative_baseline_snr(h_e, 0.25), 4.0)
+        assert np.allclose(noncooperative_baseline_snr(inverse_of(h_e), 0.25), 4.0)
 
     def test_equals_identity_decoding(self):
         rng = np.random.default_rng(12)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        base = noncooperative_baseline_snr(h_e, 1.5)
+        base = noncooperative_baseline_snr(inverse_of(h_e), 1.5)
+        assert np.allclose(base, zf_snrs(h_e, np.eye(4), 1.5), rtol=1e-12)
         for p in range(4):
-            assert base[p] == pytest.approx(per_user_snr(h_e, np.eye(4), 1.5, p))
+            assert base[p] == pytest.approx(per_user_snr_gram(h_e, np.eye(4), 1.5, p))
 
     def test_correlation_kills_zero_forcing(self):
         # closed-form 2x2 Gram inverse: both users get (1 - rho^2) / N0
         previous = np.inf
         for rho in (0.0, 0.5, 0.9, 0.99):
             h_e = np.array([[1.0, rho], [0.0, np.sqrt(1 - rho**2)]], dtype=complex)
-            snrs = noncooperative_baseline_snr(h_e, 1.0)
+            snrs = noncooperative_baseline_snr(inverse_of(h_e), 1.0)
             assert np.allclose(snrs, 1.0 - rho**2, rtol=1e-9)
             assert snrs[0] < previous or rho == 0.0
             previous = snrs[0]
@@ -183,7 +191,7 @@ class TestAlgebraicInvariants:
         h_e = gaussian_effective_channel(rng, 6, 4)
         q = haar_unitary(4, rng)
         cap = np.linalg.eigvalsh(gram(h_e)).sum() / 4.0
-        assert average_snr(h_e, q, 1.0) <= cap * (1 + 1e-9)
+        assert average_snr(q, inverse_of(h_e), 1.0) <= cap * (1 + 1e-9)
 
 
 class TestIllConditioning:
@@ -193,11 +201,36 @@ class TestIllConditioning:
         h_e[:, 1] = h_e[:, 0]
         h_e[1, 1] = 1e-13
         with pytest.raises(IllConditionedChannelError) as info:
-            gram_inverse(h_e)
+            inverse_of(h_e)
         assert info.value.condition_number > 1e12
 
     def test_custom_limit(self):
         rng = np.random.default_rng(13)
         h_e = gaussian_effective_channel(rng, 6, 4)
         with pytest.raises(IllConditionedChannelError):
-            gram_inverse(h_e, cond_limit=1.0)
+            gram_inverse(eigen_spectrum(h_e), cond_limit=1.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_dependent_column_raises(self, seed, users):
+        rng = np.random.default_rng(seed)
+        h_e = gaussian_effective_channel(rng, 6, users)
+        weights = gaussian_effective_channel(rng, users - 1, 1)
+        h_e[:, -1:] = h_e[:, :-1] @ weights
+        with pytest.raises(IllConditionedChannelError):
+            inverse_of(h_e)
+
+
+class TestGramInverse:
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_inverts_full_rank_gram(self, seed, users):
+        rng = np.random.default_rng(seed)
+        h_e = gaussian_effective_channel(rng, 6, users)
+        a = gram(h_e)
+        a_inv = inverse_of(h_e)
+        assert np.abs(a @ a_inv - np.eye(users)).max() < 1e-10
+        # the LU inverse is the independent reference
+        reference = np.linalg.inv(a)
+        error = np.linalg.norm(a_inv - reference) / np.linalg.norm(reference)
+        assert error <= 1e-12 * np.linalg.cond(a)

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_effective_channel, haar_unitary, pipeline_channel
+from conftest import gaussian_effective_channel, haar_unitary, inverse_of, pipeline_channel
 from d2dcoop import (
     CooperationLink,
     QuantizerConfig,
     bits_from_bandwidth,
-    effective_noise_power,
-    effective_noise_power_constant_amplitude,
     noncooperative_baseline_snr,
     overload_count,
     overload_fraction,
@@ -19,7 +17,7 @@ from d2dcoop import (
     uniform_quantize,
     zf_outer_precoder,
 )
-from d2dcoop.precoding import gram_inverse, snr_denominators
+from d2dcoop.precoding import snr_denominators
 
 
 class TestQuantizerConfig:
@@ -138,22 +136,36 @@ class TestRateBudget:
 
 
 class TestEffectiveNoise:
+    """Effective noise N0 + (1 - |q_p[p]|^2) sigma_q^2 inside ``quantized_snr``."""
+
+    def _noise(self, decoding, noise_power, link):
+        # effective noise of each user, read back through the quantized SNR
+        rng = np.random.default_rng(17)
+        a_inv = inverse_of(gaussian_effective_channel(rng, 6, decoding.shape[1]))
+        snrs = quantized_snr(decoding, a_inv, noise_power, link, 30.0)
+        return 1.0 / (snrs * snr_denominators(decoding, a_inv))
+
     def test_no_quantization_noise(self):
-        q = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        assert effective_noise_power(2.0, 0.0, q, 1) == pytest.approx(2.0)
+        # a 64-bit link leaves a quantization variance far below N0 * eps
+        q = haar_unitary(4, np.random.default_rng(18))
+        link = CooperationLink(64.0, 3.0)
+        assert np.allclose(self._noise(q, 2.0, link), 2.0, rtol=1e-12)
 
     def test_own_sample_only_decoding(self):
-        q = np.zeros(4, dtype=complex)
-        q[2] = 1.0
-        assert effective_noise_power(2.0, 100.0, q, 2) == pytest.approx(2.0)
+        link = CooperationLink(1.0, 3.0)
+        assert bits_from_bandwidth(link) == 2
+        noise = self._noise(np.eye(4, dtype=complex), 2.0, link)
+        assert np.allclose(noise, 2.0, rtol=1e-12)
 
     def test_constant_amplitude_case_matches_companion(self):
+        # |q_p[p]|^2 = 1/P for a DFT decoding matrix, so the exact per-user
+        # noise equals the companion form N0 + sigma_q^2 (P - 1) / P
         p = 4
-        q = np.full(p, 1 / np.sqrt(p), dtype=complex)
-        exact = effective_noise_power(1.0, 3.0, q, 0)
-        approx = effective_noise_power_constant_amplitude(1.0, 3.0, p)
-        assert exact == pytest.approx(approx)
-        assert approx == pytest.approx(1.0 + 3.0 * 0.75)
+        q = np.fft.fft(np.eye(p)) / np.sqrt(p)
+        link = CooperationLink(2.0, 15.0)
+        sigma = quantization_noise_variance(QuantizerConfig(bits_from_bandwidth(link), 30.0))
+        companion = 1.0 + sigma * (p - 1) / p
+        assert np.allclose(self._noise(q, 1.0, link), companion, rtol=1e-12)
 
 
 class TestQuantizedSnr:
@@ -167,24 +179,27 @@ class TestQuantizedSnr:
         h_e, q = self._setup(0)
         link = CooperationLink(0.1, 1.0)
         assert bits_from_bandwidth(link) == 0
-        out = quantized_snr(h_e, q, 2.0, link, 30.0)
-        assert np.array_equal(out, noncooperative_baseline_snr(h_e, 2.0))
+        a_inv = inverse_of(h_e)
+        out = quantized_snr(q, a_inv, 2.0, link, 30.0)
+        assert np.array_equal(out, noncooperative_baseline_snr(a_inv, 2.0))
 
     def test_huge_bandwidth_converges_to_ideal_sharing(self):
         h_e, q = self._setup(1)
         link = CooperationLink(50.0, 15.0)
-        out = quantized_snr(h_e, q, 2.0, link, 30.0)
-        perfect = 1.0 / (2.0 * snr_denominators(q, gram_inverse(h_e)))
+        a_inv = inverse_of(h_e)
+        out = quantized_snr(q, a_inv, 2.0, link, 30.0)
+        perfect = 1.0 / (2.0 * snr_denominators(q, a_inv))
         assert np.allclose(out, perfect, rtol=1e-6)
 
     def test_monotone_over_feasible_bandwidth_grid(self):
         h_e, q = self._setup(2)
         grid = [0.7, 1.0, 1.6, 2.5, 4.0, 8.0]
+        a_inv = inverse_of(h_e)
         previous = None
         for ratio in grid:
             link = CooperationLink(ratio, 10.0)
             assert bits_from_bandwidth(link) >= 2
-            snrs = quantized_snr(h_e, q, 2.0, link, 30.0)
+            snrs = quantized_snr(q, a_inv, 2.0, link, 30.0)
             if previous is not None:
                 assert np.all(snrs >= previous - 1e-12)
             previous = snrs
@@ -194,10 +209,10 @@ class TestQuantizedSnr:
         link = CooperationLink(2.0, 15.0)
         c = bits_from_bandwidth(link)
         sigma = quantization_noise_variance(QuantizerConfig(c, 30.0))
-        out = quantized_snr(h_e, q, 2.0, link, 30.0)
-        a_inv = gram_inverse(h_e)
+        a_inv = inverse_of(h_e)
+        out = quantized_snr(q, a_inv, 2.0, link, 30.0)
         for p in range(4):
-            na = effective_noise_power(2.0, sigma, q[:, p], p)
+            na = 2.0 + (1.0 - abs(q[p, p]) ** 2) * sigma
             denom = float(np.real(q[:, p].conj() @ a_inv @ q[:, p]))
             assert out[p] == pytest.approx(1.0 / (na * denom), rel=1e-12)
 
