@@ -22,6 +22,7 @@ from .linalg import phase_canonicalize
 from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
+SCORE_BLOCK = 4096
 
 
 class CodebookBudgetError(RuntimeError):
@@ -104,6 +105,22 @@ def generate_codebook(
     return DecodingCodebook(np.ascontiguousarray(vecs), bits)
 
 
+def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
+    """Noise-free selection score ``sum_p 1 / (q_p^H A^{-1} q_p)`` of each codeword.
+
+    A codeword's average post-decoding SNR is its score over
+    ``noise_power * users``, so the codeword maximizing the score does so
+    at every noise power. Codewords are scored in blocks of
+    ``SCORE_BLOCK`` so the temporaries stay small at ``2**16`` codewords.
+    """
+    cw = np.asarray(codewords)
+    scores = np.empty(cw.shape[0])
+    for start in range(0, cw.shape[0], SCORE_BLOCK):
+        block = cw[start : start + SCORE_BLOCK]
+        scores[start : start + len(block)] = (1.0 / snr_denominators(block, gram_inv)).sum(axis=1)
+    return scores
+
+
 def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_power: float):
     """Pick the codeword maximizing the average post-decoding SNR.
 
@@ -113,11 +130,21 @@ def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_powe
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    cw = codebook.codewords
-    denoms = snr_denominators(cw, gram_inv)
-    snrs = (1.0 / denoms).sum(axis=1) / (noise_power * codebook.num_users)
-    index = int(np.argmax(snrs))
-    return index, cw[index], float(snrs[index])
+    scores = codeword_scores(codebook.codewords, gram_inv)
+    index = int(np.argmax(scores))
+    return index, codebook[index], float(scores[index] / (noise_power * codebook.num_users))
+
+
+def select_prefix_codewords(codebook: DecodingCodebook, gram_inv: np.ndarray, bit_counts) -> dict:
+    """The index :func:`select_codeword` picks from each ``2**b`` prefix.
+
+    Scores the first ``2**max(bit_counts)`` codewords once and takes the
+    first-occurrence argmax of each nested prefix, which serves every
+    ``b`` and every noise power. Returns ``{b: index}``.
+    """
+    bit_counts = set(bit_counts)
+    scores = codeword_scores(codebook.prefix(max(bit_counts)).codewords, gram_inv)
+    return {bits: int(np.argmax(scores[: 1 << bits])) for bits in bit_counts}
 
 
 def save_codebook(path, codebook: DecodingCodebook) -> None:

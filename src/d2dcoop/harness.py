@@ -6,10 +6,14 @@ reproducible. Each channel is drawn and factorised once per
 (users, trial) and shared by every grid point of that user count, which
 makes curves paired comparisons. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
-smaller codebooks are exact prefixes of bigger ones.
+smaller codebooks are exact prefixes of bigger ones. That nesting, and a
+selection score that does not depend on the SNR, let one scoring pass
+per (users, trial) choose the codeword for every b and SNR. The
+link-level overload audit runs once per (trial, b, SNR): saturation
+depends only on the clip level, so one audit serves every link setting
+that carries bits.
 """
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -19,7 +23,12 @@ import numpy as np
 
 from .bounds import BoundInvalidError, snr_lower_bound_terms
 from .channel import draw_environment, inner_precoder, analytic_covariance, sample_channel
-from .codebook import DecodingCodebook, generate_codebook, select_codeword
+from .codebook import (
+    DecodingCodebook,
+    generate_codebook,
+    select_codeword,  # noqa: F401  harness global that perfbench/spans.py wraps by name
+    select_prefix_codewords,
+)
 from .config import ExperimentConfig
 from .linklevel import empirical_snr
 from .precoding import (
@@ -139,10 +148,10 @@ class TrialState:
 
     Everything here depends only on (users, trial), so every grid point
     of that user count reuses it. ``rng`` is the trial generator right
-    after the channel draw; each point's overload audit draws from its
-    own copy. ``spectrum`` is the one factorisation of the effective
-    Gram; ``a_inv`` is its inverse, None when the channel is
-    ill-conditioned.
+    after the channel draw; each overload audit draws from a fresh
+    generator started from its state. ``spectrum`` is the one
+    factorisation of the effective Gram; ``a_inv`` is its inverse, None
+    when the channel is ill-conditioned.
     """
 
     trial: int
@@ -175,62 +184,83 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=Non
     return TrialState(trial, rng, w, h, spectrum, a_inv)
 
 
-def evaluate_point(
+def evaluate_trial(
     config: ExperimentConfig,
-    point: GridPoint,
+    points,
     state: TrialState,
     codebook: DecodingCodebook,
-) -> TrialRecord:
-    """Evaluate every strategy of one grid point on a drawn trial.
+) -> list:
+    """Evaluate every strategy of one drawn trial at each given grid point.
 
-    Produces the cooperative capacity under the configured sharing mode,
-    the plain zero-forcing baseline, the perfect-cooperation capacity
-    from the eigen-spectrum, and (for two or more users) the analytic
-    lower-bound capacity. Ill-conditioned channels yield a flagged record
-    with empty capacities.
+    ``points`` share the trial's user count and ``codebook`` holds at
+    least ``2**bits`` codewords for each of them. Produces, per point, the
+    cooperative capacity under the configured sharing mode, the plain
+    zero-forcing baseline, the perfect-cooperation capacity from the
+    eigen-spectrum, and (for two or more users) the analytic lower-bound
+    capacity. Ill-conditioned channels yield flagged records with empty
+    capacities. One scoring pass picks the codeword of every ``b``, and
+    one overload audit per (b, SNR) serves every link that carries bits.
     """
     if state.a_inv is None:
-        return TrialRecord(
-            point.users, point.bits, point.snr_db, point.gamma_db,
-            point.bandwidth_ratio, state.trial, None, None, None, None, 1, None,
-        )
+        return [
+            TrialRecord(
+                point.users, point.bits, point.snr_db, point.gamma_db,
+                point.bandwidth_ratio, state.trial, None, None, None, None, 1, None,
+            )
+            for point in points
+        ]
     a_inv, spectrum = state.a_inv, state.spectrum
-    noise_power = 10.0 ** (-point.snr_db / 10.0)
-    capacity_ideal = capacity(spectrum.eigenvalues / noise_power)
-    capacity_zf = capacity(noncooperative_baseline_snr(a_inv, noise_power))
-
-    _, chosen, _ = select_codeword(codebook, a_inv, noise_power)
-    overload: float | None
-    if config.mode == "quantized-rsi":
-        link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
-        coop_snrs = quantized_snr(chosen, a_inv, noise_power, link, config.tau)
-        link_bits = bits_from_bandwidth(link)
-        if link_bits > 0:
-            quantizer = QuantizerConfig(link_bits, config.tau)
-            _, overload = empirical_snr(
-                state.inner, state.channel, chosen, noise_power, copy.deepcopy(state.rng),
-                num_symbols=OVERLOAD_AUDIT_SYMBOLS, quantizer=quantizer,
-            )
+    choice = select_prefix_codewords(codebook, a_inv, [point.bits for point in points])
+    audits: dict = {}
+    records = []
+    for point in points:
+        noise_power = 10.0 ** (-point.snr_db / 10.0)
+        capacity_ideal = capacity(spectrum.eigenvalues / noise_power)
+        capacity_zf = capacity(noncooperative_baseline_snr(a_inv, noise_power))
+        decoding = codebook[choice[point.bits]]
+        overload: float | None
+        if config.mode == "quantized-rsi":
+            link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
+            coop_snrs = quantized_snr(decoding, a_inv, noise_power, link, config.tau)
+            link_bits = bits_from_bandwidth(link)
+            if link_bits > 0:
+                key = (point.bits, point.snr_db)
+                if key not in audits:
+                    _, audits[key] = empirical_snr(
+                        state.inner, state.channel, decoding, noise_power,
+                        _post_channel_rng(state), num_symbols=OVERLOAD_AUDIT_SYMBOLS,
+                        quantizer=QuantizerConfig(link_bits, config.tau),
+                    )
+                overload = audits[key]
+            else:
+                overload = 0.0
         else:
+            coop_snrs = 1.0 / (noise_power * snr_denominators(decoding, a_inv))
             overload = 0.0
-    else:
-        coop_snrs = 1.0 / (noise_power * snr_denominators(chosen, a_inv))
-        overload = 0.0
-    capacity_coop = capacity(coop_snrs)
+        capacity_coop = capacity(coop_snrs)
 
-    capacity_bound = None
-    if point.users >= 2:
-        try:
-            capacity_bound = capacity(
-                snr_lower_bound_terms(spectrum, point.bits, noise_power)
-            )
-        except BoundInvalidError:
-            capacity_bound = None
+        capacity_bound = None
+        if point.users >= 2:
+            try:
+                capacity_bound = capacity(
+                    snr_lower_bound_terms(spectrum, point.bits, noise_power)
+                )
+            except BoundInvalidError:
+                capacity_bound = None
 
-    return TrialRecord(
-        point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
-        state.trial, capacity_coop, capacity_zf, capacity_ideal, capacity_bound, 0, overload,
-    )
+        records.append(TrialRecord(
+            point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
+            state.trial, capacity_coop, capacity_zf, capacity_ideal, capacity_bound, 0,
+            overload,
+        ))
+    return records
+
+
+def _post_channel_rng(state: TrialState) -> np.random.Generator:
+    """A fresh generator continuing from the trial generator's post-channel state."""
+    bit_generator = type(state.rng.bit_generator)()
+    bit_generator.state = state.rng.bit_generator.state
+    return np.random.Generator(bit_generator)
 
 
 def run_trial(
@@ -245,16 +275,15 @@ def run_trial(
         codebook = codebook_for(config, point.users, point.bits)
     elif codebook.bits != point.bits or codebook.num_users != point.users:
         raise ValueError("codebook does not match the grid point")
-    return evaluate_point(
-        config, point, draw_trial(config, point.users, trial, environment), codebook
-    )
+    state = draw_trial(config, point.users, trial, environment)
+    return evaluate_trial(config, [point], state, codebook)[0]
 
 
 def run_experiment(config: ExperimentConfig, environment=None):
     """Run the full Cartesian sweep; returns (records, summaries).
 
     Records come in (grid point, trial index) order. Each user count's
-    trials are drawn once and shared by all of its grid points. Pass
+    trials are drawn once and evaluated at all of its grid points. Pass
     ``environment`` to condition the whole sweep on one fixed scattering
     environment instead of redrawing per trial.
     """
@@ -263,14 +292,15 @@ def run_experiment(config: ExperimentConfig, environment=None):
     records: list[TrialRecord] = []
     # grid_points runs users outermost, so each user count's points are contiguous
     for users, group in itertools.groupby(points, key=lambda point: point.users):
+        group = list(group)
+        # drop the previous user count's codebook before the next one is drawn
+        book = None
         book = codebook_for(config, users, max(config.b_grid))
-        states = [
-            draw_trial(config, users, trial, environment)
+        by_trial = [
+            evaluate_trial(config, group, draw_trial(config, users, trial, environment), book)
             for trial in range(config.num_trials)
         ]
-        for point in group:
-            prefix = book.prefix(point.bits)
-            records.extend(evaluate_point(config, point, state, prefix) for state in states)
+        records.extend(record for by_point in zip(*by_trial) for record in by_point)
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
         for i, point in enumerate(points)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,45 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
     assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
     assert (out_a / "aggregate.csv").read_bytes() == (out_b / "aggregate.csv").read_bytes()
+
+
+# SHA-256 of (trials.csv, aggregate.csv) from `d2dcoop preset NAME --trials 6 --seed 3`
+GOLDEN_DIGESTS = {
+    "fig-capacity-vs-snr": (
+        "14586c73cf34b64dcb9598c36056f06ffd0c7487b98040c585e48ca007e2155f",
+        "c8b43ae90c8e77249539470a80a15bc0ec729e4e6386124d4733c4b12f3397be",
+    ),
+    "fig-capacity-vs-bits": (
+        "9a738100f839de75161fb2d2518e36ae1d5e0fcea412c3c329e0c6d81d478697",
+        "33351d86e578a4ccc4ab22a6f0294217c8162305f5af8b2983214fa9964d5f40",
+    ),
+    "fig-capacity-vs-bandwidth-snr": (
+        "51b03b2258a04c34918d199609c5b73c45886297e0a171fd3011b60c47630879",
+        "2ce7591ec05ee693a22e331aec261a665e4b530267627f94de5b6f3937c5d5b9",
+    ),
+    "fig-capacity-vs-bandwidth-gamma": (
+        "db9d6a1e5c647a1fafe249027c4b76f7291561a52eb5e6d8242e8ab68d3062a0",
+        "60cd7a2a2b2fab73369c02d3c637960932c6b86c45e7cee99695bf7efbc38aae",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
+def test_preset_outputs_match_golden_digests(tmp_path, preset):
+    """Refactors of the sweep must leave the preset outputs byte-identical.
+
+    The digests are tied to the numpy/OpenBLAS build they were recorded
+    with (numpy 2.4.6 on scipy-openblas 0.3.31, x86-64): another BLAS
+    build may round the last bit differently. If a change moves one,
+    name the rows and columns that moved instead of re-recording it.
+    """
+    out = tmp_path / preset
+    assert main(["preset", preset, "--trials", "6", "--seed", "3", "--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trials.csv", "aggregate.csv")
+    )
+    assert digests == GOLDEN_DIGESTS[preset]
 
 
 def test_missing_config_file_is_io_error(tmp_path):

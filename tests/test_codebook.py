@@ -13,7 +13,8 @@ from d2dcoop import (
     save_codebook,
     select_codeword,
 )
-from d2dcoop.precoding import eigen_spectrum, gram
+from d2dcoop.codebook import SCORE_BLOCK, codeword_scores, select_prefix_codewords
+from d2dcoop.precoding import eigen_spectrum, gram, snr_denominators
 
 
 def test_codebook_size_is_power_of_two():
@@ -143,6 +144,19 @@ class TestSelection:
         idx_a, _, _ = select_codeword(cb, a_inv, 1.0)
         idx_b, _, _ = select_codeword(cb, a_inv, 7.3)
         assert idx_a == idx_b
+
+    def test_prefix_choices_across_score_blocks(self):
+        # the scoring pass runs block by block; every prefix choice must
+        # match the selector run on that prefix alone
+        cb = generate_codebook(3, 13, np.random.default_rng(98))
+        assert len(cb) > SCORE_BLOCK
+        a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(16), 6, 3))
+        scores = codeword_scores(cb.codewords, a_inv)
+        unblocked = (1.0 / snr_denominators(cb.codewords, a_inv)).sum(axis=1)
+        assert np.array_equal(scores, unblocked)
+        for bits, index in select_prefix_codewords(cb, a_inv, [0, 5, 12, 13]).items():
+            assert index == select_codeword(cb.prefix(bits), a_inv, 0.3)[0]
+            assert index == int(np.argmax(unblocked[: 1 << bits]))
 
     def test_selected_snr_monotone_in_bits_per_trial(self):
         # nested prefixes: a bigger codebook can never select a worse value

@@ -1,16 +1,30 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d2dcoop import ExperimentConfig, capacity, draw_environment, run_experiment, run_trial
+from d2dcoop import (
+    CooperationLink,
+    ExperimentConfig,
+    bits_from_bandwidth,
+    capacity,
+    draw_environment,
+    run_experiment,
+    run_trial,
+    select_codeword,
+)
+from d2dcoop.codebook import select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
     GridPoint,
     aggregate_csv_lines,
     codebook_for,
+    draw_trial,
     grid_points,
     trial_csv_lines,
     write_outputs,
@@ -30,6 +44,50 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@st.composite
+def small_sweeps(draw):
+    """Random small configs in either sharing mode, with up to two b and SNR values."""
+
+    def grid(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True))
+
+    overrides = dict(
+        user_count_grid=grid([2, 3, 4]),
+        b_grid=grid([0, 1, 2, 3, 4]),
+        snr_db_grid=grid([-10.0, -5.0, 0.0, 10.0]),
+        num_trials=2,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    if draw(st.booleans()):
+        overrides.update(
+            mode="quantized-rsi",
+            tau=draw(st.sampled_from([1.0, 30.0])),
+            gamma_db_grid=grid([0.0, 10.0]),
+            bandwidth_ratio_grid=grid([0.5, 1.0, 2.0, 4.0]),
+        )
+    return small_config(**overrides)
+
+
+def per_point_reference(config):
+    return [
+        run_trial(config, point, trial)
+        for point in grid_points(config)
+        for trial in range(config.num_trials)
+    ]
+
+
+def assert_overload_shared_across_links(records):
+    """Each (users, trial, b, SNR) has one overload rate over all links that carry bits."""
+    rates = {}
+    for r in records:
+        if r.cond_fail or r.gamma_db is None:
+            continue
+        link = CooperationLink(r.bandwidth_ratio, 10.0 ** (r.gamma_db / 10.0))
+        if bits_from_bandwidth(link) > 0:
+            rates.setdefault((r.users, r.trial, r.bits, r.snr_db), set()).add(r.overload_rate)
+    assert all(len(values) == 1 for values in rates.values())
 
 
 class TestCapacity:
@@ -168,14 +226,15 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "overrides",
         [
-            # 0.5 gives a zero-bit link, 2.0 a 6-bit one; the small clip
-            # level makes every audited overload rate a random nonzero draw
+            # 0.5 gives zero-bit links, 2.0 and 4.0 links of 2 to 12 bits;
+            # the small clip level makes every audited overload rate a
+            # random nonzero draw
             dict(
                 mode="quantized-rsi",
                 user_count_grid=[3, 4],
                 tau=1.0,
-                gamma_db_grid=[10.0],
-                bandwidth_ratio_grid=[0.5, 2.0],
+                gamma_db_grid=[0.0, 10.0],
+                bandwidth_ratio_grid=[0.5, 2.0, 4.0],
             ),
             dict(sector_spread=1e-9),
         ],
@@ -184,16 +243,32 @@ class TestRunExperiment:
     def test_sweep_equals_per_point_reference(self, overrides):
         config = small_config(num_trials=3, **overrides)
         records, _ = run_experiment(config)
-        reference = [
-            run_trial(config, point, trial)
-            for point in grid_points(config)
-            for trial in range(config.num_trials)
-        ]
-        assert records == reference
+        assert records == per_point_reference(config)
         if config.mode == "quantized-rsi":
             assert any(r.overload_rate > 0.0 for r in records)
+            assert_overload_shared_across_links(records)
         else:
             assert all(r.cond_fail == 1 for r in records)
+
+    @settings(deadline=None, max_examples=25)
+    @given(small_sweeps())
+    def test_random_sweep_equals_per_point_reference(self, config):
+        records, _ = run_experiment(config)
+        assert records == per_point_reference(config)
+        assert_overload_shared_across_links(records)
+        # one scoring pass per trial picks, for every b, the codeword the
+        # per-point selector picks at every SNR of the grid
+        for users in config.user_counts():
+            book = codebook_for(config, users, max(config.b_grid))
+            for trial in range(config.num_trials):
+                a_inv = draw_trial(config, users, trial).a_inv
+                if a_inv is None:
+                    continue
+                choices = select_prefix_codewords(book, a_inv, config.b_grid)
+                for bits, snr_db in itertools.product(config.b_grid, config.snr_db_grid):
+                    noise_power = 10.0 ** (-snr_db / 10.0)
+                    expected = select_codeword(book.prefix(bits), a_inv, noise_power)[0]
+                    assert choices[bits] == expected
 
 
 class TestCsvOutput:
