@@ -9,7 +9,7 @@ limit that both converge to as the codebook grows.
 
 import numpy as np
 
-from .channel import analytic_covariance, draw_environment, inner_precoder, sample_channel
+from .channel import draw_environment, inner_precoder, sample_channel
 from .codebook import DecodingCodebook, generate_codebook, select_codeword
 from .precoding import EigenSpectrum, effective_channel, eigen_spectrum, gram_inverse
 
@@ -108,7 +108,7 @@ def _random_spectra(num_trials, num_users, rng, num_antennas, num_paths, effecti
     for _ in range(num_trials):
         env = draw_environment(num_antennas, num_paths, rng)
         h = sample_channel(env, num_users, rng)
-        w = inner_precoder(analytic_covariance(env), effective_dim)
+        w = inner_precoder(env, effective_dim)
         yield eigen_spectrum(effective_channel(w, h))
 
 

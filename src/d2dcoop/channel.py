@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sorted_eigh
+from .linalg import phase_canonicalize
 
 HALF_PI = np.pi / 2
 
@@ -116,30 +116,23 @@ def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
     Equals the average of the steering-vector outer products, which is
     Hermitian PSD with trace equal to the antenna count. Angles are
     summed in sorted order so the result does not depend on how
-    ``path_angles`` happens to be permuted.
+    ``path_angles`` happens to be permuted. The oracle for
+    :func:`inner_precoder`, which never forms this matrix.
     """
     s = _steering_matrix(env, np.sort(env.path_angles))
     r = (s @ s.conj().T) / env.num_paths
     return (r + r.conj().T) / 2.0
 
 
-def inner_precoder(covariance: np.ndarray, dim: int) -> np.ndarray:
+def inner_precoder(env: ScatteringEnvironment, dim: int) -> np.ndarray:
     """Top-``dim`` eigenvectors of the spatial covariance (antennas x dim).
 
-    Columns are orthonormal and ordered by descending eigenvalue with
-    deterministic phases and tie-breaking (see
-    :func:`d2dcoop.linalg.sorted_eigh`).
+    The covariance is ``S S^H / L`` for the steering matrix ``S`` of the
+    sorted angles, so these are the top left singular vectors of ``S``:
+    orthonormal, phase-canonicalized, and at most ``min(M, L)`` of them.
     """
-    r = np.asarray(covariance)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    m = r.shape[0]
-    if not 1 <= dim <= m:
-        raise ValueError(f"dim must be in [1, {m}], got {dim}")
-    # absolute tolerance, widened only when the matrix is scaled above O(1)
-    tol = 1e-12 * max(1.0, float(np.abs(r).max()))
-    if float(np.abs(r - r.conj().T).max()) > tol:
-        raise ValueError("covariance must be Hermitian")
-    r = (r + r.conj().T) / 2.0
-    _, vecs = sorted_eigh(r)
-    return vecs[:, :dim].copy()
+    if not 1 <= dim <= min(env.num_antennas, env.num_paths):
+        raise ValueError(f"dim must be in [1, min(M, L)], got {dim}")
+    s = _steering_matrix(env, np.sort(env.path_angles))
+    u, _, _ = np.linalg.svd(s, full_matrices=False)
+    return phase_canonicalize(u[:, :dim])

@@ -96,11 +96,15 @@ def generate_codebook(
         raise CodebookBudgetError(
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {max_bytes}"
         )
-    # one contiguous block per codeword keeps prefixes seed-stable
+    # one contiguous block per codeword keeps prefixes seed-stable; each
+    # intermediate is released once the next exists to bound the peak
     z = rng.standard_normal((size, num_users, num_users, 2))
     g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    del z
     wishart = g @ np.conj(np.swapaxes(g, -1, -2))
+    del g
     _, vecs = np.linalg.eigh(wishart)
+    del wishart
     vecs = phase_canonicalize(vecs[..., ::-1])
     return DecodingCodebook(np.ascontiguousarray(vecs), bits)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
+from .quantization import TOTAL_BITS_CAP, CooperationLink, bits_from_bandwidth
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
@@ -92,17 +93,23 @@ class ExperimentConfig:
                 "bandwidth_ratio_grid",
                 lambda r: _is_finite_number(r) and r > 0,
             )
-        if self.D > self.M:
-            raise ConfigError("D must not exceed M")
+            # the budget grows with both, so the largest pair carries the most bits
+            ratio, gamma_db = max(self.bandwidth_ratio_grid), max(self.gamma_db_grid)
+            try:
+                link_bits = bits_from_bandwidth(CooperationLink(ratio, 10.0 ** (gamma_db / 10.0)))
+            except OverflowError:
+                link_bits = math.inf
+            if link_bits >= TOTAL_BITS_CAP:
+                raise ConfigError(f"link budget of {link_bits} bits is not below {TOTAL_BITS_CAP}")
+        if self.D > min(self.M, self.L):
+            raise ConfigError(
+                f"D={self.D} exceeds min(M, L), the rank of the spatial covariance; "
+                "extra dimensions would carry no channel energy"
+            )
         worst = max(self.user_counts())
         if self.D < worst:
             raise ConfigError(
                 f"D={self.D} is below the largest user count {worst}; zero-forcing needs D >= P"
-            )
-        if self.L < worst:
-            raise ConfigError(
-                f"L={self.L} is below the largest user count {worst}; the Gram matrix has "
-                "rank at most L, so every trial would be ill-conditioned"
             )
         need = codebook_bytes(worst, max(self.b_grid))
         if need > DEFAULT_BUDGET_BYTES:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundInvalidError, snr_lower_bound_terms
-from .channel import draw_environment, inner_precoder, analytic_covariance, sample_channel
+from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
+from .channel import draw_environment, inner_precoder, sample_channel
 from .codebook import (
     DecodingCodebook,
     generate_codebook,
@@ -175,7 +176,7 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=Non
             sector_spread=config.sector_spread,
         )
     h = sample_channel(env, users, rng)
-    w = inner_precoder(analytic_covariance(env), config.D)
+    w = inner_precoder(env, config.D)
     spectrum = eigen_spectrum(effective_channel(w, h))
     try:
         a_inv = gram_inverse(spectrum)
@@ -211,14 +212,19 @@ def evaluate_trial(
         ]
     a_inv, spectrum = state.a_inv, state.spectrum
     choice = select_prefix_codewords(codebook, a_inv, [point.bits for point in points])
+    baselines: dict = {}
     audits: dict = {}
     records = []
     for point in points:
         noise_power = 10.0 ** (-point.snr_db / 10.0)
-        capacity_ideal = capacity(spectrum.eigenvalues / noise_power)
-        capacity_zf = capacity(noncooperative_baseline_snr(a_inv, noise_power))
+        if point.snr_db not in baselines:
+            baselines[point.snr_db] = (
+                capacity(spectrum.eigenvalues / noise_power),
+                capacity(noncooperative_baseline_snr(a_inv, noise_power)),
+            )
+        capacity_ideal, capacity_zf = baselines[point.snr_db]
         decoding = codebook[choice[point.bits]]
-        overload: float | None
+        overload = 0.0
         if config.mode == "quantized-rsi":
             link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
             coop_snrs = quantized_snr(decoding, a_inv, noise_power, link, config.tau)
@@ -232,21 +238,16 @@ def evaluate_trial(
                         quantizer=QuantizerConfig(link_bits, config.tau),
                     )
                 overload = audits[key]
-            else:
-                overload = 0.0
         else:
             coop_snrs = 1.0 / (noise_power * snr_denominators(decoding, a_inv))
-            overload = 0.0
         capacity_coop = capacity(coop_snrs)
 
         capacity_bound = None
         if point.users >= 2:
             try:
-                capacity_bound = capacity(
-                    snr_lower_bound_terms(spectrum, point.bits, noise_power)
-                )
+                capacity_bound = capacity(snr_lower_bound_terms(spectrum, point.bits, noise_power))
             except BoundInvalidError:
-                capacity_bound = None
+                pass
 
         records.append(TrialRecord(
             point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
@@ -350,40 +351,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def trial_csv_lines(config: ExperimentConfig, records) -> list:
+def _csv_lines(header: str, config: ExperimentConfig, rows) -> list:
+    """``header`` then one line per row: the config and grid-point columns,
+    followed by the row's own fields, which the header names after them."""
     preset = config.figure_preset or ""
-    lines = [TRIAL_CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    preset, config.mode, config.M, r.users, config.D, config.L,
-                    r.bits, r.snr_db, r.gamma_db, r.bandwidth_ratio, r.trial,
-                    r.capacity_coop, r.capacity_zf, r.capacity_ideal,
-                    r.capacity_bound, r.cond_fail, r.overload_rate,
-                )
-            )
+    own = header.split(",")[10:]
+    lines = [header]
+    for r in rows:
+        values = (
+            preset, config.mode, config.M, r.users, config.D, config.L,
+            r.bits, r.snr_db, r.gamma_db, r.bandwidth_ratio,
+            *(getattr(r, name) for name in own),
         )
+        lines.append(",".join(_fmt(v) for v in values))
     return lines
+
+
+def trial_csv_lines(config: ExperimentConfig, records) -> list:
+    return _csv_lines(TRIAL_CSV_HEADER, config, records)
 
 
 def aggregate_csv_lines(config: ExperimentConfig, summaries) -> list:
-    preset = config.figure_preset or ""
-    lines = [AGGREGATE_CSV_HEADER]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    preset, config.mode, config.M, s.users, config.D, config.L,
-                    s.bits, s.snr_db, s.gamma_db, s.bandwidth_ratio,
-                    s.mean_coop, s.sem_coop, s.mean_zf, s.sem_zf,
-                    s.mean_ideal, s.norm_capacity,
-                )
-            )
-        )
-    return lines
+    return _csv_lines(AGGREGATE_CSV_HEADER, config, summaries)
 
 
 def write_csv(path, lines) -> None:

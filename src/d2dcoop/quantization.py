@@ -16,22 +16,26 @@ import numpy as np
 
 from .precoding import noncooperative_baseline_snr, snr_denominators
 
+# 2.0**1024 overflows a float, so total_bits stays below this
+TOTAL_BITS_CAP = 1024
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Uniform midrise quantizer for one complex sample.
 
     ``total_bits`` is split evenly between the real and imaginary parts,
-    so it must be even and at least 2. ``clip_level`` is the assumed
-    amplitude range of either part; inputs beyond it saturate.
+    so it must be even, at least 2 and below ``TOTAL_BITS_CAP``.
+    ``clip_level`` is the assumed amplitude range of either part; inputs
+    beyond it saturate.
     """
 
     total_bits: int
     clip_level: float
 
     def __post_init__(self):
-        if self.total_bits < 2 or self.total_bits % 2 != 0:
-            raise ValueError("total_bits must be an even integer >= 2")
+        if not 2 <= self.total_bits < TOTAL_BITS_CAP or self.total_bits % 2 != 0:
+            raise ValueError(f"total_bits must be an even integer in [2, {TOTAL_BITS_CAP})")
         if not (self.clip_level > 0) or not math.isfinite(self.clip_level):
             raise ValueError("clip_level must be positive and finite")
 

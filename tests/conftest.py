@@ -30,7 +30,6 @@ def average_snr(decoding, gram_inv, noise_power) -> float:
 def pipeline_channel(rng, num_antennas=64, num_paths=20, effective_dim=6, users=4):
     """One realistic channel through the full inner-precoder pipeline."""
     from d2dcoop import (
-        analytic_covariance,
         draw_environment,
         effective_channel,
         inner_precoder,
@@ -39,5 +38,5 @@ def pipeline_channel(rng, num_antennas=64, num_paths=20, effective_dim=6, users=
 
     env = draw_environment(num_antennas, num_paths, rng)
     h = sample_channel(env, users, rng)
-    w = inner_precoder(analytic_covariance(env), effective_dim)
+    w = inner_precoder(env, effective_dim)
     return env, h, w, effective_channel(w, h)

@@ -160,39 +160,88 @@ def captured_energy(w, covariance):
     return float(np.trace(w.conj().T @ covariance @ w).real)
 
 
+def dft_environment(num_antennas):
+    """One path per DFT beam: sin(theta_k) = 2k/M, so the steering columns are orthogonal."""
+    k = np.arange(num_antennas) - num_antennas // 2
+    return ScatteringEnvironment(num_antennas, np.arcsin(2.0 * k / num_antennas))
+
+
+def projector(w):
+    return w @ w.conj().T
+
+
 class TestInnerPrecoder:
+    """The precoder against the eigenbasis of the ``analytic_covariance`` oracle."""
+
     def test_identity_covariance_full_dim(self):
-        r = np.eye(5, dtype=complex)
-        w = inner_precoder(r, 5)
-        assert captured_energy(w, r) == pytest.approx(5.0)
-        assert np.allclose(w.conj().T @ w, np.eye(5), atol=1e-10)
+        env = dft_environment(5)
+        r = analytic_covariance(env)
+        assert np.allclose(r, np.eye(5), atol=1e-12)
+        w = inner_precoder(env, 5)
+        assert captured_energy(w, r) == pytest.approx(5.0, rel=1e-12)
+        assert np.allclose(w.conj().T @ w, np.eye(5), atol=1e-12)
+        assert np.allclose(projector(w), np.eye(5), atol=1e-12)
 
     def test_rank_one_covariance(self):
         env = ScatteringEnvironment(4, np.array([0.0]))
-        r = analytic_covariance(env)
-        w = inner_precoder(r, 1)
-        assert np.allclose(w, np.ones((4, 1)) / 2.0, atol=1e-10)
-        assert captured_energy(w, r) == pytest.approx(4.0, rel=1e-9)
+        w = inner_precoder(env, 1)
+        assert np.allclose(w, np.ones((4, 1)) / 2.0, atol=1e-12)
+        assert captured_energy(w, analytic_covariance(env)) == pytest.approx(4.0, rel=1e-12)
 
     def test_paper_scale_orthonormality(self):
         env = draw_environment(64, 20, np.random.default_rng(10))
-        w = inner_precoder(analytic_covariance(env), 6)
+        w = inner_precoder(env, 6)
         assert w.shape == (64, 6)
-        assert np.linalg.norm(w.conj().T @ w - np.eye(6)) < 1e-10
+        assert np.linalg.norm(w.conj().T @ w - np.eye(6)) < 1e-12
 
     def test_captures_largest_eigenvalues(self):
         env = draw_environment(16, 6, np.random.default_rng(11))
         r = analytic_covariance(env)
-        energy = captured_energy(inner_precoder(r, 3), r)
+        energy = captured_energy(inner_precoder(env, 3), r)
         eigs = np.sort(np.linalg.eigvalsh(r))[::-1]
         assert energy == pytest.approx(eigs[:3].sum(), rel=1e-9)
         # swapping any kept eigenvalue for an excluded one cannot gain energy
         assert energy >= eigs[1:4].sum() - 1e-12
 
+    def test_permutation_invariance_is_exact(self):
+        angles = np.array([0.3, -0.2, 0.9, -1.1])
+        a = inner_precoder(ScatteringEnvironment(6, angles), 3)
+        b = inner_precoder(ScatteringEnvironment(6, angles[::-1]), 3)
+        assert np.array_equal(a, b)
+
     def test_rejects_bad_inputs(self):
+        env = ScatteringEnvironment(4, np.array([-0.5, 0.0, 0.5]))
+        for dim in (0, 4):
+            with pytest.raises(ValueError):
+                inner_precoder(env, dim)
+        # more paths than antennas: the antenna count bounds the rank
         with pytest.raises(ValueError):
-            inner_precoder(np.eye(4), 5)
-        skew = np.eye(3, dtype=complex)
-        skew[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            inner_precoder(skew, 2)
+            inner_precoder(ScatteringEnvironment(2, np.array([-0.5, 0.0, 0.5])), 3)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        m=st.integers(1, 64),
+        num_paths=st.integers(1, 24),
+        data=st.data(),
+        log_spread=st.floats(-9.0, float(np.log10(np.pi))),
+        center=st.floats(-1.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_covariance_eigenbasis(self, m, num_paths, data, log_spread, center, seed):
+        dim = data.draw(st.integers(1, min(m, num_paths)), label="dim")
+        env = draw_environment(
+            m, num_paths, np.random.default_rng(seed),
+            sector_center=center, sector_spread=10.0**log_spread,
+        )
+        w = inner_precoder(env, dim)
+        assert w.shape == (m, dim)
+        assert np.allclose(w.conj().T @ w, np.eye(dim), rtol=0.0, atol=1e-12)
+
+        r = analytic_covariance(env)
+        vals, vecs = np.linalg.eigh(r)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        assert captured_energy(w, r) == pytest.approx(vals[:dim].sum(), rel=1e-9)
+        gap = vals[dim - 1] - (vals[dim] if dim < m else 0.0)
+        if gap > 1e-4 * vals[0]:
+            oracle = projector(vecs[:, :dim])
+            assert np.abs(projector(w) - oracle).max() < 1e-9

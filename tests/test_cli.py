@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import d2dcoop
+import d2dcoop.cli
+import d2dcoop.harness
 from d2dcoop.cli import main
 from d2dcoop.config import preset_config
 
@@ -106,20 +109,20 @@ def test_cli_runs_are_byte_identical(tmp_path):
 # SHA-256 of (trials.csv, aggregate.csv) from `d2dcoop preset NAME --trials 6 --seed 3`
 GOLDEN_DIGESTS = {
     "fig-capacity-vs-snr": (
-        "14586c73cf34b64dcb9598c36056f06ffd0c7487b98040c585e48ca007e2155f",
-        "c8b43ae90c8e77249539470a80a15bc0ec729e4e6386124d4733c4b12f3397be",
+        "f9172ad1bddcfc1fb4a5ec5d752366372a7f093f0eaae233f0fe434bd458da56",
+        "2b1216fadd16964a3793b6568864f6651b05f33493cc8be47ecfc1e621bd3d28",
     ),
     "fig-capacity-vs-bits": (
-        "9a738100f839de75161fb2d2518e36ae1d5e0fcea412c3c329e0c6d81d478697",
-        "33351d86e578a4ccc4ab22a6f0294217c8162305f5af8b2983214fa9964d5f40",
+        "9b751b1544578f16ed0d9d8dd96f0f227d5385622e595d29e9ba395ac5e19efe",
+        "e639183c1ef45eee7248d93cc82b73ce4caf6cd3a4ec031b0798810b346ca676",
     ),
     "fig-capacity-vs-bandwidth-snr": (
-        "51b03b2258a04c34918d199609c5b73c45886297e0a171fd3011b60c47630879",
-        "2ce7591ec05ee693a22e331aec261a665e4b530267627f94de5b6f3937c5d5b9",
+        "63739661f055fd9a957a805a041756810f8ff58720347e172495fd0d7b662bdc",
+        "b5c701c64eaee12d9f9e83157a0a76b514f72e245db0a03948f98219011b4f34",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
-        "db9d6a1e5c647a1fafe249027c4b76f7291561a52eb5e6d8242e8ab68d3062a0",
-        "60cd7a2a2b2fab73369c02d3c637960932c6b86c45e7cee99695bf7efbc38aae",
+        "147c31c106709abe13beebe00760b56799fb8a5d53649b6fa647f204b24d6168",
+        "ddc0ad12c4c3737e43f19816c2ff25713ce924ff58275b8ad5be8f7fb9c34be2",
     ),
 }
 
@@ -162,3 +165,18 @@ def test_cli_import_skips_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_names_resolve():
+    # perfbench/spans.py swaps these module globals for timing wrappers by
+    # name, so a refactor that drops one must fail here, not mid-benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, table in (
+        (d2dcoop.harness, spans.HARNESS_SPANS),
+        (d2dcoop.cli, spans.CLI_SPANS),
+    ):
+        missing = [name for name in table if not callable(vars(module).get(name))]
+        assert not missing, f"{module.__name__} lacks {missing}"

@@ -54,6 +54,8 @@ def test_missing_fields_take_defaults():
         {"snr_db_grid": [-5.0, -5.0]},
         {"b_grid": [6, 6]},
         {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1.0, 1.0]},
+        {"L": 5},
+        {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1000.0]},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -18,11 +18,12 @@ from d2dcoop import (
     zf_outer_precoder,
 )
 from d2dcoop.precoding import snr_denominators
+from d2dcoop.quantization import TOTAL_BITS_CAP
 
 
 class TestQuantizerConfig:
     def test_rejects_odd_or_tiny_bit_counts(self):
-        for bad in (0, 1, 3, -2):
+        for bad in (0, 1, 3, -2, TOTAL_BITS_CAP):
             with pytest.raises(ValueError):
                 QuantizerConfig(bad, 30.0)
 
@@ -99,6 +100,10 @@ class TestNoiseVariance:
 
     def test_vanishes_for_many_bits(self):
         assert quantization_noise_variance(QuantizerConfig(64, 30.0)) < 1e-15
+        # the largest count below the cap still gives a finite, positive model
+        largest = QuantizerConfig(TOTAL_BITS_CAP - 2, 30.0)
+        assert 0.0 < quantization_noise_variance(largest) < 1e-300
+        assert largest.step > 0.0
 
 
 class TestRateBudget:
