@@ -31,8 +31,6 @@ from .codebook import (
     CodebookBudgetError,
     DecodingCodebook,
     generate_codebook,
-    load_codebook,
-    save_codebook,
     select_codeword,
 )
 from .config import (
@@ -72,6 +70,7 @@ from .quantization import (
     CooperationLink,
     QuantizerConfig,
     bits_from_bandwidth,
+    expected_overload,
     overload_count,
     overload_fraction,
     quantization_noise_variance,

@@ -13,7 +13,6 @@ the codebook of size ``2**b`` is exactly the prefix of the codebook of
 size ``2**(b+1)``. Paired-seed experiments rely on this nesting.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,29 +149,3 @@ def select_prefix_codewords(codebook: DecodingCodebook, gram_inv: np.ndarray, bi
     scores = codeword_scores(codebook.prefix(max(bit_counts)).codewords, gram_inv)
     return {bits: int(np.argmax(scores[: 1 << bits])) for bits in bit_counts}
 
-
-def save_codebook(path, codebook: DecodingCodebook) -> None:
-    """Dump a codebook to JSON for cross-implementation comparison.
-
-    Entries are row-major pairs of 64-bit floats ``[re, im]``.
-    """
-    payload = {
-        "bits": codebook.bits,
-        "num_users": codebook.num_users,
-        "codewords": [
-            [[[float(e.real), float(e.imag)] for e in row] for row in word]
-            for word in codebook.codewords
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_codebook(path) -> DecodingCodebook:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    raw = np.asarray(payload["codewords"], dtype=float)
-    if raw.ndim != 4 or raw.shape[-1] != 2:
-        raise ValueError("malformed codebook file")
-    words = raw[..., 0] + 1j * raw[..., 1]
-    return DecodingCodebook(words, int(payload["bits"]))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
-from .quantization import TOTAL_BITS_CAP, CooperationLink, bits_from_bandwidth
+from .quantization import OVERLOAD_MAX_USERS, TOTAL_BITS_CAP, CooperationLink, bits_from_bandwidth
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
@@ -25,6 +25,10 @@ PRESET_NAMES = (
 )
 
 _SNR_GRID_WIDE = [-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0]
+
+# 10**(-x/10) stays a normal positive float for |x| <= 300 dB; beyond it
+# noise powers and link SNRs underflow to 0 or overflow
+DB_LIMIT = 300.0
 
 
 class ConfigError(ValueError):
@@ -80,14 +84,14 @@ class ExperimentConfig:
         if not _is_finite_number(self.tau) or self.tau <= 0:
             raise ConfigError("tau must be positive")
 
-        _check_grid(self.snr_db_grid, "snr_db_grid", _is_finite_number)
+        _check_grid(self.snr_db_grid, "snr_db_grid", _is_db)
         _check_grid(self.b_grid, "b_grid", lambda b: _is_int(b) and b >= 0)
         if self.user_count_grid is not None:
             _check_grid(
                 self.user_count_grid, "user_count_grid", lambda p: _is_int(p) and p >= 1
             )
         if self.mode == "quantized-rsi":
-            _check_grid(self.gamma_db_grid, "gamma_db_grid", _is_finite_number)
+            _check_grid(self.gamma_db_grid, "gamma_db_grid", _is_db)
             _check_grid(
                 self.bandwidth_ratio_grid,
                 "bandwidth_ratio_grid",
@@ -101,6 +105,10 @@ class ExperimentConfig:
                 link_bits = math.inf
             if link_bits >= TOTAL_BITS_CAP:
                 raise ConfigError(f"link budget of {link_bits} bits is not below {TOTAL_BITS_CAP}")
+            if max(self.user_counts()) > OVERLOAD_MAX_USERS:
+                raise ConfigError(
+                    f"quantized mode audits overload for at most {OVERLOAD_MAX_USERS} users"
+                )
         if self.D > min(self.M, self.L):
             raise ConfigError(
                 f"D={self.D} exceeds min(M, L), the rank of the spatial covariance; "
@@ -222,6 +230,10 @@ def _is_finite_number(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def _is_db(value) -> bool:
+    return _is_finite_number(value) and abs(value) <= DB_LIMIT
 
 
 def _check_grid(grid, name, predicate) -> None:

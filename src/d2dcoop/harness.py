@@ -8,10 +8,10 @@ makes curves paired comparisons. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
 smaller codebooks are exact prefixes of bigger ones. That nesting, and a
 selection score that does not depend on the SNR, let one scoring pass
-per (users, trial) choose the codeword for every b and SNR. The
-link-level overload audit runs once per (trial, b, SNR): saturation
-depends only on the clip level, so one audit serves every link setting
-that carries bits.
+per (users, trial) choose the codeword for every b and SNR. After the
+channel draw a trial is its Gram factorisation alone: every grid point,
+the overload audit included, is a closed form of it. One expected
+overload per (trial, b, SNR) serves every link that carries bits.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ from .codebook import (
     select_prefix_codewords,
 )
 from .config import ExperimentConfig
-from .linklevel import empirical_snr
+from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import (
     EigenSpectrum,
     IllConditionedChannelError,
@@ -41,18 +41,11 @@ from .precoding import (
     noncooperative_baseline_snr,
     snr_denominators,
 )
-from .quantization import (
-    CooperationLink,
-    QuantizerConfig,
-    bits_from_bandwidth,
-    quantized_snr,
-)
+from .quantization import CooperationLink, bits_from_bandwidth, expected_overload, quantized_snr
 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
 CODEBOOK_STREAM = 2
-
-OVERLOAD_AUDIT_SYMBOLS = 2048
 
 TRIAL_CSV_HEADER = (
     "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,trial,"
@@ -133,10 +126,6 @@ def grid_points(config: ExperimentConfig):
                         yield GridPoint(users, bits, snr_db, gamma_db, ratio)
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, TRIAL_STREAM, trial])
-
-
 def codebook_for(config: ExperimentConfig, users: int, bits: int) -> DecodingCodebook:
     """The pre-stored codebook shared by all trials of a sweep."""
     rng = np.random.default_rng([config.master_seed, CODEBOOK_STREAM, users])
@@ -148,24 +137,20 @@ class TrialState:
     """What one trial draws before any grid point is evaluated.
 
     Everything here depends only on (users, trial), so every grid point
-    of that user count reuses it. ``rng`` is the trial generator right
-    after the channel draw; each overload audit draws from a fresh
-    generator started from its state. ``spectrum`` is the one
-    factorisation of the effective Gram; ``a_inv`` is its inverse, None
-    when the channel is ill-conditioned.
+    of that user count reuses it, and nothing else of the draw is kept:
+    every grid point is a function of these P x P quantities alone.
+    ``spectrum`` is the one factorisation of the effective Gram;
+    ``a_inv`` is its inverse, None when the channel is ill-conditioned.
     """
 
     trial: int
-    rng: np.random.Generator
-    inner: np.ndarray
-    channel: np.ndarray
     spectrum: EigenSpectrum
     a_inv: np.ndarray | None
 
 
 def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=None) -> TrialState:
     """Draw the channel of one trial and factorise its effective channel."""
-    rng = trial_rng(config.master_seed, trial)
+    rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
     env = environment
     if env is None:
         env = draw_environment(
@@ -182,7 +167,7 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=Non
         a_inv = gram_inverse(spectrum)
     except IllConditionedChannelError:
         a_inv = None
-    return TrialState(trial, rng, w, h, spectrum, a_inv)
+    return TrialState(trial, spectrum, a_inv)
 
 
 def evaluate_trial(
@@ -228,15 +213,10 @@ def evaluate_trial(
         if config.mode == "quantized-rsi":
             link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
             coop_snrs = quantized_snr(decoding, a_inv, noise_power, link, config.tau)
-            link_bits = bits_from_bandwidth(link)
-            if link_bits > 0:
+            if bits_from_bandwidth(link) > 0:
                 key = (point.bits, point.snr_db)
                 if key not in audits:
-                    _, audits[key] = empirical_snr(
-                        state.inner, state.channel, decoding, noise_power,
-                        _post_channel_rng(state), num_symbols=OVERLOAD_AUDIT_SYMBOLS,
-                        quantizer=QuantizerConfig(link_bits, config.tau),
-                    )
+                    audits[key] = expected_overload(decoding, a_inv, noise_power, config.tau)
                 overload = audits[key]
         else:
             coop_snrs = 1.0 / (noise_power * snr_denominators(decoding, a_inv))
@@ -255,13 +235,6 @@ def evaluate_trial(
             overload,
         ))
     return records
-
-
-def _post_channel_rng(state: TrialState) -> np.random.Generator:
-    """A fresh generator continuing from the trial generator's post-channel state."""
-    bit_generator = type(state.rng.bit_generator)()
-    bit_generator.state = state.rng.bit_generator.state
-    return np.random.Generator(bit_generator)
 
 
 def run_trial(

@@ -18,6 +18,13 @@ from .precoding import noncooperative_baseline_snr, snr_denominators
 
 # 2.0**1024 overflows a float, so total_bits stays below this
 TOTAL_BITS_CAP = 1024
+# expected_overload enumerates 4**(users - 1) symbol vectors; 6 is the
+# largest user count the default effective dimension D = 6 admits
+OVERLOAD_MAX_USERS = 6
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# unit-power QPSK, the constellation the link-level oracle sends
+_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
 @dataclass(frozen=True)
@@ -145,3 +152,33 @@ def quantized_snr(
     own = np.abs(np.diagonal(q)) ** 2
     effective = noise_power + (1.0 - own) * sigma_q2
     return 1.0 / (effective * denoms)
+
+
+def expected_overload(
+    decoding: np.ndarray,
+    gram_inv: np.ndarray,
+    noise_power: float,
+    clip_level: float,
+) -> float:
+    """Expected fraction of shared real components outside [-tau, tau].
+
+    Zero-forcing against ``H_e Q`` delivers the samples
+    ``y = Q diag(g) x + z`` with ``g_p = 1 / sqrt(q_p^H A^{-1} q_p)``,
+    unit-power QPSK ``x`` and ``CN(0, N0)`` noise ``z``. A real component
+    with mean ``m`` saturates with probability
+    ``(erfc((tau - m) / sqrt(N0)) + erfc((tau + m) / sqrt(N0))) / 2``
+    (uniform-quantizer overload, Gray & Neuhoff 1998), averaged here over
+    both parts of every sample and all symbol vectors. Rotating every
+    symbol by ``j`` keeps the tails, so user 0's symbol is fixed and
+    ``4**(users - 1)`` vectors remain; ``ExperimentConfig.validate`` caps
+    quantized sweeps at ``OVERLOAD_MAX_USERS``.
+    """
+    q = np.asarray(decoding)
+    users = q.shape[1]
+    # one column per symbol vector; user 0's index axis has length 1
+    symbols = _QPSK[np.indices((1,) + (4,) * (users - 1)).reshape(users, -1)]
+    means = (q / np.sqrt(snr_denominators(q, gram_inv))) @ symbols
+    m = np.concatenate([means.real.ravel(), means.imag.ravel()])
+    scale = math.sqrt(noise_power)
+    tails = _erfc((clip_level - m) / scale) + _erfc((clip_level + m) / scale)
+    return float(tails.astype(float).mean() / 2.0)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,3 +167,18 @@ class TestDistortionMeasures:
             u = haar_unitary(4, rng)
             q = haar_unitary(4, rng)
             assert aligned_cell_distortion(q, u).sum() <= cell_distortion(q, u).sum() + 1e-12
+
+
+def test_distortion_gap_script_runs():
+    # the script imports from the package root, so an export change must fail here
+    script = Path(__file__).resolve().parents[1] / "scripts" / "distortion_gap.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--users", "2", "--bits", "2", "--trials", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split()[:2] == ["P", "b"]
+    assert [row.split()[:2] for row in rows] == [["2", "2"]]

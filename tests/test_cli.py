@@ -117,11 +117,11 @@ GOLDEN_DIGESTS = {
         "e639183c1ef45eee7248d93cc82b73ce4caf6cd3a4ec031b0798810b346ca676",
     ),
     "fig-capacity-vs-bandwidth-snr": (
-        "63739661f055fd9a957a805a041756810f8ff58720347e172495fd0d7b662bdc",
+        "c676ed16116e905230aaa2e6e52b2a8f6671d032cdd49404faaf7809c828a66f",
         "b5c701c64eaee12d9f9e83157a0a76b514f72e245db0a03948f98219011b4f34",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
-        "147c31c106709abe13beebe00760b56799fb8a5d53649b6fa647f204b24d6168",
+        "ca09f38f52a79bd7e66b91eaa9db7727a64a02527b28491f0f0eca660e82a9db",
         "ddc0ad12c4c3737e43f19816c2ff25713ce924ff58275b8ad5be8f7fb9c34be2",
     ),
 }

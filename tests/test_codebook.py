@@ -7,10 +7,8 @@ from d2dcoop import (
     DecodingCodebook,
     generate_codebook,
     gram_inverse,
-    load_codebook,
     noncooperative_baseline_snr,
     per_user_snr_gram,
-    save_codebook,
     select_codeword,
 )
 from d2dcoop.codebook import SCORE_BLOCK, codeword_scores, select_prefix_codewords
@@ -191,12 +189,3 @@ class TestSelection:
             cap = np.linalg.eigvalsh(gram(h_e)).sum() / 4.0
             assert best <= cap * (1 + 1e-9)
 
-
-def test_save_load_roundtrip(tmp_path):
-    cb = generate_codebook(3, 4, np.random.default_rng(14))
-    path = tmp_path / "codebook.json"
-    save_codebook(path, cb)
-    loaded = load_codebook(path)
-    assert loaded.bits == cb.bits
-    assert loaded.num_users == cb.num_users
-    assert np.array_equal(loaded.codewords, cb.codewords)

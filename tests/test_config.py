@@ -56,6 +56,10 @@ def test_missing_fields_take_defaults():
         {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1.0, 1.0]},
         {"L": 5},
         {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1000.0]},
+        {"mode": "quantized-rsi", "gamma_db_grid": [-4000.0, 10.0]},
+        {"snr_db_grid": [4000.0]},
+        {"snr_db_grid": [-4000.0]},
+        {"mode": "quantized-rsi", "P": 7, "D": 8},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -227,8 +227,8 @@ class TestRunExperiment:
         "overrides",
         [
             # 0.5 gives zero-bit links, 2.0 and 4.0 links of 2 to 12 bits;
-            # the small clip level makes every audited overload rate a
-            # random nonzero draw
+            # the small clip level makes every audited overload rate
+            # nonzero
             dict(
                 mode="quantized-rsi",
                 user_count_grid=[3, 4],

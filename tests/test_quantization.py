@@ -8,6 +8,8 @@ from d2dcoop import (
     CooperationLink,
     QuantizerConfig,
     bits_from_bandwidth,
+    empirical_snr,
+    expected_overload,
     noncooperative_baseline_snr,
     overload_count,
     overload_fraction,
@@ -244,6 +246,43 @@ class TestBandwidthExponent:
             continuous = base * (1 + gamma) ** (-ratio)
             assert continuous <= sigma * (1 + 1e-12)
             assert sigma < 4.0 * continuous
+
+
+class TestExpectedOverload:
+    """The closed-form overload audit against the link-level oracle."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0.3, 3.0),
+        st.floats(-10.0, 10.0),
+    )
+    def test_matches_link_level_oracle(self, seed, users, tau, snr_db):
+        # The oracle's overload is a mean over N symbol vectors of a
+        # per-vector saturated fraction in [0, 1] with mean p, so its
+        # variance is at most p(1 - p)/N. The bound allows five of those
+        # standard deviations plus one component of the 2PN counted.
+        num_symbols = 50_000
+        rng = np.random.default_rng(seed)
+        h_e = gaussian_effective_channel(rng, 6, users)
+        q = haar_unitary(users, rng)
+        noise_power = 10.0 ** (-snr_db / 10.0)
+        p = expected_overload(q, inverse_of(h_e), noise_power, tau)
+        assert 0.0 <= p <= 1.0
+        _, measured = empirical_snr(
+            np.eye(6), h_e, q, noise_power, rng,
+            num_symbols=num_symbols, quantizer=QuantizerConfig(8, tau),
+        )
+        bound = 5.0 * np.sqrt(p * (1.0 - p) / num_symbols) + 1.0 / (2 * users * num_symbols)
+        assert abs(measured - p) <= bound
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(1e-6, 1e-3))
+    def test_zero_at_default_clip_level(self, seed, users, noise_power):
+        rng = np.random.default_rng(seed)
+        a_inv = inverse_of(gaussian_effective_channel(rng, 6, users))
+        assert expected_overload(haar_unitary(users, rng), a_inv, noise_power, 30.0) == 0.0
 
 
 def test_overload_rate_negligible_at_default_clip_level():
