@@ -105,7 +105,10 @@ def generate_codebook(
     _, vecs = np.linalg.eigh(wishart)
     del wishart
     vecs = phase_canonicalize(vecs[..., ::-1])
-    return DecodingCodebook(np.ascontiguousarray(vecs), bits)
+    # stored column by column, so the decoding vectors of any block of
+    # codewords are contiguous rows for snr_denominators' GEMM
+    columns = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)).swapaxes(-1, -2)
+    return DecodingCodebook(columns, bits)
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
@@ -115,6 +118,11 @@ def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
     ``noise_power * users``, so the codeword maximizing the score does so
     at every noise power. Codewords are scored in blocks of
     ``SCORE_BLOCK`` so the temporaries stay small at ``2**16`` codewords.
+    Each block is one :func:`snr_denominators` call: one complex GEMM of
+    the block's ``SCORE_BLOCK * users`` decoding vectors against the
+    Gram inverse plus one real dot per vector. On a codebook from
+    :func:`generate_codebook`, stored column by column, those vectors
+    are read in place.
     """
     cw = np.asarray(codewords)
     scores = np.empty(cw.shape[0])

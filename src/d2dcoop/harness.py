@@ -293,6 +293,9 @@ def summarize_point(point: GridPoint, records) -> PointSummary:
     coop = np.array([r.capacity_coop for r in ok])
     zf = np.array([r.capacity_zf for r in ok])
     ideal = np.array([r.capacity_ideal for r in ok])
+    mean_ideal = float(ideal.mean())
+    # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
+    norm_capacity = float(coop.mean()) / mean_ideal if mean_ideal > 0.0 else None
     return PointSummary(
         point.users,
         point.bits,
@@ -303,8 +306,8 @@ def summarize_point(point: GridPoint, records) -> PointSummary:
         _sem(coop),
         float(zf.mean()),
         _sem(zf),
-        float(ideal.mean()),
-        float(coop.mean() / ideal.mean()),
+        mean_ideal,
+        norm_capacity,
         len(ok),
         failed,
     )

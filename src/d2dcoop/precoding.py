@@ -96,9 +96,21 @@ def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
     ``decoding`` is one users x users matrix or a stack of them (leading
     axes); the result drops the row axis, so a stack of codewords gives
     one row of denominators per codeword.
+
+    Kernel: the decoding vectors of the whole stack become the rows of
+    one 2-D array, one complex GEMM gives ``y = rows @ A^{-T}`` (row
+    ``i`` is ``(A^{-1} q_i)^T``), and each denominator is the real dot
+    ``Re(conj(q_i) . y_i)`` over the interleaved real and imaginary
+    parts. A stack stored column by column (as
+    :func:`~d2dcoop.codebook.generate_codebook` stores its codewords)
+    yields the rows as a view, without a copy; any other layout is
+    copied once and gives bitwise the same result.
     """
     q = np.asarray(decoding)
-    return np.sum(q.conj() * (gram_inv @ q), axis=-2).real
+    rows = np.ascontiguousarray(np.swapaxes(q, -1, -2), dtype=complex).reshape(-1, q.shape[-2])
+    y = rows @ np.asarray(gram_inv).T
+    denoms = np.einsum("ij,ij->i", rows.view(float), y.view(float))
+    return denoms.reshape(q.shape[:-2] + q.shape[-1:])
 
 
 def per_user_snr_gram(

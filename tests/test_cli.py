@@ -109,20 +109,20 @@ def test_cli_runs_are_byte_identical(tmp_path):
 # SHA-256 of (trials.csv, aggregate.csv) from `d2dcoop preset NAME --trials 6 --seed 3`
 GOLDEN_DIGESTS = {
     "fig-capacity-vs-snr": (
-        "f9172ad1bddcfc1fb4a5ec5d752366372a7f093f0eaae233f0fe434bd458da56",
-        "2b1216fadd16964a3793b6568864f6651b05f33493cc8be47ecfc1e621bd3d28",
+        "673e9d9c46d291431385da8095e5ad0918c38b7cd8891ce73d7871c55fbf426c",
+        "5e6acf5efcef5019e08172be691242d6b4bf50a2592d5650b7a0a42fd7635f07",
     ),
     "fig-capacity-vs-bits": (
-        "9b751b1544578f16ed0d9d8dd96f0f227d5385622e595d29e9ba395ac5e19efe",
-        "e639183c1ef45eee7248d93cc82b73ce4caf6cd3a4ec031b0798810b346ca676",
+        "7fbe7214c89041c334c7e972fed993f59524aec418bf5c0f502d0eeef006e732",
+        "e815f93b0664ab18ec1c40d18714c2bef023828d4a22b78e3d8a3d3540c5a0ae",
     ),
     "fig-capacity-vs-bandwidth-snr": (
-        "c676ed16116e905230aaa2e6e52b2a8f6671d032cdd49404faaf7809c828a66f",
-        "b5c701c64eaee12d9f9e83157a0a76b514f72e245db0a03948f98219011b4f34",
+        "a9566619109a7439e1ed734eb10c8aca3c5076bda14ad137d004a0393962c8ad",
+        "6c79017a4071bfcca0d5bc70eadb2269969a3b28b5cc9aaefafaa930d29c57e3",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
-        "ca09f38f52a79bd7e66b91eaa9db7727a64a02527b28491f0f0eca660e82a9db",
-        "ddc0ad12c4c3737e43f19816c2ff25713ce924ff58275b8ad5be8f7fb9c34be2",
+        "6ad0c368e7ef66d91d51c687f2089a010e1a216d3b3a4b3eb63a7f7d7be9df45",
+        "6575d4cc0093ae1035ddf84f532cb02e662ace3e8cb39cdd2587120d0c639bd2",
     ),
 }
 

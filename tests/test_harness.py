@@ -216,6 +216,18 @@ class TestRunExperiment:
             assert 0.0 < s.norm_capacity <= 1.0
             assert s.sem_coop >= 0.0
 
+    def test_all_zero_capacities_leave_norm_capacity_empty(self):
+        # below about -170 dB every log2(1 + snr) rounds to 0.0, so the
+        # normalised capacity is 0/0: written as an empty cell, not nan
+        config = small_config(snr_db_grid=[-200.0, -150.0], b_grid=[2], num_trials=3)
+        _, summaries = run_experiment(config)
+        lowest, low = summaries
+        assert lowest.mean_ideal == lowest.mean_coop == 0.0
+        assert lowest.norm_capacity is None
+        assert 0.0 < low.norm_capacity <= 1.0
+        row = aggregate_csv_lines(config, summaries)[1]
+        assert row.endswith(",0.0,")
+
     def test_rerun_is_byte_identical(self):
         config = small_config()
         rec1, sum1 = run_experiment(config)

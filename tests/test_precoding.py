@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from d2dcoop import (
     IllConditionedChannelError,
     effective_channel,
     eigen_spectrum,
+    generate_codebook,
     gram_inverse,
     noncooperative_baseline_snr,
     per_user_snr_gram,
@@ -133,6 +136,52 @@ class TestPerUserSnr:
             noncooperative_baseline_snr(a_inv, 0.0)
         with pytest.raises(ValueError):
             select_codeword(DecodingCodebook(np.eye(4)[None], 0), a_inv, 0.0)
+
+
+class TestSnrDenominators:
+    """The one vectorised quadratic form, on every memory layout it meets."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+    def test_layouts_agree_bitwise_and_match_oracle(self, seed, users, bits):
+        rng = np.random.default_rng(seed)
+        h_e = gaussian_effective_channel(rng, 6, users)
+        a_inv = inverse_of(h_e)
+        columns = generate_codebook(users, bits, rng).codewords
+        c_order = np.ascontiguousarray(columns)
+        padded = np.zeros((2 * len(columns), users + 1, users + 2), dtype=complex)
+        padded[::2, 1:, :users] = columns
+        strided = padded[::2, 1:, :users]
+        reference = snr_denominators(c_order, a_inv)
+        assert reference.shape == (len(columns), users)
+        for layout in (columns, strided):
+            assert np.array_equal(snr_denominators(layout, a_inv), reference)
+        nested = snr_denominators(columns.reshape(2, -1, users, users), a_inv)
+        assert np.array_equal(nested, reference.reshape(2, -1, users))
+        assert snr_denominators(columns[0], a_inv).shape == (users,)
+
+        real = np.linalg.qr(rng.standard_normal((len(columns), users, users)))[0]
+        real_denoms = snr_denominators(real, a_inv)
+        assert np.array_equal(real_denoms, snr_denominators(real.astype(complex), a_inv))
+        assert np.array_equal(real_denoms, snr_denominators(np.asfortranarray(real), a_inv))
+
+        # the oracle inverts the overall Gram of each unitary codeword
+        tol = 1e-9 * np.linalg.cond(gram(h_e))
+        for stack, denoms in ((columns, reference), (real, real_denoms)):
+            for k, q in enumerate(stack):
+                for p in range(users):
+                    oracle = 1.0 / per_user_snr_gram(h_e, q, 1.0, p)
+                    assert abs(denoms[k, p] - oracle) <= tol * oracle
+
+    def test_codebook_layout_moves_no_value(self):
+        # the codewords are stored column by column; the SHA-256 of their
+        # values in C order pins the draw itself, which no layout may move
+        codewords = generate_codebook(3, 10, np.random.default_rng(5)).codewords
+        assert np.swapaxes(codewords, -1, -2).flags.c_contiguous
+        digest = hashlib.sha256(np.ascontiguousarray(codewords).tobytes()).hexdigest()
+        assert digest == "7348afc2917c4632c6489d16c20b2e4864544d64905ca004c8db638d35ba9957"
+        prefix = generate_codebook(3, 4, np.random.default_rng(5)).codewords
+        assert np.array_equal(prefix, codewords[:16])
 
 
 class TestBaseline:
