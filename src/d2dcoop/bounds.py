@@ -46,9 +46,9 @@ def snr_lower_bound_terms(
 
     Term ``p`` is ``1 / (N0 * (1/lam_p + (tr - 2/lam_p) * delta))`` with
     ``tr`` the trace of the inverse Gram and ``delta`` the expected cell
-    distortion. The mean of the terms is the bound itself.
+    distortion: their mean is the bound. A column of noise powers gives a row each.
     """
-    if noise_power <= 0:
+    if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     if np.any(lam <= 0):

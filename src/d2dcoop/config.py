@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
 from .quantization import OVERLOAD_MAX_USERS, TOTAL_BITS_CAP, CooperationLink, bits_from_bandwidth
+from .quantization import QuantizerConfig, quantization_noise_variance
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
@@ -105,6 +106,13 @@ class ExperimentConfig:
                 link_bits = math.inf
             if link_bits >= TOTAL_BITS_CAP:
                 raise ConfigError(f"link budget of {link_bits} bits is not below {TOTAL_BITS_CAP}")
+            # 2 bits give the largest variance; inf would turn the SNRs nan mid-sweep
+            try:
+                variance = quantization_noise_variance(QuantizerConfig(2, self.tau))
+            except OverflowError:
+                variance = math.inf
+            if not math.isfinite(variance):
+                raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
             if max(self.user_counts()) > OVERLOAD_MAX_USERS:
                 raise ConfigError(
                     f"quantized mode audits overload for at most {OVERLOAD_MAX_USERS} users"

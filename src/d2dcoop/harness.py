@@ -10,10 +10,13 @@ smaller codebooks are exact prefixes of bigger ones. That nesting, and a
 selection score that does not depend on the SNR, let one scoring pass
 per (users, trial) choose the codeword for every b and SNR. After the
 channel draw a trial is its Gram factorisation alone: every grid point,
-the overload audit included, is a closed form of it. One expected
-overload per (trial, b, SNR) serves every link that carries bits.
+the overload audit included, is a closed form of it. The grid axes
+(b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
+broadcast over a column of noise powers, so one overload audit per
+(trial, b) covers every SNR and serves every link that carries bits.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -105,25 +108,29 @@ class PointSummary:
     num_failed: int
 
 
-def capacity(snrs) -> float:
-    """Sum rate of decoupled streams: sum of log2(1 + SNR_p) in bit/s/Hz."""
+def capacity(snrs):
+    """Sum rate of decoupled streams: sum of log2(1 + SNR_p) in bit/s/Hz.
+
+    Sums over the last axis: a float for one SNR vector, a rate per row of a stack.
+    """
     values = np.atleast_1d(np.asarray(snrs, dtype=float))
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise ValueError("SNRs must be finite and nonnegative")
-    return float(np.log2(1.0 + values).sum())
+    rates = np.log2(1.0 + values).sum(axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
+
+
+def _link_axes(config: ExperimentConfig):
+    """The gamma and bandwidth-ratio axes; one None each in ideal mode."""
+    if config.mode == "quantized-rsi":
+        return config.gamma_db_grid, config.bandwidth_ratio_grid
+    return [None], [None]
 
 
 def grid_points(config: ExperimentConfig):
     """The deterministic sweep order used for records and CSV rows."""
-    quantized = config.mode == "quantized-rsi"
-    gammas = config.gamma_db_grid if quantized else [None]
-    ratios = config.bandwidth_ratio_grid if quantized else [None]
-    for users in config.user_counts():
-        for bits in config.b_grid:
-            for snr_db in config.snr_db_grid:
-                for gamma_db in gammas:
-                    for ratio in ratios:
-                        yield GridPoint(users, bits, snr_db, gamma_db, ratio)
+    axes = (config.user_counts(), config.b_grid, config.snr_db_grid, *_link_axes(config))
+    return (GridPoint(*key) for key in itertools.product(*axes))
 
 
 def codebook_for(config: ExperimentConfig, users: int, bits: int) -> DecodingCodebook:
@@ -148,18 +155,16 @@ class TrialState:
     a_inv: np.ndarray | None
 
 
-def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=None) -> TrialState:
+def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
     """Draw the channel of one trial and factorise its effective channel."""
     rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
-    env = environment
-    if env is None:
-        env = draw_environment(
-            config.M,
-            config.L,
-            rng,
-            sector_center=config.sector_center,
-            sector_spread=config.sector_spread,
-        )
+    env = draw_environment(
+        config.M,
+        config.L,
+        rng,
+        sector_center=config.sector_center,
+        sector_spread=config.sector_spread,
+    )
     h = sample_channel(env, users, rng)
     w = inner_precoder(env, config.D)
     spectrum = eigen_spectrum(effective_channel(w, h))
@@ -171,70 +176,60 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int, environment=Non
 
 
 def evaluate_trial(
-    config: ExperimentConfig,
-    points,
-    state: TrialState,
-    codebook: DecodingCodebook,
+    config: ExperimentConfig, users: int, state: TrialState, codebook: DecodingCodebook
 ) -> list:
-    """Evaluate every strategy of one drawn trial at each given grid point.
+    """Records of one drawn trial at every grid point of ``users``, in sweep order.
 
-    ``points`` share the trial's user count and ``codebook`` holds at
-    least ``2**bits`` codewords for each of them. Produces, per point, the
-    cooperative capacity under the configured sharing mode, the plain
-    zero-forcing baseline, the perfect-cooperation capacity from the
-    eigen-spectrum, and (for two or more users) the analytic lower-bound
-    capacity. Ill-conditioned channels yield flagged records with empty
-    capacities. One scoring pass picks the codeword of every ``b``, and
-    one overload audit per (b, SNR) serves every link that carries bits.
+    ``codebook`` holds at least ``2**max(b_grid)`` codewords. Per point:
+    the cooperative capacity under the configured sharing mode, the plain
+    zero-forcing baseline, the perfect-cooperation capacity and (for two
+    or more users) the analytic lower-bound capacity; ill-conditioned
+    channels yield flagged records with empty capacities. The grid axes
+    (b, SNR, link) are array axes: one scoring pass picks every b's
+    codeword, and each closed form runs once per b (per b and link for
+    the quantized SNR) on one (S, 1) column of noise powers.
     """
+    quantized = config.mode == "quantized-rsi"
+    gammas, ratios = _link_axes(config)
+    keys = itertools.product(config.b_grid, config.snr_db_grid, gammas, ratios)
     if state.a_inv is None:
         return [
-            TrialRecord(
-                point.users, point.bits, point.snr_db, point.gamma_db,
-                point.bandwidth_ratio, state.trial, None, None, None, None, 1, None,
-            )
-            for point in points
+            TrialRecord(users, *key, state.trial, None, None, None, None, 1, None) for key in keys
         ]
     a_inv, spectrum = state.a_inv, state.spectrum
-    choice = select_prefix_codewords(codebook, a_inv, [point.bits for point in points])
-    baselines: dict = {}
-    audits: dict = {}
-    records = []
-    for point in points:
-        noise_power = 10.0 ** (-point.snr_db / 10.0)
-        if point.snr_db not in baselines:
-            baselines[point.snr_db] = (
-                capacity(spectrum.eigenvalues / noise_power),
-                capacity(noncooperative_baseline_snr(a_inv, noise_power)),
-            )
-        capacity_ideal, capacity_zf = baselines[point.snr_db]
-        decoding = codebook[choice[point.bits]]
-        overload = 0.0
-        if config.mode == "quantized-rsi":
-            link = CooperationLink(point.bandwidth_ratio, 10.0 ** (point.gamma_db / 10.0))
-            coop_snrs = quantized_snr(decoding, a_inv, noise_power, link, config.tau)
-            if bits_from_bandwidth(link) > 0:
-                key = (point.bits, point.snr_db)
-                if key not in audits:
-                    audits[key] = expected_overload(decoding, a_inv, noise_power, config.tau)
-                overload = audits[key]
+    noise = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in config.snr_db_grid])
+    links = [
+        CooperationLink(r, 10.0 ** (g / 10.0)) for g in gammas for r in ratios
+    ] if quantized else []
+    carries = np.array([bits_from_bandwidth(link) > 0 for link in links], dtype=bool)
+    shape = (len(config.b_grid), len(noise), len(gammas) * len(ratios))
+    coop, overload = np.empty(shape), np.zeros(shape)
+    bound = np.full(shape[:2], None, dtype=object)
+    choice = select_prefix_codewords(codebook, a_inv, config.b_grid)
+    for i, bits in enumerate(config.b_grid):
+        decoding = codebook[choice[bits]]
+        if quantized:
+            for j, link in enumerate(links):
+                coop[i, :, j] = capacity(quantized_snr(decoding, a_inv, noise, link, config.tau))
+            if carries.any():
+                audit = expected_overload(decoding, a_inv, noise, config.tau)
+                overload[i] = np.where(carries, audit, 0.0)
         else:
-            coop_snrs = 1.0 / (noise_power * snr_denominators(decoding, a_inv))
-        capacity_coop = capacity(coop_snrs)
-
-        capacity_bound = None
-        if point.users >= 2:
-            try:
-                capacity_bound = capacity(snr_lower_bound_terms(spectrum, point.bits, noise_power))
-            except BoundInvalidError:
-                pass
-
-        records.append(TrialRecord(
-            point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
-            state.trial, capacity_coop, capacity_zf, capacity_ideal, capacity_bound, 0,
-            overload,
-        ))
-    return records
+            coop[i, :, 0] = capacity(1.0 / (noise * snr_denominators(decoding, a_inv)))
+        if users >= 2:
+            with contextlib.suppress(BoundInvalidError):
+                bound[i] = capacity(snr_lower_bound_terms(spectrum, bits, noise)).tolist()
+    zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
+    ideal = capacity(spectrum.eigenvalues / noise)[:, None]
+    # every column broadcast to (b, SNR, link) and flattened in sweep order
+    columns = [
+        np.broadcast_to(column, shape).ravel().tolist()
+        for column in (coop, zf, ideal, bound[:, :, None], overload)
+    ]
+    return [
+        TrialRecord(users, *key, state.trial, *capacities, 0, overload_rate)
+        for key, *capacities, overload_rate in zip(keys, *columns)
+    ]
 
 
 def run_trial(
@@ -242,42 +237,43 @@ def run_trial(
     point: GridPoint,
     trial: int,
     codebook: DecodingCodebook | None = None,
-    environment=None,
 ) -> TrialRecord:
-    """Execute one trial at one grid point: the reference path of the sweep."""
+    """One trial at one grid point: the per-point reference path of the sweep.
+
+    It evaluates a one-point grid through the same :func:`evaluate_trial`.
+    """
     if codebook is None:
         codebook = codebook_for(config, point.users, point.bits)
     elif codebook.bits != point.bits or codebook.num_users != point.users:
         raise ValueError("codebook does not match the grid point")
-    state = draw_trial(config, point.users, trial, environment)
-    return evaluate_trial(config, [point], state, codebook)[0]
+    one_point = dataclasses.replace(
+        config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
+        gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
+    )
+    state = draw_trial(one_point, point.users, trial)
+    return evaluate_trial(one_point, point.users, state, codebook)[0]
 
 
-def run_experiment(config: ExperimentConfig, environment=None):
+def run_experiment(config: ExperimentConfig):
     """Run the full Cartesian sweep; returns (records, summaries).
 
     Records come in (grid point, trial index) order. Each user count's
-    trials are drawn once and evaluated at all of its grid points. Pass
-    ``environment`` to condition the whole sweep on one fixed scattering
-    environment instead of redrawing per trial.
+    trials are drawn once and evaluated at all of its grid points.
     """
     config.validate()
-    points = list(grid_points(config))
     records: list[TrialRecord] = []
-    # grid_points runs users outermost, so each user count's points are contiguous
-    for users, group in itertools.groupby(points, key=lambda point: point.users):
-        group = list(group)
+    for users in config.user_counts():
         # drop the previous user count's codebook before the next one is drawn
         book = None
         book = codebook_for(config, users, max(config.b_grid))
         by_trial = [
-            evaluate_trial(config, group, draw_trial(config, users, trial, environment), book)
+            evaluate_trial(config, users, draw_trial(config, users, trial), book)
             for trial in range(config.num_trials)
         ]
         records.extend(record for by_point in zip(*by_trial) for record in by_point)
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
-        for i, point in enumerate(points)
+        for i, point in enumerate(grid_points(config))
     ]
     return records, summaries
 
@@ -285,11 +281,9 @@ def run_experiment(config: ExperimentConfig, environment=None):
 def summarize_point(point: GridPoint, records) -> PointSummary:
     ok = [r for r in records if not r.cond_fail]
     failed = len(records) - len(ok)
+    key = (point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio)
     if not ok:
-        return PointSummary(
-            point.users, point.bits, point.snr_db, point.gamma_db,
-            point.bandwidth_ratio, None, None, None, None, None, None, 0, failed,
-        )
+        return PointSummary(*key, None, None, None, None, None, None, 0, failed)
     coop = np.array([r.capacity_coop for r in ok])
     zf = np.array([r.capacity_zf for r in ok])
     ideal = np.array([r.capacity_ideal for r in ok])
@@ -297,19 +291,8 @@ def summarize_point(point: GridPoint, records) -> PointSummary:
     # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
     norm_capacity = float(coop.mean()) / mean_ideal if mean_ideal > 0.0 else None
     return PointSummary(
-        point.users,
-        point.bits,
-        point.snr_db,
-        point.gamma_db,
-        point.bandwidth_ratio,
-        float(coop.mean()),
-        _sem(coop),
-        float(zf.mean()),
-        _sem(zf),
-        mean_ideal,
-        norm_capacity,
-        len(ok),
-        failed,
+        *key, float(coop.mean()), _sem(coop), float(zf.mean()), _sem(zf), mean_ideal,
+        norm_capacity, len(ok), failed,
     )
 
 

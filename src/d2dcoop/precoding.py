@@ -144,9 +144,9 @@ def noncooperative_baseline_snr(gram_inv: np.ndarray, noise_power: float) -> np.
     """Per-user SNRs of plain zero-forcing without any receiver pooling.
 
     That is the identity decoding matrix: each user demodulates from its
-    own received sample only.
+    own received sample only. A column of noise powers gives a row each.
     """
-    if noise_power <= 0:
+    if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
     return 1.0 / (noise_power * np.diagonal(gram_inv).real)
 

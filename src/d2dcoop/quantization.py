@@ -141,8 +141,11 @@ def quantized_snr(
     is never quantized, so user ``p`` sees
     ``N0 + (1 - |q_p[p]|^2) * sigma_q^2``. When the link budget rounds
     down to zero bits the users fall back to plain zero-forcing (identity
-    decoding) instead of consuming garbage samples.
+    decoding) rather than consume garbage samples. A column of noise
+    powers gives a row of SNRs each.
     """
+    if not np.all(np.asarray(noise_power) > 0):
+        raise ValueError("noise_power must be positive")
     bits = bits_from_bandwidth(link)
     if bits == 0:
         return noncooperative_baseline_snr(gram_inv, noise_power)
@@ -171,14 +174,18 @@ def expected_overload(
     both parts of every sample and all symbol vectors. Rotating every
     symbol by ``j`` keeps the tails, so user 0's symbol is fixed and
     ``4**(users - 1)`` vectors remain; ``ExperimentConfig.validate`` caps
-    quantized sweeps at ``OVERLOAD_MAX_USERS``.
+    quantized sweeps at ``OVERLOAD_MAX_USERS``. An array of noise powers
+    shares the means and gives an array of fractions of the same shape.
     """
+    if not np.all(np.asarray(noise_power) > 0):
+        raise ValueError("noise_power must be positive")
     q = np.asarray(decoding)
     users = q.shape[1]
     # one column per symbol vector; user 0's index axis has length 1
     symbols = _QPSK[np.indices((1,) + (4,) * (users - 1)).reshape(users, -1)]
     means = (q / np.sqrt(snr_denominators(q, gram_inv))) @ symbols
     m = np.concatenate([means.real.ravel(), means.imag.ravel()])
-    scale = math.sqrt(noise_power)
+    scale = np.sqrt(noise_power)[..., None]
     tails = _erfc((clip_level - m) / scale) + _erfc((clip_level + m) / scale)
-    return float(tails.astype(float).mean() / 2.0)
+    fraction = tails.astype(float).mean(axis=-1) / 2.0
+    return float(fraction) if fraction.ndim == 0 else fraction

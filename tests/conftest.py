@@ -1,5 +1,9 @@
 import numpy as np
+import pytest
 from scipy.stats import unitary_group
+
+# the (S, 1) column of noise powers the sweep passes, here -10, -2.5, 0 and 7.5 dB
+NOISE_COLUMN = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in (-10.0, -2.5, 0.0, 7.5)])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,3 +44,15 @@ def pipeline_channel(rng, num_antennas=64, num_paths=20, effective_dim=6, users=
     h = sample_channel(env, users, rng)
     w = inner_precoder(env, effective_dim)
     return env, h, w, effective_channel(w, h)
+
+
+def assert_broadcasts_like_scalar_calls(fn):
+    """``fn(noise_power)`` on ``NOISE_COLUMN`` equals its stacked scalar calls
+    bitwise, and a nonpositive entry anywhere raises ``fn``'s own error."""
+    stacked = np.asarray(fn(NOISE_COLUMN))
+    expected = np.stack([fn(noise_power) for noise_power in NOISE_COLUMN[:, 0].tolist()])
+    assert stacked.shape[0] == len(NOISE_COLUMN)
+    assert stacked.reshape(expected.shape).tobytes() == expected.tobytes()
+    for bad in ([[1.0], [0.0]], [[-1.0], [2.0]], [1.0, 2.0, -3.0]):
+        with pytest.raises(ValueError, match="noise_power must be positive"):
+            fn(np.array(bad))

@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import average_snr, gaussian_effective_channel, haar_unitary
+from conftest import (
+    assert_broadcasts_like_scalar_calls,
+    average_snr,
+    gaussian_effective_channel,
+    haar_unitary,
+)
 from d2dcoop import (
     EigenSpectrum,
     aligned_cell_distortion,
@@ -100,6 +105,7 @@ class TestSnrLowerBound:
             spectrum = eigen_spectrum(gaussian_effective_channel(rng, 6, 4))
             terms = snr_lower_bound_terms(spectrum, 0, 1.0)
             assert np.all(terms > 0)
+        assert_broadcasts_like_scalar_calls(lambda noise: snr_lower_bound_terms(spectrum, 0, noise))
 
     def test_rejects_nonpositive_eigenvalues(self):
         spectrum = EigenSpectrum(np.array([1.0, 0.0]), np.eye(2, dtype=complex))

@@ -60,6 +60,8 @@ def test_missing_fields_take_defaults():
         {"snr_db_grid": [4000.0]},
         {"snr_db_grid": [-4000.0]},
         {"mode": "quantized-rsi", "P": 7, "D": 8},
+        {"mode": "quantized-rsi", "tau": 1e300},
+        {"mode": "quantized-rsi", "P": 1, "tau": 1e154},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import average_snr, gaussian_effective_channel, haar_unitary, inverse_of
+from conftest import (
+    assert_broadcasts_like_scalar_calls,
+    average_snr,
+    gaussian_effective_channel,
+    haar_unitary,
+    inverse_of,
+)
 from d2dcoop import (
     DecodingCodebook,
     IllConditionedChannelError,
@@ -197,6 +203,9 @@ class TestBaseline:
         assert np.allclose(base, zf_snrs(h_e, np.eye(4), 1.5), rtol=1e-12)
         for p in range(4):
             assert base[p] == pytest.approx(per_user_snr_gram(h_e, np.eye(4), 1.5, p))
+        assert_broadcasts_like_scalar_calls(
+            lambda noise: noncooperative_baseline_snr(inverse_of(h_e), noise)
+        )
 
     def test_correlation_kills_zero_forcing(self):
         # closed-form 2x2 Gram inverse: both users get (1 - rho^2) / N0

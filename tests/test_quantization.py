@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_effective_channel, haar_unitary, inverse_of, pipeline_channel
+from conftest import (
+    assert_broadcasts_like_scalar_calls,
+    gaussian_effective_channel,
+    haar_unitary,
+    inverse_of,
+    pipeline_channel,
+)
 from d2dcoop import (
     CooperationLink,
     QuantizerConfig,
@@ -189,6 +195,7 @@ class TestQuantizedSnr:
         a_inv = inverse_of(h_e)
         out = quantized_snr(q, a_inv, 2.0, link, 30.0)
         assert np.array_equal(out, noncooperative_baseline_snr(a_inv, 2.0))
+        assert_broadcasts_like_scalar_calls(lambda noise: quantized_snr(q, a_inv, noise, link, 30.0))
 
     def test_huge_bandwidth_converges_to_ideal_sharing(self):
         h_e, q = self._setup(1)
@@ -222,6 +229,7 @@ class TestQuantizedSnr:
             na = 2.0 + (1.0 - abs(q[p, p]) ** 2) * sigma
             denom = float(np.real(q[:, p].conj() @ a_inv @ q[:, p]))
             assert out[p] == pytest.approx(1.0 / (na * denom), rel=1e-12)
+        assert_broadcasts_like_scalar_calls(lambda noise: quantized_snr(q, a_inv, noise, link, 30.0))
 
 
 class TestBandwidthExponent:
@@ -270,6 +278,9 @@ class TestExpectedOverload:
         noise_power = 10.0 ** (-snr_db / 10.0)
         p = expected_overload(q, inverse_of(h_e), noise_power, tau)
         assert 0.0 <= p <= 1.0
+        assert_broadcasts_like_scalar_calls(
+            lambda noise: expected_overload(q, inverse_of(h_e), noise, tau)
+        )
         _, measured = empirical_snr(
             np.eye(6), h_e, q, noise_power, rng,
             num_symbols=num_symbols, quantizer=QuantizerConfig(8, tau),
