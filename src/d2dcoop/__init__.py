@@ -13,8 +13,6 @@ from .bounds import (
     BoundInvalidError,
     aligned_cell_distortion,
     cell_distortion,
-    empirical_cell_distortion,
-    empirical_quantization_cell_distortion,
     expected_cell_distortion,
     ideal_cooperation_snr,
     snr_lower_bound,
@@ -47,6 +45,7 @@ from .harness import (
     PointSummary,
     TrialRecord,
     capacity,
+    cell_distortion_audit,
     codebook_for,
     grid_points,
     run_experiment,

@@ -4,14 +4,15 @@ Everything here is conditioned on one channel realization through the
 eigen-spectrum of its effective-channel Gram matrix: the expected
 quantization-cell distortion of a random unitary codebook, the resulting
 lower bound on the expected average SNR, and the perfect-cooperation
-limit that both converge to as the codebook grows.
+limit that both converge to as the codebook grows. The distortion
+measures score one decoding matrix against one eigenbasis;
+:func:`d2dcoop.harness.cell_distortion_audit` averages them over a
+sweep's trials.
 """
 
 import numpy as np
 
-from .channel import draw_environment, inner_precoder, sample_channel
-from .codebook import DecodingCodebook, generate_codebook, select_codeword
-from .precoding import EigenSpectrum, effective_channel, eigen_spectrum, gram_inverse
+from .precoding import EigenSpectrum
 
 
 class BoundInvalidError(RuntimeError):
@@ -102,80 +103,3 @@ def aligned_cell_distortion(decoding: np.ndarray, eigenmatrix: np.ndarray) -> np
     overlap = np.abs(np.asarray(eigenmatrix).conj().T @ np.asarray(decoding)) ** 2
     rows, cols = linear_sum_assignment(-overlap)
     return 1.0 - overlap[rows, cols]
-
-
-def _random_spectra(num_trials, num_users, rng, num_antennas, num_paths, effective_dim):
-    for _ in range(num_trials):
-        env = draw_environment(num_antennas, num_paths, rng)
-        h = sample_channel(env, num_users, rng)
-        w = inner_precoder(env, effective_dim)
-        yield eigen_spectrum(effective_channel(w, h))
-
-
-def empirical_cell_distortion(
-    num_users: int,
-    bits: int,
-    num_trials: int,
-    rng: np.random.Generator,
-    *,
-    num_antennas: int = 64,
-    num_paths: int = 20,
-    effective_dim: int = 6,
-    noise_power: float = 1.0,
-    codebook: DecodingCodebook | None = None,
-) -> float:
-    """Measured mean cell distortion of the SNR-selected codeword.
-
-    Draws ``num_trials`` channels, selects a codeword for each by average
-    SNR, and averages :func:`aligned_cell_distortion` over users and
-    trials. The average-SNR selector is not a minimum-distortion
-    quantizer, so this sits above
-    :func:`empirical_quantization_cell_distortion`; the gap is the audit
-    of how far selection strays from the cell approximation.
-    """
-    if codebook is None:
-        codebook = generate_codebook(num_users, bits, rng)
-    elif codebook.bits != bits or codebook.num_users != num_users:
-        raise ValueError("codebook does not match (num_users, bits)")
-    total = 0.0
-    spectra = _random_spectra(
-        num_trials, num_users, rng, num_antennas, num_paths, effective_dim
-    )
-    for spectrum in spectra:
-        _, chosen, _ = select_codeword(codebook, gram_inverse(spectrum), noise_power)
-        total += float(aligned_cell_distortion(chosen, spectrum.eigenmatrix).mean())
-    return total / num_trials
-
-
-def empirical_quantization_cell_distortion(
-    num_users: int,
-    bits: int,
-    num_trials: int,
-    rng: np.random.Generator,
-    *,
-    num_antennas: int = 64,
-    num_paths: int = 20,
-    effective_dim: int = 6,
-    codebook: DecodingCodebook | None = None,
-) -> float:
-    """Measured quantization-cell distortion of a random codebook.
-
-    For each drawn channel, eigenvector p is quantized by the closest
-    p-th codeword column over the whole codebook; the mean squared sine
-    of that nearest match, over users and trials, is the quantity that
-    :func:`expected_cell_distortion` approximates.
-    """
-    if codebook is None:
-        codebook = generate_codebook(num_users, bits, rng)
-    elif codebook.bits != bits or codebook.num_users != num_users:
-        raise ValueError("codebook does not match (num_users, bits)")
-    total = 0.0
-    spectra = _random_spectra(
-        num_trials, num_users, rng, num_antennas, num_paths, effective_dim
-    )
-    for spectrum in spectra:
-        u = spectrum.eigenmatrix
-        # [k, p] = |u_p^H q_p(k)|^2 over codewords k
-        overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
-        total += float((1.0 - overlap.max(axis=0)).mean())
-    return total / num_trials

@@ -74,16 +74,13 @@ def codebook_bytes(num_users: int, bits: int) -> int:
     return (1 << bits) * num_users * num_users * 16
 
 
-def generate_codebook(
-    num_users: int,
-    bits: int,
-    rng: np.random.Generator,
-    max_bytes: int = DEFAULT_BUDGET_BYTES,
-) -> DecodingCodebook:
+def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> DecodingCodebook:
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
     Deterministic given the generator state; identical (users, bits,
-    seed) produce bitwise-identical codebooks.
+    seed) produce bitwise-identical codebooks. Raises
+    :class:`CodebookBudgetError` before any draw when the codebook would
+    exceed ``DEFAULT_BUDGET_BYTES``.
     """
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
@@ -91,9 +88,9 @@ def generate_codebook(
         raise ValueError("bits must be nonnegative")
     size = 1 << bits
     need = codebook_bytes(num_users, bits)
-    if need > max_bytes:
+    if need > DEFAULT_BUDGET_BYTES:
         raise CodebookBudgetError(
-            f"codebook of 2**{bits} matrices needs {need} bytes, budget is {max_bytes}"
+            f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
         )
     # one contiguous block per codeword keeps prefixes seed-stable; each
     # intermediate is released once the next exists to bound the peak
@@ -133,11 +130,13 @@ def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
 
 
 def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_power: float):
-    """Pick the codeword maximizing the average post-decoding SNR.
+    """Reference selector: the codeword maximizing the average post-decoding SNR.
 
     ``gram_inv`` is the effective-channel Gram inverse, reused across all
     codewords and columns. Ties break to the lowest index. Returns
-    ``(index, codeword, average_snr)``.
+    ``(index, codeword, average_snr)``. Like the other oracles it is the
+    per-point reference, here for :func:`select_prefix_codewords`, which
+    is what the sweep and the cell-distortion audit call.
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")

@@ -162,6 +162,8 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -14,6 +14,8 @@ the overload audit included, is a closed form of it. The grid axes
 (b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
 broadcast over a column of noise powers, so one overload audit per
 (trial, b) covers every SNR and serves every link that carries bits.
+Every channel the package draws comes from :func:`draw_trial`, those of
+the cell-distortion audit included.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInvalidError, snr_lower_bound_terms
+from .bounds import BoundInvalidError, aligned_cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import draw_environment, inner_precoder, sample_channel
 from .codebook import (
@@ -232,20 +234,13 @@ def evaluate_trial(
     ]
 
 
-def run_trial(
-    config: ExperimentConfig,
-    point: GridPoint,
-    trial: int,
-    codebook: DecodingCodebook | None = None,
-) -> TrialRecord:
+def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
     """One trial at one grid point: the per-point reference path of the sweep.
 
-    It evaluates a one-point grid through the same :func:`evaluate_trial`.
+    It evaluates a one-point grid, on its own ``2**b`` codebook, through
+    the same :func:`evaluate_trial`.
     """
-    if codebook is None:
-        codebook = codebook_for(config, point.users, point.bits)
-    elif codebook.bits != point.bits or codebook.num_users != point.users:
-        raise ValueError("codebook does not match the grid point")
+    codebook = codebook_for(config, point.users, point.bits)
     one_point = dataclasses.replace(
         config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
@@ -276,6 +271,46 @@ def run_experiment(config: ExperimentConfig):
         for i, point in enumerate(grid_points(config))
     ]
     return records, summaries
+
+
+def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
+    """Measured quantization-cell distortion of the sweep's codebook, per b.
+
+    Walks the sweep's own trials and codebook. For each usable trial one
+    overlap of the eigenvectors with the ``2**max(b_grid)`` codebook and
+    one scoring pass serve every b. Returns ``{b: (cell, selected)}``:
+    ``cell`` is the mean squared sine between eigenvector p and the
+    nearest p-th codeword column of the ``2**b`` prefix, the quantity
+    that :func:`~d2dcoop.bounds.expected_cell_distortion` approximates;
+    ``selected`` is the mean :func:`~d2dcoop.bounds.aligned_cell_distortion`
+    of the codeword the average-SNR selector picks. Selection is not a
+    minimum-distortion quantizer, so the gap between the two audits the
+    cell approximation behind the bound. Ill-conditioned trials are
+    skipped. Raises ValueError when no trial is usable or when ``users``
+    is not one of the config's user counts.
+    """
+    config.validate()
+    if users not in config.user_counts():
+        raise ValueError(f"{users} users is not a user count of the sweep")
+    codebook = codebook_for(config, users, max(config.b_grid))
+    cell = dict.fromkeys(config.b_grid, 0.0)
+    selected = dict.fromkeys(config.b_grid, 0.0)
+    usable = 0
+    for trial in range(config.num_trials):
+        state = draw_trial(config, users, trial)
+        if state.a_inv is None:
+            continue
+        usable += 1
+        u = state.spectrum.eigenmatrix
+        # [k, p] = |u_p^H q_p(k)|^2 over codewords k
+        overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
+        choice = select_prefix_codewords(codebook, state.a_inv, config.b_grid)
+        for bits, index in choice.items():
+            cell[bits] += float((1.0 - overlap[: 1 << bits].max(axis=0)).mean())
+            selected[bits] += float(aligned_cell_distortion(codebook[index], u).mean())
+    if not usable:
+        raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
+    return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}
 
 
 def summarize_point(point: GridPoint, records) -> PointSummary:

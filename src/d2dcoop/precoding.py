@@ -29,10 +29,10 @@ COND_LIMIT = 1e12
 class IllConditionedChannelError(RuntimeError):
     """Effective-channel Gram matrix is too ill conditioned to invert."""
 
-    def __init__(self, condition_number: float, limit: float = COND_LIMIT):
+    def __init__(self, condition_number: float):
         super().__init__(
             "effective-channel Gram condition number "
-            f"{condition_number:.3e} exceeds limit {limit:.1e}"
+            f"{condition_number:.3e} exceeds limit {COND_LIMIT:.1e}"
         )
         self.condition_number = float(condition_number)
 
@@ -72,12 +72,12 @@ def eigen_spectrum(h_e: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(vals, vecs)
 
 
-def gram_inverse(spectrum: EigenSpectrum, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def gram_inverse(spectrum: EigenSpectrum) -> np.ndarray:
     """Inverse of the effective-channel Gram from its eigendecomposition.
 
     The condition number is ``lambda_max / lambda_min``; a nonpositive
     smallest eigenvalue counts as infinitely ill conditioned. Raises
-    :class:`IllConditionedChannelError` above ``cond_limit``; callers
+    :class:`IllConditionedChannelError` above ``COND_LIMIT``; callers
     record such channels as failed trials rather than silently producing
     garbage SNRs.
     """
@@ -85,8 +85,8 @@ def gram_inverse(spectrum: EigenSpectrum, cond_limit: float = COND_LIMIT) -> np.
     v = np.asarray(spectrum.eigenmatrix)
     smallest = float(lam.min())
     cond = float(lam.max()) / smallest if smallest > 0 else np.inf
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedChannelError(cond, cond_limit)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedChannelError(cond)
     return (v / lam) @ v.conj().T
 
 
@@ -114,11 +114,7 @@ def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
 
 
 def per_user_snr_gram(
-    h_e: np.ndarray,
-    decoding: np.ndarray,
-    noise_power: float,
-    user: int,
-    cond_limit: float = COND_LIMIT,
+    h_e: np.ndarray, decoding: np.ndarray, noise_power: float, user: int
 ) -> float:
     """Oracle: one user's SNR from the diagonal of the inverted overall Gram.
 
@@ -134,8 +130,8 @@ def per_user_snr_gram(
         raise ValueError(f"user index {user} out of range")
     g = gram(overall)
     cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedChannelError(cond, cond_limit)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedChannelError(cond)
     m = np.linalg.inv(g)
     return 1.0 / (noise_power * float(m[user, user].real))
 
@@ -151,11 +147,7 @@ def noncooperative_baseline_snr(gram_inv: np.ndarray, noise_power: float) -> np.
     return 1.0 / (noise_power * np.diagonal(gram_inv).real)
 
 
-def zf_outer_precoder(
-    h_e: np.ndarray,
-    decoding: np.ndarray,
-    cond_limit: float = COND_LIMIT,
-) -> np.ndarray:
+def zf_outer_precoder(h_e: np.ndarray, decoding: np.ndarray) -> np.ndarray:
     """Oracle: zero-forcing outer precoder against the overall channel.
 
     Used by the brute-force transceiver, so it factorises the overall
@@ -167,7 +159,7 @@ def zf_outer_precoder(
     overall = np.asarray(h_e) @ np.asarray(decoding)
     g = gram(overall)
     cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedChannelError(cond, cond_limit)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedChannelError(cond)
     v = overall @ np.linalg.inv(g)
     return v / np.linalg.norm(v, axis=0, keepdims=True)

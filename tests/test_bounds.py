@@ -13,10 +13,11 @@ from conftest import (
 )
 from d2dcoop import (
     EigenSpectrum,
+    ExperimentConfig,
     aligned_cell_distortion,
     cell_distortion,
+    cell_distortion_audit,
     eigen_spectrum,
-    empirical_quantization_cell_distortion,
     expected_cell_distortion,
     gram_inverse,
     ideal_cooperation_snr,
@@ -68,10 +69,9 @@ class TestExpectedCellDistortion:
             expected_cell_distortion(-1, 3)
 
     def test_monte_carlo_cross_check_factor_two(self):
-        # quantization-cell statistic of real random codebooks
-        measured = empirical_quantization_cell_distortion(
-            2, 6, 150, np.random.default_rng(2), num_antennas=16, num_paths=8
-        )
+        # quantization-cell statistic of a sweep's own codebook and trials
+        config = ExperimentConfig(M=16, L=8, P=2, b_grid=[6], num_trials=150, master_seed=2)
+        measured, _ = cell_distortion_audit(config, 2)[6]
         expected = expected_cell_distortion(6, 2)
         assert expected / 2 <= measured <= expected * 2
 
@@ -175,16 +175,25 @@ class TestDistortionMeasures:
             assert aligned_cell_distortion(q, u).sum() <= cell_distortion(q, u).sum() + 1e-12
 
 
-def test_distortion_gap_script_runs():
+@pytest.mark.parametrize(
+    "users, bits, trials, code",
+    [("2", "2", "2", 0), ("1", "2", "2", 2), ("2", "2", "0", 2), ("2", "-1", "2", 2)],
+    ids=["ok", "one-user", "no-trials", "negative-bits"],
+)
+def test_distortion_gap_script_runs(users, bits, trials, code):
     # the script imports from the package root, so an export change must fail here
     script = Path(__file__).resolve().parents[1] / "scripts" / "distortion_gap.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--users", "2", "--bits", "2", "--trials", "2"],
+        [sys.executable, str(script), "--users", users, "--bits", bits, "--trials", trials],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
+    if code:
+        # an argparse usage error, not a traceback
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
+        return
     header, *rows = result.stdout.splitlines()
     assert header.split()[:2] == ["P", "b"]
     assert [row.split()[:2] for row in rows] == [["2", "2"]]

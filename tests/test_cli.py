@@ -44,10 +44,12 @@ def test_validate_rejects_unknown_field(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
-def test_validate_rejects_malformed_json(tmp_path):
+def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{oops")
-    assert main(["validate", "--config", str(path)]) == 1
+    for content in (b"{oops", b'\xff\xfe{"P": 3}'):  # not JSON; not UTF-8
+        path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(tmp_path):

@@ -48,7 +48,8 @@ def test_smaller_codebook_is_prefix_of_larger():
 
 def test_memory_budget_enforced():
     with pytest.raises(CodebookBudgetError):
-        generate_codebook(4, 20, np.random.default_rng(0), max_bytes=1 << 20)
+        # 2**23 codewords of 4 x 4 complex128 need 2 GiB against the 1 GiB budget
+        generate_codebook(4, 23, np.random.default_rng(0))
 
 
 def test_codebook_shape_validation():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from d2dcoop import (
     CooperationLink,
     ExperimentConfig,
+    aligned_cell_distortion,
     bits_from_bandwidth,
     capacity,
+    cell_distortion_audit,
     run_experiment,
     run_trial,
     select_codeword,
@@ -139,12 +141,6 @@ class TestRunTrial:
         b = run_trial(config, point, 3)
         assert a == b
 
-    def test_passed_codebook_matches_default_path(self):
-        config = small_config()
-        point = list(grid_points(config))[1]
-        book = codebook_for(config, point.users, max(config.b_grid)).prefix(point.bits)
-        assert run_trial(config, point, 0, book) == run_trial(config, point, 0)
-
     def test_capacity_ordering_invariants(self):
         config = small_config(num_trials=1)
         for point in grid_points(config):
@@ -188,13 +184,6 @@ class TestRunTrial:
         record = run_trial(config, point, 0)
         assert record.overload_rate is not None
         assert 0.0 <= record.overload_rate < 1e-3
-
-    def test_mismatched_codebook_rejected(self):
-        config = small_config()
-        point = next(iter(grid_points(config)))
-        wrong = codebook_for(config, point.users, point.bits + 1)
-        with pytest.raises(ValueError):
-            run_trial(config, point, 0, wrong)
 
 
 class TestRunExperiment:
@@ -274,6 +263,37 @@ class TestRunExperiment:
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book.prefix(bits), a_inv, noise_power)[0]
                     assert choices[bits] == expected
+
+
+class TestCellDistortionAudit:
+    def test_equals_per_b_reference(self):
+        # one overlap and one scoring pass on the 2**max(b) codebook serve every b
+        config = small_config(b_grid=[3, 1, 4], num_trials=4)
+        audit = cell_distortion_audit(config, 4)
+        assert list(audit) == [1, 3, 4]
+        for bits, (cell, selected) in audit.items():
+            book = codebook_for(config, 4, bits)
+            cells, chosen = [], []
+            for trial in range(config.num_trials):
+                state = draw_trial(config, 4, trial)
+                if state.a_inv is None:
+                    continue
+                u = state.spectrum.eigenmatrix
+                for p in range(4):
+                    nearest = max(abs(np.vdot(u[:, p], q[:, p])) ** 2 for q in book.codewords)
+                    cells.append(1.0 - nearest)
+                q = select_codeword(book, state.a_inv, 1.0)[1]
+                chosen.append(aligned_cell_distortion(q, u).mean())
+            assert cells
+            assert cell == pytest.approx(np.mean(cells), rel=1e-12)
+            assert selected == pytest.approx(np.mean(chosen), rel=1e-12)
+
+    def test_unusable_input_rejected(self):
+        # a point-like scattering sector makes every effective Gram singular
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            cell_distortion_audit(small_config(sector_spread=1e-9, num_trials=3), 4)
+        with pytest.raises(ValueError, match="not a user count"):
+            cell_distortion_audit(small_config(), 5)
 
 
 class TestCsvOutput:

@@ -262,12 +262,6 @@ class TestIllConditioning:
             inverse_of(h_e)
         assert info.value.condition_number > 1e12
 
-    def test_custom_limit(self):
-        rng = np.random.default_rng(13)
-        h_e = gaussian_effective_channel(rng, 6, 4)
-        with pytest.raises(IllConditionedChannelError):
-            gram_inverse(eigen_spectrum(h_e), cond_limit=1.0)
-
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_dependent_column_raises(self, seed, users):
