@@ -11,6 +11,10 @@ the average post-decoding SNR.
 Codewords are drawn sequentially from the generator, so for a fixed seed
 the codebook of size ``2**b`` is exactly the prefix of the codebook of
 size ``2**(b+1)``. Paired-seed experiments rely on this nesting.
+Generation and scoring both walk the codebook in blocks of ``BLOCK``
+codewords. The blocks are consecutive draws from one stream, so the
+nesting holds across block boundaries, and the memory peak is the
+codebook plus one block's temporaries.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from .linalg import phase_canonicalize
 from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
-SCORE_BLOCK = 4096
+BLOCK = 1024
 
 
 class CodebookBudgetError(RuntimeError):
@@ -78,9 +82,13 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> De
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
     Deterministic given the generator state; identical (users, bits,
-    seed) produce bitwise-identical codebooks. Raises
-    :class:`CodebookBudgetError` before any draw when the codebook would
-    exceed ``DEFAULT_BUDGET_BYTES``.
+    seed) produce bitwise-identical codebooks. The codebook is allocated
+    once and filled one block of ``BLOCK`` codewords at a time, each
+    block the next draws of ``rng``, so the result equals one draw of
+    all ``2**bits`` codewords and generation peaks at the codebook plus
+    one block. Raises :class:`CodebookBudgetError` before any draw when
+    the codebook would exceed ``DEFAULT_BUDGET_BYTES``, so the budget
+    bounds the generation peak up to that one block.
     """
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
@@ -92,20 +100,20 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> De
         raise CodebookBudgetError(
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
         )
-    # one contiguous block per codeword keeps prefixes seed-stable; each
-    # intermediate is released once the next exists to bound the peak
-    z = rng.standard_normal((size, num_users, num_users, 2))
-    g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    del z
-    wishart = g @ np.conj(np.swapaxes(g, -1, -2))
-    del g
-    _, vecs = np.linalg.eigh(wishart)
-    del wishart
-    vecs = phase_canonicalize(vecs[..., ::-1])
     # stored column by column, so the decoding vectors of any block of
-    # codewords are contiguous rows for snr_denominators' GEMM
-    columns = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)).swapaxes(-1, -2)
-    return DecodingCodebook(columns, bits)
+    # codewords are contiguous rows for snr_denominators' GEMM; each
+    # intermediate is released once the next exists to bound the peak
+    store = np.empty((size, num_users, num_users), dtype=complex)
+    for start in range(0, size, BLOCK):
+        z = rng.standard_normal((min(BLOCK, size - start), num_users, num_users, 2))
+        g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        del z
+        wishart = g @ np.conj(np.swapaxes(g, -1, -2))
+        del g
+        _, vecs = np.linalg.eigh(wishart)
+        del wishart
+        store[start : start + len(vecs)] = np.swapaxes(phase_canonicalize(vecs[..., ::-1]), -1, -2)
+    return DecodingCodebook(store.swapaxes(-1, -2), bits)
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
@@ -114,17 +122,17 @@ def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
     A codeword's average post-decoding SNR is its score over
     ``noise_power * users``, so the codeword maximizing the score does so
     at every noise power. Codewords are scored in blocks of
-    ``SCORE_BLOCK`` so the temporaries stay small at ``2**16`` codewords.
+    ``BLOCK`` so the temporaries stay small at ``2**16`` codewords.
     Each block is one :func:`snr_denominators` call: one complex GEMM of
-    the block's ``SCORE_BLOCK * users`` decoding vectors against the
+    the block's ``BLOCK * users`` decoding vectors against the
     Gram inverse plus one real dot per vector. On a codebook from
     :func:`generate_codebook`, stored column by column, those vectors
     are read in place.
     """
     cw = np.asarray(codewords)
     scores = np.empty(cw.shape[0])
-    for start in range(0, cw.shape[0], SCORE_BLOCK):
-        block = cw[start : start + SCORE_BLOCK]
+    for start in range(0, cw.shape[0], BLOCK):
+        block = cw[start : start + BLOCK]
         scores[start : start + len(block)] = (1.0 / snr_denominators(block, gram_inv)).sum(axis=1)
     return scores
 

@@ -82,6 +82,12 @@ class ExperimentConfig:
             raise ConfigError("sector_center must be a finite number")
         if not _is_finite_number(self.sector_spread) or self.sector_spread <= 0:
             raise ConfigError("sector_spread must be positive")
+        # draws outside [-pi/2, pi/2) are clipped to its edge; a sector with
+        # no overlap puts every path at one angle and no trial is usable
+        half = self.sector_spread / 2.0
+        low, high = self.sector_center - half, self.sector_center + half
+        if not (low < math.pi / 2 and high > -math.pi / 2):
+            raise ConfigError("sector must overlap the half-space [-pi/2, pi/2)")
         if not _is_finite_number(self.tau) or self.tau <= 0:
             raise ConfigError("tau must be positive")
 

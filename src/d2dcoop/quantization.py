@@ -22,7 +22,8 @@ TOTAL_BITS_CAP = 1024
 # largest user count the default effective dimension D = 6 admits
 OVERLOAD_MAX_USERS = 6
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# math.erfc is exactly 0.0 from 27.2264 on, so larger arguments skip it
+ERFC_ZERO = 27.3
 # unit-power QPSK, the constellation the link-level oracle sends
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
@@ -157,6 +158,15 @@ def quantized_snr(
     return 1.0 / (effective * denoms)
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of each entry, bitwise; entries at or above ``ERFC_ZERO`` are 0.0."""
+    out = np.zeros(x.shape)
+    live = ~(x >= ERFC_ZERO)
+    args = x[live].tolist()
+    out[live] = np.fromiter(map(math.erfc, args), float, len(args))
+    return out
+
+
 def expected_overload(
     decoding: np.ndarray,
     gram_inv: np.ndarray,
@@ -187,5 +197,5 @@ def expected_overload(
     m = np.concatenate([means.real.ravel(), means.imag.ravel()])
     scale = np.sqrt(noise_power)[..., None]
     tails = _erfc((clip_level - m) / scale) + _erfc((clip_level + m) / scale)
-    fraction = tails.astype(float).mean(axis=-1) / 2.0
+    fraction = tails.mean(axis=-1) / 2.0
     return float(fraction) if fraction.ndim == 0 else fraction

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import average_snr, gaussian_effective_channel, inverse_of, pipeline_channel
 from d2dcoop import (
@@ -11,7 +15,8 @@ from d2dcoop import (
     per_user_snr_gram,
     select_codeword,
 )
-from d2dcoop.codebook import SCORE_BLOCK, codeword_scores, select_prefix_codewords
+from d2dcoop.codebook import BLOCK, codebook_bytes, codeword_scores, select_prefix_codewords
+from d2dcoop.linalg import phase_canonicalize
 from d2dcoop.precoding import eigen_spectrum, gram, snr_denominators
 
 
@@ -44,6 +49,43 @@ def test_smaller_codebook_is_prefix_of_larger():
     large = generate_codebook(4, 8, np.random.default_rng(9))
     assert np.array_equal(small.codewords, large.codewords[:32])
     assert np.array_equal(large.prefix(5).codewords, small.codewords)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
+    # generation fills the store block by block; from b = 11 on it spans
+    # several blocks and must still equal one draw of every codeword
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((1 << bits, users, users, 2))
+    g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    _, vecs = np.linalg.eigh(g @ np.conj(np.swapaxes(g, -1, -2)))
+    vecs = phase_canonicalize(vecs[..., ::-1])
+    reference = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)).swapaxes(-1, -2)
+    streamed = generate_codebook(users, bits, np.random.default_rng(seed)).codewords
+    assert streamed.strides == reference.strides
+    assert streamed.tobytes("A") == reference.tobytes("A")
+
+
+@pytest.mark.parametrize("users", [1, 3, 5])
+def test_prefix_nesting_across_blocks(users):
+    small = generate_codebook(users, 10, np.random.default_rng(31))
+    large = generate_codebook(users, 12, np.random.default_rng(31))
+    assert len(small) == BLOCK
+    assert np.array_equal(small.codewords, large.codewords[: len(small)])
+
+
+@pytest.mark.parametrize("users", [3, 5])
+def test_generation_peak_is_codebook_plus_a_few_blocks(users):
+    # a one-shot draw holds about three codebooks at once; streaming
+    # holds the codebook and one block's temporaries
+    tracemalloc.start()
+    try:
+        generate_codebook(users, 14, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= codebook_bytes(users, 14) + 8 * codebook_bytes(users, 10)
 
 
 def test_memory_budget_enforced():
@@ -148,7 +190,7 @@ class TestSelection:
         # the scoring pass runs block by block; every prefix choice must
         # match the selector run on that prefix alone
         cb = generate_codebook(3, 13, np.random.default_rng(98))
-        assert len(cb) > SCORE_BLOCK
+        assert len(cb) > BLOCK
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(16), 6, 3))
         scores = codeword_scores(cb.codewords, a_inv)
         unblocked = (1.0 / snr_denominators(cb.codewords, a_inv)).sum(axis=1)

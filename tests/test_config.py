@@ -40,6 +40,8 @@ def test_missing_fields_take_defaults():
         {"mode": "psychic"},
         {"figure_preset": "fig-nonexistent"},
         {"sector_spread": 0.0},
+        {"sector_center": 2.0, "sector_spread": 0.5},
+        {"sector_center": 1e300},
         {"tau": -1.0},
         {"snr_db_grid": []},
         {"snr_db_grid": [float("nan")]},

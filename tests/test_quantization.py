@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from d2dcoop import (
     zf_outer_precoder,
 )
 from d2dcoop.precoding import snr_denominators
-from d2dcoop.quantization import TOTAL_BITS_CAP
+from d2dcoop.quantization import ERFC_ZERO, TOTAL_BITS_CAP, _erfc
 
 
 class TestQuantizerConfig:
@@ -294,6 +296,20 @@ class TestExpectedOverload:
         rng = np.random.default_rng(seed)
         a_inv = inverse_of(gaussian_effective_channel(rng, 6, users))
         assert expected_overload(haar_unitary(users, rng), a_inv, noise_power, 30.0) == 0.0
+
+    def test_erfc_is_bitwise_math_erfc(self):
+        # _erfc skips math.erfc at and above ERFC_ZERO, where it is exactly 0.0
+        assert math.erfc(ERFC_ZERO) == 0.0
+        edge = [np.nextafter(ERFC_ZERO, -np.inf), ERFC_ZERO, np.nextafter(ERFC_ZERO, np.inf)]
+        x = np.array(
+            edge + [-np.inf, -30.0, -1.5, -0.0, 0.0, 1e-300, 3.0, 27.2264, 1e10, np.inf, np.nan]
+            + list(np.linspace(-40.0, 40.0, 161))
+        )
+        reference = np.frompyfunc(math.erfc, 1, 1)
+        for grid in (x, x.reshape(1, -1), np.stack([x, -x])):
+            got = _erfc(grid)
+            assert got.dtype == float and got.shape == grid.shape
+            assert got.tobytes() == reference(grid).astype(float).tobytes()
 
 
 def test_overload_rate_negligible_at_default_clip_level():
