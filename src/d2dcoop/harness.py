@@ -13,7 +13,8 @@ channel draw a trial is its Gram factorisation alone: every grid point,
 the overload audit included, is a closed form of it. The grid axes
 (b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
 broadcast over a column of noise powers, so one overload audit per
-(trial, b) covers every SNR and serves every link that carries bits.
+(trial, b) covers every SNR and serves every link that carries bits;
+ideal sharing is the noiseless link of the same cooperative-SNR formula.
 Every channel the package draws comes from :func:`draw_trial`, those of
 the cell-distortion audit included.
 """
@@ -46,7 +47,9 @@ from .precoding import (
     noncooperative_baseline_snr,
     snr_denominators,
 )
-from .quantization import CooperationLink, bits_from_bandwidth, expected_overload, quantized_snr
+from .quantization import CooperationLink, QuantizerConfig, bits_from_bandwidth, cooperative_snr
+from .quantization import expected_overload, quantization_noise_variance
+from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps it by name
 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
@@ -177,21 +180,35 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
     return TrialState(trial, spectrum, a_inv)
 
 
+def _link_variances(config: ExperimentConfig):
+    """Each link's quantization variance in sweep order, and whether it carries bits."""
+    if config.mode != "quantized-rsi":
+        return np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
+    links = itertools.product(config.gamma_db_grid, config.bandwidth_ratio_grid)
+    bits = [bits_from_bandwidth(CooperationLink(r, 10.0 ** (g / 10.0))) for g, r in links]
+    tau = config.tau
+    variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
+    return np.array(variances), np.array(bits) > 0
+
+
 def evaluate_trial(
-    config: ExperimentConfig, users: int, state: TrialState, codebook: DecodingCodebook
+    config: ExperimentConfig, users: int, state: TrialState, codebook: DecodingCodebook | None
 ) -> list:
     """Records of one drawn trial at every grid point of ``users``, in sweep order.
 
-    ``codebook`` holds at least ``2**max(b_grid)`` codewords. Per point:
-    the cooperative capacity under the configured sharing mode, the plain
-    zero-forcing baseline, the perfect-cooperation capacity and (for two
-    or more users) the analytic lower-bound capacity; ill-conditioned
-    channels yield flagged records with empty capacities. The grid axes
-    (b, SNR, link) are array axes: one scoring pass picks every b's
-    codeword, and each closed form runs once per b (per b and link for
-    the quantized SNR) on one (S, 1) column of noise powers.
+    ``codebook`` holds at least ``2**max(b_grid)`` codewords; an
+    ill-conditioned trial never reads it and yields flagged records with
+    empty capacities. Per point: the cooperative capacity under the
+    configured sharing mode, the plain zero-forcing baseline, the
+    perfect-cooperation capacity and (for two or more users) the
+    analytic lower-bound capacity. The grid axes (b, SNR, link) are array
+    axes: one scoring pass picks every b's codeword, whose denominators
+    ``d`` are formed once per b, and each closed form runs once per b on
+    one (S, 1) column of noise powers. The cooperative SNR is one
+    :func:`~d2dcoop.quantization.cooperative_snr` call per b over the
+    (SNR, link) grid of link variances, ideal sharing being one noiseless
+    link; a link that carries no bits takes the zero-forcing capacity.
     """
-    quantized = config.mode == "quantized-rsi"
     gammas, ratios = _link_axes(config)
     keys = itertools.product(config.b_grid, config.snr_db_grid, gammas, ratios)
     if state.a_inv is None:
@@ -200,29 +217,24 @@ def evaluate_trial(
         ]
     a_inv, spectrum = state.a_inv, state.spectrum
     noise = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in config.snr_db_grid])
-    links = [
-        CooperationLink(r, 10.0 ** (g / 10.0)) for g in gammas for r in ratios
-    ] if quantized else []
-    carries = np.array([bits_from_bandwidth(link) > 0 for link in links], dtype=bool)
-    shape = (len(config.b_grid), len(noise), len(gammas) * len(ratios))
+    variances, carries = _link_variances(config)
+    audit = config.mode == "quantized-rsi" and carries.any()
+    shape = (len(config.b_grid), len(noise), len(variances))
     coop, overload = np.empty(shape), np.zeros(shape)
     bound = np.full(shape[:2], None, dtype=object)
+    zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
+    ideal = capacity(spectrum.eigenvalues / noise)[:, None]
     choice = select_prefix_codewords(codebook, a_inv, config.b_grid)
     for i, bits in enumerate(config.b_grid):
         decoding = codebook[choice[bits]]
-        if quantized:
-            for j, link in enumerate(links):
-                coop[i, :, j] = capacity(quantized_snr(decoding, a_inv, noise, link, config.tau))
-            if carries.any():
-                audit = expected_overload(decoding, a_inv, noise, config.tau)
-                overload[i] = np.where(carries, audit, 0.0)
-        else:
-            coop[i, :, 0] = capacity(1.0 / (noise * snr_denominators(decoding, a_inv)))
+        d = snr_denominators(decoding, a_inv)
+        snrs = cooperative_snr(decoding, d, noise[:, :, None], variances[:, None])
+        coop[i] = np.where(carries, capacity(snrs), zf)
+        if audit:
+            overload[i] = np.where(carries, expected_overload(decoding, d, noise, config.tau), 0.0)
         if users >= 2:
             with contextlib.suppress(BoundInvalidError):
                 bound[i] = capacity(snr_lower_bound_terms(spectrum, bits, noise)).tolist()
-    zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
-    ideal = capacity(spectrum.eigenvalues / noise)[:, None]
     # every column broadcast to (b, SNR, link) and flattened in sweep order
     columns = [
         np.broadcast_to(column, shape).ravel().tolist()
@@ -253,18 +265,18 @@ def run_experiment(config: ExperimentConfig):
     """Run the full Cartesian sweep; returns (records, summaries).
 
     Records come in (grid point, trial index) order. Each user count's
-    trials are drawn once and evaluated at all of its grid points.
+    trials are drawn once, then its codebook (if a trial is usable), and
+    each trial is evaluated at all of the count's grid points.
     """
     config.validate()
     records: list[TrialRecord] = []
     for users in config.user_counts():
         # drop the previous user count's codebook before the next one is drawn
         book = None
-        book = codebook_for(config, users, max(config.b_grid))
-        by_trial = [
-            evaluate_trial(config, users, draw_trial(config, users, trial), book)
-            for trial in range(config.num_trials)
-        ]
+        states = [draw_trial(config, users, trial) for trial in range(config.num_trials)]
+        if any(state.a_inv is not None for state in states):
+            book = codebook_for(config, users, max(config.b_grid))
+        by_trial = [evaluate_trial(config, users, state, book) for state in states]
         records.extend(record for by_point in zip(*by_trial) for record in by_point)
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
@@ -286,21 +298,20 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     of the codeword the average-SNR selector picks. Selection is not a
     minimum-distortion quantizer, so the gap between the two audits the
     cell approximation behind the bound. Ill-conditioned trials are
-    skipped. Raises ValueError when no trial is usable or when ``users``
-    is not one of the config's user counts.
+    skipped. Raises ValueError, before generating the codebook, when no
+    trial is usable or when ``users`` is not a user count of the config.
     """
     config.validate()
     if users not in config.user_counts():
         raise ValueError(f"{users} users is not a user count of the sweep")
+    states = [draw_trial(config, users, trial) for trial in range(config.num_trials)]
+    states = [state for state in states if state.a_inv is not None]
+    if not states:
+        raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
     codebook = codebook_for(config, users, max(config.b_grid))
     cell = dict.fromkeys(config.b_grid, 0.0)
     selected = dict.fromkeys(config.b_grid, 0.0)
-    usable = 0
-    for trial in range(config.num_trials):
-        state = draw_trial(config, users, trial)
-        if state.a_inv is None:
-            continue
-        usable += 1
+    for state in states:
         u = state.spectrum.eigenmatrix
         # [k, p] = |u_p^H q_p(k)|^2 over codewords k
         overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
@@ -308,8 +319,7 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
         for bits, index in choice.items():
             cell[bits] += float((1.0 - overlap[: 1 << bits].max(axis=0)).mean())
             selected[bits] += float(aligned_cell_distortion(codebook[index], u).mean())
-    if not usable:
-        raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
+    usable = len(states)
     return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}
 
 

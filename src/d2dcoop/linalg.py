@@ -8,6 +8,8 @@ The helpers here pin both ambiguities down.
 
 import numpy as np
 
+TIE_RTOL = 1e-9
+
 
 def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
@@ -23,12 +25,12 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     return v * np.conj(phases)[..., None, :]
 
 
-def sorted_eigh(matrix: np.ndarray, rel_tol: float = 1e-9):
+def sorted_eigh(matrix: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
     order and phase-canonicalized eigenvectors. Runs of eigenvalues that
-    agree within ``rel_tol`` (relative to the largest magnitude) are
+    agree within ``TIE_RTOL`` (relative to the largest magnitude) are
     ordered by the lexicographic order of their canonicalized vectors, so
     degenerate spectra cannot reshuffle results between calls.
     """
@@ -37,8 +39,7 @@ def sorted_eigh(matrix: np.ndarray, rel_tol: float = 1e-9):
     vecs = phase_canonicalize(vecs[:, ::-1])
 
     n = vals.size
-    scale = max(abs(float(vals[0])), abs(float(vals[-1])), np.finfo(float).tiny)
-    tol = rel_tol * scale
+    tol = TIE_RTOL * max(abs(float(vals[0])), abs(float(vals[-1])), np.finfo(float).tiny)
     start = 0
     for stop in range(1, n + 1):
         if stop < n and vals[start] - vals[stop] <= tol:

@@ -6,7 +6,7 @@ quantized first: ``c/2`` bits for the real part and ``c/2`` for the
 imaginary part, both midrise on [-tau, tau]. The quantization error acts
 as extra additive noise at every user except on its own sample, and the
 sharing link's bandwidth and SNR budget how many bits ``c`` each sample
-can carry.
+can carry. Ideal sharing is the noiseless link: quantization variance 0.
 """
 
 import math
@@ -128,6 +128,26 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
     return 2 * int(math.floor(rate_budget_bits(link) / 2.0))
 
 
+def cooperative_snr(
+    decoding: np.ndarray,
+    denominators: np.ndarray,
+    noise_power: float,
+    noise_variance: float,
+) -> np.ndarray:
+    """Per-user SNRs of pooled decoding over a link of quantization variance sigma_q^2.
+
+    ``denominators`` are the quadratic forms ``d_p = q_p^H A^{-1} q_p`` of
+    ``decoding``. User ``p``'s own sample is never quantized, so its noise
+    is ``N0 + (1 - |q_p[p]|^2) * noise_variance``; ideal sharing, the
+    noiseless link, gives bitwise ``1 / (N0 * d)``. Noise powers (S, 1, 1)
+    and variances (K, 1) broadcast to (S, K, users).
+    """
+    if not np.all(np.asarray(noise_power) > 0):
+        raise ValueError("noise_power must be positive")
+    own = np.abs(np.diagonal(np.asarray(decoding))) ** 2
+    return 1.0 / ((noise_power + (1.0 - own) * noise_variance) * denominators)
+
+
 def quantized_snr(
     decoding: np.ndarray,
     gram_inv: np.ndarray,
@@ -135,27 +155,17 @@ def quantized_snr(
     link: CooperationLink,
     clip_level: float,
 ) -> np.ndarray:
-    """Per-user SNRs with quantized sample sharing over ``link``.
+    """Per-user SNRs with quantized sample sharing over one ``link``.
 
-    The analytic production path: the closed-form SNR with the noise
-    power replaced by each user's effective noise. The user's own sample
-    is never quantized, so user ``p`` sees
-    ``N0 + (1 - |q_p[p]|^2) * sigma_q^2``. When the link budget rounds
-    down to zero bits the users fall back to plain zero-forcing (identity
-    decoding) rather than consume garbage samples. A column of noise
-    powers gives a row of SNRs each.
+    The per-link reference for the sweep, which takes every link at once
+    through :func:`cooperative_snr`. A zero-bit link falls back to plain
+    zero-forcing (identity decoding). A column of noise powers gives a row each.
     """
-    if not np.all(np.asarray(noise_power) > 0):
-        raise ValueError("noise_power must be positive")
     bits = bits_from_bandwidth(link)
     if bits == 0:
         return noncooperative_baseline_snr(gram_inv, noise_power)
     sigma_q2 = quantization_noise_variance(QuantizerConfig(bits, clip_level))
-    q = np.asarray(decoding)
-    denoms = snr_denominators(q, gram_inv)
-    own = np.abs(np.diagonal(q)) ** 2
-    effective = noise_power + (1.0 - own) * sigma_q2
-    return 1.0 / (effective * denoms)
+    return cooperative_snr(decoding, snr_denominators(decoding, gram_inv), noise_power, sigma_q2)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
@@ -169,16 +179,16 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 def expected_overload(
     decoding: np.ndarray,
-    gram_inv: np.ndarray,
+    denominators: np.ndarray,
     noise_power: float,
     clip_level: float,
 ) -> float:
     """Expected fraction of shared real components outside [-tau, tau].
 
-    Zero-forcing against ``H_e Q`` delivers the samples
-    ``y = Q diag(g) x + z`` with ``g_p = 1 / sqrt(q_p^H A^{-1} q_p)``,
-    unit-power QPSK ``x`` and ``CN(0, N0)`` noise ``z``. A real component
-    with mean ``m`` saturates with probability
+    Zero-forcing against ``H_e Q`` delivers ``y = Q diag(g) x + z`` with
+    ``g_p = 1 / sqrt(d_p)`` for the ``denominators`` ``d_p = q_p^H A^{-1} q_p``
+    of ``decoding``, unit-power QPSK ``x`` and ``CN(0, N0)`` noise ``z``.
+    A real component with mean ``m`` saturates with probability
     ``(erfc((tau - m) / sqrt(N0)) + erfc((tau + m) / sqrt(N0))) / 2``
     (uniform-quantizer overload, Gray & Neuhoff 1998), averaged here over
     both parts of every sample and all symbol vectors. Rotating every
@@ -193,7 +203,7 @@ def expected_overload(
     users = q.shape[1]
     # one column per symbol vector; user 0's index axis has length 1
     symbols = _QPSK[np.indices((1,) + (4,) * (users - 1)).reshape(users, -1)]
-    means = (q / np.sqrt(snr_denominators(q, gram_inv))) @ symbols
+    means = (q / np.sqrt(denominators)) @ symbols
     m = np.concatenate([means.real.ravel(), means.imag.ravel()])
     scale = np.sqrt(noise_power)[..., None]
     tails = _erfc((clip_level - m) / scale) + _erfc((clip_level + m) / scale)

@@ -14,10 +14,13 @@ from d2dcoop import (
     bits_from_bandwidth,
     capacity,
     cell_distortion_audit,
+    quantized_snr,
     run_experiment,
     run_trial,
     select_codeword,
+    snr_denominators,
 )
+from d2dcoop import harness
 from d2dcoop.codebook import select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
@@ -77,6 +80,18 @@ def per_point_reference(config):
         for point in grid_points(config)
         for trial in range(config.num_trials)
     ]
+
+
+def spy_codebooks(monkeypatch):
+    """Record the (users, bits) of every codebook the harness generates from now on."""
+    generated = []
+
+    def spy(config, users, bits):
+        generated.append((users, bits))
+        return codebook_for(config, users, bits)
+
+    monkeypatch.setattr(harness, "codebook_for", spy)
+    return generated
 
 
 def assert_overload_shared_across_links(records):
@@ -234,15 +249,20 @@ class TestRunExperiment:
         ],
         ids=["quantized", "all-ill-conditioned"],
     )
-    def test_sweep_equals_per_point_reference(self, overrides):
+    def test_sweep_equals_per_point_reference(self, overrides, monkeypatch):
         config = small_config(num_trials=3, **overrides)
+        reference = per_point_reference(config)
+        generated = spy_codebooks(monkeypatch)
         records, _ = run_experiment(config)
-        assert records == per_point_reference(config)
+        assert records == reference
         if config.mode == "quantized-rsi":
             assert any(r.overload_rate > 0.0 for r in records)
             assert_overload_shared_across_links(records)
+            assert generated == [(3, 3), (4, 3)]
         else:
             assert all(r.cond_fail == 1 for r in records)
+            # no usable trial, so no codebook is generated
+            assert generated == []
 
     @settings(deadline=None, max_examples=25)
     @given(small_sweeps())
@@ -252,6 +272,7 @@ class TestRunExperiment:
         assert_overload_shared_across_links(records)
         # one scoring pass per trial picks, for every b, the codeword the
         # per-point selector picks at every SNR of the grid
+        chosen = {}
         for users in config.user_counts():
             book = codebook_for(config, users, max(config.b_grid))
             for trial in range(config.num_trials):
@@ -263,6 +284,21 @@ class TestRunExperiment:
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book.prefix(bits), a_inv, noise_power)[0]
                     assert choices[bits] == expected
+                    chosen[users, trial, bits] = a_inv, book[choices[bits]]
+        # and every cooperative capacity equals, bitwise, the per-link
+        # reference outside the sweep: quantized_snr on a quantized link,
+        # 1 / (N0 d) under ideal sharing
+        for r in records:
+            if r.cond_fail:
+                continue
+            a_inv, q = chosen[r.users, r.trial, r.bits]
+            noise_power = 10.0 ** (-r.snr_db / 10.0)
+            if config.mode == "quantized-rsi":
+                link = CooperationLink(r.bandwidth_ratio, 10.0 ** (r.gamma_db / 10.0))
+                snrs = quantized_snr(q, a_inv, noise_power, link, config.tau)
+            else:
+                snrs = 1.0 / (noise_power * snr_denominators(q, a_inv))
+            assert r.capacity_coop == capacity(snrs)
 
 
 class TestCellDistortionAudit:
@@ -288,12 +324,15 @@ class TestCellDistortionAudit:
             assert cell == pytest.approx(np.mean(cells), rel=1e-12)
             assert selected == pytest.approx(np.mean(chosen), rel=1e-12)
 
-    def test_unusable_input_rejected(self):
-        # a point-like scattering sector makes every effective Gram singular
+    def test_unusable_input_rejected(self, monkeypatch):
+        # a point-like scattering sector makes every effective Gram singular;
+        # both rejections come before any codebook is generated
+        generated = spy_codebooks(monkeypatch)
         with pytest.raises(ValueError, match="ill-conditioned"):
             cell_distortion_audit(small_config(sector_spread=1e-9, num_trials=3), 4)
         with pytest.raises(ValueError, match="not a user count"):
             cell_distortion_audit(small_config(), 5)
+        assert generated == []
 
 
 class TestCsvOutput:

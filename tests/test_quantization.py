@@ -28,7 +28,7 @@ from d2dcoop import (
     zf_outer_precoder,
 )
 from d2dcoop.precoding import snr_denominators
-from d2dcoop.quantization import ERFC_ZERO, TOTAL_BITS_CAP, _erfc
+from d2dcoop.quantization import ERFC_ZERO, TOTAL_BITS_CAP, _erfc, cooperative_snr
 
 
 class TestQuantizerConfig:
@@ -183,6 +183,30 @@ class TestEffectiveNoise:
         assert np.allclose(self._noise(q, 1.0, link), companion, rtol=1e-12)
 
 
+class TestCooperativeSnr:
+    """The one cooperative-SNR formula of both sharing modes."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 100.0),
+    )
+    def test_noiseless_link_is_ideal_sharing(self, seed, users, snr_db, variance):
+        rng = np.random.default_rng(seed)
+        q = haar_unitary(users, rng)
+        d = snr_denominators(q, inverse_of(gaussian_effective_channel(rng, 8, users)))
+        noise_power = 10.0 ** (-snr_db / 10.0)
+        # N0 + x * 0.0 is exactly N0, so ideal sharing needs no formula of its own
+        ideal = cooperative_snr(q, d, noise_power, 0.0)
+        assert ideal.tobytes() == (1.0 / (noise_power * d)).tobytes()
+        assert_broadcasts_like_scalar_calls(lambda noise: cooperative_snr(q, d, noise, variance))
+        for bad in (0.0, -noise_power):
+            with pytest.raises(ValueError, match="noise_power must be positive"):
+                cooperative_snr(q, d, bad, variance)
+
+
 class TestQuantizedSnr:
     def _setup(self, seed):
         rng = np.random.default_rng(seed)
@@ -278,11 +302,10 @@ class TestExpectedOverload:
         h_e = gaussian_effective_channel(rng, 6, users)
         q = haar_unitary(users, rng)
         noise_power = 10.0 ** (-snr_db / 10.0)
-        p = expected_overload(q, inverse_of(h_e), noise_power, tau)
+        d = snr_denominators(q, inverse_of(h_e))
+        p = expected_overload(q, d, noise_power, tau)
         assert 0.0 <= p <= 1.0
-        assert_broadcasts_like_scalar_calls(
-            lambda noise: expected_overload(q, inverse_of(h_e), noise, tau)
-        )
+        assert_broadcasts_like_scalar_calls(lambda noise: expected_overload(q, d, noise, tau))
         _, measured = empirical_snr(
             np.eye(6), h_e, q, noise_power, rng,
             num_symbols=num_symbols, quantizer=QuantizerConfig(8, tau),
@@ -295,7 +318,8 @@ class TestExpectedOverload:
     def test_zero_at_default_clip_level(self, seed, users, noise_power):
         rng = np.random.default_rng(seed)
         a_inv = inverse_of(gaussian_effective_channel(rng, 6, users))
-        assert expected_overload(haar_unitary(users, rng), a_inv, noise_power, 30.0) == 0.0
+        q = haar_unitary(users, rng)
+        assert expected_overload(q, snr_denominators(q, a_inv), noise_power, 30.0) == 0.0
 
     def test_erfc_is_bitwise_math_erfc(self):
         # _erfc skips math.erfc at and above ERFC_ZERO, where it is exactly 0.0
