@@ -25,12 +25,7 @@ from .channel import (
     inner_precoder,
     sample_channel,
 )
-from .codebook import (
-    CodebookBudgetError,
-    DecodingCodebook,
-    generate_codebook,
-    select_codeword,
-)
+from .codebook import CodebookBudgetError, generate_codebook, select_codeword
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -1,12 +1,15 @@
 """Random decoding codebooks and average-SNR codeword selection.
 
 A codebook is a pre-stored stack of ``2**bits`` unitary matrices shared
-by the base station and the users. Each codeword comes from the
-eigenvector matrix of a complex Wishart sample (G @ G^H with i.i.d.
-standard complex Gaussian G), which is guaranteed unitary and is
-Haar-like in distribution. The base station evaluates every codeword
-against the current effective channel and signals the index maximizing
-the average post-decoding SNR.
+by the base station and the users, held as one ``(2**bits, P, P)``
+array: ``codebook[k]`` is codeword ``k`` and its column ``p`` the
+decoding vector user ``p`` applies to the pooled received samples. The
+array is stored column by column, so each decoding vector is contiguous.
+Each codeword comes from the eigenvector matrix of a complex Wishart
+sample (G @ G^H with i.i.d. standard complex Gaussian G), which is
+guaranteed unitary and is Haar-like in distribution. The base station
+evaluates every codeword against the current effective channel and
+signals the index maximizing the average post-decoding SNR.
 
 Codewords are drawn sequentially from the generator, so for a fixed seed
 the codebook of size ``2**b`` is exactly the prefix of the codebook of
@@ -16,8 +19,6 @@ codewords. The blocks are consecutive draws from one stream, so the
 nesting holds across block boundaries, and the memory peak is the
 codebook plus one block's temporaries.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,53 +33,12 @@ class CodebookBudgetError(RuntimeError):
     """Requested codebook would exceed the configured memory budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class DecodingCodebook:
-    """Ordered stack of unitary decoding matrices.
-
-    ``codewords`` has shape (2**bits, users, users); column ``p`` of a
-    codeword is the decoding vector user ``p`` applies to the pooled
-    received samples.
-    """
-
-    codewords: np.ndarray
-    bits: int
-
-    def __post_init__(self):
-        cw = np.asarray(self.codewords)
-        if self.bits < 0:
-            raise ValueError("bits must be nonnegative")
-        if cw.ndim != 3 or cw.shape[1] != cw.shape[2]:
-            raise ValueError("codewords must be a stack of square matrices")
-        if cw.shape[0] != 1 << self.bits:
-            raise ValueError(
-                f"codebook must hold exactly 2**{self.bits} codewords, got {cw.shape[0]}"
-            )
-        object.__setattr__(self, "codewords", cw)
-
-    @property
-    def num_users(self) -> int:
-        return int(self.codewords.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.codewords.shape[0])
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.codewords[index]
-
-    def prefix(self, bits: int) -> "DecodingCodebook":
-        """View of the first ``2**bits`` codewords as a smaller codebook."""
-        if not 0 <= bits <= self.bits:
-            raise ValueError(f"prefix bits must be in [0, {self.bits}]")
-        return DecodingCodebook(self.codewords[: 1 << bits], bits)
-
-
 def codebook_bytes(num_users: int, bits: int) -> int:
     """Memory held by a codebook of ``2**bits`` complex128 user x user matrices."""
     return (1 << bits) * num_users * num_users * 16
 
 
-def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> DecodingCodebook:
+def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
     Deterministic given the generator state; identical (users, bits,
@@ -113,7 +73,7 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> De
         _, vecs = np.linalg.eigh(wishart)
         del wishart
         store[start : start + len(vecs)] = np.swapaxes(phase_canonicalize(vecs[..., ::-1]), -1, -2)
-    return DecodingCodebook(store.swapaxes(-1, -2), bits)
+    return store.swapaxes(-1, -2)
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
@@ -137,7 +97,7 @@ def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
     return scores
 
 
-def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_power: float):
+def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: float):
     """Reference selector: the codeword maximizing the average post-decoding SNR.
 
     ``gram_inv`` is the effective-channel Gram inverse, reused across all
@@ -148,19 +108,24 @@ def select_codeword(codebook: DecodingCodebook, gram_inv: np.ndarray, noise_powe
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    scores = codeword_scores(codebook.codewords, gram_inv)
+    scores = codeword_scores(codebook, gram_inv)
     index = int(np.argmax(scores))
-    return index, codebook[index], float(scores[index] / (noise_power * codebook.num_users))
+    return index, codebook[index], float(scores[index] / (noise_power * codebook.shape[1]))
 
 
-def select_prefix_codewords(codebook: DecodingCodebook, gram_inv: np.ndarray, bit_counts) -> dict:
+def select_prefix_codewords(codebook: np.ndarray, gram_inv: np.ndarray, bit_counts) -> dict:
     """The index :func:`select_codeword` picks from each ``2**b`` prefix.
 
     Scores the first ``2**max(bit_counts)`` codewords once and takes the
     first-occurrence argmax of each nested prefix, which serves every
-    ``b`` and every noise power. Returns ``{b: index}``.
+    ``b`` and every noise power. Returns ``{b: index}``. Raises
+    ValueError when ``codebook`` holds fewer than ``2**max(bit_counts)``
+    codewords.
     """
     bit_counts = set(bit_counts)
-    scores = codeword_scores(codebook.prefix(max(bit_counts)).codewords, gram_inv)
+    size = 1 << max(bit_counts)
+    if len(codebook) < size:
+        raise ValueError(f"codebook holds {len(codebook)} codewords, fewer than {size}")
+    scores = codeword_scores(codebook[:size], gram_inv)
     return {bits: int(np.argmax(scores[: 1 << bits])) for bits in bit_counts}
 

@@ -7,6 +7,7 @@ symbols: ``M`` transmit antennas, ``P`` users, ``D`` effective-channel
 dimension, ``L`` propagation paths.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -18,14 +19,25 @@ from .quantization import QuantizerConfig, quantization_noise_variance
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
-PRESET_NAMES = (
-    "fig-capacity-vs-snr",
-    "fig-capacity-vs-bits",
-    "fig-capacity-vs-bandwidth-snr",
-    "fig-capacity-vs-bandwidth-gamma",
-)
-
 _SNR_GRID_WIDE = [-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0]
+
+# the built-in figure sweeps, each by its fields that differ from the
+# ExperimentConfig defaults; preset_config documents them
+PRESETS = {
+    "fig-capacity-vs-snr": dict(snr_db_grid=_SNR_GRID_WIDE, b_grid=[6, 12]),
+    "fig-capacity-vs-bits": dict(b_grid=list(range(1, 17)), user_count_grid=[3, 4, 5]),
+    "fig-capacity-vs-bandwidth-snr": dict(
+        snr_db_grid=_SNR_GRID_WIDE,
+        bandwidth_ratio_grid=[0.6, 1.2, 2.4, 4.8, 9.6],
+        mode="quantized-rsi",
+    ),
+    "fig-capacity-vs-bandwidth-gamma": dict(
+        gamma_db_grid=[0.0, 5.0, 10.0],
+        bandwidth_ratio_grid=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+        mode="quantized-rsi",
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 # 10**(-x/10) stays a normal positive float for |x| <= 300 dB; beyond it
 # noise powers and link SNRs underflow to 0 or overflow
@@ -193,41 +205,10 @@ def preset_config(
       capacity versus cooperation bandwidth for several sharing-link
       qualities.
     """
-    if name == "fig-capacity-vs-snr":
-        config = ExperimentConfig(
-            snr_db_grid=list(_SNR_GRID_WIDE),
-            b_grid=[6, 12],
-            mode="ideal-rsi",
-            figure_preset=name,
-        )
-    elif name == "fig-capacity-vs-bits":
-        config = ExperimentConfig(
-            snr_db_grid=[-5.0],
-            b_grid=list(range(1, 17)),
-            user_count_grid=[3, 4, 5],
-            mode="ideal-rsi",
-            figure_preset=name,
-        )
-    elif name == "fig-capacity-vs-bandwidth-snr":
-        config = ExperimentConfig(
-            snr_db_grid=list(_SNR_GRID_WIDE),
-            b_grid=[6],
-            gamma_db_grid=[10.0],
-            bandwidth_ratio_grid=[0.6, 1.2, 2.4, 4.8, 9.6],
-            mode="quantized-rsi",
-            figure_preset=name,
-        )
-    elif name == "fig-capacity-vs-bandwidth-gamma":
-        config = ExperimentConfig(
-            snr_db_grid=[-5.0],
-            b_grid=[6],
-            gamma_db_grid=[0.0, 5.0, 10.0],
-            bandwidth_ratio_grid=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
-            mode="quantized-rsi",
-            figure_preset=name,
-        )
-    else:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    # deep-copied, so a caller editing its config's grids cannot edit the table
+    config = ExperimentConfig(**copy.deepcopy(PRESETS[name]), figure_preset=name)
     if num_trials is not None:
         config.num_trials = num_trials
     if master_seed is not None:

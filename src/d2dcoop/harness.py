@@ -19,7 +19,6 @@ Every channel the package draws comes from :func:`draw_trial`, those of
 the cell-distortion audit included.
 """
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -27,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInvalidError, aligned_cell_distortion, snr_lower_bound_terms
+from .bounds import aligned_cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import draw_environment, inner_precoder, sample_channel
 from .codebook import (
-    DecodingCodebook,
     generate_codebook,
     select_codeword,  # noqa: F401  harness global that perfbench/spans.py wraps by name
     select_prefix_codewords,
@@ -138,8 +136,8 @@ def grid_points(config: ExperimentConfig):
     return (GridPoint(*key) for key in itertools.product(*axes))
 
 
-def codebook_for(config: ExperimentConfig, users: int, bits: int) -> DecodingCodebook:
-    """The pre-stored codebook shared by all trials of a sweep."""
+def codebook_for(config: ExperimentConfig, users: int, bits: int) -> np.ndarray:
+    """The pre-stored ``(2**bits, users, users)`` codebook shared by all trials of a sweep."""
     rng = np.random.default_rng([config.master_seed, CODEBOOK_STREAM, users])
     return generate_codebook(users, bits, rng)
 
@@ -192,7 +190,7 @@ def _link_variances(config: ExperimentConfig):
 
 
 def evaluate_trial(
-    config: ExperimentConfig, users: int, state: TrialState, codebook: DecodingCodebook | None
+    config: ExperimentConfig, users: int, state: TrialState, codebook: np.ndarray | None
 ) -> list:
     """Records of one drawn trial at every grid point of ``users``, in sweep order.
 
@@ -233,8 +231,7 @@ def evaluate_trial(
         if audit:
             overload[i] = np.where(carries, expected_overload(decoding, d, noise, config.tau), 0.0)
         if users >= 2:
-            with contextlib.suppress(BoundInvalidError):
-                bound[i] = capacity(snr_lower_bound_terms(spectrum, bits, noise)).tolist()
+            bound[i] = capacity(snr_lower_bound_terms(spectrum, bits, noise)).tolist()
     # every column broadcast to (b, SNR, link) and flattened in sweep order
     columns = [
         np.broadcast_to(column, shape).ravel().tolist()
@@ -250,14 +247,15 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
     """One trial at one grid point: the per-point reference path of the sweep.
 
     It evaluates a one-point grid, on its own ``2**b`` codebook, through
-    the same :func:`evaluate_trial`.
+    the same :func:`evaluate_trial`. The trial is drawn first, and an
+    ill-conditioned one generates no codebook.
     """
-    codebook = codebook_for(config, point.users, point.bits)
     one_point = dataclasses.replace(
         config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
     )
     state = draw_trial(one_point, point.users, trial)
+    codebook = None if state.a_inv is None else codebook_for(config, point.users, point.bits)
     return evaluate_trial(one_point, point.users, state, codebook)[0]
 
 
@@ -314,7 +312,7 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     for state in states:
         u = state.spectrum.eigenmatrix
         # [k, p] = |u_p^H q_p(k)|^2 over codewords k
-        overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
+        overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook)) ** 2
         choice = select_prefix_codewords(codebook, state.a_inv, config.b_grid)
         for bits, index in choice.items():
             cell[bits] += float((1.0 - overlap[: 1 << bits].max(axis=0)).mean())

@@ -26,9 +26,9 @@ def inverse_of(h_e) -> np.ndarray:
 
 def average_snr(decoding, gram_inv, noise_power) -> float:
     """Average SNR of one decoding matrix, scored by the production selector."""
-    from d2dcoop import DecodingCodebook, select_codeword
+    from d2dcoop import select_codeword
 
-    return select_codeword(DecodingCodebook(np.asarray(decoding)[None], 0), gram_inv, noise_power)[2]
+    return select_codeword(np.asarray(decoding)[None], gram_inv, noise_power)[2]
 
 
 def pipeline_channel(rng, num_antennas=64, num_paths=20, effective_dim=6, users=4):

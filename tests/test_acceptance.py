@@ -119,8 +119,8 @@ def test_criterion_02_cauchy_schwarz_cap(algebra_instances):
         spectrum = eigen_spectrum(h_e)
         a_inv = gram_inverse(spectrum)
         cap = float(spectrum.eigenvalues.sum() / USERS)
-        projected = np.matmul(a_inv[None], codebook.codewords)
-        denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
+        projected = np.matmul(a_inv[None], codebook)
+        denoms = np.sum(codebook.conj() * projected, axis=1).real
         values = (1.0 / denoms).sum(axis=1) / USERS
         values = np.append(values, average_snr(q, a_inv, 1.0))
         worst_slack = min(worst_slack, float((cap - values.max()) / cap))
@@ -176,15 +176,15 @@ def test_criterion_05_cell_distortion_band():
             _, _, _, h_e = pipeline_channel(rng, users=users)
             spectrum = eigen_spectrum(h_e)
             u = spectrum.eigenmatrix
-            overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook.codewords)) ** 2
+            overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook)) ** 2
             a_inv = gram_inverse(spectrum)
-            projected = np.matmul(a_inv[None], codebook.codewords)
-            denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
+            projected = np.matmul(a_inv[None], codebook)
+            denoms = np.sum(codebook.conj() * projected, axis=1).real
             objective = (1.0 / denoms).sum(axis=1)
             for b in bits_grid:
                 size = 1 << b
                 cell_tot[b] += float((1.0 - overlap[:size].max(axis=0)).mean())
-                chosen = codebook.codewords[int(np.argmax(objective[:size]))]
+                chosen = codebook[int(np.argmax(objective[:size]))]
                 selected_tot[b] += float(aligned_cell_distortion(chosen, u).mean())
         for b in bits_grid:
             approx = expected_cell_distortion(b, users)
@@ -371,8 +371,8 @@ def test_criterion_10_bound_sanity():
         _, _, _, h_e = pipeline_channel(rng)
         spectrum = eigen_spectrum(h_e)
         a_inv = gram_inverse(spectrum)
-        projected = np.matmul(a_inv[None], codebook.codewords)
-        denoms = np.sum(codebook.codewords.conj() * projected, axis=1).real
+        projected = np.matmul(a_inv[None], codebook)
+        denoms = np.sum(codebook.conj() * projected, axis=1).real
         objective = (1.0 / denoms).sum(axis=1) / (noise_power * USERS)
         for bits in (6, 12):
             selected[bits].append(float(objective[: 1 << bits].max()))

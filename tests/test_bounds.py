@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_broadcasts_like_scalar_calls,
@@ -24,7 +26,7 @@ from d2dcoop import (
     snr_lower_bound,
     snr_lower_bound_terms,
 )
-from d2dcoop.precoding import gram
+from d2dcoop.precoding import COND_LIMIT, gram
 
 
 class TestEigenSpectrum:
@@ -106,6 +108,23 @@ class TestSnrLowerBound:
             terms = snr_lower_bound_terms(spectrum, 0, 1.0)
             assert np.all(terms > 0)
         assert_broadcasts_like_scalar_calls(lambda noise: snr_lower_bound_terms(spectrum, 0, noise))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 24),
+        st.floats(-150.0, 150.0),
+        st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_terms_positive_and_finite_within_cond_limit(self, users, bits, scale, spread):
+        # the sweep forms the bound only on spectra that gram_inverse accepts,
+        # so for any such spectrum no term may be nonpositive or overflow
+        lam = np.sort(10.0 ** (scale - 12.0 * np.array(spread[:users])))[::-1]
+        assume(lam[0] / lam[-1] <= COND_LIMIT)
+        spectrum = EigenSpectrum(lam, np.eye(users, dtype=complex))
+        gram_inverse(spectrum)
+        terms = snr_lower_bound_terms(spectrum, bits, 1.0)
+        assert np.all(terms > 0) and np.all(np.isfinite(terms))
 
     def test_rejects_nonpositive_eigenvalues(self):
         spectrum = EigenSpectrum(np.array([1.0, 0.0]), np.eye(2, dtype=complex))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import average_snr, gaussian_effective_channel, inverse_of, pipeline_channel
 from d2dcoop import (
     CodebookBudgetError,
-    DecodingCodebook,
     generate_codebook,
     gram_inverse,
     noncooperative_baseline_snr,
@@ -29,26 +28,25 @@ def test_codebook_size_is_power_of_two():
 def test_all_codewords_unitary():
     cb = generate_codebook(4, 6, np.random.default_rng(1))
     eye = np.eye(4)
-    for q in cb.codewords:
+    for q in cb:
         assert np.linalg.norm(q.conj().T @ q - eye) < 1e-10
 
 
 def test_single_user_codewords_are_exactly_one():
     cb = generate_codebook(1, 3, np.random.default_rng(2))
-    assert np.array_equal(cb.codewords, np.ones((8, 1, 1), dtype=complex))
+    assert np.array_equal(cb, np.ones((8, 1, 1), dtype=complex))
 
 
 def test_bitwise_reproducible():
     a = generate_codebook(3, 7, np.random.default_rng(42))
     b = generate_codebook(3, 7, np.random.default_rng(42))
-    assert np.array_equal(a.codewords, b.codewords)
+    assert np.array_equal(a, b)
 
 
 def test_smaller_codebook_is_prefix_of_larger():
     small = generate_codebook(4, 5, np.random.default_rng(9))
     large = generate_codebook(4, 8, np.random.default_rng(9))
-    assert np.array_equal(small.codewords, large.codewords[:32])
-    assert np.array_equal(large.prefix(5).codewords, small.codewords)
+    assert np.array_equal(small, large[:32])
 
 
 @settings(deadline=None, max_examples=40)
@@ -62,7 +60,7 @@ def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
     _, vecs = np.linalg.eigh(g @ np.conj(np.swapaxes(g, -1, -2)))
     vecs = phase_canonicalize(vecs[..., ::-1])
     reference = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)).swapaxes(-1, -2)
-    streamed = generate_codebook(users, bits, np.random.default_rng(seed)).codewords
+    streamed = generate_codebook(users, bits, np.random.default_rng(seed))
     assert streamed.strides == reference.strides
     assert streamed.tobytes("A") == reference.tobytes("A")
 
@@ -72,7 +70,7 @@ def test_prefix_nesting_across_blocks(users):
     small = generate_codebook(users, 10, np.random.default_rng(31))
     large = generate_codebook(users, 12, np.random.default_rng(31))
     assert len(small) == BLOCK
-    assert np.array_equal(small.codewords, large.codewords[: len(small)])
+    assert np.array_equal(small, large[: len(small)])
 
 
 @pytest.mark.parametrize("users", [3, 5])
@@ -92,11 +90,6 @@ def test_memory_budget_enforced():
     with pytest.raises(CodebookBudgetError):
         # 2**23 codewords of 4 x 4 complex128 need 2 GiB against the 1 GiB budget
         generate_codebook(4, 23, np.random.default_rng(0))
-
-
-def test_codebook_shape_validation():
-    with pytest.raises(ValueError):
-        DecodingCodebook(np.zeros((3, 2, 2), dtype=complex), 2)
 
 
 class TestAverageSnr:
@@ -149,9 +142,8 @@ class TestSelection:
         rng = np.random.default_rng(8)
         h_e = gaussian_effective_channel(rng, 6, 4)
         spectrum = eigen_spectrum(h_e)
-        random_words = generate_codebook(4, 2, rng).codewords.copy()
-        random_words[2] = spectrum.eigenmatrix
-        cb = DecodingCodebook(random_words, 2)
+        cb = generate_codebook(4, 2, rng).copy()
+        cb[2] = spectrum.eigenmatrix
         index, _, best = select_codeword(cb, gram_inverse(spectrum), 1.0)
         assert index == 2
         cap = spectrum.eigenvalues.sum() / 4.0
@@ -170,9 +162,8 @@ class TestSelection:
 
     def test_ties_break_to_lowest_index(self):
         rng = np.random.default_rng(10)
-        base = generate_codebook(4, 1, rng).codewords.copy()
-        base[1] = base[0]
-        cb = DecodingCodebook(base, 1)
+        cb = generate_codebook(4, 1, rng).copy()
+        cb[1] = cb[0]
         h_e = gaussian_effective_channel(rng, 6, 4)
         index, _, _ = select_codeword(cb, inverse_of(h_e), 1.0)
         assert index == 0
@@ -192,12 +183,23 @@ class TestSelection:
         cb = generate_codebook(3, 13, np.random.default_rng(98))
         assert len(cb) > BLOCK
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(16), 6, 3))
-        scores = codeword_scores(cb.codewords, a_inv)
-        unblocked = (1.0 / snr_denominators(cb.codewords, a_inv)).sum(axis=1)
+        scores = codeword_scores(cb, a_inv)
+        unblocked = (1.0 / snr_denominators(cb, a_inv)).sum(axis=1)
         assert np.array_equal(scores, unblocked)
         for bits, index in select_prefix_codewords(cb, a_inv, [0, 5, 12, 13]).items():
-            assert index == select_codeword(cb.prefix(bits), a_inv, 0.3)[0]
+            assert index == select_codeword(cb[: 1 << bits], a_inv, 0.3)[0]
             assert index == int(np.argmax(unblocked[: 1 << bits]))
+
+    def test_prefix_choices_need_the_largest_prefix(self):
+        # the sweep reads 2**max(b) codewords; a shorter codebook is
+        # rejected rather than scored on the codewords it has
+        cb = generate_codebook(3, 4, np.random.default_rng(17))
+        a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
+        assert set(select_prefix_codewords(cb, a_inv, [2, 4])) == {2, 4}
+        with pytest.raises(ValueError, match="fewer than 32"):
+            select_prefix_codewords(cb, a_inv, [2, 5])
+        with pytest.raises(ValueError, match="holds 8 codewords"):
+            select_prefix_codewords(cb[:8], a_inv, [4])
 
     def test_selected_snr_monotone_in_bits_per_trial(self):
         # nested prefixes: a bigger codebook can never select a worse value
@@ -207,7 +209,7 @@ class TestSelection:
             a_inv = inverse_of(gaussian_effective_channel(rng, 6, 4))
             previous = -np.inf
             for bits in range(5):
-                _, _, value = select_codeword(cb.prefix(bits), a_inv, 1.0)
+                _, _, value = select_codeword(cb[: 1 << bits], a_inv, 1.0)
                 assert value >= previous
                 previous = value
 
@@ -215,9 +217,8 @@ class TestSelection:
         # without the identity codeword there is no relation to plain ZF;
         # with it, the selected value can never fall below it
         rng = np.random.default_rng(15)
-        words = generate_codebook(4, 3, rng).codewords.copy()
-        words[5] = np.eye(4)
-        cb = DecodingCodebook(words, 3)
+        cb = generate_codebook(4, 3, rng).copy()
+        cb[5] = np.eye(4)
         for _ in range(20):
             a_inv = inverse_of(gaussian_effective_channel(rng, 6, 4))
             _, _, best = select_codeword(cb, a_inv, 1.0)

@@ -121,6 +121,20 @@ def test_preset_overrides():
     assert config.master_seed == 99
 
 
+def test_preset_grids_are_copies():
+    # a caller editing its config's grids leaves the next preset untouched
+    first = preset_config("fig-capacity-vs-bandwidth-snr")
+    expected = preset_config("fig-capacity-vs-bandwidth-snr").to_dict()
+    for name in ("snr_db_grid", "b_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
+        getattr(first, name).append(99.0)
+    first.snr_db_grid[0] = 3.0
+    assert preset_config("fig-capacity-vs-bandwidth-snr").to_dict() == expected
+    assert preset_config("fig-capacity-vs-snr").snr_db_grid[0] == -10.0
+    bits = preset_config("fig-capacity-vs-bits")
+    bits.user_count_grid.clear()
+    assert preset_config("fig-capacity-vs-bits").user_count_grid == [3, 4, 5]
+
+
 def test_preset_grids_match_documented_sweeps():
     fig2 = preset_config("fig-capacity-vs-snr")
     assert fig2.b_grid == [6, 12]

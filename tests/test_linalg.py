@@ -61,11 +61,3 @@ def test_sorted_eigh_deterministic_on_degenerate_spectrum():
     assert np.array_equal(vecs1, vecs2)
     assert np.allclose(vecs1.conj().T @ vecs1, np.eye(4), atol=1e-12)
 
-
-def test_sorted_eigh_orders_tied_block_lexicographically():
-    # two exactly equal eigenvalues in an orthogonal 2-d eigenspace
-    a = np.diag([3.0, 1.0, 1.0]).astype(complex)
-    vals, vecs = sorted_eigh(a)
-    assert vals[0] == 3.0
-    keys = [tuple(np.column_stack([c.real, c.imag]).ravel()) for c in vecs[:, 1:].T]
-    assert keys == sorted(keys)

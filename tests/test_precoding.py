@@ -13,7 +13,6 @@ from conftest import (
     inverse_of,
 )
 from d2dcoop import (
-    DecodingCodebook,
     IllConditionedChannelError,
     effective_channel,
     eigen_spectrum,
@@ -141,7 +140,7 @@ class TestPerUserSnr:
         with pytest.raises(ValueError):
             noncooperative_baseline_snr(a_inv, 0.0)
         with pytest.raises(ValueError):
-            select_codeword(DecodingCodebook(np.eye(4)[None], 0), a_inv, 0.0)
+            select_codeword(np.eye(4)[None], a_inv, 0.0)
 
 
 class TestSnrDenominators:
@@ -153,7 +152,7 @@ class TestSnrDenominators:
         rng = np.random.default_rng(seed)
         h_e = gaussian_effective_channel(rng, 6, users)
         a_inv = inverse_of(h_e)
-        columns = generate_codebook(users, bits, rng).codewords
+        columns = generate_codebook(users, bits, rng)
         c_order = np.ascontiguousarray(columns)
         padded = np.zeros((2 * len(columns), users + 1, users + 2), dtype=complex)
         padded[::2, 1:, :users] = columns
@@ -182,11 +181,11 @@ class TestSnrDenominators:
     def test_codebook_layout_moves_no_value(self):
         # the codewords are stored column by column; the SHA-256 of their
         # values in C order pins the draw itself, which no layout may move
-        codewords = generate_codebook(3, 10, np.random.default_rng(5)).codewords
+        codewords = generate_codebook(3, 10, np.random.default_rng(5))
         assert np.swapaxes(codewords, -1, -2).flags.c_contiguous
         digest = hashlib.sha256(np.ascontiguousarray(codewords).tobytes()).hexdigest()
         assert digest == "7348afc2917c4632c6489d16c20b2e4864544d64905ca004c8db638d35ba9957"
-        prefix = generate_codebook(3, 4, np.random.default_rng(5)).codewords
+        prefix = generate_codebook(3, 4, np.random.default_rng(5))
         assert np.array_equal(prefix, codewords[:16])
 
 
