@@ -49,7 +49,6 @@ from .harness import (
 )
 from .linklevel import empirical_snr
 from .precoding import (
-    EigenSpectrum,
     IllConditionedChannelError,
     effective_channel,
     eigen_spectrum,

@@ -1,18 +1,17 @@
 """Closed-form analysis of codebook-based cooperation.
 
 Everything here is conditioned on one channel realization through the
-eigen-spectrum of its effective-channel Gram matrix: the expected
+eigenvalues of its effective-channel Gram matrix, in descending order as
+:func:`d2dcoop.precoding.eigen_spectrum` returns them: the expected
 quantization-cell distortion of a random unitary codebook, the resulting
 lower bound on the expected average SNR, and the perfect-cooperation
 limit that both converge to as the codebook grows. The distortion
-measures score one decoding matrix against one eigenbasis;
+measures score decoding matrices against the Gram's eigenvectors;
 :func:`d2dcoop.harness.cell_distortion_audit` averages them over a
 sweep's trials.
 """
 
 import numpy as np
-
-from .precoding import EigenSpectrum
 
 
 class BoundInvalidError(RuntimeError):
@@ -41,7 +40,7 @@ def expected_cell_distortion(bits: int, num_users: int) -> float:
 
 
 def snr_lower_bound_terms(
-    spectrum: EigenSpectrum, bits: int, noise_power: float
+    eigenvalues: np.ndarray, bits: int, noise_power: float
 ) -> np.ndarray:
     """Per-user terms of the average-SNR lower bound.
 
@@ -51,7 +50,7 @@ def snr_lower_bound_terms(
     """
     if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
+    lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("all eigenvalues must be positive")
     delta = expected_cell_distortion(bits, lam.size)
@@ -64,12 +63,12 @@ def snr_lower_bound_terms(
     return 1.0 / (noise_power * denom)
 
 
-def snr_lower_bound(spectrum: EigenSpectrum, bits: int, noise_power: float) -> float:
+def snr_lower_bound(eigenvalues: np.ndarray, bits: int, noise_power: float) -> float:
     """Jensen lower bound on the expected average post-decoding SNR."""
-    return float(snr_lower_bound_terms(spectrum, bits, noise_power).mean())
+    return float(snr_lower_bound_terms(eigenvalues, bits, noise_power).mean())
 
 
-def ideal_cooperation_snr(spectrum: EigenSpectrum, noise_power: float) -> float:
+def ideal_cooperation_snr(eigenvalues: np.ndarray, noise_power: float) -> float:
     """Average SNR when users pool their samples perfectly.
 
     Attained by decoding with the Gram eigenmatrix: the mean eigenvalue
@@ -78,14 +77,18 @@ def ideal_cooperation_snr(spectrum: EigenSpectrum, noise_power: float) -> float:
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
+    lam = np.asarray(eigenvalues, dtype=float)
     return float(lam.sum() / (noise_power * lam.size))
 
 
 def cell_distortion(decoding: np.ndarray, eigenmatrix: np.ndarray) -> np.ndarray:
-    """Per-user squared sine between column p and eigenvector p (raw pairing)."""
-    overlap = np.abs(np.asarray(eigenmatrix).conj().T @ np.asarray(decoding)) ** 2
-    return 1.0 - np.diagonal(overlap)
+    """Per-user squared sine between column p and eigenvector p (raw pairing).
+
+    A stack of decoding matrices (leading axes) gives one row per matrix.
+    """
+    u = np.asarray(eigenmatrix)
+    overlap = np.abs(np.einsum("ip,...ip->...p", u.conj(), np.asarray(decoding))) ** 2
+    return 1.0 - overlap
 
 
 def aligned_cell_distortion(decoding: np.ndarray, eigenmatrix: np.ndarray) -> np.ndarray:

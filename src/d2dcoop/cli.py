@@ -56,7 +56,8 @@ def main(argv=None) -> int:
             config = preset_config(args.name, args.trials, args.seed)
         records, summaries = run_experiment(config)
         written = write_outputs(args.out, config, records, summaries, json_mirror=args.json)
-        failed = sum(s.num_failed for s in summaries)
+        # a channel is drawn once per (users, trial) and flagged at every grid point
+        failed = len({(r.users, r.trial) for r in records if r.cond_fail})
         print(
             f"wrote {len(records)} trial records over {len(summaries)} grid points "
             f"({failed} ill-conditioned trials excluded)"

@@ -5,11 +5,12 @@ by the base station and the users, held as one ``(2**bits, P, P)``
 array: ``codebook[k]`` is codeword ``k`` and its column ``p`` the
 decoding vector user ``p`` applies to the pooled received samples. The
 array is stored column by column, so each decoding vector is contiguous.
-Each codeword comes from the eigenvector matrix of a complex Wishart
-sample (G @ G^H with i.i.d. standard complex Gaussian G), which is
-guaranteed unitary and is Haar-like in distribution. The base station
-evaluates every codeword against the current effective channel and
-signals the index maximizing the average post-decoding SNR.
+Each codeword is the eigenvector matrix of a complex Wishart sample
+(G @ G^H with i.i.d. standard complex Gaussian G): Wishart eigenvectors
+are Haar-distributed, here with canonical column phases (each column's
+largest-magnitude entry real positive). The base station evaluates
+every codeword against the current effective channel and signals the
+index maximizing the average post-decoding SNR.
 
 Codewords are drawn sequentially from the generator, so for a fixed seed
 the codebook of size ``2**b`` is exactly the prefix of the codebook of
@@ -22,7 +23,7 @@ codebook plus one block's temporaries.
 
 import numpy as np
 
-from .linalg import phase_canonicalize
+from .linalg import sorted_eigh
 from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
@@ -70,9 +71,7 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
         del z
         wishart = g @ np.conj(np.swapaxes(g, -1, -2))
         del g
-        _, vecs = np.linalg.eigh(wishart)
-        del wishart
-        store[start : start + len(vecs)] = np.swapaxes(phase_canonicalize(vecs[..., ::-1]), -1, -2)
+        store[start : start + len(wishart)] = np.swapaxes(sorted_eigh(wishart)[1], -1, -2)
     return store.swapaxes(-1, -2)
 
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
-from .quantization import OVERLOAD_MAX_USERS, TOTAL_BITS_CAP, CooperationLink, bits_from_bandwidth
-from .quantization import QuantizerConfig, quantization_noise_variance
+from .quantization import OVERLOAD_MAX_USERS, link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
@@ -116,20 +115,13 @@ class ExperimentConfig:
                 "bandwidth_ratio_grid",
                 lambda r: _is_finite_number(r) and r > 0,
             )
-            # the budget grows with both, so the largest pair carries the most bits
-            ratio, gamma_db = max(self.bandwidth_ratio_grid), max(self.gamma_db_grid)
+            # the sweep's own link table; an inf variance would turn the SNRs nan mid-sweep
+            grids = self.gamma_db_grid, self.bandwidth_ratio_grid
             try:
-                link_bits = bits_from_bandwidth(CooperationLink(ratio, 10.0 ** (gamma_db / 10.0)))
-            except OverflowError:
-                link_bits = math.inf
-            if link_bits >= TOTAL_BITS_CAP:
-                raise ConfigError(f"link budget of {link_bits} bits is not below {TOTAL_BITS_CAP}")
-            # 2 bits give the largest variance; inf would turn the SNRs nan mid-sweep
-            try:
-                variance = quantization_noise_variance(QuantizerConfig(2, self.tau))
-            except OverflowError:
-                variance = math.inf
-            if not math.isfinite(variance):
+                variances, _ = link_variances(*grids, self.tau)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"a quantized link is unusable: {exc}") from exc
+            if not all(map(math.isfinite, variances)):
                 raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
             if max(self.user_counts()) > OVERLOAD_MAX_USERS:
                 raise ConfigError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import aligned_cell_distortion, snr_lower_bound_terms
+from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import draw_environment, inner_precoder, sample_channel
 from .codebook import (
@@ -36,17 +36,9 @@ from .codebook import (
 )
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
-from .precoding import (
-    EigenSpectrum,
-    IllConditionedChannelError,
-    effective_channel,
-    eigen_spectrum,
-    gram_inverse,
-    noncooperative_baseline_snr,
-    snr_denominators,
-)
-from .quantization import CooperationLink, QuantizerConfig, bits_from_bandwidth, cooperative_snr
-from .quantization import expected_overload, quantization_noise_variance
+from .precoding import IllConditionedChannelError, effective_channel, eigen_spectrum, gram_inverse
+from .precoding import noncooperative_baseline_snr, snr_denominators
+from .quantization import cooperative_snr, expected_overload, link_variances
 from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps it by name
 
 # seed-sequence stream tags keeping trial and codebook draws independent
@@ -148,13 +140,14 @@ class TrialState:
 
     Everything here depends only on (users, trial), so every grid point
     of that user count reuses it, and nothing else of the draw is kept:
-    every grid point is a function of these P x P quantities alone.
-    ``spectrum`` is the one factorisation of the effective Gram;
-    ``a_inv`` is its inverse, None when the channel is ill-conditioned.
+    every grid point is a function of these P x P quantities alone: the
+    one factorisation of the effective Gram and its inverse ``a_inv``,
+    None when the channel is ill-conditioned.
     """
 
     trial: int
-    spectrum: EigenSpectrum
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     a_inv: np.ndarray | None
 
 
@@ -170,23 +163,12 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
     )
     h = sample_channel(env, users, rng)
     w = inner_precoder(env, config.D)
-    spectrum = eigen_spectrum(effective_channel(w, h))
+    eigenvalues, eigenvectors = eigen_spectrum(effective_channel(w, h))
     try:
-        a_inv = gram_inverse(spectrum)
+        a_inv = gram_inverse(eigenvalues, eigenvectors)
     except IllConditionedChannelError:
         a_inv = None
-    return TrialState(trial, spectrum, a_inv)
-
-
-def _link_variances(config: ExperimentConfig):
-    """Each link's quantization variance in sweep order, and whether it carries bits."""
-    if config.mode != "quantized-rsi":
-        return np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
-    links = itertools.product(config.gamma_db_grid, config.bandwidth_ratio_grid)
-    bits = [bits_from_bandwidth(CooperationLink(r, 10.0 ** (g / 10.0))) for g, r in links]
-    tau = config.tau
-    variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
-    return np.array(variances), np.array(bits) > 0
+    return TrialState(trial, eigenvalues, eigenvectors, a_inv)
 
 
 def evaluate_trial(
@@ -213,15 +195,17 @@ def evaluate_trial(
         return [
             TrialRecord(users, *key, state.trial, None, None, None, None, 1, None) for key in keys
         ]
-    a_inv, spectrum = state.a_inv, state.spectrum
+    a_inv, eigenvalues = state.a_inv, state.eigenvalues
     noise = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in config.snr_db_grid])
-    variances, carries = _link_variances(config)
+    variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
+    if config.mode == "quantized-rsi":
+        variances, carries = link_variances(gammas, ratios, config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
     shape = (len(config.b_grid), len(noise), len(variances))
     coop, overload = np.empty(shape), np.zeros(shape)
     bound = np.full(shape[:2], None, dtype=object)
     zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
-    ideal = capacity(spectrum.eigenvalues / noise)[:, None]
+    ideal = capacity(eigenvalues / noise)[:, None]
     choice = select_prefix_codewords(codebook, a_inv, config.b_grid)
     for i, bits in enumerate(config.b_grid):
         decoding = codebook[choice[bits]]
@@ -231,7 +215,7 @@ def evaluate_trial(
         if audit:
             overload[i] = np.where(carries, expected_overload(decoding, d, noise, config.tau), 0.0)
         if users >= 2:
-            bound[i] = capacity(snr_lower_bound_terms(spectrum, bits, noise)).tolist()
+            bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, noise)).tolist()
     # every column broadcast to (b, SNR, link) and flattened in sweep order
     columns = [
         np.broadcast_to(column, shape).ravel().tolist()
@@ -287,15 +271,16 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     """Measured quantization-cell distortion of the sweep's codebook, per b.
 
     Walks the sweep's own trials and codebook. For each usable trial one
-    overlap of the eigenvectors with the ``2**max(b_grid)`` codebook and
-    one scoring pass serve every b. Returns ``{b: (cell, selected)}``:
-    ``cell`` is the mean squared sine between eigenvector p and the
-    nearest p-th codeword column of the ``2**b`` prefix, the quantity
-    that :func:`~d2dcoop.bounds.expected_cell_distortion` approximates;
-    ``selected`` is the mean :func:`~d2dcoop.bounds.aligned_cell_distortion`
-    of the codeword the average-SNR selector picks. Selection is not a
-    minimum-distortion quantizer, so the gap between the two audits the
-    cell approximation behind the bound. Ill-conditioned trials are
+    :func:`~d2dcoop.bounds.cell_distortion` of the ``2**max(b_grid)``
+    codebook and one scoring pass serve every b. Returns
+    ``{b: (cell, selected)}``: ``cell`` is the mean squared sine between
+    eigenvector p and the nearest p-th codeword column of the ``2**b``
+    prefix, the raw pairing (column p against eigenvector p) that
+    ``2**(-b/(P-1))`` models; ``selected`` is the mean
+    :func:`~d2dcoop.bounds.aligned_cell_distortion`, which resolves the
+    pairing, of the codeword the average-SNR selector picks. Selection is
+    not a minimum-distortion quantizer, so the gap between the two audits
+    the cell approximation behind the bound. Ill-conditioned trials are
     skipped. Raises ValueError, before generating the codebook, when no
     trial is usable or when ``users`` is not a user count of the config.
     """
@@ -310,12 +295,11 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     cell = dict.fromkeys(config.b_grid, 0.0)
     selected = dict.fromkeys(config.b_grid, 0.0)
     for state in states:
-        u = state.spectrum.eigenmatrix
-        # [k, p] = |u_p^H q_p(k)|^2 over codewords k
-        overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook)) ** 2
+        u = state.eigenvectors
+        distortion = cell_distortion(codebook, u)
         choice = select_prefix_codewords(codebook, state.a_inv, config.b_grid)
         for bits, index in choice.items():
-            cell[bits] += float((1.0 - overlap[: 1 << bits].max(axis=0)).mean())
+            cell[bits] += float(distortion[: 1 << bits].min(axis=0).mean())
             selected[bits] += float(aligned_cell_distortion(codebook[index], u).mean())
     usable = len(states)
     return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}

@@ -28,8 +28,10 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
 def sorted_eigh(matrix: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
-    order and phase-canonicalized eigenvectors.
+    Accepts a single matrix or a stack of matrices (leading axes); each
+    matrix of a stack gets bitwise the result of its own call. Returns
+    ``(eigenvalues, eigenvectors)`` with eigenvalues in descending order
+    and phase-canonicalized eigenvectors.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    return vals[::-1].copy(), phase_canonicalize(vecs[:, ::-1])
+    return vals[..., ::-1].copy(), phase_canonicalize(vecs[..., ::-1])

@@ -9,15 +9,14 @@ decoding matrix". With that normalization the post-decoding SNR of user
 production path because one Gram inverse is reused across users and
 codewords.
 
-The Gram is factorised once per channel, by :func:`eigen_spectrum`. That
-one eigendecomposition yields the condition number and the inverse
-(:func:`gram_inverse`) as well as the spectrum the bounds are built on.
-:func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles: they
-factorise the overall-channel Gram on their own route (SVD condition
-number, LU inverse), independent of the production path.
+The Gram is factorised once per channel, by :func:`eigen_spectrum`, into
+plain arrays: its eigenvalues (descending) and eigenvectors. That one
+eigendecomposition yields the condition number and the inverse
+(:func:`gram_inverse`) as well as the eigenvalues the bounds are built
+on. :func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles:
+they factorise the overall-channel Gram on their own route (SVD
+condition number, LU inverse), independent of the production path.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +34,6 @@ class IllConditionedChannelError(RuntimeError):
             f"{condition_number:.3e} exceeds limit {COND_LIMIT:.1e}"
         )
         self.condition_number = float(condition_number)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSpectrum:
-    """Eigenvalues (descending) and eigenmatrix of the effective Gram."""
-
-    eigenvalues: np.ndarray
-    eigenmatrix: np.ndarray
 
 
 def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
@@ -66,13 +57,12 @@ def gram(h_e: np.ndarray) -> np.ndarray:
     return h_e.conj().T @ h_e
 
 
-def eigen_spectrum(h_e: np.ndarray) -> EigenSpectrum:
-    """Deterministic eigendecomposition of the effective-channel Gram."""
-    vals, vecs = sorted_eigh(gram(h_e))
-    return EigenSpectrum(vals, vecs)
+def eigen_spectrum(h_e: np.ndarray):
+    """Deterministic ``(eigenvalues, eigenvectors)`` of the effective Gram, eigenvalues descending."""
+    return sorted_eigh(gram(h_e))
 
 
-def gram_inverse(spectrum: EigenSpectrum) -> np.ndarray:
+def gram_inverse(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
     """Inverse of the effective-channel Gram from its eigendecomposition.
 
     The condition number is ``lambda_max / lambda_min``; a nonpositive
@@ -81,8 +71,8 @@ def gram_inverse(spectrum: EigenSpectrum) -> np.ndarray:
     record such channels as failed trials rather than silently producing
     garbage SNRs.
     """
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
-    v = np.asarray(spectrum.eigenmatrix)
+    lam = np.asarray(eigenvalues, dtype=float)
+    v = np.asarray(eigenvectors)
     smallest = float(lam.min())
     cond = float(lam.max()) / smallest if smallest > 0 else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -125,14 +115,9 @@ def per_user_snr_gram(
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    overall = np.asarray(h_e) @ np.asarray(decoding)
-    if not 0 <= user < overall.shape[1]:
+    if not 0 <= user < np.shape(decoding)[1]:
         raise ValueError(f"user index {user} out of range")
-    g = gram(overall)
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedChannelError(cond)
-    m = np.linalg.inv(g)
+    _, m = _overall_gram_inverse(h_e, decoding)
     return 1.0 / (noise_power * float(m[user, user].real))
 
 
@@ -156,10 +141,17 @@ def zf_outer_precoder(h_e: np.ndarray, decoding: np.ndarray) -> np.ndarray:
     ``decoding^H @ h_e^H @ V`` is diagonal with positive real entries;
     the p-th diagonal entry equals ``1 / sqrt([(Q^H A Q)^{-1}]_{pp})``.
     """
+    overall, g_inv = _overall_gram_inverse(h_e, decoding)
+    v = overall @ g_inv
+    return v / np.linalg.norm(v, axis=0, keepdims=True)
+
+
+def _overall_gram_inverse(h_e: np.ndarray, decoding: np.ndarray):
+    """The oracles' route: the overall channel ``h_e @ decoding`` and the
+    inverse of its Gram, gated on the SVD condition number, by LU."""
     overall = np.asarray(h_e) @ np.asarray(decoding)
     g = gram(overall)
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedChannelError(cond)
-    v = overall @ np.linalg.inv(g)
-    return v / np.linalg.norm(v, axis=0, keepdims=True)
+    return overall, np.linalg.inv(g)

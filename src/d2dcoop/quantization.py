@@ -9,6 +9,7 @@ sharing link's bandwidth and SNR budget how many bits ``c`` each sample
 can carry. Ideal sharing is the noiseless link: quantization variance 0.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,19 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
     cooperation is infeasible at this operating point.
     """
     return 2 * int(math.floor(rate_budget_bits(link) / 2.0))
+
+
+def link_variances(gamma_db_grid, bandwidth_ratio_grid, tau: float):
+    """Each link's quantization variance in sweep order, and whether it carries bits.
+
+    A zero-bit link gets variance 0.0. Raises ValueError at ``TOTAL_BITS_CAP``
+    bits and OverflowError when the budget or ``tau**2`` overflows; a
+    variance can still come out inf.
+    """
+    links = itertools.product(gamma_db_grid, bandwidth_ratio_grid)
+    bits = [bits_from_bandwidth(CooperationLink(r, 10.0 ** (g / 10.0))) for g, r in links]
+    variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
+    return np.array(variances), np.array(bits) > 0
 
 
 def cooperative_snr(

@@ -21,7 +21,7 @@ def inverse_of(h_e) -> np.ndarray:
     """Gram inverse of an effective channel, taken from its eigen-spectrum."""
     from d2dcoop import eigen_spectrum, gram_inverse
 
-    return gram_inverse(eigen_spectrum(h_e))
+    return gram_inverse(*eigen_spectrum(h_e))
 
 
 def average_snr(decoding, gram_inv, noise_power) -> float:

@@ -116,15 +116,15 @@ def test_criterion_02_cauchy_schwarz_cap(algebra_instances):
     worst_slack = np.inf
     worst_attain = 0.0
     for h_e, q in zip(hs, qs):
-        spectrum = eigen_spectrum(h_e)
-        a_inv = gram_inverse(spectrum)
-        cap = float(spectrum.eigenvalues.sum() / USERS)
+        lam, u = eigen_spectrum(h_e)
+        a_inv = gram_inverse(lam, u)
+        cap = float(lam.sum() / USERS)
         projected = np.matmul(a_inv[None], codebook)
         denoms = np.sum(codebook.conj() * projected, axis=1).real
         values = (1.0 / denoms).sum(axis=1) / USERS
         values = np.append(values, average_snr(q, a_inv, 1.0))
         worst_slack = min(worst_slack, float((cap - values.max()) / cap))
-        attained = average_snr(spectrum.eigenmatrix, a_inv, 1.0)
+        attained = average_snr(u, a_inv, 1.0)
         worst_attain = max(worst_attain, abs(attained - cap) / cap)
     ok = worst_slack >= -1e-9 and worst_attain < 1e-9
     _report(
@@ -141,7 +141,7 @@ def test_criterion_03_full_chain_oracle():
     for _ in range(20):
         _, h, w, h_e = pipeline_channel(rng)
         q = unitary_group.rvs(USERS, random_state=rng)
-        closed = 1.0 / (1.0 * snr_denominators(q, gram_inverse(eigen_spectrum(h_e))))
+        closed = 1.0 / (1.0 * snr_denominators(q, gram_inverse(*eigen_spectrum(h_e))))
         measured, _ = empirical_snr(w, h, q, 1.0, rng, num_symbols=100_000)
         worst = max(worst, float(np.max(np.abs(measured - closed) / closed)))
     ok = worst < 0.03
@@ -174,10 +174,9 @@ def test_criterion_05_cell_distortion_band():
         selected_tot = {b: 0.0 for b in bits_grid}
         for _ in range(trials):
             _, _, _, h_e = pipeline_channel(rng, users=users)
-            spectrum = eigen_spectrum(h_e)
-            u = spectrum.eigenmatrix
+            lam, u = eigen_spectrum(h_e)
             overlap = np.abs(np.einsum("ip,kip->kp", u.conj(), codebook)) ** 2
-            a_inv = gram_inverse(spectrum)
+            a_inv = gram_inverse(lam, u)
             projected = np.matmul(a_inv[None], codebook)
             denoms = np.sum(codebook.conj() * projected, axis=1).real
             objective = (1.0 / denoms).sum(axis=1)
@@ -355,10 +354,10 @@ def test_criterion_10_bound_sanity():
         h_e = (
             rng.standard_normal((DIM, USERS)) + 1j * rng.standard_normal((DIM, USERS))
         ) / np.sqrt(2)
-        spectrum = eigen_spectrum(h_e)
-        ideal_value = ideal_cooperation_snr(spectrum, 1.0)
+        lam, _ = eigen_spectrum(h_e)
+        ideal_value = ideal_cooperation_snr(lam, 1.0)
         for bits in (6, 12):
-            bound = snr_lower_bound(spectrum, bits, 1.0)
+            bound = snr_lower_bound(lam, bits, 1.0)
             worst_gap = max(worst_gap, (bound - ideal_value) / ideal_value)
     inequality_ok = worst_gap <= 1e-9
 
@@ -369,14 +368,14 @@ def test_criterion_10_bound_sanity():
     bound_values = {6: [], 12: []}
     for _ in range(500):
         _, _, _, h_e = pipeline_channel(rng)
-        spectrum = eigen_spectrum(h_e)
-        a_inv = gram_inverse(spectrum)
+        lam, u = eigen_spectrum(h_e)
+        a_inv = gram_inverse(lam, u)
         projected = np.matmul(a_inv[None], codebook)
         denoms = np.sum(codebook.conj() * projected, axis=1).real
         objective = (1.0 / denoms).sum(axis=1) / (noise_power * USERS)
         for bits in (6, 12):
             selected[bits].append(float(objective[: 1 << bits].max()))
-            bound_values[bits].append(snr_lower_bound(spectrum, bits, noise_power))
+            bound_values[bits].append(snr_lower_bound(lam, bits, noise_power))
     empirical_ok = True
     details = []
     for bits in (6, 12):

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -60,6 +62,25 @@ def test_run_writes_outputs(tmp_path):
     assert (out / "aggregate.csv").exists()
     lines = (out / "trials.csv").read_text().splitlines()
     assert len(lines) == 1 + 3  # one grid point, three trials
+
+
+def test_summary_counts_each_ill_conditioned_trial_once(tmp_path, capsys):
+    # a narrow scattering sector leaves some channels ill-conditioned; each
+    # such trial is flagged at all six grid points but is one excluded trial
+    config = write_config(
+        tmp_path / "config.json",
+        D=4,
+        snr_db_grid=[-5.0, 0.0, 5.0],
+        b_grid=[2, 3],
+        num_trials=40,
+        sector_spread=0.01,
+    )
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "trials.csv", encoding="utf-8") as fh:
+        failed = {row["trial"] for row in csv.DictReader(fh) if row["cond_fail"] == "1"}
+    assert len(failed) == 12
+    assert "(12 ill-conditioned trials excluded)" in capsys.readouterr().out
 
 
 def test_run_json_mirror(tmp_path):
@@ -182,3 +203,15 @@ def test_traced_benchmark_names_resolve():
     ):
         missing = [name for name in table if not callable(vars(module).get(name))]
         assert not missing, f"{module.__name__} lacks {missing}"
+    # the recorder also binds these arguments by name
+    bound_by_name = {
+        "generate_codebook": ("num_users", "bits"),
+        "quantized_snr": ("link",),
+        "empirical_snr": ("decoding", "num_symbols"),
+        "run_trial": ("config", "point", "trial"),
+        "select_codeword": ("codebook",),
+    }
+    for name, params in bound_by_name.items():
+        signature = inspect.signature(vars(d2dcoop.harness)[name])
+        absent = [param for param in params if param not in signature.parameters]
+        assert not absent, f"harness.{name} lacks parameters {absent}"

@@ -105,11 +105,9 @@ class TestAverageSnr:
     def test_eigenbasis_attains_mean_eigenvalue(self):
         rng = np.random.default_rng(4)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        spectrum = eigen_spectrum(h_e)
-        expected = spectrum.eigenvalues.sum() / (2.0 * 4)
-        assert average_snr(
-            spectrum.eigenmatrix, gram_inverse(spectrum), 2.0
-        ) == pytest.approx(expected, rel=1e-9)
+        lam, u = eigen_spectrum(h_e)
+        expected = lam.sum() / (2.0 * 4)
+        assert average_snr(u, gram_inverse(lam, u), 2.0) == pytest.approx(expected, rel=1e-9)
 
     def test_identity_matches_baseline_mean(self):
         rng = np.random.default_rng(5)
@@ -141,12 +139,12 @@ class TestSelection:
         # the eigenbasis attains the global cap, so it must be selected
         rng = np.random.default_rng(8)
         h_e = gaussian_effective_channel(rng, 6, 4)
-        spectrum = eigen_spectrum(h_e)
+        lam, u = eigen_spectrum(h_e)
         cb = generate_codebook(4, 2, rng).copy()
-        cb[2] = spectrum.eigenmatrix
-        index, _, best = select_codeword(cb, gram_inverse(spectrum), 1.0)
+        cb[2] = u
+        index, _, best = select_codeword(cb, gram_inverse(lam, u), 1.0)
         assert index == 2
-        cap = spectrum.eigenvalues.sum() / 4.0
+        cap = lam.sum() / 4.0
         assert best == pytest.approx(cap, rel=1e-9)
 
     def test_selected_value_dominates_exhaustive_evaluation(self):

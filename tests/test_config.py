@@ -1,16 +1,23 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from d2dcoop import (
     ConfigError,
+    CooperationLink,
     ExperimentConfig,
     PRESET_NAMES,
+    QuantizerConfig,
+    bits_from_bandwidth,
     config_from_dict,
     load_config,
     preset_config,
+    quantization_noise_variance,
 )
+from d2dcoop.quantization import link_variances
 
 
 def test_defaults_validate():
@@ -58,6 +65,7 @@ def test_missing_fields_take_defaults():
         {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1.0, 1.0]},
         {"L": 5},
         {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1000.0]},
+        {"mode": "quantized-rsi", "bandwidth_ratio_grid": [1e308]},
         {"mode": "quantized-rsi", "gamma_db_grid": [-4000.0, 10.0]},
         {"snr_db_grid": [4000.0]},
         {"snr_db_grid": [-4000.0]},
@@ -69,6 +77,22 @@ def test_missing_fields_take_defaults():
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigError):
         config_from_dict(overrides)
+
+
+@pytest.mark.parametrize("name", ["fig-capacity-vs-bandwidth-snr", "fig-capacity-vs-bandwidth-gamma"])
+def test_link_variances_match_per_link_formulas(name):
+    # validate checks the very link table the sweep builds
+    config = preset_config(name)
+    grids = config.gamma_db_grid, config.bandwidth_ratio_grid
+    variances, carries = link_variances(*grids, config.tau)
+    for (gamma_db, ratio), variance, carry in zip(
+        itertools.product(*grids), variances, carries, strict=True
+    ):
+        bits = bits_from_bandwidth(CooperationLink(ratio, 10.0 ** (gamma_db / 10.0)))
+        expected = quantization_noise_variance(QuantizerConfig(bits, config.tau)) if bits else 0.0
+        assert carry == (bits > 0)
+        assert variance == expected
+    assert np.all(np.isfinite(variances))
 
 
 def test_quantized_mode_requires_link_grids():

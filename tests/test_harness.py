@@ -315,7 +315,7 @@ class TestCellDistortionAudit:
                 state = draw_trial(config, 4, trial)
                 if state.a_inv is None:
                     continue
-                u = state.spectrum.eigenmatrix
+                u = state.eigenvectors
                 for p in range(4):
                     nearest = max(abs(np.vdot(u[:, p], q[:, p])) ** 2 for q in book)
                     cells.append(1.0 - nearest)

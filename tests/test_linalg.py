@@ -61,3 +61,17 @@ def test_sorted_eigh_deterministic_on_degenerate_spectrum():
     assert np.array_equal(vecs1, vecs2)
     assert np.allclose(vecs1.conj().T @ vecs1, np.eye(4), atol=1e-12)
 
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_sorted_eigh_stack_equals_per_matrix_calls(users, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, users, users)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = g @ np.conj(np.swapaxes(g, -1, -2))
+    vals, vecs = sorted_eigh(stack)
+    for k in range(count):
+        one_vals, one_vecs = sorted_eigh(stack[k])
+        assert np.array_equal(vals[k], one_vals)
+        assert np.array_equal(vecs[k], one_vecs)

@@ -8,7 +8,7 @@ from d2dcoop.quantization import quantization_noise_variance
 
 
 def closed_form_snrs(h_e, q, noise_power):
-    return 1.0 / (noise_power * snr_denominators(q, gram_inverse(eigen_spectrum(h_e))))
+    return 1.0 / (noise_power * snr_denominators(q, gram_inverse(*eigen_spectrum(h_e))))
 
 
 def test_full_chain_matches_closed_form():
@@ -38,7 +38,7 @@ def test_quantized_chain_matches_effective_noise_model():
     noise_power = 10**0.5
     quantizer = QuantizerConfig(10, 30.0)
     sigma = quantization_noise_variance(quantizer)
-    denoms = snr_denominators(q, gram_inverse(eigen_spectrum(h_e)))
+    denoms = snr_denominators(q, gram_inverse(*eigen_spectrum(h_e)))
     own = np.abs(np.diagonal(q)) ** 2
     expected = 1.0 / ((noise_power + (1 - own) * sigma) * denoms)
     measured, overload = empirical_snr(
