@@ -5,12 +5,18 @@ by the base station and the users, held as one ``(2**bits, P, P)``
 array: ``codebook[k]`` is codeword ``k`` and its column ``p`` the
 decoding vector user ``p`` applies to the pooled received samples. The
 array is stored column by column, so each decoding vector is contiguous.
-Each codeword is the eigenvector matrix of a complex Wishart sample
-(G @ G^H with i.i.d. standard complex Gaussian G): Wishart eigenvectors
-are Haar-distributed, here with canonical column phases (each column's
-largest-magnitude entry real positive). The base station evaluates
-every codeword against the current effective channel and signals the
-index maximizing the average post-decoding SNR.
+Each codeword is the Q factor of a standard complex Gaussian matrix G
+(i.i.d. entries of unit variance), with canonical column phases (each
+column's largest-magnitude entry real positive). The Q factor of G is
+Haar-distributed on the unitary group up to those column phases
+(Mezzadri 2007, "How to generate random matrices from the classical
+compact groups", Notices AMS 54(5)). It is computed by classical
+Gram-Schmidt applied twice (CGS2), which is orthogonal to working
+precision (Giraud, Langou, Rozloznik & van den Eshof 2005, Numer.
+Math. 101) and runs over a whole block of codewords at once, one column
+step at a time. The base station evaluates every codeword against the
+current effective channel and signals the index maximizing the average
+post-decoding SNR.
 
 Codewords are drawn sequentially from the generator, so for a fixed seed
 the codebook of size ``2**b`` is exactly the prefix of the codebook of
@@ -23,7 +29,6 @@ codebook plus one block's temporaries.
 
 import numpy as np
 
-from .linalg import sorted_eigh
 from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
@@ -69,10 +74,40 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
         z = rng.standard_normal((min(BLOCK, size - start), num_users, num_users, 2))
         g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
         del z
-        wishart = g @ np.conj(np.swapaxes(g, -1, -2))
-        del g
-        store[start : start + len(wishart)] = np.swapaxes(sorted_eigh(wishart)[1], -1, -2)
+        _orthonormalize(g, store[start : start + len(g)])
     return store.swapaxes(-1, -2)
+
+
+def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
+    """Write the phase-canonical Q factor of each matrix of ``g`` into ``out``.
+
+    ``out[k, j]`` becomes column ``j`` of the Q factor of ``g[k]``, so
+    ``out`` holds each Q column by column, as the codebook store does.
+    Each column is projected off the ones before it twice (CGS2), one
+    column step for the whole stack, and so depends only on its own
+    matrix. It is then rotated by the conjugate phase of its
+    largest-magnitude (anchor) entry, the anchor is set to its magnitude
+    and the column is divided by its norm as real pairs, so a 1 x 1
+    codeword is exactly 1.
+    """
+    columns = np.swapaxes(g, -1, -2)
+    rows = np.arange(len(g))
+    for j in range(g.shape[-1]):
+        v = columns[:, j].copy()
+        if j:
+            previous = out[:, :j]
+            conj_previous = np.conj(previous)
+            for _ in range(2):
+                coef = np.einsum("nkp,np->nk", conj_previous, v)
+                v -= np.einsum("nkp,nk->np", previous, coef)
+        anchor_at = np.argmax(np.abs(v), axis=1)
+        anchor = v[rows, anchor_at]
+        magnitude = np.abs(anchor)
+        v *= np.conj(anchor / magnitude)[:, None]
+        v[rows, anchor_at] = magnitude
+        pairs = v.view(float)
+        norm = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+        np.divide(pairs, norm[:, None], out=out[:, j].view(float))
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Eigenvectors of a Hermitian matrix are only defined up to a unit-modulus
 phase, so raw LAPACK output is not reproducible enough to use as a
-precoder or a codeword. The helpers here pin that phase down. Inside a
-degenerate eigenspace any rotation is an equally valid basis; no column
-order makes it canonical, and the package leaves LAPACK's choice, which
-is the same on identical input.
+precoder or as a Gram's eigenbasis. The helpers here pin that phase
+down. Inside a degenerate eigenspace any rotation is an equally valid
+basis; no column order makes it canonical, and the package leaves
+LAPACK's choice, which is the same on identical input.
 """
 
 import numpy as np

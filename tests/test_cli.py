@@ -132,20 +132,20 @@ def test_cli_runs_are_byte_identical(tmp_path):
 # SHA-256 of (trials.csv, aggregate.csv) from `d2dcoop preset NAME --trials 6 --seed 3`
 GOLDEN_DIGESTS = {
     "fig-capacity-vs-snr": (
-        "673e9d9c46d291431385da8095e5ad0918c38b7cd8891ce73d7871c55fbf426c",
-        "5e6acf5efcef5019e08172be691242d6b4bf50a2592d5650b7a0a42fd7635f07",
+        "4f7e03af8cbf9bb60c4763f9f6b8f881fdb52f958a7b83f07cdb338c96cb0ea7",
+        "966bf53c08e72a02b2d33162134057f4f1188c7ccb2194177e19dbc2518053c0",
     ),
     "fig-capacity-vs-bits": (
-        "7fbe7214c89041c334c7e972fed993f59524aec418bf5c0f502d0eeef006e732",
-        "e815f93b0664ab18ec1c40d18714c2bef023828d4a22b78e3d8a3d3540c5a0ae",
+        "5d4f28999402ae926731b18e5f2f85d1423ec3cad69f133fe5ab2bcbc28cef75",
+        "3aba3c2b6919c9541584128fd5ef1d99b22fbb8f281c8791cba76233f6ae1247",
     ),
     "fig-capacity-vs-bandwidth-snr": (
-        "a9566619109a7439e1ed734eb10c8aca3c5076bda14ad137d004a0393962c8ad",
-        "6c79017a4071bfcca0d5bc70eadb2269969a3b28b5cc9aaefafaa930d29c57e3",
+        "2bb84ec3ae0caf8741d029091b6b6c05b5d98d88f667642cb137cc743db9577c",
+        "145117e6d098b9867cdd14c54d5fa50ce089a539037347eb339d2831af6b6789",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
-        "6ad0c368e7ef66d91d51c687f2089a010e1a216d3b3a4b3eb63a7f7d7be9df45",
-        "6575d4cc0093ae1035ddf84f532cb02e662ace3e8cb39cdd2587120d0c639bd2",
+        "6cd5263ab24d4783f71e2ffe04bb8e908caf5e5964634a20a46607525f5001d9",
+        "680ec56138444c3cd31013699b903fe838b920e4f09a8e610329739b72bbb793",
     ),
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from conftest import average_snr, gaussian_effective_channel, inverse_of, pipeline_channel
 from d2dcoop import (
@@ -14,9 +15,28 @@ from d2dcoop import (
     per_user_snr_gram,
     select_codeword,
 )
-from d2dcoop.codebook import BLOCK, codebook_bytes, codeword_scores, select_prefix_codewords
+from d2dcoop.codebook import (
+    BLOCK,
+    _orthonormalize,
+    codebook_bytes,
+    codeword_scores,
+    select_prefix_codewords,
+)
 from d2dcoop.linalg import phase_canonicalize
 from d2dcoop.precoding import eigen_spectrum, gram, snr_denominators
+
+
+def gaussian_draws(users, bits, seed):
+    """The standard complex Gaussian matrices ``generate_codebook`` draws from ``seed``."""
+    z = np.random.default_rng(seed).standard_normal((1 << bits, users, users, 2))
+    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+
+
+def wishart_codebook(users, bits, seed):
+    """The former construction: phase-canonical eigenvectors of G G^H, descending."""
+    g = gaussian_draws(users, bits, seed)
+    _, vecs = np.linalg.eigh(g @ np.conj(np.swapaxes(g, -1, -2)))
+    return phase_canonicalize(vecs[..., ::-1])
 
 
 def test_codebook_size_is_power_of_two():
@@ -54,15 +74,53 @@ def test_smaller_codebook_is_prefix_of_larger():
 def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
     # generation fills the store block by block; from b = 11 on it spans
     # several blocks and must still equal one draw of every codeword
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((1 << bits, users, users, 2))
-    g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    _, vecs = np.linalg.eigh(g @ np.conj(np.swapaxes(g, -1, -2)))
-    vecs = phase_canonicalize(vecs[..., ::-1])
-    reference = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)).swapaxes(-1, -2)
+    store = np.empty((1 << bits, users, users), dtype=complex)
+    _orthonormalize(gaussian_draws(users, bits, seed), store)
+    reference = store.swapaxes(-1, -2)
     streamed = generate_codebook(users, bits, np.random.default_rng(seed))
     assert streamed.strides == reference.strides
     assert streamed.tobytes("A") == reference.tobytes("A")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.sampled_from([0, 3, 8, 11]), st.integers(0, 2**32 - 1))
+def test_codewords_are_canonical_qr_factors_of_their_draws(users, bits, seed):
+    # LAPACK's QR of the same draws is the reference; a column may differ
+    # by a phase where two magnitudes nearly tie for the anchor
+    g = gaussian_draws(users, bits, seed)
+    reference = phase_canonicalize(np.linalg.qr(g)[0])
+    codewords = generate_codebook(users, bits, np.random.default_rng(seed))
+    overlap = np.abs(np.einsum("kpa,kpa->ka", np.conj(reference), codewords))
+    cond = np.linalg.cond(g)[:, None]
+    assert np.all(np.abs(overlap - 1.0) <= 1e-12 * cond)
+
+
+@pytest.mark.parametrize("users", [2, 3, 4, 5])
+def test_first_entry_power_follows_beta_law(users):
+    # the first column of a Haar unitary is uniform on the complex sphere,
+    # so |q_00|^2 ~ Beta(1, P - 1); raw moments E[X^k] = k! (P-1)! / (P+k-1)!
+    samples = np.abs(generate_codebook(users, 15, np.random.default_rng(2024))[:, 0, 0]) ** 2
+    raw = [1.0]
+    for k in range(1, 5):
+        raw.append(raw[-1] * k / (users + k - 1))
+    mean = raw[1]
+    var = raw[2] - mean**2
+    mu4 = raw[4] - 4 * mean * raw[3] + 6 * mean**2 * raw[2] - 3 * mean**4
+    n = len(samples)
+    # both statistics within 4 standard errors (two-sided 6e-5 per check)
+    assert abs(samples.mean() - mean) <= 4.0 * np.sqrt(var / n)
+    assert abs(samples.var() - var) <= 4.0 * np.sqrt((mu4 - var**2) / n)
+
+
+def test_selection_scores_follow_the_wishart_eigenvector_law():
+    # the eigenvectors of G G^H and the Q factor of G have one law (Haar
+    # up to column phases, which the score ignores): at a fixed A^-1 the
+    # two constructions' score samples must pass a two-sample KS test at
+    # level 1e-3, on independent draws
+    a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(21), 6, 4))
+    scores = codeword_scores(generate_codebook(4, 14, np.random.default_rng(22)), a_inv)
+    reference = codeword_scores(wishart_codebook(4, 14, 23), a_inv)
+    assert ks_2samp(scores, reference).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("users", [1, 3, 5])

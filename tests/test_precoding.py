@@ -184,7 +184,7 @@ class TestSnrDenominators:
         codewords = generate_codebook(3, 10, np.random.default_rng(5))
         assert np.swapaxes(codewords, -1, -2).flags.c_contiguous
         digest = hashlib.sha256(np.ascontiguousarray(codewords).tobytes()).hexdigest()
-        assert digest == "7348afc2917c4632c6489d16c20b2e4864544d64905ca004c8db638d35ba9957"
+        assert digest == "f562fef4dd17638ff25ccd815b2924e38c37f3a9e81065f078b19c62cc23343d"
         prefix = generate_codebook(3, 4, np.random.default_rng(5))
         assert np.array_equal(prefix, codewords[:16])
 
