@@ -23,8 +23,10 @@ the codebook of size ``2**b`` is exactly the prefix of the codebook of
 size ``2**(b+1)``. Paired-seed experiments rely on this nesting.
 Generation and scoring both walk the codebook in blocks of ``BLOCK``
 codewords. The blocks are consecutive draws from one stream, so the
-nesting holds across block boundaries, and the memory peak is the
-codebook plus one block's temporaries.
+nesting holds across block boundaries: ``BLOCK``-sized
+:func:`generate_codebook` calls on one generator yield, bitwise, the
+blocks of one call for the whole codebook. Selection reads such a stream
+block by block, so a sweep never needs the whole codebook at once.
 """
 
 import numpy as np
@@ -67,13 +69,13 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
         )
     # stored column by column, so the decoding vectors of any block of
-    # codewords are contiguous rows for snr_denominators' GEMM; each
-    # intermediate is released once the next exists to bound the peak
+    # codewords are contiguous rows for snr_denominators' GEMM
     store = np.empty((size, num_users, num_users), dtype=complex)
     for start in range(0, size, BLOCK):
-        z = rng.standard_normal((min(BLOCK, size - start), num_users, num_users, 2))
-        g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        del z
+        # the (real, imaginary) pairs of the draws, read in place as complex
+        shape = (min(BLOCK, size - start), num_users, num_users, 2)
+        g = rng.standard_normal(shape).view(complex)[..., 0]
+        g /= np.sqrt(2.0)
         _orthonormalize(g, store[start : start + len(g)])
     return store.swapaxes(-1, -2)
 
@@ -147,19 +149,43 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
     return index, codebook[index], float(scores[index] / (noise_power * codebook.shape[1]))
 
 
-def select_prefix_codewords(codebook: np.ndarray, gram_inv: np.ndarray, bit_counts) -> dict:
-    """The index :func:`select_codeword` picks from each ``2**b`` prefix.
+def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
+    """The codeword :func:`select_codeword` picks from each ``2**b`` prefix, per Gram inverse.
 
-    Scores the first ``2**max(bit_counts)`` codewords once and takes the
-    first-occurrence argmax of each nested prefix, which serves every
-    ``b`` and every noise power. Returns ``{b: index}``. Raises
-    ValueError when ``codebook`` holds fewer than ``2**max(bit_counts)``
-    codewords.
+    ``blocks`` yields the codebook as consecutive blocks from codeword 0
+    on, such as the ``generate_codebook`` calls of one stream or slices
+    of a stored codebook; it is read once, up to codeword
+    ``2**max(bit_counts)``, so only one block need exist at a time. Each
+    block is scored against every Gram inverse while it is at hand, and
+    a running first-occurrence argmax records each ``b``'s choice as the
+    stream passes ``2**b``: the choice serves every noise power. Returns
+    one ``{b: (index, codeword)}`` per Gram inverse, each codeword a copy
+    that outlives its block. Raises ValueError when the blocks hold fewer
+    than ``2**max(bit_counts)`` codewords.
     """
-    bit_counts = set(bit_counts)
-    size = 1 << max(bit_counts)
-    if len(codebook) < size:
-        raise ValueError(f"codebook holds {len(codebook)} codewords, fewer than {size}")
-    scores = codeword_scores(codebook[:size], gram_inv)
-    return {bits: int(np.argmax(scores[: 1 << bits])) for bits in bit_counts}
-
+    edge_bits = {1 << bits: bits for bits in bit_counts}
+    size = max(edge_bits)
+    best_scores = [-np.inf] * len(gram_invs)
+    best = [None] * len(gram_invs)
+    choices = [{} for _ in gram_invs]
+    start = 0
+    for block in blocks:
+        block = block[: size - start]
+        stop = start + len(block)
+        # the block's segments between the prefix edges inside it
+        cuts = [start, *sorted(edge for edge in edge_bits if start < edge < stop), stop]
+        for t, gram_inv in enumerate(gram_invs):
+            scores = codeword_scores(block, gram_inv)
+            for low, high in zip(cuts, cuts[1:]):
+                k = low - start + int(np.argmax(scores[low - start : high - start]))
+                if scores[k] > best_scores[t]:
+                    # a copy in the store's column layout outlives the block
+                    best_scores[t], best[t] = scores[k], (start + k, block[k].copy(order="K"))
+                if high in edge_bits:
+                    choices[t][edge_bits[high]] = best[t]
+        start = stop
+        if start == size:
+            break
+    if start < size:
+        raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
+    return choices

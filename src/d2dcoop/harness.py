@@ -7,10 +7,12 @@ reproducible. Each channel is drawn and factorised once per
 makes curves paired comparisons. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
 smaller codebooks are exact prefixes of bigger ones. That nesting, and a
-selection score that does not depend on the SNR, let one scoring pass
-per (users, trial) choose the codeword for every b and SNR. After the
-channel draw a trial is its Gram factorisation alone: every grid point,
-the overload audit included, is a closed form of it. The grid axes
+selection score that does not depend on the SNR, let one pass of the
+codebook per user count choose every trial's codeword for every b and
+SNR; the sweep streams that pass block by block, never holding the
+whole codebook. After the channel draw and the choice, a trial is its
+Gram factorisation and chosen codewords alone: every grid point, the
+overload audit included, is a closed form of them. The grid axes
 (b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
 broadcast over a column of noise powers, so one overload audit per
 (trial, b) covers every SNR and serves every link that carries bits;
@@ -29,11 +31,7 @@ import numpy as np
 from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import draw_environment, inner_precoder, sample_channel
-from .codebook import (
-    generate_codebook,
-    select_codeword,  # noqa: F401  harness global that perfbench/spans.py wraps by name
-    select_prefix_codewords,
-)
+from .codebook import BLOCK, generate_codebook, select_codeword, select_prefix_codewords
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import IllConditionedChannelError, effective_channel, eigen_spectrum, gram_inverse
@@ -128,10 +126,30 @@ def grid_points(config: ExperimentConfig):
     return (GridPoint(*key) for key in itertools.product(*axes))
 
 
+def _codebook_rng(config: ExperimentConfig, users: int) -> np.random.Generator:
+    return np.random.default_rng([config.master_seed, CODEBOOK_STREAM, users])
+
+
 def codebook_for(config: ExperimentConfig, users: int, bits: int) -> np.ndarray:
-    """The pre-stored ``(2**bits, users, users)`` codebook shared by all trials of a sweep."""
-    rng = np.random.default_rng([config.master_seed, CODEBOOK_STREAM, users])
-    return generate_codebook(users, bits, rng)
+    """The pre-stored ``(2**bits, users, users)`` codebook shared by all trials of a sweep.
+
+    The whole array, for the per-point reference :func:`run_trial` and
+    the cell-distortion audit; the sweep reads :func:`codebook_blocks`.
+    """
+    return generate_codebook(users, bits, _codebook_rng(config, users))
+
+
+def codebook_blocks(config: ExperimentConfig, users: int, bits: int):
+    """The codebook of :func:`codebook_for`, generated one ``BLOCK`` at a time.
+
+    Consecutive block-sized draws of the one codebook generator are,
+    bitwise, the blocks of the whole codebook; each is generated only
+    when the consumer asks for it.
+    """
+    rng = _codebook_rng(config, users)
+    block_bits = min(bits, BLOCK.bit_length() - 1)
+    for _ in range(1 << (bits - block_bits)):
+        yield generate_codebook(users, block_bits, rng)
 
 
 @dataclass(frozen=True)
@@ -172,17 +190,18 @@ def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
 
 
 def evaluate_trial(
-    config: ExperimentConfig, users: int, state: TrialState, codebook: np.ndarray | None
+    config: ExperimentConfig, users: int, state: TrialState, codewords: dict | None
 ) -> list:
     """Records of one drawn trial at every grid point of ``users``, in sweep order.
 
-    ``codebook`` holds at least ``2**max(b_grid)`` codewords; an
-    ill-conditioned trial never reads it and yields flagged records with
-    empty capacities. Per point: the cooperative capacity under the
-    configured sharing mode, the plain zero-forcing baseline, the
-    perfect-cooperation capacity and (for two or more users) the
-    analytic lower-bound capacity. The grid axes (b, SNR, link) are array
-    axes: one scoring pass picks every b's codeword, whose denominators
+    ``codewords`` maps every b of the grid to the decoding matrix chosen
+    for this trial, None for an ill-conditioned trial, which yields
+    flagged records with empty capacities. Per point: the cooperative
+    capacity under the configured sharing mode, the plain zero-forcing
+    baseline, the perfect-cooperation capacity and (for two or more
+    users) the analytic lower-bound capacity, each a closed form of the
+    trial's factorisation and its chosen codewords. The grid axes
+    (b, SNR, link) are array axes: the chosen codeword's denominators
     ``d`` are formed once per b, and each closed form runs once per b on
     one (S, 1) column of noise powers. The cooperative SNR is one
     :func:`~d2dcoop.quantization.cooperative_snr` call per b over the
@@ -206,9 +225,8 @@ def evaluate_trial(
     bound = np.full(shape[:2], None, dtype=object)
     zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
     ideal = capacity(eigenvalues / noise)[:, None]
-    choice = select_prefix_codewords(codebook, a_inv, config.b_grid)
     for i, bits in enumerate(config.b_grid):
-        decoding = codebook[choice[bits]]
+        decoding = codewords[bits]
         d = snr_denominators(decoding, a_inv)
         snrs = cooperative_snr(decoding, d, noise[:, :, None], variances[:, None])
         coop[i] = np.where(carries, capacity(snrs), zf)
@@ -230,35 +248,48 @@ def evaluate_trial(
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
     """One trial at one grid point: the per-point reference path of the sweep.
 
-    It evaluates a one-point grid, on its own ``2**b`` codebook, through
-    the same :func:`evaluate_trial`. The trial is drawn first, and an
-    ill-conditioned one generates no codebook.
+    It chooses from its own whole ``2**b`` codebook with the reference
+    :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point
+    grid through the same :func:`evaluate_trial`. The trial is drawn
+    first, and an ill-conditioned one generates no codebook.
     """
     one_point = dataclasses.replace(
         config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
     )
     state = draw_trial(one_point, point.users, trial)
-    codebook = None if state.a_inv is None else codebook_for(config, point.users, point.bits)
-    return evaluate_trial(one_point, point.users, state, codebook)[0]
+    codewords = None
+    if state.a_inv is not None:
+        codebook = codebook_for(config, point.users, point.bits)
+        noise_power = 10.0 ** (-point.snr_db / 10.0)
+        codewords = {point.bits: select_codeword(codebook, state.a_inv, noise_power)[1]}
+    return evaluate_trial(one_point, point.users, state, codewords)[0]
 
 
 def run_experiment(config: ExperimentConfig):
     """Run the full Cartesian sweep; returns (records, summaries).
 
     Records come in (grid point, trial index) order. Each user count's
-    trials are drawn once, then its codebook (if a trial is usable), and
-    each trial is evaluated at all of the count's grid points.
+    trials are drawn once. If one is usable, the count's ``2**max(b)``
+    codebook is then streamed once through selection: each block is
+    generated, scored against every usable trial and dropped, so the
+    sweep holds one block and the chosen codewords, never the codebook.
+    Each trial is then evaluated at all of the count's grid points.
     """
     config.validate()
     records: list[TrialRecord] = []
     for users in config.user_counts():
-        # drop the previous user count's codebook before the next one is drawn
-        book = None
         states = [draw_trial(config, users, trial) for trial in range(config.num_trials)]
-        if any(state.a_inv is not None for state in states):
-            book = codebook_for(config, users, max(config.b_grid))
-        by_trial = [evaluate_trial(config, users, state, book) for state in states]
+        usable = [state for state in states if state.a_inv is not None]
+        codewords = {}
+        if usable:
+            blocks = codebook_blocks(config, users, max(config.b_grid))
+            choices = select_prefix_codewords(blocks, [s.a_inv for s in usable], config.b_grid)
+            for state, choice in zip(usable, choices):
+                codewords[state.trial] = {bits: q for bits, (_, q) in choice.items()}
+        by_trial = [
+            evaluate_trial(config, users, state, codewords.get(state.trial)) for state in states
+        ]
         records.extend(record for by_point in zip(*by_trial) for record in by_point)
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
@@ -270,9 +301,10 @@ def run_experiment(config: ExperimentConfig):
 def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     """Measured quantization-cell distortion of the sweep's codebook, per b.
 
-    Walks the sweep's own trials and codebook. For each usable trial one
-    :func:`~d2dcoop.bounds.cell_distortion` of the ``2**max(b_grid)``
-    codebook and one scoring pass serve every b. Returns
+    Walks the sweep's own trials and codebook. One scoring pass over
+    block slices of the stored ``2**max(b_grid)`` codebook chooses for
+    every usable trial and b, and per trial one
+    :func:`~d2dcoop.bounds.cell_distortion` of it serves every b. Returns
     ``{b: (cell, selected)}``: ``cell`` is the mean squared sine between
     eigenvector p and the nearest p-th codeword column of the ``2**b``
     prefix, the raw pairing (column p against eigenvector p) that
@@ -292,15 +324,16 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     if not states:
         raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
     codebook = codebook_for(config, users, max(config.b_grid))
+    blocks = (codebook[start : start + BLOCK] for start in range(0, len(codebook), BLOCK))
+    choices = select_prefix_codewords(blocks, [state.a_inv for state in states], config.b_grid)
     cell = dict.fromkeys(config.b_grid, 0.0)
     selected = dict.fromkeys(config.b_grid, 0.0)
-    for state in states:
+    for state, choice in zip(states, choices):
         u = state.eigenvectors
         distortion = cell_distortion(codebook, u)
-        choice = select_prefix_codewords(codebook, state.a_inv, config.b_grid)
-        for bits, index in choice.items():
+        for bits, (_, q) in choice.items():
             cell[bits] += float(distortion[: 1 << bits].min(axis=0).mean())
-            selected[bits] += float(aligned_cell_distortion(codebook[index], u).mean())
+            selected[bits] += float(aligned_cell_distortion(q, u).mean())
     usable = len(states)
     return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}
 

@@ -32,6 +32,11 @@ def gaussian_draws(users, bits, seed):
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
+def block_slices(codebook):
+    """A stored codebook as the consecutive blocks selection reads."""
+    return [codebook[start : start + BLOCK] for start in range(0, len(codebook), BLOCK)]
+
+
 def wishart_codebook(users, bits, seed):
     """The former construction: phase-canonical eigenvectors of G G^H, descending."""
     g = gaussian_draws(users, bits, seed)
@@ -80,6 +85,26 @@ def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
     streamed = generate_codebook(users, bits, np.random.default_rng(seed))
     assert streamed.strides == reference.strides
     assert streamed.tobytes("A") == reference.tobytes("A")
+
+
+def block_stream(users, bits, rng):
+    """The codebook as consecutive block-sized draws of one generator, as a sweep reads it."""
+    block_bits = min(bits, BLOCK.bit_length() - 1)
+    return [generate_codebook(users, block_bits, rng) for _ in range(1 << (bits - block_bits))]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(0, 13), st.integers(0, 2**32 - 1))
+def test_block_sized_calls_equal_one_shot_codebook(users, bits, seed):
+    # the sweep streams the codebook as block-sized calls on the one
+    # generator; the blocks must be, bitwise, those of the whole codebook
+    blocks = block_stream(users, bits, np.random.default_rng(seed))
+    book = generate_codebook(users, bits, np.random.default_rng(seed))
+    assert sum(len(block) for block in blocks) == len(book)
+    for start, block in zip(range(0, len(book), BLOCK), blocks):
+        reference = book[start : start + BLOCK]
+        assert block.strides == reference.strides
+        assert block.tobytes("A") == reference.tobytes("A")
 
 
 @settings(deadline=None, max_examples=40)
@@ -242,20 +267,52 @@ class TestSelection:
         scores = codeword_scores(cb, a_inv)
         unblocked = (1.0 / snr_denominators(cb, a_inv)).sum(axis=1)
         assert np.array_equal(scores, unblocked)
-        for bits, index in select_prefix_codewords(cb, a_inv, [0, 5, 12, 13]).items():
+        (choice,) = select_prefix_codewords(block_slices(cb), [a_inv], [0, 5, 12, 13])
+        for bits, (index, q) in choice.items():
             assert index == select_codeword(cb[: 1 << bits], a_inv, 0.3)[0]
             assert index == int(np.argmax(unblocked[: 1 << bits]))
+            assert np.array_equal(q, cb[index])
+
+    @pytest.mark.parametrize("users", [2, 4])
+    def test_streamed_choices_equal_reference_selector(self, users):
+        # prefix edges inside the first block (2**0 .. 2**9) and on block
+        # boundaries (2**10, 2**11, 2**12), for several Gram inverses at once
+        bit_counts = [0, 1, 4, 9, 10, 11, 12]
+        book = generate_codebook(users, 12, np.random.default_rng(51))
+        rng = np.random.default_rng(52)
+        a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(3)]
+        stream = block_stream(users, 12, np.random.default_rng(51))
+        choices = select_prefix_codewords(iter(stream), a_invs, bit_counts)
+        for a_inv, choice in zip(a_invs, choices):
+            assert sorted(choice) == bit_counts
+            for bits, (index, q) in choice.items():
+                assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
+                assert q.strides == book[index].strides
+                assert np.array_equal(q, book[index])
+
+    def test_tie_across_block_boundary_resolves_to_lower_index(self):
+        # the eigenbasis attains the score cap; planted on both sides of
+        # the first block boundary it ties, and the earlier copy wins
+        rng = np.random.default_rng(53)
+        lam, u = eigen_spectrum(gaussian_effective_channel(rng, 6, 3))
+        a_inv = gram_inverse(lam, u)
+        book = generate_codebook(3, 11, rng).copy()
+        book[BLOCK - 1] = book[BLOCK] = u
+        blocks = block_slices(book)
+        assert codeword_scores(blocks[0], a_inv)[-1] == codeword_scores(blocks[1], a_inv)[0]
+        (choice,) = select_prefix_codewords(blocks, [a_inv], [10, 11])
+        assert choice[10][0] == choice[11][0] == BLOCK - 1
 
     def test_prefix_choices_need_the_largest_prefix(self):
         # the sweep reads 2**max(b) codewords; a shorter codebook is
         # rejected rather than scored on the codewords it has
         cb = generate_codebook(3, 4, np.random.default_rng(17))
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
-        assert set(select_prefix_codewords(cb, a_inv, [2, 4])) == {2, 4}
+        assert set(select_prefix_codewords([cb], [a_inv], [2, 4])[0]) == {2, 4}
         with pytest.raises(ValueError, match="fewer than 32"):
-            select_prefix_codewords(cb, a_inv, [2, 5])
+            select_prefix_codewords([cb], [a_inv], [2, 5])
         with pytest.raises(ValueError, match="holds 8 codewords"):
-            select_prefix_codewords(cb[:8], a_inv, [4])
+            select_prefix_codewords([cb[:8]], [a_inv], [4])
 
     def test_selected_snr_monotone_in_bits_per_trial(self):
         # nested prefixes: a bigger codebook can never select a worse value

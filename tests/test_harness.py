@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from d2dcoop import (
     snr_denominators,
 )
 from d2dcoop import harness
-from d2dcoop.codebook import select_prefix_codewords
+from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
     GridPoint,
     aggregate_csv_lines,
+    codebook_blocks,
     codebook_for,
     draw_trial,
     grid_points,
@@ -83,14 +85,23 @@ def per_point_reference(config):
 
 
 def spy_codebooks(monkeypatch):
-    """Record the (users, bits) of every codebook the harness generates from now on."""
+    """Record every codebook the harness generates from now on.
+
+    Each entry is (entry point, users, bits): ``codebook_blocks``, the
+    sweep's stream, or ``codebook_for``, the whole array that the
+    per-point reference and the audit hold.
+    """
     generated = []
 
-    def spy(config, users, bits):
-        generated.append((users, bits))
-        return codebook_for(config, users, bits)
+    def spy(entry):
+        def wrapper(config, users, bits):
+            generated.append((entry.__name__, users, bits))
+            return entry(config, users, bits)
 
-    monkeypatch.setattr(harness, "codebook_for", spy)
+        monkeypatch.setattr(harness, entry.__name__, wrapper)
+
+    spy(codebook_blocks)
+    spy(codebook_for)
     return generated
 
 
@@ -259,11 +270,34 @@ class TestRunExperiment:
         if config.mode == "quantized-rsi":
             assert any(r.overload_rate > 0.0 for r in records)
             assert_overload_shared_across_links(records)
-            assert generated[by_reference:] == [(3, 3), (4, 3)]
+            # one 2**max(b) stream per user count, and no whole codebook
+            assert generated[by_reference:] == [
+                ("codebook_blocks", 3, 3), ("codebook_blocks", 4, 3)
+            ]
         else:
             assert all(r.cond_fail == 1 for r in records)
             # no usable trial, so neither path generates a codebook
             assert generated == []
+
+    def test_sweep_never_holds_the_codebook(self):
+        # the 2**14 codebook of 5 users is 6.5 MB; the sweep streams it
+        # through selection and holds one block at a time
+        config = small_config(P=5, b_grid=[14], snr_db_grid=[0.0], num_trials=2)
+        tracemalloc.start()
+        try:
+            records, _ = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(r.cond_fail for r in records)
+        assert peak < codebook_bytes(5, 14) // 2
+
+    @pytest.mark.parametrize("bits", [3, 12])
+    def test_codebook_blocks_concatenate_to_codebook_for(self, bits):
+        config = small_config()
+        blocks = list(codebook_blocks(config, 3, bits))
+        assert max(len(block) for block in blocks) <= BLOCK
+        assert np.array_equal(np.concatenate(blocks), codebook_for(config, 3, bits))
 
     @settings(deadline=None, max_examples=25)
     @given(small_sweeps())
@@ -280,12 +314,12 @@ class TestRunExperiment:
                 a_inv = draw_trial(config, users, trial).a_inv
                 if a_inv is None:
                     continue
-                choices = select_prefix_codewords(book, a_inv, config.b_grid)
+                (choices,) = select_prefix_codewords([book], [a_inv], config.b_grid)
                 for bits, snr_db in itertools.product(config.b_grid, config.snr_db_grid):
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book[: 1 << bits], a_inv, noise_power)[0]
-                    assert choices[bits] == expected
-                    chosen[users, trial, bits] = a_inv, book[choices[bits]]
+                    assert choices[bits][0] == expected
+                    chosen[users, trial, bits] = a_inv, book[expected]
         # and every cooperative capacity equals, bitwise, the per-link
         # reference outside the sweep: quantized_snr on a quantized link,
         # 1 / (N0 d) under ideal sharing
