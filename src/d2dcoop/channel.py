@@ -5,9 +5,14 @@ channel vectors are independent ray sums over a shared list of path
 angles. That shared geometry is what makes the spatial covariance common
 across users, and the covariance eigenbasis is what the inner precoder is
 built from.
+
+:func:`ray_sum` and :func:`inner_precoder` accept a stack of
+environments, path angles with leading (trial) axes, and return the
+matching stack: each member equals, bitwise, the result of its own call.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +30,8 @@ class ScatteringEnvironment:
     num_antennas : int
         Array size of the uniform linear array at the base station.
     path_angles : np.ndarray
-        Angle of arrival per path, radians in [-pi/2, pi/2).
+        Angle of arrival per path, radians in [-pi/2, pi/2), on the last
+        axis; leading axes hold a stack of environments.
 
     Per-path complex gains have average power ``1 / num_paths`` so that the
     total average channel power per antenna pair is one.
@@ -38,8 +44,8 @@ class ScatteringEnvironment:
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be a positive integer")
         angles = np.atleast_1d(np.asarray(self.path_angles, dtype=float))
-        if angles.ndim != 1 or angles.size == 0:
-            raise ValueError("path_angles must be a nonempty 1-D sequence")
+        if angles.size == 0:
+            raise ValueError("path_angles must be nonempty")
         if not np.all(np.isfinite(angles)):
             raise ValueError("path_angles must be finite")
         if np.any(angles < -HALF_PI) or np.any(angles >= HALF_PI):
@@ -48,23 +54,29 @@ class ScatteringEnvironment:
 
     @property
     def num_paths(self) -> int:
-        return int(self.path_angles.size)
+        return int(self.path_angles.shape[-1])
 
     @property
     def path_gain_variance(self) -> float:
         return 1.0 / self.num_paths
 
+    @cached_property
+    def steering(self) -> np.ndarray:
+        """Half-wavelength ULA responses (antennas x paths), one column per path angle.
 
-def _steering_matrix(env: ScatteringEnvironment, angles=None) -> np.ndarray:
-    """Half-wavelength ULA responses, one column per path angle.
+        Entry ``(m, l)`` is ``exp(1j * pi * sin(theta_l) * m)``, so every
+        column has squared norm equal to the antenna count. Computed once
+        per environment: the ray sum and the inner precoder share it.
+        """
+        sines = np.sin(self.path_angles)[..., None, :]
+        return np.exp(1j * (np.pi * (np.arange(self.num_antennas)[:, None] * sines)))
 
-    Entry ``(m, l)`` is ``exp(1j * pi * sin(theta_l) * m)``, so every
-    column has squared norm equal to the antenna count.
-    """
-    if angles is None:
-        angles = env.path_angles
-    phase = np.pi * np.outer(np.arange(env.num_antennas), np.sin(angles))
-    return np.exp(1j * phase)
+
+def _sorted_steering(env: ScatteringEnvironment) -> np.ndarray:
+    """The steering columns in ascending angle order, so that what is built
+    from them does not depend on how ``path_angles`` happens to be permuted."""
+    order = np.argsort(env.path_angles, axis=-1)[..., None, :]
+    return np.take_along_axis(env.steering, order, axis=-1)
 
 
 def draw_environment(
@@ -93,21 +105,32 @@ def draw_environment(
     return ScatteringEnvironment(num_antennas, angles)
 
 
-def sample_channel(
+def path_gains(
     env: ScatteringEnvironment, num_users: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one channel matrix (antennas x users) from the environment.
+    """Draw every user's per-path gains (paths x users) for one environment.
 
-    Every user's column is a ray sum over the same path angles with its
-    own circularly-symmetric complex Gaussian gains of variance
-    ``1 / num_paths`` (real and imaginary parts each N(0, 1/(2L))).
+    Circularly-symmetric complex Gaussian of variance ``1 / num_paths``
+    (real and imaginary parts each N(0, 1/(2L))).
     """
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
     shape = (env.num_paths, num_users)
     scale = np.sqrt(env.path_gain_variance / 2.0)
-    gains = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return _steering_matrix(env) @ gains
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def ray_sum(env: ScatteringEnvironment, gains: np.ndarray) -> np.ndarray:
+    """The channel (antennas x users): each user's column is a ray sum
+    over the environment's paths with that user's gains."""
+    return env.steering @ gains
+
+
+def sample_channel(
+    env: ScatteringEnvironment, num_users: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one channel matrix (antennas x users) from the environment."""
+    return ray_sum(env, path_gains(env, num_users, rng))
 
 
 def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
@@ -115,11 +138,10 @@ def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
 
     Equals the average of the steering-vector outer products, which is
     Hermitian PSD with trace equal to the antenna count. Angles are
-    summed in sorted order so the result does not depend on how
-    ``path_angles`` happens to be permuted. The oracle for
-    :func:`inner_precoder`, which never forms this matrix.
+    summed in sorted order. The oracle for :func:`inner_precoder`, which
+    never forms this matrix.
     """
-    s = _steering_matrix(env, np.sort(env.path_angles))
+    s = _sorted_steering(env)
     r = (s @ s.conj().T) / env.num_paths
     return (r + r.conj().T) / 2.0
 
@@ -133,6 +155,5 @@ def inner_precoder(env: ScatteringEnvironment, dim: int) -> np.ndarray:
     """
     if not 1 <= dim <= min(env.num_antennas, env.num_paths):
         raise ValueError(f"dim must be in [1, min(M, L)], got {dim}")
-    s = _steering_matrix(env, np.sort(env.path_angles))
-    u, _, _ = np.linalg.svd(s, full_matrices=False)
-    return phase_canonicalize(u[:, :dim])
+    u, _, _ = np.linalg.svd(_sorted_steering(env), full_matrices=False)
+    return phase_canonicalize(u[..., :dim])

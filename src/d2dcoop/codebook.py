@@ -1,32 +1,23 @@
 """Random decoding codebooks and average-SNR codeword selection.
 
-A codebook is a pre-stored stack of ``2**bits`` unitary matrices shared
-by the base station and the users, held as one ``(2**bits, P, P)``
-array: ``codebook[k]`` is codeword ``k`` and its column ``p`` the
-decoding vector user ``p`` applies to the pooled received samples. The
-array is stored column by column, so each decoding vector is contiguous.
-Each codeword is the Q factor of a standard complex Gaussian matrix G
-(i.i.d. entries of unit variance), with canonical column phases (each
-column's largest-magnitude entry real positive). The Q factor of G is
-Haar-distributed on the unitary group up to those column phases
-(Mezzadri 2007, "How to generate random matrices from the classical
-compact groups", Notices AMS 54(5)). It is computed by classical
-Gram-Schmidt applied twice (CGS2), which is orthogonal to working
-precision (Giraud, Langou, Rozloznik & van den Eshof 2005, Numer.
-Math. 101) and runs over a whole block of codewords at once, one column
-step at a time. The base station evaluates every codeword against the
-current effective channel and signals the index maximizing the average
-post-decoding SNR.
+A codebook is a pre-stored ``(2**bits, P, P)`` array of unitary matrices
+shared by the base station and the users, stored column by column:
+column ``p`` of ``codebook[k]`` is user ``p``'s decoding vector for the
+pooled received samples under codeword ``k``. Each codeword is the Q
+factor of a standard complex Gaussian matrix G (i.i.d. entries of unit
+variance), with canonical column phases (each column's largest-magnitude
+entry real positive): Haar-distributed on the unitary group up to those
+phases (Mezzadri 2007, Notices AMS 54(5)). It is computed by classical
+Gram-Schmidt applied twice (CGS2), orthogonal to working precision
+(Giraud, Langou, Rozloznik & van den Eshof 2005, Numer. Math. 101). The
+base station signals the index of the codeword maximizing the average
+post-decoding SNR on the current channel.
 
-Codewords are drawn sequentially from the generator, so for a fixed seed
-the codebook of size ``2**b`` is exactly the prefix of the codebook of
-size ``2**(b+1)``. Paired-seed experiments rely on this nesting.
-Generation and scoring both walk the codebook in blocks of ``BLOCK``
-codewords. The blocks are consecutive draws from one stream, so the
-nesting holds across block boundaries: ``BLOCK``-sized
-:func:`generate_codebook` calls on one generator yield, bitwise, the
-blocks of one call for the whole codebook. Selection reads such a stream
-block by block, so a sweep never needs the whole codebook at once.
+Codewords are drawn sequentially, so for a fixed seed the ``2**b``
+codebook is exactly the prefix of the ``2**(b+1)`` one, which paired-seed
+experiments rely on. ``BLOCK``-sized :func:`generate_codebook` calls on
+one generator yield, bitwise, the blocks of one call for the whole
+codebook; selection reads such a stream block by block.
 """
 
 import numpy as np
@@ -35,6 +26,9 @@ from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
 BLOCK = 1024
+# codewords and Gram inverses per scoring GEMM: they bound its temporaries
+SCORE_ROWS = 256
+TRIAL_CHUNK = 32
 
 
 class CodebookBudgetError(RuntimeError):
@@ -49,14 +43,9 @@ def codebook_bytes(num_users: int, bits: int) -> int:
 def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
-    Deterministic given the generator state; identical (users, bits,
-    seed) produce bitwise-identical codebooks. The codebook is allocated
-    once and filled one block of ``BLOCK`` codewords at a time, each
-    block the next draws of ``rng``, so the result equals one draw of
-    all ``2**bits`` codewords and generation peaks at the codebook plus
-    one block. Raises :class:`CodebookBudgetError` before any draw when
-    the codebook would exceed ``DEFAULT_BUDGET_BYTES``, so the budget
-    bounds the generation peak up to that one block.
+    Filled one block of ``BLOCK`` codewords at a time, each the next draws
+    of ``rng``, so generation peaks at the codebook plus one block. Raises
+    :class:`CodebookBudgetError`, before any draw, above ``DEFAULT_BUDGET_BYTES``.
     """
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
@@ -68,8 +57,7 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
         raise CodebookBudgetError(
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
         )
-    # stored column by column, so the decoding vectors of any block of
-    # codewords are contiguous rows for snr_denominators' GEMM
+    # stored column by column: each decoding vector is contiguous
     store = np.empty((size, num_users, num_users), dtype=complex)
     for start in range(0, size, BLOCK):
         # the (real, imaginary) pairs of the draws, read in place as complex
@@ -83,14 +71,12 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
 def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
     """Write the phase-canonical Q factor of each matrix of ``g`` into ``out``.
 
-    ``out[k, j]`` becomes column ``j`` of the Q factor of ``g[k]``, so
-    ``out`` holds each Q column by column, as the codebook store does.
-    Each column is projected off the ones before it twice (CGS2), one
-    column step for the whole stack, and so depends only on its own
-    matrix. It is then rotated by the conjugate phase of its
-    largest-magnitude (anchor) entry, the anchor is set to its magnitude
-    and the column is divided by its norm as real pairs, so a 1 x 1
-    codeword is exactly 1.
+    ``out[k, j]`` becomes column ``j`` of the Q factor of ``g[k]``, as the
+    codebook store holds it. Each column is projected off the ones before
+    it twice (CGS2), one column step for the whole stack, then rotated by
+    the conjugate phase of its largest-magnitude (anchor) entry, the
+    anchor set to its magnitude, and divided by its norm as real pairs,
+    so a 1 x 1 codeword is exactly 1.
     """
     columns = np.swapaxes(g, -1, -2)
     rows = np.arange(len(g))
@@ -113,34 +99,21 @@ def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
-    """Noise-free selection score ``sum_p 1 / (q_p^H A^{-1} q_p)`` of each codeword.
+    """Oracle: noise-free selection score ``sum_p 1 / (q_p^H A^{-1} q_p)`` of each codeword.
 
-    A codeword's average post-decoding SNR is its score over
-    ``noise_power * users``, so the codeword maximizing the score does so
-    at every noise power. Codewords are scored in blocks of
-    ``BLOCK`` so the temporaries stay small at ``2**16`` codewords.
-    Each block is one :func:`snr_denominators` call: one complex GEMM of
-    the block's ``BLOCK * users`` decoding vectors against the
-    Gram inverse plus one real dot per vector. On a codebook from
-    :func:`generate_codebook`, stored column by column, those vectors
-    are read in place.
+    The average post-decoding SNR is the score over ``noise_power * users``.
+    The independent reference for :func:`select_prefix_codewords`' lifted
+    scores: one :func:`snr_denominators` call per ``BLOCK`` codewords.
     """
-    cw = np.asarray(codewords)
-    scores = np.empty(cw.shape[0])
-    for start in range(0, cw.shape[0], BLOCK):
-        block = cw[start : start + BLOCK]
-        scores[start : start + len(block)] = (1.0 / snr_denominators(block, gram_inv)).sum(axis=1)
-    return scores
+    blocks = (codewords[start : start + BLOCK] for start in range(0, len(codewords), BLOCK))
+    return np.concatenate([(1.0 / snr_denominators(q, gram_inv)).sum(axis=1) for q in blocks])
 
 
 def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: float):
-    """Reference selector: the codeword maximizing the average post-decoding SNR.
+    """Oracle: the codeword maximizing the average post-decoding SNR, ties to the lowest index.
 
-    ``gram_inv`` is the effective-channel Gram inverse, reused across all
-    codewords and columns. Ties break to the lowest index. Returns
-    ``(index, codeword, average_snr)``. Like the other oracles it is the
-    per-point reference, here for :func:`select_prefix_codewords`, which
-    is what the sweep and the cell-distortion audit call.
+    Returns ``(index, codeword, average_snr)``: the independent reference
+    for :func:`select_prefix_codewords`, the selector the sweep calls.
     """
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
@@ -153,39 +126,65 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
     """The codeword :func:`select_codeword` picks from each ``2**b`` prefix, per Gram inverse.
 
     ``blocks`` yields the codebook as consecutive blocks from codeword 0
-    on, such as the ``generate_codebook`` calls of one stream or slices
-    of a stored codebook; it is read once, up to codeword
-    ``2**max(bit_counts)``, so only one block need exist at a time. Each
-    block is scored against every Gram inverse while it is at hand, and
-    a running first-occurrence argmax records each ``b``'s choice as the
-    stream passes ``2**b``: the choice serves every noise power. Returns
-    one ``{b: (index, codeword)}`` per Gram inverse, each codeword a copy
-    that outlives its block. Raises ValueError when the blocks hold fewer
-    than ``2**max(bit_counts)`` codewords.
+    on, read once up to codeword ``2**max(bit_counts)``; each block is
+    released before the next is drawn. ``q^H B q`` is a real linear form
+    in the features of ``q`` (:func:`_lifted_features`) with weights
+    ``2 Re B_ij``, ``-2 Im B_ij`` (``i < j``) and ``B_ii``, so one real GEMM
+    scores ``SCORE_ROWS`` codewords for ``TRIAL_CHUNK`` Gram inverses. A
+    running first-occurrence argmax records each ``b``'s choice, which
+    serves every noise power, as the stream passes ``2**b``. Returns one
+    ``{b: (index, codeword)}`` per Gram inverse, each codeword a copy in
+    the store's column layout. Raises ValueError on fewer codewords.
     """
-    edge_bits = {1 << bits: bits for bits in bit_counts}
+    edge_bits = {1 << bits: bits for bits in sorted(bit_counts)}
     size = max(edge_bits)
-    best_scores = [-np.inf] * len(gram_invs)
-    best = [None] * len(gram_invs)
-    choices = [{} for _ in gram_invs]
+    gram_invs = np.asarray(gram_invs)
+    num, users = gram_invs.shape[:2]
+    upper_i, upper_j = np.triu_indices(users, 1)
+    upper = 2.0 * gram_invs[:, upper_i, upper_j]
+    weights = np.concatenate([upper.real, -upper.imag, np.diagonal(gram_invs, 0, 1, 2).real], 1)
+    best_scores, best_index = np.full(num, -np.inf), np.zeros(num, dtype=int)
+    best = np.empty((num, users, users), dtype=complex).swapaxes(-1, -2)
+    chosen = {bits: (best_index.copy(), best.copy(order="K")) for bits in edge_bits.values()}
     start = 0
     for block in blocks:
-        block = block[: size - start]
-        stop = start + len(block)
-        # the block's segments between the prefix edges inside it
-        cuts = [start, *sorted(edge for edge in edge_bits if start < edge < stop), stop]
-        for t, gram_inv in enumerate(gram_invs):
-            scores = codeword_scores(block, gram_inv)
-            for low, high in zip(cuts, cuts[1:]):
-                k = low - start + int(np.argmax(scores[low - start : high - start]))
-                if scores[k] > best_scores[t]:
-                    # a copy in the store's column layout outlives the block
-                    best_scores[t], best[t] = scores[k], (start + k, block[k].copy(order="K"))
+        stop = min(start + len(block), size)
+        # parts of at most SCORE_ROWS codewords, cut at the prefix edges
+        edges = (edge for edge in edge_bits if start < edge < stop)
+        cuts = sorted({*range(start, stop, SCORE_ROWS), *edges})
+        for low, high in zip(cuts, [*cuts[1:], stop]):
+            part = block[low - start : high - start]
+            features = _lifted_features(part, upper_i, upper_j)
+            for first in range(0, num, TRIAL_CHUNK):
+                rows = slice(first, first + TRIAL_CHUNK)
+                denominators = weights[rows] @ features
+                np.reciprocal(denominators, out=denominators)
+                scores = denominators.reshape(len(denominators), users, -1).sum(axis=1)
+                k = scores.argmax(axis=1)
+                score = scores[np.arange(len(k)), k]
+                hit = np.flatnonzero(score > best_scores[rows])
+                best_scores[first + hit], best_index[first + hit] = score[hit], low + k[hit]
+                best[first + hit] = part[k[hit]]
                 if high in edge_bits:
-                    choices[t][edge_bits[high]] = best[t]
+                    index, codeword = chosen[edge_bits[high]]
+                    index[rows], codeword[rows] = best_index[rows], best[rows]
         start = stop
+        # the stream draws the next block only after this one is released
+        block = part = features = denominators = scores = None
         if start == size:
             break
     if start < size:
         raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
-    return choices
+    return [{bits: (int(i[t]), q[t]) for bits, (i, q) in chosen.items()} for t in range(num)]
+
+
+def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:
+    """Features ``Re(conj(q_i) q_j)``, then ``Im(conj(q_i) q_j)`` (``i < j``: ``upper_i``,
+    ``upper_j``), then ``|q_i|^2`` of each decoding vector ``q``: one column per
+    vector, user by user."""
+    # entries[i, p * count + k]: entry i of column p of codeword k
+    entries = np.transpose(codewords, (1, 2, 0)).reshape(codewords.shape[-1], -1)
+    products = np.conj(entries[upper_i]) * entries[upper_j]
+    squares = np.square(entries.real) + np.square(entries.imag)
+    return np.concatenate([products.real, products.imag, squares])
+

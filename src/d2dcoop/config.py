@@ -137,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"D={self.D} is below the largest user count {worst}; zero-forcing needs D >= P"
             )
-        # the sweep streams the codebook, but the per-point reference
-        # run_trial and cell_distortion_audit hold all of it at once
+        # the sweep and cell_distortion_audit stream the codebook; only the
+        # per-point reference run_trial holds all of it at once
         need = codebook_bytes(worst, max(self.b_grid))
         if need > DEFAULT_BUDGET_BYTES:
             raise ConfigError(

@@ -4,20 +4,22 @@ Determinism contract: every trial owns a private generator seeded from
 ``(master_seed, stream, trial_index)``, so records are bitwise
 reproducible. Each channel is drawn and factorised once per
 (users, trial) and shared by every grid point of that user count, which
-makes curves paired comparisons. The decoding codebook is seeded from
+makes curves paired comparisons; past the per-trial random draws, the
+factorisation runs on stacks of trials. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
 smaller codebooks are exact prefixes of bigger ones. That nesting, and a
 selection score that does not depend on the SNR, let one pass of the
 codebook per user count choose every trial's codeword for every b and
 SNR; the sweep streams that pass block by block, never holding the
-whole codebook. After the channel draw and the choice, a trial is its
+whole codebook, and scores each block against every trial at once by
+one real GEMM. After the channel draw and the choice, a trial is its
 Gram factorisation and chosen codewords alone: every grid point, the
 overload audit included, is a closed form of them. The grid axes
 (b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
 broadcast over a column of noise powers, so one overload audit per
 (trial, b) covers every SNR and serves every link that carries bits;
 ideal sharing is the noiseless link of the same cooperative-SNR formula.
-Every channel the package draws comes from :func:`draw_trial`, those of
+Every channel the package draws comes from :func:`draw_trials`, those of
 the cell-distortion audit included.
 """
 
@@ -30,11 +32,12 @@ import numpy as np
 
 from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
-from .channel import draw_environment, inner_precoder, sample_channel
+from .channel import ScatteringEnvironment, draw_environment, inner_precoder, path_gains, ray_sum
+from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import BLOCK, generate_codebook, select_codeword, select_prefix_codewords
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
-from .precoding import IllConditionedChannelError, effective_channel, eigen_spectrum, gram_inverse
+from .precoding import effective_channel, eigen_spectrum, gram_inverse, well_conditioned
 from .precoding import noncooperative_baseline_snr, snr_denominators
 from .quantization import cooperative_snr, expected_overload, link_variances
 from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps it by name
@@ -42,6 +45,8 @@ from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
 CODEBOOK_STREAM = 2
+# trials per stacked channel draw: bounds the steering and SVD temporaries
+DRAW_CHUNK = 8
 
 TRIAL_CSV_HEADER = (
     "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,trial,"
@@ -133,8 +138,8 @@ def _codebook_rng(config: ExperimentConfig, users: int) -> np.random.Generator:
 def codebook_for(config: ExperimentConfig, users: int, bits: int) -> np.ndarray:
     """The pre-stored ``(2**bits, users, users)`` codebook shared by all trials of a sweep.
 
-    The whole array, for the per-point reference :func:`run_trial` and
-    the cell-distortion audit; the sweep reads :func:`codebook_blocks`.
+    The whole array, for the per-point reference :func:`run_trial`; the
+    sweep and the cell-distortion audit read :func:`codebook_blocks`.
     """
     return generate_codebook(users, bits, _codebook_rng(config, users))
 
@@ -169,24 +174,47 @@ class TrialState:
     a_inv: np.ndarray | None
 
 
+def draw_trials(config: ExperimentConfig, users: int, trials) -> list:
+    """Draw the channels of ``trials`` and factorise their effective channels.
+
+    Each trial draws its path angles and gains from its own generator,
+    seeded from ``(master_seed, TRIAL_STREAM, trial)``. The deterministic
+    chain (steering, ray sum, inner precoder, effective channel, Gram
+    factorisation, condition check and inverse) then runs once per
+    ``DRAW_CHUNK`` trials on the stacked draws; each trial's state equals,
+    bitwise, its own one-trial draw. Returns one :class:`TrialState` per
+    trial, in order.
+    """
+    trials = list(trials)
+    states = []
+    for first in range(0, len(trials), DRAW_CHUNK):
+        chunk = trials[first : first + DRAW_CHUNK]
+        angles, gains = [], []
+        for trial in chunk:
+            rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
+            env = draw_environment(
+                config.M, config.L, rng,
+                sector_center=config.sector_center, sector_spread=config.sector_spread,
+            )
+            angles.append(env.path_angles)
+            gains.append(path_gains(env, users, rng))
+        env = ScatteringEnvironment(config.M, np.stack(angles))
+        h = ray_sum(env, np.stack(gains))
+        eigenvalues, eigenvectors = eigen_spectrum(
+            effective_channel(inner_precoder(env, config.D), h)
+        )
+        usable = well_conditioned(eigenvalues)
+        inverses = iter(gram_inverse(eigenvalues[usable], eigenvectors[usable]))
+        states.extend(
+            TrialState(trial, lam, v, next(inverses) if ok else None)
+            for trial, lam, v, ok in zip(chunk, eigenvalues, eigenvectors, usable)
+        )
+    return states
+
+
 def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
     """Draw the channel of one trial and factorise its effective channel."""
-    rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
-    env = draw_environment(
-        config.M,
-        config.L,
-        rng,
-        sector_center=config.sector_center,
-        sector_spread=config.sector_spread,
-    )
-    h = sample_channel(env, users, rng)
-    w = inner_precoder(env, config.D)
-    eigenvalues, eigenvectors = eigen_spectrum(effective_channel(w, h))
-    try:
-        a_inv = gram_inverse(eigenvalues, eigenvectors)
-    except IllConditionedChannelError:
-        a_inv = None
-    return TrialState(trial, eigenvalues, eigenvectors, a_inv)
+    return draw_trials(config, users, [trial])[0]
 
 
 def evaluate_trial(
@@ -279,7 +307,7 @@ def run_experiment(config: ExperimentConfig):
     config.validate()
     records: list[TrialRecord] = []
     for users in config.user_counts():
-        states = [draw_trial(config, users, trial) for trial in range(config.num_trials)]
+        states = draw_trials(config, users, range(config.num_trials))
         usable = [state for state in states if state.a_inv is not None]
         codewords = {}
         if usable:
@@ -301,14 +329,16 @@ def run_experiment(config: ExperimentConfig):
 def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     """Measured quantization-cell distortion of the sweep's codebook, per b.
 
-    Walks the sweep's own trials and codebook. One scoring pass over
-    block slices of the stored ``2**max(b_grid)`` codebook chooses for
-    every usable trial and b, and per trial one
-    :func:`~d2dcoop.bounds.cell_distortion` of it serves every b. Returns
-    ``{b: (cell, selected)}``: ``cell`` is the mean squared sine between
-    eigenvector p and the nearest p-th codeword column of the ``2**b``
-    prefix, the raw pairing (column p against eigenvector p) that
-    ``2**(-b/(P-1))`` models; ``selected`` is the mean
+    Walks the sweep's own trials and codebook stream. The one pass of
+    :func:`select_prefix_codewords` over the ``2**max(b_grid)`` stream
+    chooses for every usable trial and b; next to it, each block lowers
+    every trial's running prefix minimum of
+    :func:`~d2dcoop.bounds.cell_distortion`, one per b, so the audit, like
+    the sweep, holds one block at a time. Returns ``{b: (cell,
+    selected)}``: ``cell`` is the mean squared sine between eigenvector p
+    and the nearest p-th codeword column of the ``2**b`` prefix, the raw
+    pairing (column p against eigenvector p) that ``2**(-b/(P-1))``
+    models; ``selected`` is the mean
     :func:`~d2dcoop.bounds.aligned_cell_distortion`, which resolves the
     pairing, of the codeword the average-SNR selector picks. Selection is
     not a minimum-distortion quantizer, so the gap between the two audits
@@ -319,21 +349,35 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     config.validate()
     if users not in config.user_counts():
         raise ValueError(f"{users} users is not a user count of the sweep")
-    states = [draw_trial(config, users, trial) for trial in range(config.num_trials)]
+    states = draw_trials(config, users, range(config.num_trials))
     states = [state for state in states if state.a_inv is not None]
     if not states:
         raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
-    codebook = codebook_for(config, users, max(config.b_grid))
-    blocks = (codebook[start : start + BLOCK] for start in range(0, len(codebook), BLOCK))
+    # nearest[b][t, p]: the least distortion of column p over the 2**b prefix, trial t
+    nearest = {bits: np.full((len(states), users), np.inf) for bits in config.b_grid}
+
+    def lowering_nearest(blocks):
+        """The blocks, each passed on once it has lowered the running minima."""
+        start = 0
+        for block in blocks:
+            for row, state in enumerate(states):
+                distortion = cell_distortion(block, state.eigenvectors)
+                for bits, least in nearest.items():
+                    if start < 1 << bits:
+                        prefix = distortion[: (1 << bits) - start].min(axis=0)
+                        np.minimum(least[row], prefix, out=least[row])
+            yield block
+            start += len(block)
+            del block, distortion  # released before the stream draws the next block
+
+    blocks = lowering_nearest(codebook_blocks(config, users, max(config.b_grid)))
     choices = select_prefix_codewords(blocks, [state.a_inv for state in states], config.b_grid)
     cell = dict.fromkeys(config.b_grid, 0.0)
     selected = dict.fromkeys(config.b_grid, 0.0)
-    for state, choice in zip(states, choices):
-        u = state.eigenvectors
-        distortion = cell_distortion(codebook, u)
+    for row, (state, choice) in enumerate(zip(states, choices)):
         for bits, (_, q) in choice.items():
-            cell[bits] += float(distortion[: 1 << bits].min(axis=0).mean())
-            selected[bits] += float(aligned_cell_distortion(q, u).mean())
+            cell[bits] += float(nearest[bits][row].mean())
+            selected[bits] += float(aligned_cell_distortion(q, state.eigenvectors).mean())
     usable = len(states)
     return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}
 

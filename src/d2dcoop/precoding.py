@@ -5,15 +5,17 @@ power normalization against the overall channel "effective channel times
 decoding matrix". With that normalization the post-decoding SNR of user
 ``p`` has the closed form ``1 / (N0 * [(Q^H A Q)^{-1}]_{pp})`` with
 ``A`` the effective-channel Gram matrix; the equivalent quadratic form
-``1 / (N0 * q_p^H A^{-1} q_p)`` (:func:`snr_denominators`) is the
-production path because one Gram inverse is reused across users and
-codewords.
+``1 / (N0 * q_p^H A^{-1} q_p)`` (:func:`snr_denominators`) is what the
+SNRs of a chosen codeword are computed from, because one Gram inverse
+is reused across its users.
 
 The Gram is factorised once per channel, by :func:`eigen_spectrum`, into
 plain arrays: its eigenvalues (descending) and eigenvectors. That one
 eigendecomposition yields the condition number and the inverse
 (:func:`gram_inverse`) as well as the eigenvalues the bounds are built
-on. :func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles:
+on. The chain from the effective channel to the inverse accepts a stack
+of channels (leading trial axes); each member equals, bitwise, the
+result of its own call. :func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles:
 they factorise the overall-channel Gram on their own route (SVD
 condition number, LU inverse), independent of the production path.
 """
@@ -44,17 +46,22 @@ def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(inner)
     h = np.asarray(channel)
-    if w.ndim != 2 or h.ndim != 2 or w.shape[0] != h.shape[0]:
+    if w.ndim < 2 or h.ndim < 2 or w.shape[-2] != h.shape[-2]:
         raise ValueError(
             f"incompatible shapes: inner {w.shape} vs channel {h.shape}"
         )
-    return w.conj().T @ h
+    return _adjoint(w) @ h
+
+
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(np.conj(matrix), -1, -2)
 
 
 def gram(h_e: np.ndarray) -> np.ndarray:
     """Gram matrix of the effective channel (users x users)."""
     h_e = np.asarray(h_e)
-    return h_e.conj().T @ h_e
+    return _adjoint(h_e) @ h_e
 
 
 def eigen_spectrum(h_e: np.ndarray):
@@ -62,22 +69,37 @@ def eigen_spectrum(h_e: np.ndarray):
     return sorted_eigh(gram(h_e))
 
 
+def condition_number(eigenvalues: np.ndarray) -> np.ndarray:
+    """``lambda_max / lambda_min`` of each spectrum (eigenvalues on the last axis).
+
+    A nonpositive smallest eigenvalue counts as infinitely ill
+    conditioned; nothing is divided by it.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    smallest = lam.min(axis=-1)
+    infinite = np.full(smallest.shape, np.inf)
+    return np.divide(lam.max(axis=-1), smallest, out=infinite, where=smallest > 0)
+
+
+def well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
+    """Whether each spectrum's condition number is finite and at most ``COND_LIMIT``."""
+    return condition_number(eigenvalues) <= COND_LIMIT
+
+
 def gram_inverse(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
     """Inverse of the effective-channel Gram from its eigendecomposition.
 
-    The condition number is ``lambda_max / lambda_min``; a nonpositive
-    smallest eigenvalue counts as infinitely ill conditioned. Raises
-    :class:`IllConditionedChannelError` above ``COND_LIMIT``; callers
-    record such channels as failed trials rather than silently producing
-    garbage SNRs.
+    Raises :class:`IllConditionedChannelError`, with the largest
+    condition number, unless every spectrum is :func:`well_conditioned`;
+    callers record such channels as failed trials rather than silently
+    producing garbage SNRs.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     v = np.asarray(eigenvectors)
-    smallest = float(lam.min())
-    cond = float(lam.max()) / smallest if smallest > 0 else np.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedChannelError(cond)
-    return (v / lam) @ v.conj().T
+    usable = well_conditioned(lam)
+    if not np.all(usable):
+        raise IllConditionedChannelError(np.max(condition_number(lam)[~usable]))
+    return (v / lam[..., None, :]) @ _adjoint(v)
 
 
 def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
@@ -85,9 +107,11 @@ def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
 
     ``decoding`` is one users x users matrix or a stack of them (leading
     axes); the result drops the row axis, so a stack of codewords gives
-    one row of denominators per codeword.
+    one row of denominators per codeword. The sweep forms them for each
+    chosen codeword; codeword selection scores the same forms as one
+    real GEMM (:func:`~d2dcoop.codebook.select_prefix_codewords`).
 
-    Kernel: the decoding vectors of the whole stack become the rows of
+    Computed as: the decoding vectors of the whole stack become the rows of
     one 2-D array, one complex GEMM gives ``y = rows @ A^{-T}`` (row
     ``i`` is ``(A^{-1} q_i)^T``), and each denominator is the real dot
     ``Re(conj(q_i) . y_i)`` over the interleaved real and imaginary

@@ -17,6 +17,8 @@ from d2dcoop import (
 )
 from d2dcoop.codebook import (
     BLOCK,
+    SCORE_ROWS,
+    TRIAL_CHUNK,
     _orthonormalize,
     codebook_bytes,
     codeword_scores,
@@ -248,6 +250,10 @@ class TestSelection:
         h_e = gaussian_effective_channel(rng, 6, 4)
         index, _, _ = select_codeword(cb, inverse_of(h_e), 1.0)
         assert index == 0
+        # the lifted selector, on every trial of a stack of Gram inverses
+        a_invs = [inverse_of(gaussian_effective_channel(rng, 6, 4)) for _ in range(3)]
+        for choice in select_prefix_codewords([cb], a_invs, [1]):
+            assert choice[1][0] == 0
 
     def test_argmax_invariant_to_noise_rescaling(self):
         rng = np.random.default_rng(11)
@@ -302,6 +308,17 @@ class TestSelection:
         assert codeword_scores(blocks[0], a_inv)[-1] == codeword_scores(blocks[1], a_inv)[0]
         (choice,) = select_prefix_codewords(blocks, [a_inv], [10, 11])
         assert choice[10][0] == choice[11][0] == BLOCK - 1
+        # the same among other trials, in the first and in a later chunk of them
+        others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(TRIAL_CHUNK)]
+        a_invs = [a_inv, *others, a_inv]
+        choices = select_prefix_codewords(blocks, a_invs, [10, 11])
+        assert choices[0][11][0] == choices[-1][11][0] == BLOCK - 1
+        for a_inv_t, choice in zip(a_invs, choices):
+            assert choice[11][0] == select_codeword(book, a_inv_t, 1.0)[0]
+        # and for two copies inside one block, in different scoring parts
+        book[5] = book[SCORE_ROWS + 7] = u
+        choices = select_prefix_codewords(block_slices(book), a_invs, [10, 11])
+        assert choices[0][10][0] == choices[-1][11][0] == 5
 
     def test_prefix_choices_need_the_largest_prefix(self):
         # the sweep reads 2**max(b) codewords; a shorter codebook is
@@ -346,3 +363,34 @@ class TestSelection:
             cap = np.linalg.eigvalsh(gram(h_e)).sum() / 4.0
             assert best <= cap * (1 + 1e-9)
 
+
+
+@st.composite
+def selection_cases(draw):
+    """A random codebook cut into random consecutive blocks, prefix sizes and Gram inverses."""
+    users = draw(st.integers(1, 6))
+    bit_counts = draw(st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True))
+    size = 1 << max(bit_counts)
+    cuts = draw(st.lists(st.integers(1, size - 1), max_size=4, unique=True)) if size > 1 else []
+    num = draw(st.sampled_from([1, 2, TRIAL_CHUNK + 3]))
+    return users, bit_counts, sorted(cuts), num, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(selection_cases())
+def test_lifted_choices_equal_reference_selector(case):
+    # the lifted real GEMM scores every trial of a block at once; its
+    # choice on every 2**b prefix must be the reference selector's
+    users, bit_counts, cuts, num, seed = case
+    rng = np.random.default_rng(seed)
+    book = generate_codebook(users, max(bit_counts), rng)
+    a_invs = [inverse_of(gaussian_effective_channel(rng, users + 2, users)) for _ in range(num)]
+    edges = [0, *cuts, len(book)]
+    blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
+    choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
+    for a_inv, choice in zip(a_invs, choices):
+        assert sorted(choice) == sorted(bit_counts)
+        for bits, (index, q) in choice.items():
+            assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
+            assert q.strides == book[index].strides
+            assert np.array_equal(q, book[index])

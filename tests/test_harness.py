@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,21 @@ from hypothesis import strategies as st
 from d2dcoop import (
     CooperationLink,
     ExperimentConfig,
+    IllConditionedChannelError,
     aligned_cell_distortion,
     bits_from_bandwidth,
     capacity,
+    cell_distortion,
     cell_distortion_audit,
+    draw_environment,
+    effective_channel,
+    eigen_spectrum,
+    gram_inverse,
+    inner_precoder,
     quantized_snr,
     run_experiment,
     run_trial,
+    sample_channel,
     select_codeword,
     snr_denominators,
 )
@@ -25,12 +34,16 @@ from d2dcoop import harness
 from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
+    DRAW_CHUNK,
     TRIAL_CSV_HEADER,
+    TRIAL_STREAM,
     GridPoint,
+    TrialState,
     aggregate_csv_lines,
     codebook_blocks,
     codebook_for,
     draw_trial,
+    draw_trials,
     grid_points,
     trial_csv_lines,
     write_outputs,
@@ -103,6 +116,43 @@ def spy_codebooks(monkeypatch):
     spy(codebook_blocks)
     spy(codebook_for)
     return generated
+
+
+def one_trial_draw(config, users, trial):
+    """One trial through the layer functions, one environment at a time."""
+    rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
+    env = draw_environment(
+        config.M, config.L, rng,
+        sector_center=config.sector_center, sector_spread=config.sector_spread,
+    )
+    h = sample_channel(env, users, rng)
+    eigenvalues, eigenvectors = eigen_spectrum(effective_channel(inner_precoder(env, config.D), h))
+    try:
+        a_inv = gram_inverse(eigenvalues, eigenvectors)
+    except IllConditionedChannelError:
+        a_inv = None
+    return TrialState(trial, eigenvalues, eigenvectors, a_inv)
+
+
+def state_bytes(state):
+    a_inv = None if state.a_inv is None else state.a_inv.tobytes()
+    return state.trial, state.eigenvalues.tobytes(), state.eigenvectors.tobytes(), a_inv
+
+
+@st.composite
+def draw_configs(draw):
+    """Random array, path and user counts, scattering sectors and seeds."""
+    users = draw(st.integers(1, 5))
+    D = draw(st.integers(users, 8))
+    return ExperimentConfig(
+        M=draw(st.integers(D, 24)),
+        L=draw(st.integers(D, 12)),
+        D=D,
+        P=users,
+        sector_center=draw(st.floats(-1.0, 1.0)),
+        sector_spread=draw(st.sampled_from([1e-9, 0.05, 0.5, np.pi])),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 def assert_overload_shared_across_links(records):
@@ -212,6 +262,30 @@ class TestRunTrial:
         assert 0.0 <= record.overload_rate < 1e-3
 
 
+class TestDrawTrials:
+    @settings(deadline=None, max_examples=20)
+    @given(draw_configs(), st.integers(1, 3))
+    def test_stacked_draw_equals_one_trial_draws(self, config, extra):
+        # the chain runs on stacks of DRAW_CHUNK trials; across a chunk
+        # edge every trial must be, bitwise, its own one-trial draw
+        states = draw_trials(config, config.P, range(DRAW_CHUNK + extra))
+        for trial, state in enumerate(states):
+            assert state_bytes(state) == state_bytes(one_trial_draw(config, config.P, trial))
+        for trial in (0, DRAW_CHUNK):
+            assert state_bytes(draw_trial(config, config.P, trial)) == state_bytes(states[trial])
+
+    def test_all_ill_conditioned_chunk_raises_no_warning(self):
+        # a point-like sector makes every Gram singular; the stacked
+        # condition check must not divide by the nonpositive eigenvalues
+        config = small_config(sector_spread=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = draw_trials(config, 4, range(DRAW_CHUNK + 2))
+        assert all(state.a_inv is None for state in states)
+        for trial in (0, DRAW_CHUNK - 1, DRAW_CHUNK + 1):
+            assert state_bytes(states[trial]) == state_bytes(one_trial_draw(config, 4, trial))
+
+
 class TestRunExperiment:
     def test_record_layout_and_aggregates(self):
         config = small_config()
@@ -280,8 +354,11 @@ class TestRunExperiment:
             assert generated == []
 
     def test_sweep_never_holds_the_codebook(self):
-        # the 2**14 codebook of 5 users is 6.5 MB; the sweep streams it
-        # through selection and holds one block at a time
+        # the 2**14 codebook of 5 users is 6.5 MB in 16 blocks of 0.41 MB;
+        # the sweep streams it through selection and holds one block at a
+        # time. Generating a block peaks at 1.79 MB (its Gaussian draws and
+        # the CGS2 temporaries), scoring one at 0.78 MB; a second block
+        # held across the next draw would take the peak to 2.2 MB
         config = small_config(P=5, b_grid=[14], snr_db_grid=[0.0], num_trials=2)
         tracemalloc.start()
         try:
@@ -290,7 +367,7 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert not any(r.cond_fail for r in records)
-        assert peak < codebook_bytes(5, 14) // 2
+        assert peak < 5 * codebook_bytes(5, 10)
 
     @pytest.mark.parametrize("bits", [3, 12])
     def test_codebook_blocks_concatenate_to_codebook_for(self, bits):
@@ -358,6 +435,18 @@ class TestCellDistortionAudit:
             assert cells
             assert cell == pytest.approx(np.mean(cells), rel=1e-12)
             assert selected == pytest.approx(np.mean(chosen), rel=1e-12)
+
+    def test_running_minima_across_block_boundaries(self):
+        # 2**10 ends on the first streamed block's last codeword and 2**11
+        # spans two blocks; the running minima must equal the distortion
+        # minimum over each whole prefix
+        config = small_config(P=3, b_grid=[2, 10, 11], num_trials=3)
+        audit = cell_distortion_audit(config, 3)
+        book = codebook_for(config, 3, 11)
+        states = [state for state in draw_trials(config, 3, range(3)) if state.a_inv is not None]
+        for bits, (cell, _) in audit.items():
+            cells = [cell_distortion(book[: 1 << bits], s.eigenvectors).min(axis=0).mean() for s in states]
+            assert cell == sum(cells) / len(states)
 
     def test_unusable_input_rejected(self, monkeypatch):
         # a point-like scattering sector makes every effective Gram singular;

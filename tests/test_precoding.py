@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from d2dcoop import (
     select_codeword,
     zf_outer_precoder,
 )
-from d2dcoop.precoding import gram, snr_denominators
+from d2dcoop.precoding import condition_number, gram, snr_denominators, well_conditioned
 
 
 def orthonormal_columns(dim, users, rng):
@@ -270,6 +271,30 @@ class TestIllConditioning:
         h_e[:, -1:] = h_e[:, :-1] @ weights
         with pytest.raises(IllConditionedChannelError):
             inverse_of(h_e)
+
+
+class TestStackedConditioning:
+    def test_nonpositive_smallest_eigenvalue_is_infinite_without_a_division(self):
+        eigenvalues = np.array([[2.0, 1.0], [1.0, 0.0], [1.0, -1e-18], [1.0, 1e-13]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cond = condition_number(eigenvalues)
+        assert cond.tolist() == [2.0, np.inf, np.inf, 1e13]
+        assert well_conditioned(eigenvalues).tolist() == [True, False, False, False]
+
+    def test_stack_raises_with_its_worst_condition_number(self):
+        rng = np.random.default_rng(31)
+        spectra = [eigen_spectrum(gaussian_effective_channel(rng, 6, 3)) for _ in range(3)]
+        eigenvalues = np.stack([lam for lam, _ in spectra])
+        eigenvectors = np.stack([v for _, v in spectra])
+        inverses = gram_inverse(eigenvalues, eigenvectors)
+        for inverse, (lam, v) in zip(inverses, spectra):
+            assert inverse.tobytes() == gram_inverse(lam, v).tobytes()
+        eigenvalues[1, -1] = 0.0
+        eigenvalues[2, -1] = eigenvalues[2, 0] * 1e-14
+        with pytest.raises(IllConditionedChannelError) as info:
+            gram_inverse(eigenvalues, eigenvectors)
+        assert info.value.condition_number == np.inf
 
 
 class TestGramInverse:
