@@ -9,6 +9,8 @@ built from.
 :func:`ray_sum` and :func:`inner_precoder` accept a stack of
 environments, path angles with leading (trial) axes, and return the
 matching stack: each member equals, bitwise, the result of its own call.
+:func:`path_gains`, :func:`sample_channel` and :func:`analytic_covariance`
+take one environment and reject a stack.
 """
 
 from dataclasses import dataclass
@@ -105,14 +107,21 @@ def draw_environment(
     return ScatteringEnvironment(num_antennas, angles)
 
 
+def _single(env: ScatteringEnvironment) -> None:
+    if env.path_angles.ndim > 1:
+        raise ValueError("expected one environment, got a stack of path angles")
+
+
 def path_gains(
     env: ScatteringEnvironment, num_users: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw every user's per-path gains (paths x users) for one environment.
 
     Circularly-symmetric complex Gaussian of variance ``1 / num_paths``
-    (real and imaginary parts each N(0, 1/(2L))).
+    (real and imaginary parts each N(0, 1/(2L))). A stack of environments
+    is rejected: its members would share one draw.
     """
+    _single(env)
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
     shape = (env.num_paths, num_users)
@@ -141,6 +150,7 @@ def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
     summed in sorted order. The oracle for :func:`inner_precoder`, which
     never forms this matrix.
     """
+    _single(env)
     s = _sorted_steering(env)
     r = (s @ s.conj().T) / env.num_paths
     return (r + r.conj().T) / 2.0

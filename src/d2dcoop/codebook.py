@@ -26,9 +26,7 @@ from .precoding import snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
 BLOCK = 1024
-# codewords and Gram inverses per scoring GEMM: they bound its temporaries
-SCORE_ROWS = 256
-TRIAL_CHUNK = 32
+SCORE_ELEMENTS = 1 << 14  # bounds each scoring temporary; selection sizes its GEMMs by it
 
 
 class CodebookBudgetError(RuntimeError):
@@ -123,23 +121,26 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
 
 
 def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
-    """The codeword :func:`select_codeword` picks from each ``2**b`` prefix, per Gram inverse.
+    """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
-    ``blocks`` yields the codebook as consecutive blocks from codeword 0
-    on, read once up to codeword ``2**max(bit_counts)``; each block is
-    released before the next is drawn. ``q^H B q`` is a real linear form
-    in the features of ``q`` (:func:`_lifted_features`) with weights
-    ``2 Re B_ij``, ``-2 Im B_ij`` (``i < j``) and ``B_ii``, so one real GEMM
-    scores ``SCORE_ROWS`` codewords for ``TRIAL_CHUNK`` Gram inverses. A
-    running first-occurrence argmax records each ``b``'s choice, which
-    serves every noise power, as the stream passes ``2**b``. Returns one
-    ``{b: (index, codeword)}`` per Gram inverse, each codeword a copy in
-    the store's column layout. Raises ValueError on fewer codewords.
+    ``blocks`` yields the codebook from codeword 0 on, read once up to codeword
+    ``2**max(bit_counts)``; each block is released before the next is drawn.
+    ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
+    weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
+    part of a block for a chunk of Gram inverses, sized so that its features
+    and its denominators each stay within ``SCORE_ELEMENTS``. A running
+    first-occurrence argmax records each ``b``'s choice, for every noise power:
+    :func:`select_codeword`'s, unless two scores are equal within the rounding of
+    the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
+    a multiple of the identity. Returns one ``{b: (index, codeword)}`` per Gram
+    inverse, codewords in the store's layout. Raises ValueError on fewer codewords.
     """
     edge_bits = {1 << bits: bits for bits in sorted(bit_counts)}
     size = max(edge_bits)
     gram_invs = np.asarray(gram_invs)
     num, users = gram_invs.shape[:2]
+    part_rows = max(1, min(BLOCK, SCORE_ELEMENTS // users**3))
+    chunk = max(1, SCORE_ELEMENTS // (users * part_rows))
     upper_i, upper_j = np.triu_indices(users, 1)
     upper = 2.0 * gram_invs[:, upper_i, upper_j]
     weights = np.concatenate([upper.real, -upper.imag, np.diagonal(gram_invs, 0, 1, 2).real], 1)
@@ -149,14 +150,14 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
     start = 0
     for block in blocks:
         stop = min(start + len(block), size)
-        # parts of at most SCORE_ROWS codewords, cut at the prefix edges
+        # parts of at most part_rows codewords, cut at the prefix edges
         edges = (edge for edge in edge_bits if start < edge < stop)
-        cuts = sorted({*range(start, stop, SCORE_ROWS), *edges})
+        cuts = sorted({*range(start, stop, part_rows), *edges})
         for low, high in zip(cuts, [*cuts[1:], stop]):
             part = block[low - start : high - start]
             features = _lifted_features(part, upper_i, upper_j)
-            for first in range(0, num, TRIAL_CHUNK):
-                rows = slice(first, first + TRIAL_CHUNK)
+            for first in range(0, num, chunk):
+                rows = slice(first, first + chunk)
                 denominators = weights[rows] @ features
                 np.reciprocal(denominators, out=denominators)
                 scores = denominators.reshape(len(denominators), users, -1).sum(axis=1)

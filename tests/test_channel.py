@@ -125,6 +125,16 @@ class TestSampleChannel:
         with pytest.raises(ValueError):
             sample_channel(env, 0, np.random.default_rng(0))
 
+    def test_stack_of_environments_rejected(self):
+        # a stack would share one gain draw among its members and the
+        # covariance is defined per environment; only the ray sum and the
+        # inner precoder take stacks
+        env = ScatteringEnvironment(4, np.array([[0.2, -0.4], [0.1, 0.3]]))
+        with pytest.raises(ValueError, match="stack"):
+            sample_channel(env, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="stack"):
+            analytic_covariance(env)
+
 
 class TestAnalyticCovariance:
     def test_single_broadside_path(self):

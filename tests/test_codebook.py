@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from conftest import average_snr, gaussian_effective_channel, inverse_of, pipeline_channel
+from conftest import (
+    average_snr,
+    gaussian_effective_channel,
+    haar_unitary,
+    inverse_of,
+    pipeline_channel,
+)
 from d2dcoop import (
     CodebookBudgetError,
     generate_codebook,
@@ -15,10 +22,10 @@ from d2dcoop import (
     per_user_snr_gram,
     select_codeword,
 )
+import d2dcoop.codebook as codebook_module
 from d2dcoop.codebook import (
     BLOCK,
-    SCORE_ROWS,
-    TRIAL_CHUNK,
+    SCORE_ELEMENTS,
     _orthonormalize,
     codebook_bytes,
     codeword_scores,
@@ -309,14 +316,15 @@ class TestSelection:
         (choice,) = select_prefix_codewords(blocks, [a_inv], [10, 11])
         assert choice[10][0] == choice[11][0] == BLOCK - 1
         # the same among other trials, in the first and in a later chunk of them
-        others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(TRIAL_CHUNK)]
+        others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(32)]
         a_invs = [a_inv, *others, a_inv]
         choices = select_prefix_codewords(blocks, a_invs, [10, 11])
         assert choices[0][11][0] == choices[-1][11][0] == BLOCK - 1
         for a_inv_t, choice in zip(a_invs, choices):
             assert choice[11][0] == select_codeword(book, a_inv_t, 1.0)[0]
         # and for two copies inside one block, in different scoring parts
-        book[5] = book[SCORE_ROWS + 7] = u
+        assert 5 + SCORE_ELEMENTS // 3**3 < BLOCK - 2
+        book[5] = book[BLOCK - 2] = u
         choices = select_prefix_codewords(block_slices(book), a_invs, [10, 11])
         assert choices[0][10][0] == choices[-1][11][0] == 5
 
@@ -369,11 +377,15 @@ class TestSelection:
 def selection_cases(draw):
     """A random codebook cut into random consecutive blocks, prefix sizes and Gram inverses."""
     users = draw(st.integers(1, 6))
-    bit_counts = draw(st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True))
+    num = draw(st.sampled_from([1, 2, 35]))
+    # the default scoring temporaries, or parts of one codeword or of three,
+    # which make many small GEMMs and so get smaller codebooks
+    elements = draw(st.sampled_from([SCORE_ELEMENTS, 1, 3 * users**3]))
+    top = 11 if elements == SCORE_ELEMENTS else 8
+    bit_counts = draw(st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True))
     size = 1 << max(bit_counts)
     cuts = draw(st.lists(st.integers(1, size - 1), max_size=4, unique=True)) if size > 1 else []
-    num = draw(st.sampled_from([1, 2, TRIAL_CHUNK + 3]))
-    return users, bit_counts, sorted(cuts), num, draw(st.integers(0, 2**32 - 1))
+    return users, bit_counts, sorted(cuts), num, elements, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(deadline=None, max_examples=40)
@@ -381,16 +393,57 @@ def selection_cases(draw):
 def test_lifted_choices_equal_reference_selector(case):
     # the lifted real GEMM scores every trial of a block at once; its
     # choice on every 2**b prefix must be the reference selector's
-    users, bit_counts, cuts, num, seed = case
+    users, bit_counts, cuts, num, elements, seed = case
     rng = np.random.default_rng(seed)
     book = generate_codebook(users, max(bit_counts), rng)
     a_invs = [inverse_of(gaussian_effective_channel(rng, users + 2, users)) for _ in range(num)]
     edges = [0, *cuts, len(book)]
     blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
-    choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
+    with patch.object(codebook_module, "SCORE_ELEMENTS", elements):
+        choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
     for a_inv, choice in zip(a_invs, choices):
         assert sorted(choice) == sorted(bit_counts)
         for bits, (index, q) in choice.items():
             assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
             assert q.strides == book[index].strides
             assert np.array_equal(q, book[index])
+
+
+def conditioned_inverse(users, cond, rng):
+    """The inverse of a Gram with condition number ``cond``: eigenvalues 1 and
+    ``1 / cond`` with log-uniform ones between, Haar eigenvectors."""
+    inner = np.sort(rng.uniform(-np.log10(cond), 0.0, users - 2))[::-1]
+    lam = 10.0 ** np.concatenate([[0.0], inner, [-np.log10(cond)]])
+    return gram_inverse(lam, haar_unitary(users, rng))
+
+
+@pytest.mark.parametrize("cond", [1e10, 1e11, 1e12])
+def test_lifted_choices_equal_reference_near_condition_limit(cond):
+    # both score forms round with an error that grows with the condition
+    # number (relative 2e-10 at COND_LIMIT); it stays far below the score
+    # gaps of distinct random codewords, so every prefix choice is equal
+    bit_counts = list(range(11))
+    for users in range(2, 7):
+        rng = np.random.default_rng([users, int(np.log10(cond))])
+        book = generate_codebook(users, 10, rng)
+        a_invs = [conditioned_inverse(users, cond, rng) for _ in range(4)]
+        for a_inv, choice in zip(a_invs, select_prefix_codewords([book], a_invs, bit_counts)):
+            assert np.linalg.cond(a_inv) > cond / 10
+            for bits, (index, _) in choice.items():
+                assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
+
+
+def test_near_ties_resolve_within_rounding():
+    # under a Gram that is a multiple of the identity every unitary
+    # codeword scores the same; the two score forms then break the tie by
+    # rounding, so the lifted choice may differ from the reference's (it
+    # did for 37 of 50 such Grams, P = 2 to 6, 2**10 codewords), but it
+    # scores the reference maximum to within rounding
+    users = 4
+    rng = np.random.default_rng(61)
+    book = generate_codebook(users, 8, rng)
+    a_invs = [gram_inverse(np.full(users, 2.0), haar_unitary(users, rng)) for _ in range(8)]
+    for a_inv, choice in zip(a_invs, select_prefix_codewords([book], a_invs, [8])):
+        scores = codeword_scores(book, a_inv)
+        assert np.ptp(scores) <= 1e-14 * scores.max()
+        assert scores[choice[8][0]] == pytest.approx(scores.max(), rel=1e-14, abs=0)
