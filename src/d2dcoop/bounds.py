@@ -46,20 +46,21 @@ def snr_lower_bound_terms(
 
     Term ``p`` is ``1 / (N0 * (1/lam_p + (tr - 2/lam_p) * delta))`` with
     ``tr`` the trace of the inverse Gram and ``delta`` the expected cell
-    distortion: their mean is the bound. A column of noise powers gives a row each.
+    distortion: their mean is the bound. A column of noise powers gives a row
+    each, and so does a stack of spectra (eigenvalues on the last axis).
     """
     if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("all eigenvalues must be positive")
-    delta = expected_cell_distortion(bits, lam.size)
+    delta = expected_cell_distortion(bits, lam.shape[-1])
     inv = 1.0 / lam
-    trace_inv = inv.sum()
+    trace_inv = inv.sum(axis=-1, keepdims=True)
     denom = inv + (trace_inv - 2.0 * inv) * delta
-    bad = np.nonzero(denom <= 0)[0]
+    bad = np.argwhere(denom <= 0)
     if bad.size:
-        raise BoundInvalidError(int(bad[0]), float(denom[bad[0]]))
+        raise BoundInvalidError(int(bad[0, -1]), float(denom[tuple(bad[0])]))
     return 1.0 / (noise_power * denom)
 
 

@@ -120,7 +120,7 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
     return index, codebook[index], float(scores[index] / (noise_power * codebook.shape[1]))
 
 
-def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
+def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
     ``blocks`` yields the codebook from codeword 0 on, read once up to codeword
@@ -132,8 +132,8 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
-    a multiple of the identity. Returns one ``{b: (index, codeword)}`` per Gram
-    inverse, codewords in the store's layout. Raises ValueError on fewer codewords.
+    a multiple of the identity. Returns ``{b: (indices, codewords)}``, a row per
+    Gram inverse, codewords in the store's layout. Raises ValueError on fewer codewords.
     """
     edge_bits = {1 << bits: bits for bits in sorted(bit_counts)}
     size = max(edge_bits)
@@ -176,7 +176,7 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> list:
             break
     if start < size:
         raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
-    return [{bits: (int(i[t]), q[t]) for bits, (i, q) in chosen.items()} for t in range(num)]
+    return chosen
 
 
 def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:

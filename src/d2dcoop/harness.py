@@ -4,8 +4,7 @@ Determinism contract: every trial owns a private generator seeded from
 ``(master_seed, stream, trial_index)``, so records are bitwise
 reproducible. Each channel is drawn and factorised once per
 (users, trial) and shared by every grid point of that user count, which
-makes curves paired comparisons; past the per-trial random draws, the
-factorisation runs on stacks of trials. The decoding codebook is seeded from
+makes curves paired comparisons. The decoding codebook is seeded from
 ``(master_seed, stream, user_count)`` only, never from the bit count, so
 smaller codebooks are exact prefixes of bigger ones. That nesting, and a
 selection score that does not depend on the SNR, let one pass of the
@@ -13,12 +12,15 @@ codebook per user count choose every trial's codeword for every b and
 SNR; the sweep streams that pass block by block, never holding the
 whole codebook, and scores each block against every trial at once by
 one real GEMM. After the channel draw and the choice, a trial is its
-Gram factorisation and chosen codewords alone: every grid point, the
-overload audit included, is a closed form of them. The grid axes
-(b, SNR, gamma, bandwidth ratio) are array axes: the closed forms are
-broadcast over a column of noise powers, so one overload audit per
-(trial, b) covers every SNR and serves every link that carries bits;
-ideal sharing is the noiseless link of the same cooperative-SNR formula.
+Gram factorisation and chosen codewords alone, and every grid point is
+a closed form of them. Past the per-trial random draws, a user count's
+trials stay one array axis up to the records: :class:`Trials` stacks
+their factorisations, selection returns one stack of chosen codewords
+per b, and :func:`evaluate_trials` runs each closed form over the trial
+and grid axes (b, SNR, gamma, bandwidth ratio) at once. The overload
+audit alone runs per (trial, b), on a column of noise powers that
+covers every SNR, and serves every link that carries bits; ideal
+sharing is the noiseless link of the same cooperative-SNR formula.
 Every channel the package draws comes from :func:`draw_trials`, those of
 the cell-distortion audit included.
 """
@@ -158,39 +160,40 @@ def codebook_blocks(config: ExperimentConfig, users: int, bits: int):
 
 
 @dataclass(frozen=True)
-class TrialState:
-    """What one trial draws before any grid point is evaluated.
+class Trials:
+    """The trials of one user count, drawn and factorised once.
 
     Everything here depends only on (users, trial), so every grid point
     of that user count reuses it, and nothing else of the draw is kept:
-    every grid point is a function of these P x P quantities alone: the
-    one factorisation of the effective Gram and its inverse ``a_inv``,
-    None when the channel is ill-conditioned.
+    every grid point is a closed form of these P x P quantities alone.
+    Row ``t`` of ``eigenvalues`` (T, P) and ``eigenvectors`` (T, P, P) is
+    the one factorisation of trial ``ids[t]``'s effective Gram; ``usable``
+    (T,) marks the well-conditioned trials and ``a_inv`` (U, P, P) holds
+    their Gram inverses, in trial order.
     """
 
-    trial: int
+    ids: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    a_inv: np.ndarray | None
+    usable: np.ndarray
+    a_inv: np.ndarray
 
 
-def draw_trials(config: ExperimentConfig, users: int, trials) -> list:
+def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     """Draw the channels of ``trials`` and factorise their effective channels.
 
     Each trial draws its path angles and gains from its own generator,
     seeded from ``(master_seed, TRIAL_STREAM, trial)``. The deterministic
     chain (steering, ray sum, inner precoder, effective channel, Gram
-    factorisation, condition check and inverse) then runs once per
-    ``DRAW_CHUNK`` trials on the stacked draws; each trial's state equals,
-    bitwise, its own one-trial draw. Returns one :class:`TrialState` per
-    trial, in order.
+    factorisation) then runs once per ``DRAW_CHUNK`` trials on the
+    stacked draws, and one condition check and inverse run on all of
+    them; every row equals, bitwise, its trial's own one-trial draw.
     """
-    trials = list(trials)
-    states = []
-    for first in range(0, len(trials), DRAW_CHUNK):
-        chunk = trials[first : first + DRAW_CHUNK]
+    ids = np.array(trials, dtype=int)
+    spectra = []
+    for first in range(0, len(ids), DRAW_CHUNK):
         angles, gains = [], []
-        for trial in chunk:
+        for trial in ids[first : first + DRAW_CHUNK].tolist():
             rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
             env = draw_environment(
                 config.M, config.L, rng,
@@ -200,76 +203,66 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> list:
             gains.append(path_gains(env, users, rng))
         env = ScatteringEnvironment(config.M, np.stack(angles))
         h = ray_sum(env, np.stack(gains))
-        eigenvalues, eigenvectors = eigen_spectrum(
-            effective_channel(inner_precoder(env, config.D), h)
-        )
-        usable = well_conditioned(eigenvalues)
-        inverses = iter(gram_inverse(eigenvalues[usable], eigenvectors[usable]))
-        states.extend(
-            TrialState(trial, lam, v, next(inverses) if ok else None)
-            for trial, lam, v, ok in zip(chunk, eigenvalues, eigenvectors, usable)
-        )
-    return states
+        spectra.append(eigen_spectrum(effective_channel(inner_precoder(env, config.D), h)))
+    eigenvalues, eigenvectors = (np.concatenate(arrays) for arrays in zip(*spectra))
+    usable = well_conditioned(eigenvalues)
+    a_inv = gram_inverse(eigenvalues[usable], eigenvectors[usable])
+    return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)
 
 
-def draw_trial(config: ExperimentConfig, users: int, trial: int) -> TrialState:
-    """Draw the channel of one trial and factorise its effective channel."""
-    return draw_trials(config, users, [trial])[0]
+def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict) -> list:
+    """Records of drawn trials at every grid point of ``users``, in sweep order.
 
-
-def evaluate_trial(
-    config: ExperimentConfig, users: int, state: TrialState, codewords: dict | None
-) -> list:
-    """Records of one drawn trial at every grid point of ``users``, in sweep order.
-
-    ``codewords`` maps every b of the grid to the decoding matrix chosen
-    for this trial, None for an ill-conditioned trial, which yields
-    flagged records with empty capacities. Per point: the cooperative
-    capacity under the configured sharing mode, the plain zero-forcing
-    baseline, the perfect-cooperation capacity and (for two or more
-    users) the analytic lower-bound capacity, each a closed form of the
-    trial's factorisation and its chosen codewords. The grid axes
-    (b, SNR, link) are array axes: the chosen codeword's denominators
-    ``d`` are formed once per b, and each closed form runs once per b on
-    one (S, 1) column of noise powers. The cooperative SNR is one
-    :func:`~d2dcoop.quantization.cooperative_snr` call per b over the
-    (SNR, link) grid of link variances, ideal sharing being one noiseless
-    link; a link that carries no bits takes the zero-forcing capacity.
+    ``choices`` maps every b of the grid to the ``(indices, codewords)``
+    chosen for the usable trials, and is empty when no trial is usable;
+    an ill-conditioned trial yields flagged records with empty
+    capacities. Per point: the cooperative capacity under the configured
+    sharing mode, the plain zero-forcing baseline, the perfect-cooperation
+    capacity and (for two or more users) the analytic lower-bound
+    capacity, each a closed form of a trial's factorisation and its chosen
+    codewords. The grid axes (b, SNR, link) and the usable trials are
+    array axes: each closed form runs once, or once per b, on an (S, 1, 1)
+    column of noise powers against every usable trial. The cooperative
+    SNR is one :func:`~d2dcoop.quantization.cooperative_snr` call per b
+    over the (SNR, link) grid of link variances, ideal sharing being one
+    noiseless link; a link that carries no bits takes the zero-forcing
+    capacity. Only the overload audit runs per (trial, b): its
+    ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack.
     """
     gammas, ratios = _link_axes(config)
-    keys = itertools.product(config.b_grid, config.snr_db_grid, gammas, ratios)
-    if state.a_inv is None:
-        return [
-            TrialRecord(users, *key, state.trial, None, None, None, None, 1, None) for key in keys
-        ]
-    a_inv, eigenvalues = state.a_inv, state.eigenvalues
-    noise = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in config.snr_db_grid])
+    a_inv, eigenvalues = trials.a_inv, trials.eigenvalues[trials.usable]
+    noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
+    column = noise[:, None, None]  # (S, 1, 1) against the (U, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
     if config.mode == "quantized-rsi":
         variances, carries = link_variances(gammas, ratios, config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
-    shape = (len(config.b_grid), len(noise), len(variances))
+    shape = (len(config.b_grid), len(noise), len(variances), len(a_inv))
     coop, overload = np.empty(shape), np.zeros(shape)
-    bound = np.full(shape[:2], None, dtype=object)
-    zf = capacity(noncooperative_baseline_snr(a_inv, noise))[:, None]
-    ideal = capacity(eigenvalues / noise)[:, None]
-    for i, bits in enumerate(config.b_grid):
-        decoding = codewords[bits]
+    bound = np.empty((*shape[:2], 1, shape[3])) if users >= 2 else np.array(None)
+    zf = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
+    ideal = capacity(eigenvalues / column)[:, None]
+    for bits, (_, decoding) in choices.items():
+        i = config.b_grid.index(bits)
         d = snr_denominators(decoding, a_inv)
-        snrs = cooperative_snr(decoding, d, noise[:, :, None], variances[:, None])
-        coop[i] = np.where(carries, capacity(snrs), zf)
+        snrs = cooperative_snr(decoding, d, column[..., None], variances[:, None, None])
+        coop[i] = np.where(carries[:, None], capacity(snrs), zf)
         if audit:
-            overload[i] = np.where(carries, expected_overload(decoding, d, noise, config.tau), 0.0)
+            for row, (q, d_row) in enumerate(zip(decoding, d)):
+                rates = expected_overload(q, d_row, noise[:, None], config.tau)
+                overload[i, ..., row] = np.where(carries, rates, 0.0)
         if users >= 2:
-            bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, noise)).tolist()
-    # every column broadcast to (b, SNR, link) and flattened in sweep order
-    columns = [
-        np.broadcast_to(column, shape).ravel().tolist()
-        for column in (coop, zf, ideal, bound[:, :, None], overload)
-    ]
+            bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, column))[:, None]
+    # the usable trials' fields, capacity_coop to overload_rate, in sweep order
+    columns = (coop, zf, ideal, bound, np.array(0), overload)
+    values = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns))
+    failed = (None, None, None, None, 1, None)
+    keys = itertools.product(config.b_grid, config.snr_db_grid, gammas, ratios)
+    ids = list(zip(trials.ids.tolist(), trials.usable.tolist()))
     return [
-        TrialRecord(users, *key, state.trial, *capacities, 0, overload_rate)
-        for key, *capacities, overload_rate in zip(keys, *columns)
+        TrialRecord(users, *key, trial, *(next(values) if ok else failed))
+        for key in keys
+        for trial, ok in ids
     ]
 
 
@@ -278,20 +271,21 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
 
     It chooses from its own whole ``2**b`` codebook with the reference
     :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point
-    grid through the same :func:`evaluate_trial`. The trial is drawn
+    grid through the same :func:`evaluate_trials`. The trial is drawn
     first, and an ill-conditioned one generates no codebook.
     """
     one_point = dataclasses.replace(
         config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
     )
-    state = draw_trial(one_point, point.users, trial)
-    codewords = None
-    if state.a_inv is not None:
+    trials = draw_trials(one_point, point.users, [trial])
+    choices = {}
+    if trials.usable[0]:
         codebook = codebook_for(config, point.users, point.bits)
         noise_power = 10.0 ** (-point.snr_db / 10.0)
-        codewords = {point.bits: select_codeword(codebook, state.a_inv, noise_power)[1]}
-    return evaluate_trial(one_point, point.users, state, codewords)[0]
+        index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
+        choices[point.bits] = np.array([index]), codeword[None]
+    return evaluate_trials(one_point, point.users, trials, choices)[0]
 
 
 def run_experiment(config: ExperimentConfig):
@@ -302,23 +296,18 @@ def run_experiment(config: ExperimentConfig):
     codebook is then streamed once through selection: each block is
     generated, scored against every usable trial and dropped, so the
     sweep holds one block and the chosen codewords, never the codebook.
-    Each trial is then evaluated at all of the count's grid points.
+    All the count's trials are then evaluated at all of its grid points
+    at once.
     """
     config.validate()
     records: list[TrialRecord] = []
     for users in config.user_counts():
-        states = draw_trials(config, users, range(config.num_trials))
-        usable = [state for state in states if state.a_inv is not None]
-        codewords = {}
-        if usable:
+        trials = draw_trials(config, users, range(config.num_trials))
+        choices = {}
+        if len(trials.a_inv):
             blocks = codebook_blocks(config, users, max(config.b_grid))
-            choices = select_prefix_codewords(blocks, [s.a_inv for s in usable], config.b_grid)
-            for state, choice in zip(usable, choices):
-                codewords[state.trial] = {bits: q for bits, (_, q) in choice.items()}
-        by_trial = [
-            evaluate_trial(config, users, state, codewords.get(state.trial)) for state in states
-        ]
-        records.extend(record for by_point in zip(*by_trial) for record in by_point)
+            choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
+        records.extend(evaluate_trials(config, users, trials, choices))
     summaries = [
         summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
         for i, point in enumerate(grid_points(config))
@@ -349,19 +338,20 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     config.validate()
     if users not in config.user_counts():
         raise ValueError(f"{users} users is not a user count of the sweep")
-    states = draw_trials(config, users, range(config.num_trials))
-    states = [state for state in states if state.a_inv is not None]
-    if not states:
+    trials = draw_trials(config, users, range(config.num_trials))
+    eigenvectors = trials.eigenvectors[trials.usable]
+    usable = len(eigenvectors)
+    if not usable:
         raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
-    # nearest[b][t, p]: the least distortion of column p over the 2**b prefix, trial t
-    nearest = {bits: np.full((len(states), users), np.inf) for bits in config.b_grid}
+    # nearest[b][t, p]: the least distortion of column p over the 2**b prefix, usable trial t
+    nearest = {bits: np.full((usable, users), np.inf) for bits in config.b_grid}
 
     def lowering_nearest(blocks):
         """The blocks, each passed on once it has lowered the running minima."""
         start = 0
         for block in blocks:
-            for row, state in enumerate(states):
-                distortion = cell_distortion(block, state.eigenvectors)
+            for row, u in enumerate(eigenvectors):
+                distortion = cell_distortion(block, u)
                 for bits, least in nearest.items():
                     if start < 1 << bits:
                         prefix = distortion[: (1 << bits) - start].min(axis=0)
@@ -371,15 +361,15 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
             del block, distortion  # released before the stream draws the next block
 
     blocks = lowering_nearest(codebook_blocks(config, users, max(config.b_grid)))
-    choices = select_prefix_codewords(blocks, [state.a_inv for state in states], config.b_grid)
-    cell = dict.fromkeys(config.b_grid, 0.0)
-    selected = dict.fromkeys(config.b_grid, 0.0)
-    for row, (state, choice) in enumerate(zip(states, choices)):
-        for bits, (_, q) in choice.items():
-            cell[bits] += float(nearest[bits][row].mean())
-            selected[bits] += float(aligned_cell_distortion(q, state.eigenvectors).mean())
-    usable = len(states)
-    return {bits: (cell[bits] / usable, selected[bits] / usable) for bits in sorted(config.b_grid)}
+    choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
+    audit = {}
+    for bits, (_, codewords) in choices.items():
+        cell = selected = 0.0
+        for least, q, u in zip(nearest[bits], codewords, eigenvectors):
+            cell += float(least.mean())
+            selected += float(aligned_cell_distortion(q, u).mean())
+        audit[bits] = cell / usable, selected / usable
+    return audit
 
 
 def summarize_point(point: GridPoint, records) -> PointSummary:

@@ -107,23 +107,27 @@ def snr_denominators(decoding: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
 
     ``decoding`` is one users x users matrix or a stack of them (leading
     axes); the result drops the row axis, so a stack of codewords gives
-    one row of denominators per codeword. The sweep forms them for each
-    chosen codeword; codeword selection scores the same forms as one
-    real GEMM (:func:`~d2dcoop.codebook.select_prefix_codewords`).
+    one row of denominators per codeword. ``gram_inv`` is one inverse for
+    the whole stack or a stack of the same shape, one per matrix. The
+    sweep forms them for each trial's chosen codewords; codeword selection
+    scores the same forms as one real GEMM
+    (:func:`~d2dcoop.codebook.select_prefix_codewords`).
 
-    Computed as: the decoding vectors of the whole stack become the rows of
-    one 2-D array, one complex GEMM gives ``y = rows @ A^{-T}`` (row
-    ``i`` is ``(A^{-1} q_i)^T``), and each denominator is the real dot
-    ``Re(conj(q_i) . y_i)`` over the interleaved real and imaginary
-    parts. A stack stored column by column (as
+    Computed as: the decoding vectors become rows, a complex GEMM gives
+    ``y = rows @ A^{-T}`` (row ``i`` is ``(A^{-1} q_i)^T``), one for the
+    whole stack against one inverse and one per matrix against a stack,
+    and each denominator is the real dot ``Re(conj(q_i) . y_i)`` over the
+    interleaved real and imaginary parts. A stack stored column by column (as
     :func:`~d2dcoop.codebook.generate_codebook` stores its codewords)
     yields the rows as a view, without a copy; any other layout is
     copied once and gives bitwise the same result.
     """
     q = np.asarray(decoding)
-    rows = np.ascontiguousarray(np.swapaxes(q, -1, -2), dtype=complex).reshape(-1, q.shape[-2])
-    y = rows @ np.asarray(gram_inv).T
-    denoms = np.einsum("ij,ij->i", rows.view(float), y.view(float))
+    a = np.asarray(gram_inv)
+    rows = np.ascontiguousarray(np.swapaxes(q, -1, -2), dtype=complex)
+    pairs = rows.reshape(-1, q.shape[-2])
+    y = (pairs if a.ndim == 2 else rows) @ np.swapaxes(a, -1, -2)
+    denoms = np.einsum("ij,ij->i", pairs.view(float), y.reshape(pairs.shape).view(float))
     return denoms.reshape(q.shape[:-2] + q.shape[-1:])
 
 
@@ -149,11 +153,12 @@ def noncooperative_baseline_snr(gram_inv: np.ndarray, noise_power: float) -> np.
     """Per-user SNRs of plain zero-forcing without any receiver pooling.
 
     That is the identity decoding matrix: each user demodulates from its
-    own received sample only. A column of noise powers gives a row each.
+    own received sample only. A column of noise powers gives a row each;
+    a stack of inverses (leading axes) gives a row per inverse.
     """
     if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
-    return 1.0 / (noise_power * np.diagonal(gram_inv).real)
+    return 1.0 / (noise_power * np.diagonal(gram_inv, 0, -2, -1).real)
 
 
 def zf_outer_precoder(h_e: np.ndarray, decoding: np.ndarray) -> np.ndarray:

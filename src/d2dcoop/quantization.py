@@ -154,11 +154,12 @@ def cooperative_snr(
     ``decoding``. User ``p``'s own sample is never quantized, so its noise
     is ``N0 + (1 - |q_p[p]|^2) * noise_variance``; ideal sharing, the
     noiseless link, gives bitwise ``1 / (N0 * d)``. Noise powers (S, 1, 1)
-    and variances (K, 1) broadcast to (S, K, users).
+    and variances (K, 1) broadcast to (S, K, users), or with (S, 1, 1, 1)
+    and (K, 1, 1) a stack of T decoding matrices to (S, K, T, users).
     """
     if not np.all(np.asarray(noise_power) > 0):
         raise ValueError("noise_power must be positive")
-    own = np.abs(np.diagonal(np.asarray(decoding))) ** 2
+    own = np.abs(np.diagonal(np.asarray(decoding), 0, -2, -1)) ** 2
     return 1.0 / ((noise_power + (1.0 - own) * noise_variance) * denominators)
 
 

@@ -56,3 +56,12 @@ def assert_broadcasts_like_scalar_calls(fn):
     for bad in ([[1.0], [0.0]], [[-1.0], [2.0]], [1.0, 2.0, -3.0]):
         with pytest.raises(ValueError, match="noise_power must be positive"):
             fn(np.array(bad))
+
+
+def assert_stacks_like_row_calls(fn, *stacks):
+    """``fn`` on ``stacks`` (a leading trial axis each) equals, bitwise, its
+    row-by-row calls stacked in order."""
+    stacked = np.asarray(fn(*stacks))
+    expected = np.stack([fn(*rows) for rows in zip(*stacks, strict=True)])
+    assert stacked.shape == expected.shape
+    assert stacked.tobytes() == expected.tobytes()

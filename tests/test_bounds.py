@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_broadcasts_like_scalar_calls,
+    assert_stacks_like_row_calls,
     average_snr,
     gaussian_effective_channel,
     haar_unitary,
 )
 from d2dcoop import (
+    BoundInvalidError,
     ExperimentConfig,
     aligned_cell_distortion,
     cell_distortion,
@@ -107,6 +109,22 @@ class TestSnrLowerBound:
             assert np.all(terms > 0)
         assert_broadcasts_like_scalar_calls(lambda noise: snr_lower_bound_terms(lam, 0, noise))
 
+    def test_stack_of_spectra_equals_row_calls(self):
+        # the user count is the spectrum's length, not the stack's size
+        rng = np.random.default_rng(6)
+        lam = np.stack([eigen_spectrum(gaussian_effective_channel(rng, 6, 4))[0] for _ in range(3)])
+        for bits in (0, 6):
+            assert_stacks_like_row_calls(lambda spectra: snr_lower_bound_terms(spectra, bits, 0.5), lam)
+        # at b = 0 user 2's term is the trace without its own 1/lam, here 0:
+        # the stacked error names user 2, as the row's own call does
+        spectra = np.array([[4.0, 3.0, 2.0, 1.0], [np.inf, np.inf, 1.0, np.inf]])
+        with pytest.raises(BoundInvalidError) as row_error:
+            snr_lower_bound_terms(spectra[1], 0, 1.0)
+        with pytest.raises(BoundInvalidError) as stack_error:
+            snr_lower_bound_terms(spectra, 0, 1.0)
+        assert row_error.value.user == stack_error.value.user == 2
+        assert stack_error.value.value == 0.0
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(2, 8),
@@ -190,14 +208,20 @@ class TestDistortionMeasures:
 
 @pytest.mark.parametrize(
     "users, bits, trials, code",
-    [("2", "2", "2", 0), ("1", "2", "2", 2), ("2", "2", "0", 2), ("2", "-1", "2", 2)],
-    ids=["ok", "one-user", "no-trials", "negative-bits"],
+    [
+        (["2"], ["2"], "2", 0),
+        (["2", "3"], ["4", "2"], "3", 0),
+        (["1"], ["2"], "2", 2),
+        (["2"], ["2"], "0", 2),
+        (["2"], ["-1"], "2", 2),
+    ],
+    ids=["ok", "two-users-two-bits", "one-user", "no-trials", "negative-bits"],
 )
 def test_distortion_gap_script_runs(users, bits, trials, code):
     # the script imports from the package root, so an export change must fail here
     script = Path(__file__).resolve().parents[1] / "scripts" / "distortion_gap.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--users", users, "--bits", bits, "--trials", trials],
+        [sys.executable, str(script), "--users", *users, "--bits", *bits, "--trials", trials],
         capture_output=True,
         text=True,
         timeout=120,
@@ -209,4 +233,6 @@ def test_distortion_gap_script_runs(users, bits, trials, code):
         return
     header, *rows = result.stdout.splitlines()
     assert header.split()[:2] == ["P", "b"]
-    assert [row.split()[:2] for row in rows] == [["2", "2"]]
+    # one row per (P, b), b ascending within each P
+    expected = [[p, b] for p in users for b in sorted(bits, key=int)]
+    assert [row.split()[:2] for row in rows] == expected

@@ -259,8 +259,9 @@ class TestSelection:
         assert index == 0
         # the lifted selector, on every trial of a stack of Gram inverses
         a_invs = [inverse_of(gaussian_effective_channel(rng, 6, 4)) for _ in range(3)]
-        for choice in select_prefix_codewords([cb], a_invs, [1]):
-            assert choice[1][0] == 0
+        indices, _ = select_prefix_codewords([cb], a_invs, [1])[1]
+        for index in indices:
+            assert index == 0
 
     def test_argmax_invariant_to_noise_rescaling(self):
         rng = np.random.default_rng(11)
@@ -280,8 +281,8 @@ class TestSelection:
         scores = codeword_scores(cb, a_inv)
         unblocked = (1.0 / snr_denominators(cb, a_inv)).sum(axis=1)
         assert np.array_equal(scores, unblocked)
-        (choice,) = select_prefix_codewords(block_slices(cb), [a_inv], [0, 5, 12, 13])
-        for bits, (index, q) in choice.items():
+        choices = select_prefix_codewords(block_slices(cb), [a_inv], [0, 5, 12, 13])
+        for bits, ((index,), (q,)) in choices.items():
             assert index == select_codeword(cb[: 1 << bits], a_inv, 0.3)[0]
             assert index == int(np.argmax(unblocked[: 1 << bits]))
             assert np.array_equal(q, cb[index])
@@ -296,9 +297,9 @@ class TestSelection:
         a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(3)]
         stream = block_stream(users, 12, np.random.default_rng(51))
         choices = select_prefix_codewords(iter(stream), a_invs, bit_counts)
-        for a_inv, choice in zip(a_invs, choices):
-            assert sorted(choice) == bit_counts
-            for bits, (index, q) in choice.items():
+        assert sorted(choices) == bit_counts
+        for bits, (indices, codewords) in choices.items():
+            for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
                 assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
                 assert q.strides == book[index].strides
                 assert np.array_equal(q, book[index])
@@ -313,27 +314,27 @@ class TestSelection:
         book[BLOCK - 1] = book[BLOCK] = u
         blocks = block_slices(book)
         assert codeword_scores(blocks[0], a_inv)[-1] == codeword_scores(blocks[1], a_inv)[0]
-        (choice,) = select_prefix_codewords(blocks, [a_inv], [10, 11])
-        assert choice[10][0] == choice[11][0] == BLOCK - 1
+        choices = select_prefix_codewords(blocks, [a_inv], [10, 11])
+        assert choices[10][0][0] == choices[11][0][0] == BLOCK - 1
         # the same among other trials, in the first and in a later chunk of them
         others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(32)]
         a_invs = [a_inv, *others, a_inv]
-        choices = select_prefix_codewords(blocks, a_invs, [10, 11])
-        assert choices[0][11][0] == choices[-1][11][0] == BLOCK - 1
-        for a_inv_t, choice in zip(a_invs, choices):
-            assert choice[11][0] == select_codeword(book, a_inv_t, 1.0)[0]
+        indices = select_prefix_codewords(blocks, a_invs, [10, 11])[11][0]
+        assert indices[0] == indices[-1] == BLOCK - 1
+        for a_inv_t, index in zip(a_invs, indices, strict=True):
+            assert index == select_codeword(book, a_inv_t, 1.0)[0]
         # and for two copies inside one block, in different scoring parts
         assert 5 + SCORE_ELEMENTS // 3**3 < BLOCK - 2
         book[5] = book[BLOCK - 2] = u
         choices = select_prefix_codewords(block_slices(book), a_invs, [10, 11])
-        assert choices[0][10][0] == choices[-1][11][0] == 5
+        assert choices[10][0][0] == choices[11][0][-1] == 5
 
     def test_prefix_choices_need_the_largest_prefix(self):
         # the sweep reads 2**max(b) codewords; a shorter codebook is
         # rejected rather than scored on the codewords it has
         cb = generate_codebook(3, 4, np.random.default_rng(17))
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
-        assert set(select_prefix_codewords([cb], [a_inv], [2, 4])[0]) == {2, 4}
+        assert set(select_prefix_codewords([cb], [a_inv], [2, 4])) == {2, 4}
         with pytest.raises(ValueError, match="fewer than 32"):
             select_prefix_codewords([cb], [a_inv], [2, 5])
         with pytest.raises(ValueError, match="holds 8 codewords"):
@@ -401,9 +402,9 @@ def test_lifted_choices_equal_reference_selector(case):
     blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
     with patch.object(codebook_module, "SCORE_ELEMENTS", elements):
         choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
-    for a_inv, choice in zip(a_invs, choices):
-        assert sorted(choice) == sorted(bit_counts)
-        for bits, (index, q) in choice.items():
+    assert sorted(choices) == sorted(bit_counts)
+    for bits, (indices, codewords) in choices.items():
+        for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
             assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
             assert q.strides == book[index].strides
             assert np.array_equal(q, book[index])
@@ -427,9 +428,10 @@ def test_lifted_choices_equal_reference_near_condition_limit(cond):
         rng = np.random.default_rng([users, int(np.log10(cond))])
         book = generate_codebook(users, 10, rng)
         a_invs = [conditioned_inverse(users, cond, rng) for _ in range(4)]
-        for a_inv, choice in zip(a_invs, select_prefix_codewords([book], a_invs, bit_counts)):
+        for a_inv in a_invs:
             assert np.linalg.cond(a_inv) > cond / 10
-            for bits, (index, _) in choice.items():
+        for bits, (indices, _) in select_prefix_codewords([book], a_invs, bit_counts).items():
+            for a_inv, index in zip(a_invs, indices, strict=True):
                 assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
 
 
@@ -443,7 +445,8 @@ def test_near_ties_resolve_within_rounding():
     rng = np.random.default_rng(61)
     book = generate_codebook(users, 8, rng)
     a_invs = [gram_inverse(np.full(users, 2.0), haar_unitary(users, rng)) for _ in range(8)]
-    for a_inv, choice in zip(a_invs, select_prefix_codewords([book], a_invs, [8])):
+    indices, _ = select_prefix_codewords([book], a_invs, [8])[8]
+    for a_inv, index in zip(a_invs, indices, strict=True):
         scores = codeword_scores(book, a_inv)
         assert np.ptp(scores) <= 1e-14 * scores.max()
-        assert scores[choice[8][0]] == pytest.approx(scores.max(), rel=1e-14, abs=0)
+        assert scores[index] == pytest.approx(scores.max(), rel=1e-14, abs=0)

@@ -38,11 +38,9 @@ from d2dcoop.harness import (
     TRIAL_CSV_HEADER,
     TRIAL_STREAM,
     GridPoint,
-    TrialState,
     aggregate_csv_lines,
     codebook_blocks,
     codebook_for,
-    draw_trial,
     draw_trials,
     grid_points,
     trial_csv_lines,
@@ -119,7 +117,8 @@ def spy_codebooks(monkeypatch):
 
 
 def one_trial_draw(config, users, trial):
-    """One trial through the layer functions, one environment at a time."""
+    """One trial through the layer functions, one environment at a time, as
+    :func:`trial_bytes` reads it."""
     rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
     env = draw_environment(
         config.M, config.L, rng,
@@ -130,13 +129,19 @@ def one_trial_draw(config, users, trial):
     try:
         a_inv = gram_inverse(eigenvalues, eigenvectors)
     except IllConditionedChannelError:
-        a_inv = None
-    return TrialState(trial, eigenvalues, eigenvectors, a_inv)
+        return trial, eigenvalues.tobytes(), eigenvectors.tobytes(), None
+    return trial, eigenvalues.tobytes(), eigenvectors.tobytes(), a_inv.tobytes()
 
 
-def state_bytes(state):
-    a_inv = None if state.a_inv is None else state.a_inv.tobytes()
-    return state.trial, state.eigenvalues.tobytes(), state.eigenvectors.tobytes(), a_inv
+def trial_bytes(trials, row):
+    """Row ``row`` of drawn ``trials``: id, factorisation and Gram inverse (None if unusable)."""
+    a_inv = None
+    if trials.usable[row]:
+        a_inv = trials.a_inv[np.count_nonzero(trials.usable[:row])].tobytes()
+    return (
+        int(trials.ids[row]), trials.eigenvalues[row].tobytes(),
+        trials.eigenvectors[row].tobytes(), a_inv,
+    )
 
 
 @st.composite
@@ -268,11 +273,12 @@ class TestDrawTrials:
     def test_stacked_draw_equals_one_trial_draws(self, config, extra):
         # the chain runs on stacks of DRAW_CHUNK trials; across a chunk
         # edge every trial must be, bitwise, its own one-trial draw
-        states = draw_trials(config, config.P, range(DRAW_CHUNK + extra))
-        for trial, state in enumerate(states):
-            assert state_bytes(state) == state_bytes(one_trial_draw(config, config.P, trial))
+        trials = draw_trials(config, config.P, range(DRAW_CHUNK + extra))
+        for trial in range(DRAW_CHUNK + extra):
+            assert trial_bytes(trials, trial) == one_trial_draw(config, config.P, trial)
         for trial in (0, DRAW_CHUNK):
-            assert state_bytes(draw_trial(config, config.P, trial)) == state_bytes(states[trial])
+            one = draw_trials(config, config.P, [trial])
+            assert trial_bytes(one, 0) == trial_bytes(trials, trial)
 
     def test_all_ill_conditioned_chunk_raises_no_warning(self):
         # a point-like sector makes every Gram singular; the stacked
@@ -280,10 +286,10 @@ class TestDrawTrials:
         config = small_config(sector_spread=1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = draw_trials(config, 4, range(DRAW_CHUNK + 2))
-        assert all(state.a_inv is None for state in states)
+            trials = draw_trials(config, 4, range(DRAW_CHUNK + 2))
+        assert not trials.usable.any() and trials.a_inv.shape == (0, 4, 4)
         for trial in (0, DRAW_CHUNK - 1, DRAW_CHUNK + 1):
-            assert state_bytes(states[trial]) == state_bytes(one_trial_draw(config, 4, trial))
+            assert trial_bytes(trials, trial) == one_trial_draw(config, 4, trial)
 
 
 class TestRunExperiment:
@@ -331,8 +337,11 @@ class TestRunExperiment:
                 bandwidth_ratio_grid=[0.5, 2.0, 4.0],
             ),
             dict(sector_spread=1e-9),
+            # a narrow sector leaves trial 0 usable and trials 1 and 2
+            # ill-conditioned, so the usable rows sit between flagged ones
+            dict(sector_spread=0.01),
         ],
-        ids=["quantized", "all-ill-conditioned"],
+        ids=["quantized", "all-ill-conditioned", "mixed"],
     )
     def test_sweep_equals_per_point_reference(self, overrides, monkeypatch):
         config = small_config(num_trials=3, **overrides)
@@ -348,10 +357,12 @@ class TestRunExperiment:
             assert generated[by_reference:] == [
                 ("codebook_blocks", 3, 3), ("codebook_blocks", 4, 3)
             ]
-        else:
+        elif config.sector_spread == 1e-9:
             assert all(r.cond_fail == 1 for r in records)
             # no usable trial, so neither path generates a codebook
             assert generated == []
+        else:
+            assert {r.cond_fail for r in records} == {0, 1}
 
     def test_sweep_never_holds_the_codebook(self):
         # the 2**14 codebook of 5 users is 6.5 MB in 16 blocks of 0.41 MB;
@@ -368,6 +379,25 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert not any(r.cond_fail for r in records)
         assert peak < 5 * codebook_bytes(5, 10)
+
+    def test_overload_audit_holds_one_trial(self):
+        # expected_overload forms 2P * 4**(P-1) symbol tails per SNR, 96 KiB
+        # of floats per trial at P = 6, and their erfc arguments as a list
+        # of Python floats. Called once per (trial, b), the sweep peaks at
+        # 0.66 MB; stacked over the 16 trials it would hold every trial's
+        # tails at once, 1.5 MB for one array of them, and it peaked at 8.4 MB
+        config = small_config(
+            P=6, mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0],
+            snr_db_grid=[0.0], b_grid=[1], num_trials=16,
+        )
+        tracemalloc.start()
+        try:
+            records, _ = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(r.cond_fail for r in records)
+        assert peak < config.num_trials * 2 * 6 * 4**5 * 8
 
     @pytest.mark.parametrize("bits", [3, 12])
     def test_codebook_blocks_concatenate_to_codebook_for(self, bits):
@@ -388,14 +418,15 @@ class TestRunExperiment:
         for users in config.user_counts():
             book = codebook_for(config, users, max(config.b_grid))
             for trial in range(config.num_trials):
-                a_inv = draw_trial(config, users, trial).a_inv
-                if a_inv is None:
+                trials = draw_trials(config, users, [trial])
+                if not trials.usable[0]:
                     continue
-                (choices,) = select_prefix_codewords([book], [a_inv], config.b_grid)
+                a_inv = trials.a_inv[0]
+                choices = select_prefix_codewords([book], [a_inv], config.b_grid)
                 for bits, snr_db in itertools.product(config.b_grid, config.snr_db_grid):
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book[: 1 << bits], a_inv, noise_power)[0]
-                    assert choices[bits][0] == expected
+                    assert choices[bits][0][0] == expected
                     chosen[users, trial, bits] = a_inv, book[expected]
         # and every cooperative capacity equals, bitwise, the per-link
         # reference outside the sweep: quantized_snr on a quantized link,
@@ -423,14 +454,14 @@ class TestCellDistortionAudit:
             book = codebook_for(config, 4, bits)
             cells, chosen = [], []
             for trial in range(config.num_trials):
-                state = draw_trial(config, 4, trial)
-                if state.a_inv is None:
+                trials = draw_trials(config, 4, [trial])
+                if not trials.usable[0]:
                     continue
-                u = state.eigenvectors
+                u = trials.eigenvectors[0]
                 for p in range(4):
                     nearest = max(abs(np.vdot(u[:, p], q[:, p])) ** 2 for q in book)
                     cells.append(1.0 - nearest)
-                q = select_codeword(book, state.a_inv, 1.0)[1]
+                q = select_codeword(book, trials.a_inv[0], 1.0)[1]
                 chosen.append(aligned_cell_distortion(q, u).mean())
             assert cells
             assert cell == pytest.approx(np.mean(cells), rel=1e-12)
@@ -443,10 +474,11 @@ class TestCellDistortionAudit:
         config = small_config(P=3, b_grid=[2, 10, 11], num_trials=3)
         audit = cell_distortion_audit(config, 3)
         book = codebook_for(config, 3, 11)
-        states = [state for state in draw_trials(config, 3, range(3)) if state.a_inv is not None]
+        trials = draw_trials(config, 3, range(3))
+        usable = trials.eigenvectors[trials.usable]
         for bits, (cell, _) in audit.items():
-            cells = [cell_distortion(book[: 1 << bits], s.eigenvectors).min(axis=0).mean() for s in states]
-            assert cell == sum(cells) / len(states)
+            cells = [cell_distortion(book[: 1 << bits], u).min(axis=0).mean() for u in usable]
+            assert cell == sum(cells) / len(usable)
 
     def test_unusable_input_rejected(self, monkeypatch):
         # a point-like scattering sector makes every effective Gram singular;

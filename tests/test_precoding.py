@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_broadcasts_like_scalar_calls,
+    assert_stacks_like_row_calls,
     average_snr,
     gaussian_effective_channel,
     haar_unitary,
@@ -179,6 +180,17 @@ class TestSnrDenominators:
                     oracle = 1.0 / per_user_snr_gram(h_e, q, 1.0, p)
                     assert abs(denoms[k, p] - oracle) <= tol * oracle
 
+    @pytest.mark.parametrize("users", [1, 4, 9])
+    def test_stack_of_inverses_equals_row_calls(self, users):
+        # the sweep forms every usable trial's denominators in one call,
+        # each chosen codeword against its own trial's Gram inverse
+        rng = np.random.default_rng(users)
+        channels = [gaussian_effective_channel(rng, users + 2, users) for _ in range(5)]
+        a_invs = np.stack([inverse_of(h_e) for h_e in channels])
+        chosen = generate_codebook(users, 3, rng)[:5]
+        for layout in (chosen, np.ascontiguousarray(chosen)):
+            assert_stacks_like_row_calls(snr_denominators, layout, a_invs)
+
     def test_codebook_layout_moves_no_value(self):
         # the codewords are stored column by column; the SHA-256 of their
         # values in C order pins the draw itself, which no layout may move
@@ -206,6 +218,12 @@ class TestBaseline:
         assert_broadcasts_like_scalar_calls(
             lambda noise: noncooperative_baseline_snr(inverse_of(h_e), noise)
         )
+
+    def test_stack_of_inverses_equals_row_calls(self):
+        # the diagonal of each inverse, not the diagonal across the stack
+        rng = np.random.default_rng(13)
+        a_invs = np.stack([inverse_of(gaussian_effective_channel(rng, 6, 4)) for _ in range(3)])
+        assert_stacks_like_row_calls(lambda a_inv: noncooperative_baseline_snr(a_inv, 1.5), a_invs)
 
     def test_correlation_kills_zero_forcing(self):
         # closed-form 2x2 Gram inverse: both users get (1 - rho^2) / N0

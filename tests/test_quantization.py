@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_broadcasts_like_scalar_calls,
+    assert_stacks_like_row_calls,
     gaussian_effective_channel,
     haar_unitary,
     inverse_of,
@@ -205,6 +206,15 @@ class TestCooperativeSnr:
         for bad in (0.0, -noise_power):
             with pytest.raises(ValueError, match="noise_power must be positive"):
                 cooperative_snr(q, d, bad, variance)
+
+    def test_stack_of_codewords_equals_row_calls(self):
+        # four trials of four users: a stack read along the wrong axes
+        # still broadcasts, so only the values tell it apart
+        rng = np.random.default_rng(21)
+        q = np.stack([haar_unitary(4, rng) for _ in range(4)])
+        a_invs = [inverse_of(gaussian_effective_channel(rng, 8, 4)) for _ in range(4)]
+        d = np.stack([snr_denominators(q_t, a_inv) for q_t, a_inv in zip(q, a_invs)])
+        assert_stacks_like_row_calls(lambda qs, ds: cooperative_snr(qs, ds, 0.5, 0.3), q, d)
 
 
 class TestQuantizedSnr:
