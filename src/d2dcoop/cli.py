@@ -57,9 +57,10 @@ def main(argv=None) -> int:
         records, summaries = run_experiment(config)
         written = write_outputs(args.out, config, records, summaries, json_mirror=args.json)
         # a channel is drawn once per (users, trial) and flagged at every grid point
-        failed = len({(r.users, r.trial) for r in records if r.cond_fail})
+        flagged = zip(records["users"], records["trial"], records["cond_fail"])
+        failed = len({(users, trial) for users, trial, flag in flagged if flag})
         print(
-            f"wrote {len(records)} trial records over {len(summaries)} grid points "
+            f"wrote {len(records['trial'])} trial records over {len(summaries)} grid points "
             f"({failed} ill-conditioned trials excluded)"
         )
         for path in written:

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
@@ -92,7 +93,7 @@ class ExperimentConfig:
         if not _is_finite_number(self.sector_center):
             raise ConfigError("sector_center must be a finite number")
         if not _is_finite_number(self.sector_spread) or self.sector_spread <= 0:
-            raise ConfigError("sector_spread must be positive")
+            raise ConfigError("sector_spread must be a positive finite number")
         # draws outside [-pi/2, pi/2) are clipped to its edge; a sector with
         # no overlap puts every path at one angle and no trial is usable
         half = self.sector_spread / 2.0
@@ -100,7 +101,7 @@ class ExperimentConfig:
         if not (low < math.pi / 2 and high > -math.pi / 2):
             raise ConfigError("sector must overlap the half-space [-pi/2, pi/2)")
         if not _is_finite_number(self.tau) or self.tau <= 0:
-            raise ConfigError("tau must be positive")
+            raise ConfigError("tau must be a positive finite number")
 
         _check_grid(self.snr_db_grid, "snr_db_grid", _is_db)
         _check_grid(self.b_grid, "b_grid", lambda b: _is_int(b) and b >= 0)
@@ -165,6 +166,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     config = ExperimentConfig(**data)
     config.validate()
+    # float fields hold floats, so 0 and 0.0 write the same bytes (link grids: quantized only)
+    for name in ("sector_center", "sector_spread", "tau"):
+        setattr(config, name, float(getattr(config, name)))
+    grids = ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid")
+    for name in grids if config.mode == "quantized-rsi" else grids[:1]:
+        setattr(config, name, [float(value) for value in getattr(config, name)])
     return config
 
 
@@ -216,10 +223,11 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
+    # ints compare with floats exactly, so one beyond the float range is not finite
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 

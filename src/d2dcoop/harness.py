@@ -5,29 +5,22 @@ Determinism contract: every trial owns a private generator seeded from
 reproducible. Each channel is drawn and factorised once per
 (users, trial) and shared by every grid point of that user count, which
 makes curves paired comparisons. The decoding codebook is seeded from
-``(master_seed, stream, user_count)`` only, never from the bit count, so
-smaller codebooks are exact prefixes of bigger ones. That nesting, and a
-selection score that does not depend on the SNR, let one pass of the
-codebook per user count choose every trial's codeword for every b and
-SNR; the sweep streams that pass block by block, never holding the
-whole codebook, and scores each block against every trial at once by
-one real GEMM. After the channel draw and the choice, a trial is its
-Gram factorisation and chosen codewords alone, and every grid point is
-a closed form of them. Past the per-trial random draws, a user count's
-trials stay one array axis up to the records: :class:`Trials` stacks
-their factorisations, selection returns one stack of chosen codewords
-per b, and :func:`evaluate_trials` runs each closed form over the trial
-and grid axes (b, SNR, gamma, bandwidth ratio) at once. The overload
-audit alone runs per (trial, b), on a column of noise powers that
-covers every SNR, and serves every link that carries bits; ideal
-sharing is the noiseless link of the same cooperative-SNR formula.
-Every channel the package draws comes from :func:`draw_trials`, those of
-the cell-distortion audit included.
+``(master_seed, stream, user_count)`` only, so smaller codebooks are
+exact prefixes of bigger ones; with a selection score that does not
+depend on the SNR, one streamed pass of the codebook per user count
+chooses every trial's codeword for every b and SNR. Every grid point is
+then a closed form of a trial's Gram factorisation and chosen codewords.
+A user count's trials stay one array axis from :func:`draw_trials`, the
+package's only channel draw, to disk: the closed forms run over the
+trial and grid axes at once, the records are columns, and one CSV
+writer formats each column once. :func:`run_trial` is the per-point
+reference.
 """
 
 import dataclasses
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +65,10 @@ class GridPoint:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Capacities of one Monte Carlo trial at one grid point."""
+class TrialRecord(GridPoint):
+    """Capacities of one Monte Carlo trial at a grid point, after its key fields:
+    the row that :func:`run_trial` returns, and the schema of the sweep's record columns."""
 
-    users: int
-    bits: int
-    snr_db: float
-    gamma_db: float | None
-    bandwidth_ratio: float | None
     trial: int
     capacity_coop: float | None
     capacity_zf: float | None
@@ -90,14 +79,9 @@ class TrialRecord:
 
 
 @dataclass(frozen=True)
-class PointSummary:
-    """Aggregate over the non-failed trials of one grid point."""
+class PointSummary(GridPoint):
+    """Aggregate over the non-failed trials of a grid point, after its key fields."""
 
-    users: int
-    bits: int
-    snr_db: float
-    gamma_db: float | None
-    bandwidth_ratio: float | None
     mean_coop: float | None
     sem_coop: float | None
     mean_zf: float | None
@@ -106,6 +90,9 @@ class PointSummary:
     norm_capacity: float | None
     num_ok: int
     num_failed: int
+
+
+TRIAL_FIELDS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 def capacity(snrs):
@@ -161,11 +148,8 @@ def codebook_blocks(config: ExperimentConfig, users: int, bits: int):
 
 @dataclass(frozen=True)
 class Trials:
-    """The trials of one user count, drawn and factorised once.
+    """The trials of one user count, drawn and factorised once for all its grid points.
 
-    Everything here depends only on (users, trial), so every grid point
-    of that user count reuses it, and nothing else of the draw is kept:
-    every grid point is a closed form of these P x P quantities alone.
     Row ``t`` of ``eigenvalues`` (T, P) and ``eigenvectors`` (T, P, P) is
     the one factorisation of trial ``ids[t]``'s effective Gram; ``usable``
     (T,) marks the well-conditioned trials and ``a_inv`` (U, P, P) holds
@@ -210,8 +194,9 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)
 
 
-def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict) -> list:
-    """Records of drawn trials at every grid point of ``users``, in sweep order.
+def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict) -> dict:
+    """Records of drawn trials at every grid point of ``users``, in sweep order,
+    as :class:`TrialRecord` columns ``{field: list}``, each one ``.tolist()``.
 
     ``choices`` maps every b of the grid to the ``(indices, codewords)``
     chosen for the usable trials, and is empty when no trial is usable;
@@ -239,7 +224,7 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     audit = config.mode == "quantized-rsi" and carries.any()
     shape = (len(config.b_grid), len(noise), len(variances), len(a_inv))
     coop, overload = np.empty(shape), np.zeros(shape)
-    bound = np.empty((*shape[:2], 1, shape[3])) if users >= 2 else np.array(None)
+    bound = np.empty((*shape[:2], 1, shape[3])) if users >= 2 else None
     zf = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
     ideal = capacity(eigenvalues / column)[:, None]
     for bits, (_, decoding) in choices.items():
@@ -253,17 +238,17 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
                 overload[i, ..., row] = np.where(carries, rates, 0.0)
         if users >= 2:
             bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, column))[:, None]
-    # the usable trials' fields, capacity_coop to overload_rate, in sweep order
-    columns = (coop, zf, ideal, bound, np.array(0), overload)
-    values = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns))
-    failed = (None, None, None, None, 1, None)
-    keys = itertools.product(config.b_grid, config.snr_db_grid, gammas, ratios)
-    ids = list(zip(trials.ids.tolist(), trials.usable.tolist()))
-    return [
-        TrialRecord(users, *key, trial, *(next(values) if ok else failed))
-        for key in keys
-        for trial, ok in ids
-    ]
+    # TrialRecord columns in sweep order: each point's key once per trial, then the
+    # fields over (b, SNR, link, trial), empty (cond_fail 1) at the flagged trials
+    ids = trials.ids.tolist()
+    keys = zip(*itertools.product([users], config.b_grid, config.snr_db_grid, gammas, ratios))
+    columns = [[key for key in axis for _ in ids] for axis in keys]
+    fields = np.full((6, *shape[:3], len(ids)), None, dtype=object)
+    fields[4] = 1  # cond_fail
+    for field, values in zip(fields, (coop, zf, ideal, bound, 0, overload)):
+        field[..., trials.usable] = values
+    columns += [ids * int(np.prod(shape[:3])), *(field.ravel().tolist() for field in fields)]
+    return dict(zip(TRIAL_FIELDS, columns))
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -285,31 +270,34 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
         choices[point.bits] = np.array([index]), codeword[None]
-    return evaluate_trials(one_point, point.users, trials, choices)[0]
+    record = evaluate_trials(one_point, point.users, trials, choices)
+    return TrialRecord(*(column[0] for column in record.values()))
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run the full Cartesian sweep; returns (records, summaries).
+    """Run the full Cartesian sweep; returns (records, summaries): the
+    :class:`TrialRecord` columns ``{field: list}`` in (grid point, trial
+    index) order and one :class:`PointSummary` per grid point.
 
-    Records come in (grid point, trial index) order. Each user count's
-    trials are drawn once. If one is usable, the count's ``2**max(b)``
-    codebook is then streamed once through selection: each block is
-    generated, scored against every usable trial and dropped, so the
-    sweep holds one block and the chosen codewords, never the codebook.
-    All the count's trials are then evaluated at all of its grid points
-    at once.
+    Each user count's trials are drawn once. If one is usable, the count's
+    ``2**max(b)`` codebook is then streamed once through selection: each
+    block is generated, scored against every usable trial and dropped, so
+    the sweep never holds the codebook. All the count's trials are then
+    evaluated at all of its grid points at once.
     """
     config.validate()
-    records: list[TrialRecord] = []
+    records = {name: [] for name in TRIAL_FIELDS}
     for users in config.user_counts():
         trials = draw_trials(config, users, range(config.num_trials))
         choices = {}
         if len(trials.a_inv):
             blocks = codebook_blocks(config, users, max(config.b_grid))
             choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
-        records.extend(evaluate_trials(config, users, trials, choices))
+        for name, column in evaluate_trials(config, users, trials, choices).items():
+            records[name].extend(column)
+    n = config.num_trials
     summaries = [
-        summarize_point(point, records[i * config.num_trials : (i + 1) * config.num_trials])
+        summarize_point(point, {k: v[i * n : (i + 1) * n] for k, v in records.items()})
         for i, point in enumerate(grid_points(config))
     ]
     return records, summaries
@@ -372,21 +360,24 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     return audit
 
 
-def summarize_point(point: GridPoint, records) -> PointSummary:
-    ok = [r for r in records if not r.cond_fail]
-    failed = len(records) - len(ok)
-    key = (point.users, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio)
-    if not ok:
-        return PointSummary(*key, None, None, None, None, None, None, 0, failed)
-    coop = np.array([r.capacity_coop for r in ok])
-    zf = np.array([r.capacity_zf for r in ok])
-    ideal = np.array([r.capacity_ideal for r in ok])
+def summarize_point(point: GridPoint, records: dict) -> PointSummary:
+    """Aggregate of one grid point's records, given as :class:`TrialRecord` columns."""
+    ok = np.array(records["cond_fail"]) == 0
+    counts = int(ok.sum()), int(ok.size - ok.sum())  # num_ok, num_failed
+    key = dataclasses.astuple(point)  # PointSummary's leading GridPoint fields
+    if not ok.any():
+        return PointSummary(*key, None, None, None, None, None, None, *counts)
+    # the usable trials' capacities, one contiguous array each (None reads nan)
+    coop, zf, ideal = (
+        np.array(records[name], dtype=float)[ok]
+        for name in ("capacity_coop", "capacity_zf", "capacity_ideal")
+    )
     mean_ideal = float(ideal.mean())
     # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
     norm_capacity = float(coop.mean()) / mean_ideal if mean_ideal > 0.0 else None
     return PointSummary(
         *key, float(coop.mean()), _sem(coop), float(zf.mean()), _sem(zf), mean_ideal,
-        norm_capacity, len(ok), failed,
+        norm_capacity, *counts,
     )
 
 
@@ -396,58 +387,57 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cells(values) -> list:
+    """CSV cells: ``""`` for None, else ``str``, which is ``repr`` for a float."""
+    return ["" if value is None else str(value) for value in values]
 
 
-def _csv_lines(header: str, config: ExperimentConfig, rows) -> list:
-    """``header`` then one line per row: the config and grid-point columns,
-    followed by the row's own fields, which the header names after them."""
-    preset = config.figure_preset or ""
-    own = header.split(",")[10:]
+def _csv_lines(header: str, config: ExperimentConfig, columns: dict) -> list:
+    """``header`` then one line per row of ``columns``, an equal run of rows per
+    grid point in sweep order: the point's config and grid-point cells, formatted
+    once per point, then the row's own fields, which the header names after them."""
+    own = zip(*(_cells(columns[name]) for name in header.split(",")[10:]))
+    rows = [",".join(cells) for cells in own]
+    points = list(grid_points(config))
+    per_point = len(rows) // len(points)
     lines = [header]
-    for r in rows:
-        values = (
-            preset, config.mode, config.M, r.users, config.D, config.L,
-            r.bits, r.snr_db, r.gamma_db, r.bandwidth_ratio,
-            *(getattr(r, name) for name in own),
-        )
-        lines.append(",".join(_fmt(v) for v in values))
+    for i, p in enumerate(points):
+        key = (config.figure_preset, config.mode, config.M, p.users, config.D, config.L)
+        prefix = ",".join(_cells((*key, p.bits, p.snr_db, p.gamma_db, p.bandwidth_ratio))) + ","
+        lines.extend(prefix + row for row in rows[i * per_point : (i + 1) * per_point])
     return lines
 
 
-def trial_csv_lines(config: ExperimentConfig, records) -> list:
+def _columns(rows) -> dict:
+    """Dataclass rows as the ``{field: list}`` columns that the writers take."""
+    return {f.name: [getattr(r, f.name) for r in rows] for f in dataclasses.fields(rows[0])}
+
+
+def trial_csv_lines(config: ExperimentConfig, records: dict) -> list:
     return _csv_lines(TRIAL_CSV_HEADER, config, records)
 
 
 def aggregate_csv_lines(config: ExperimentConfig, summaries) -> list:
-    return _csv_lines(AGGREGATE_CSV_HEADER, config, summaries)
-
-
-def write_csv(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _csv_lines(AGGREGATE_CSV_HEADER, config, _columns(summaries))
 
 
 def write_outputs(out_dir, config: ExperimentConfig, records, summaries, json_mirror=False):
-    """Write trials.csv and aggregate.csv (plus JSON mirrors on request)."""
-    import os
-
+    """Write trials.csv and aggregate.csv, and on request their JSON mirrors
+    (one object per row), from :func:`run_experiment`'s records and summaries."""
     os.makedirs(out_dir, exist_ok=True)
-    trials_path = os.path.join(out_dir, "trials.csv")
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    write_csv(trials_path, trial_csv_lines(config, records))
-    write_csv(aggregate_path, aggregate_csv_lines(config, summaries))
-    written = [trials_path, aggregate_path]
-    if json_mirror:
-        for name, rows in (("trials.json", records), ("aggregate.json", summaries)):
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump([dataclasses.asdict(r) for r in rows], fh, indent=1)
-                fh.write("\n")
-            written.append(path)
+    tables = (
+        ("trials", TRIAL_CSV_HEADER, records),
+        ("aggregate", AGGREGATE_CSV_HEADER, _columns(summaries)),
+    )
+    written = []
+    for suffix in (".csv", ".json") if json_mirror else (".csv",):
+        for name, header, columns in tables:
+            if suffix == ".csv":
+                text = "\n".join(_csv_lines(header, config, columns))
+            else:
+                rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+                text = json.dumps(rows, indent=1)
+            written.append(os.path.join(out_dir, name + suffix))
+            with open(written[-1], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text + "\n")
     return written

@@ -214,9 +214,8 @@ def test_criterion_06_capacity_vs_snr_trend(fig2_run):
             mean_ok = False
         if not (s12.mean_coop > s12.mean_zf):
             mean_ok = False
-    by_trial = {}
-    for r in records:
-        by_trial[(r.bits, r.snr_db, r.trial)] = r.capacity_coop
+    keys = zip(records["bits"], records["snr_db"], records["trial"])
+    by_trial = dict(zip(keys, records["capacity_coop"]))
     inversions = sum(
         1
         for snr in config.snr_db_grid
@@ -283,9 +282,8 @@ def test_criterion_08_bandwidth_trends(fig4_run, fig4_ideal_run, fig5_run):
     def feasible(ratio, g):
         return bits_from_bandwidth(CooperationLink(ratio, g)) >= 2
 
-    by_trial = {}
-    for r in records:
-        by_trial[(r.bandwidth_ratio, r.snr_db, r.trial)] = r.capacity_coop
+    keys = zip(records["bandwidth_ratio"], records["snr_db"], records["trial"])
+    by_trial = dict(zip(keys, records["capacity_coop"]))
     bw_violations = 0
     feasible_bws = [b for b in config.bandwidth_ratio_grid if feasible(b, gamma)]
     for snr in config.snr_db_grid:
@@ -295,9 +293,8 @@ def test_criterion_08_bandwidth_trends(fig4_run, fig4_ideal_run, fig5_run):
                 bw_violations += 1
 
     config5, records5, _ = fig5_run
-    by_trial5 = {}
-    for r in records5:
-        by_trial5[(r.gamma_db, r.bandwidth_ratio, r.trial)] = r.capacity_coop
+    keys5 = zip(records5["gamma_db"], records5["bandwidth_ratio"], records5["trial"])
+    by_trial5 = dict(zip(keys5, records5["capacity_coop"]))
     gamma_violations = 0
     for g_db in config5.gamma_db_grid:
         g = 10.0 ** (g_db / 10.0)

@@ -120,6 +120,24 @@ def test_preset_rejects_unknown_name(tmp_path):
     assert info.value.code != 0
 
 
+def test_integer_spelling_writes_the_same_bytes(tmp_path):
+    # 0 and 0.0 are one experiment: both spellings of the float fields
+    # write the same CSVs
+    spellings = {
+        "ints": dict(snr_db_grid=[0], gamma_db_grid=[10], bandwidth_ratio_grid=[2], tau=30),
+        "floats": dict(
+            snr_db_grid=[0.0], gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0], tau=30.0
+        ),
+    }
+    for name, fields in spellings.items():
+        config = write_config(tmp_path / f"{name}.json", mode="quantized-rsi", **fields)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    for output in ("trials.csv", "aggregate.csv"):
+        ints, floats = ((tmp_path / name / output).read_bytes() for name in spellings)
+        assert ints == floats
+        assert b",0.0,10.0,2.0," in floats
+
+
 def test_cli_runs_are_byte_identical(tmp_path):
     config = write_config(tmp_path / "config.json", num_trials=4, snr_db_grid=[-5.0, 0.0])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -188,6 +206,39 @@ def test_cli_import_skips_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout.strip() == "[]"
+
+
+def load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_checks_pass_on_a_mixed_sweep(tmp_path):
+    # the benchmark's output checks, sweep order and the run_trial
+    # reference read by field name, on every record of a quantized sweep
+    # with zero-bit links and ill-conditioned trials
+    checks = load_perfbench("checks")
+    config_path = write_config(
+        tmp_path / "config.json", mode="quantized-rsi", user_count_grid=[2, 4],
+        sector_spread=0.01, gamma_db_grid=[10.0], bandwidth_ratio_grid=[0.5, 2.0],
+    )
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    config = d2dcoop.config.load_config(config_path)
+    points = list(d2dcoop.harness.grid_points(config))
+    trial_rows = checks.read_rows(tmp_path / "trials.csv")
+    aggregate_rows = checks.read_rows(tmp_path / "aggregate.csv")
+    assert {row["cond_fail"] for row in trial_rows} == {"0", "1"}
+    failed, messages = checks.check_sweep(
+        trial_rows, aggregate_rows, points, config.num_trials
+    )
+    assert (failed, messages) == (set(), [])
+    assert checks.check_reference(
+        trial_rows, points, config.num_trials, config, d2dcoop.harness.run_trial,
+        range(len(trial_rows)),
+    ) == []
 
 
 def test_traced_benchmark_names_resolve():

@@ -79,6 +79,39 @@ def test_invalid_values_rejected(overrides):
         config_from_dict(overrides)
 
 
+# an int beyond the float range, which math.isfinite cannot convert
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"tau": HUGE},
+        {"sector_center": HUGE},
+        {"sector_spread": HUGE},
+        {"snr_db_grid": [HUGE]},
+        {"mode": "quantized-rsi", "gamma_db_grid": [HUGE]},
+        {"mode": "quantized-rsi", "bandwidth_ratio_grid": [HUGE]},
+    ],
+)
+def test_huge_int_in_a_float_field_rejected(overrides):
+    with pytest.raises(ConfigError):
+        config_from_dict(overrides)
+
+
+def test_float_fields_stored_as_floats():
+    # an int spelling of a float field is the same experiment
+    config = config_from_dict({
+        "mode": "quantized-rsi", "sector_center": 0, "sector_spread": 3, "tau": 30,
+        "snr_db_grid": [0, -5], "gamma_db_grid": [10], "bandwidth_ratio_grid": [2],
+    })
+    for name in ("sector_center", "sector_spread", "tau"):
+        assert type(getattr(config, name)) is float
+    for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
+        assert all(type(value) is float for value in getattr(config, name))
+    assert config.snr_db_grid == [0.0, -5.0]
+
+
 @pytest.mark.parametrize("name", ["fig-capacity-vs-bandwidth-snr", "fig-capacity-vs-bandwidth-gamma"])
 def test_link_variances_match_per_link_formulas(name):
     # validate checks the very link table the sweep builds

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import json
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2dcoop import (
@@ -36,6 +38,7 @@ from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     DRAW_CHUNK,
     TRIAL_CSV_HEADER,
+    TRIAL_FIELDS,
     TRIAL_STREAM,
     GridPoint,
     aggregate_csv_lines,
@@ -43,6 +46,7 @@ from d2dcoop.harness import (
     codebook_for,
     draw_trials,
     grid_points,
+    summarize_point,
     trial_csv_lines,
     write_outputs,
 )
@@ -65,7 +69,11 @@ def small_config(**overrides):
 
 @st.composite
 def small_sweeps(draw):
-    """Random small configs in either sharing mode, with up to two b and SNR values."""
+    """Random small configs in either sharing mode, with up to two b and SNR values.
+
+    The narrow sector leaves about a third of the four-user channels
+    ill-conditioned, so usable and flagged trials mix.
+    """
 
     def grid(values):
         return draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True))
@@ -76,6 +84,7 @@ def small_sweeps(draw):
         snr_db_grid=grid([-10.0, -5.0, 0.0, 10.0]),
         num_trials=2,
         master_seed=draw(st.integers(0, 2**32 - 1)),
+        sector_spread=draw(st.sampled_from([np.pi, 0.01])),
     )
     if draw(st.booleans()):
         overrides.update(
@@ -93,6 +102,17 @@ def per_point_reference(config):
         for point in grid_points(config)
         for trial in range(config.num_trials)
     ]
+
+
+def as_columns(rows):
+    """``run_trial`` rows as the sweep's ``{field: list}`` record columns."""
+    return {name: [getattr(r, name) for r in rows] for name in TRIAL_FIELDS}
+
+
+def csv_cell(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def spy_codebooks(monkeypatch):
@@ -163,12 +183,14 @@ def draw_configs(draw):
 def assert_overload_shared_across_links(records):
     """Each (users, trial, b, SNR) has one overload rate over all links that carry bits."""
     rates = {}
-    for r in records:
-        if r.cond_fail or r.gamma_db is None:
+    names = ("users", "trial", "bits", "snr_db", "gamma_db", "bandwidth_ratio", "cond_fail")
+    rows = zip(*(records[name] for name in names), records["overload_rate"])
+    for users, trial, bits, snr_db, gamma_db, ratio, cond_fail, rate in rows:
+        if cond_fail or gamma_db is None:
             continue
-        link = CooperationLink(r.bandwidth_ratio, 10.0 ** (r.gamma_db / 10.0))
+        link = CooperationLink(ratio, 10.0 ** (gamma_db / 10.0))
         if bits_from_bandwidth(link) > 0:
-            rates.setdefault((r.users, r.trial, r.bits, r.snr_db), set()).add(r.overload_rate)
+            rates.setdefault((users, trial, bits, snr_db), set()).add(rate)
     assert all(len(values) == 1 for values in rates.values())
 
 
@@ -296,7 +318,7 @@ class TestRunExperiment:
     def test_record_layout_and_aggregates(self):
         config = small_config()
         records, summaries = run_experiment(config)
-        assert len(records) == 4 * config.num_trials
+        assert len(records["trial"]) == 4 * config.num_trials
         assert len(summaries) == 4
         for s in summaries:
             assert s.num_ok == config.num_trials
@@ -349,20 +371,20 @@ class TestRunExperiment:
         reference = per_point_reference(config)
         by_reference = len(generated)
         records, _ = run_experiment(config)
-        assert records == reference
+        assert records == as_columns(reference)
         if config.mode == "quantized-rsi":
-            assert any(r.overload_rate > 0.0 for r in records)
+            assert any(rate > 0.0 for rate in records["overload_rate"])
             assert_overload_shared_across_links(records)
             # one 2**max(b) stream per user count, and no whole codebook
             assert generated[by_reference:] == [
                 ("codebook_blocks", 3, 3), ("codebook_blocks", 4, 3)
             ]
         elif config.sector_spread == 1e-9:
-            assert all(r.cond_fail == 1 for r in records)
+            assert all(flag == 1 for flag in records["cond_fail"])
             # no usable trial, so neither path generates a codebook
             assert generated == []
         else:
-            assert {r.cond_fail for r in records} == {0, 1}
+            assert set(records["cond_fail"]) == {0, 1}
 
     def test_sweep_never_holds_the_codebook(self):
         # the 2**14 codebook of 5 users is 6.5 MB in 16 blocks of 0.41 MB;
@@ -377,7 +399,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not any(r.cond_fail for r in records)
+        assert not any(records["cond_fail"])
         assert peak < 5 * codebook_bytes(5, 10)
 
     def test_overload_audit_holds_one_trial(self):
@@ -396,7 +418,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not any(r.cond_fail for r in records)
+        assert not any(records["cond_fail"])
         assert peak < config.num_trials * 2 * 6 * 4**5 * 8
 
     @pytest.mark.parametrize("bits", [3, 12])
@@ -410,7 +432,7 @@ class TestRunExperiment:
     @given(small_sweeps())
     def test_random_sweep_equals_per_point_reference(self, config):
         records, _ = run_experiment(config)
-        assert records == per_point_reference(config)
+        assert records == as_columns(per_point_reference(config))
         assert_overload_shared_across_links(records)
         # one scoring pass per trial picks, for every b, the codeword the
         # per-point selector picks at every SNR of the grid
@@ -431,17 +453,58 @@ class TestRunExperiment:
         # and every cooperative capacity equals, bitwise, the per-link
         # reference outside the sweep: quantized_snr on a quantized link,
         # 1 / (N0 d) under ideal sharing
-        for r in records:
-            if r.cond_fail:
+        names = ("users", "trial", "bits", "snr_db", "gamma_db", "bandwidth_ratio", "cond_fail")
+        rows = zip(*(records[name] for name in names), records["capacity_coop"])
+        for users, trial, bits, snr_db, gamma_db, ratio, cond_fail, coop in rows:
+            if cond_fail:
                 continue
-            a_inv, q = chosen[r.users, r.trial, r.bits]
-            noise_power = 10.0 ** (-r.snr_db / 10.0)
+            a_inv, q = chosen[users, trial, bits]
+            noise_power = 10.0 ** (-snr_db / 10.0)
             if config.mode == "quantized-rsi":
-                link = CooperationLink(r.bandwidth_ratio, 10.0 ** (r.gamma_db / 10.0))
+                link = CooperationLink(ratio, 10.0 ** (gamma_db / 10.0))
                 snrs = quantized_snr(q, a_inv, noise_power, link, config.tau)
             else:
                 snrs = 1.0 / (noise_power * snr_denominators(q, a_inv))
-            assert r.capacity_coop == capacity(snrs)
+            assert coop == capacity(snrs)
+
+    @settings(deadline=None, max_examples=20)
+    @given(small_sweeps())
+    @example(small_config(
+        user_count_grid=[1, 4], num_trials=3, sector_spread=0.01, mode="quantized-rsi",
+        gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
+    ))
+    def test_written_rows_equal_per_point_reference(self, config):
+        # every trials.csv row is its (point, trial)'s run_trial record and
+        # every aggregate.csv row summarize_point on the point's reference
+        # records, both formatted cell by cell: repr for a float, str for an
+        # int, "" for None. The example holds a one-user count (no bound),
+        # zero-bit links (0.5) and ill-conditioned trials
+        records, summaries = run_experiment(config)
+        with tempfile.TemporaryDirectory() as out:
+            write_outputs(out, config, records, summaries)
+            trial_lines, aggregate_lines = (
+                Path(out, name).read_text().splitlines()[1:]
+                for name in ("trials.csv", "aggregate.csv")
+            )
+        reference = per_point_reference(config)
+        own_trial = TRIAL_CSV_HEADER.split(",")[10:]
+        own_aggregate = AGGREGATE_CSV_HEADER.split(",")[10:]
+        n = config.num_trials
+        expected_trials, expected_aggregate = [], []
+        for i, point in enumerate(grid_points(config)):
+            key = (
+                config.figure_preset or "", config.mode, config.M, point.users, config.D,
+                config.L, point.bits, point.snr_db, point.gamma_db, point.bandwidth_ratio,
+            )
+            rows = reference[i * n : (i + 1) * n]
+            for r in rows:
+                cells = (*key, *(getattr(r, name) for name in own_trial))
+                expected_trials.append(",".join(map(csv_cell, cells)))
+            s = summarize_point(point, as_columns(rows))
+            cells = (*key, *(getattr(s, name) for name in own_aggregate))
+            expected_aggregate.append(",".join(map(csv_cell, cells)))
+        assert trial_lines == expected_trials
+        assert aggregate_lines == expected_aggregate
 
 
 class TestCellDistortionAudit:
@@ -507,7 +570,7 @@ class TestCsvOutput:
         config = small_config(num_trials=2)
         records, summaries = run_experiment(config)
         lines = trial_csv_lines(config, records)
-        assert len(lines) == 1 + len(records)
+        assert len(lines) == 1 + len(records["trial"])
         first = lines[1].split(",")
         assert len(first) == len(TRIAL_CSV_HEADER.split(","))
         layout = dict(zip(TRIAL_CSV_HEADER.split(","), first))
@@ -526,9 +589,12 @@ class TestCsvOutput:
         assert names == ["aggregate.csv", "aggregate.json", "trials.csv", "trials.json"]
         trials = (tmp_path / "trials.csv").read_text().splitlines()
         assert trials[0] == TRIAL_CSV_HEADER
-        assert len(trials) == 1 + len(records)
+        assert len(trials) == 1 + len(records["trial"])
+        # the mirrors pin the schema: one object per reference row, field by field
         mirrored = json.loads((tmp_path / "trials.json").read_text())
-        assert mirrored == [dataclasses.asdict(r) for r in records]
+        assert mirrored == [dataclasses.asdict(r) for r in per_point_reference(config)]
+        mirrored = json.loads((tmp_path / "aggregate.json").read_text())
+        assert mirrored == [dataclasses.asdict(s) for s in summaries]
 
 
 def test_grid_point_is_hashable_record():
