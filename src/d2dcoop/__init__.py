@@ -37,7 +37,6 @@ from .config import (
 )
 from .harness import (
     GridPoint,
-    PointSummary,
     TrialRecord,
     capacity,
     cell_distortion_audit,

@@ -56,20 +56,18 @@ def main(argv=None) -> int:
             config = preset_config(args.name, args.trials, args.seed)
         records, summaries = run_experiment(config)
         written = write_outputs(args.out, config, records, summaries, json_mirror=args.json)
-        # a channel is drawn once per (users, trial) and flagged at every grid point
-        flagged = zip(records["users"], records["trial"], records["cond_fail"])
-        failed = len({(users, trial) for users, trial, flag in flagged if flag})
+        # a channel is drawn once per (users, trial): every point of a user
+        # count counts the same failed trials
+        failed = sum(dict(zip(summaries["users"], summaries["num_failed"])).values())
         print(
-            f"wrote {len(records['trial'])} trial records over {len(summaries)} grid points "
-            f"({failed} ill-conditioned trials excluded)"
+            f"wrote {len(records['trial'])} trial records over {len(summaries['users'])} "
+            f"grid points ({failed} ill-conditioned trials excluded)"
         )
         for path in written:
             print(f"  {path}")
-        empty = [s for s in summaries if s.num_ok == 0]
+        empty = summaries["num_ok"].count(0)
         if empty:
-            print(
-                f"error: {len(empty)} grid points have no usable trials", file=sys.stderr
-            )
+            print(f"error: {empty} grid points have no usable trials", file=sys.stderr)
             return 1
         return 0
     except ConfigError as exc:

@@ -12,7 +12,8 @@ chooses every trial's codeword for every b and SNR. Every grid point is
 then a closed form of a trial's Gram factorisation and chosen codewords.
 A user count's trials stay one array axis from :func:`draw_trials`, the
 package's only channel draw, to disk: the closed forms run over the
-trial and grid axes at once, the records are columns, and one CSV
+trial and grid axes at once, the records are columns, the aggregate is
+one reduction of the same arrays along their trial axis, and one CSV
 writer formats each column once. :func:`run_trial` is the per-point
 reference.
 """
@@ -49,7 +50,7 @@ TRIAL_CSV_HEADER = (
 )
 AGGREGATE_CSV_HEADER = (
     "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,"
-    "mean_coop,sem_coop,mean_zf,sem_zf,mean_ideal,norm_capacity"
+    "mean_coop,sem_coop,mean_zf,sem_zf,mean_ideal,norm_capacity,num_ok,num_failed"
 )
 
 
@@ -78,21 +79,12 @@ class TrialRecord(GridPoint):
     overload_rate: float | None
 
 
-@dataclass(frozen=True)
-class PointSummary(GridPoint):
-    """Aggregate over the non-failed trials of a grid point, after its key fields."""
-
-    mean_coop: float | None
-    sem_coop: float | None
-    mean_zf: float | None
-    sem_zf: float | None
-    mean_ideal: float | None
-    norm_capacity: float | None
-    num_ok: int
-    num_failed: int
-
-
 TRIAL_FIELDS = tuple(f.name for f in dataclasses.fields(TrialRecord))
+# the summary columns: a grid point's key, then the aggregate over its usable trials
+SUMMARY_FIELDS = tuple(f.name for f in dataclasses.fields(GridPoint)) + (
+    "mean_coop", "sem_coop", "mean_zf", "sem_zf", "mean_ideal", "norm_capacity",
+    "num_ok", "num_failed",
+)
 
 
 def capacity(snrs):
@@ -194,9 +186,11 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)
 
 
-def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict) -> dict:
-    """Records of drawn trials at every grid point of ``users``, in sweep order,
-    as :class:`TrialRecord` columns ``{field: list}``, each one ``.tolist()``.
+def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict):
+    """Records and summaries of drawn trials at every grid point of ``users``,
+    in sweep order: two tables of columns ``{field: list}``, the records over
+    :data:`TRIAL_FIELDS`, one row per (point, trial), and the summaries over
+    :data:`SUMMARY_FIELDS`, one row per point.
 
     ``choices`` maps every b of the grid to the ``(indices, codewords)``
     chosen for the usable trials, and is empty when no trial is usable;
@@ -212,7 +206,9 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     over the (SNR, link) grid of link variances, ideal sharing being one
     noiseless link; a link that carries no bits takes the zero-forcing
     capacity. Only the overload audit runs per (trial, b): its
-    ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack.
+    ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack. One
+    :func:`summarize_point` call reduces the trial axis of the usable
+    trials' capacities for every point at once.
     """
     gammas, ratios = _link_axes(config)
     a_inv, eigenvalues = trials.a_inv, trials.eigenvalues[trials.usable]
@@ -238,17 +234,20 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
                 overload[i, ..., row] = np.where(carries, rates, 0.0)
         if users >= 2:
             bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, column))[:, None]
-    # TrialRecord columns in sweep order: each point's key once per trial, then the
-    # fields over (b, SNR, link, trial), empty (cond_fail 1) at the flagged trials
+    # records in sweep order: each point's key once per trial, then the fields
+    # over (b, SNR, link, trial), empty (cond_fail 1) at the flagged trials
     ids = trials.ids.tolist()
-    keys = zip(*itertools.product([users], config.b_grid, config.snr_db_grid, gammas, ratios))
+    axes = ([users], config.b_grid, config.snr_db_grid, gammas, ratios)
+    keys = list(zip(*itertools.product(*axes)))
     columns = [[key for key in axis for _ in ids] for axis in keys]
     fields = np.full((6, *shape[:3], len(ids)), None, dtype=object)
     fields[4] = 1  # cond_fail
     for field, values in zip(fields, (coop, zf, ideal, bound, 0, overload)):
         field[..., trials.usable] = values
     columns += [ids * int(np.prod(shape[:3])), *(field.ravel().tolist() for field in fields)]
-    return dict(zip(TRIAL_FIELDS, columns))
+    summaries = dict(zip(SUMMARY_FIELDS, map(list, keys)))
+    summaries.update(summarize_point(coop, zf, ideal, len(ids)))
+    return dict(zip(TRIAL_FIELDS, columns)), summaries
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -270,37 +269,35 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
         choices[point.bits] = np.array([index]), codeword[None]
-    record = evaluate_trials(one_point, point.users, trials, choices)
+    record, _ = evaluate_trials(one_point, point.users, trials, choices)
     return TrialRecord(*(column[0] for column in record.values()))
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run the full Cartesian sweep; returns (records, summaries): the
-    :class:`TrialRecord` columns ``{field: list}`` in (grid point, trial
-    index) order and one :class:`PointSummary` per grid point.
+    """Run the full Cartesian sweep; returns (records, summaries), two tables
+    of columns ``{field: list}``: the records over :data:`TRIAL_FIELDS` in
+    (grid point, trial index) order and the summaries over
+    :data:`SUMMARY_FIELDS`, one row per grid point.
 
     Each user count's trials are drawn once. If one is usable, the count's
     ``2**max(b)`` codebook is then streamed once through selection: each
     block is generated, scored against every usable trial and dropped, so
     the sweep never holds the codebook. All the count's trials are then
-    evaluated at all of its grid points at once.
+    evaluated, and summarised, at all of its grid points at once; the
+    sweep only joins the two tables across user counts.
     """
     config.validate()
-    records = {name: [] for name in TRIAL_FIELDS}
+    tables = {name: [] for name in TRIAL_FIELDS}, {name: [] for name in SUMMARY_FIELDS}
     for users in config.user_counts():
         trials = draw_trials(config, users, range(config.num_trials))
         choices = {}
         if len(trials.a_inv):
             blocks = codebook_blocks(config, users, max(config.b_grid))
             choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
-        for name, column in evaluate_trials(config, users, trials, choices).items():
-            records[name].extend(column)
-    n = config.num_trials
-    summaries = [
-        summarize_point(point, {k: v[i * n : (i + 1) * n] for k, v in records.items()})
-        for i, point in enumerate(grid_points(config))
-    ]
-    return records, summaries
+        for table, columns in zip(tables, evaluate_trials(config, users, trials, choices)):
+            for name, column in columns.items():
+                table[name].extend(column)
+    return tables
 
 
 def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
@@ -360,31 +357,35 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     return audit
 
 
-def summarize_point(point: GridPoint, records: dict) -> PointSummary:
-    """Aggregate of one grid point's records, given as :class:`TrialRecord` columns."""
-    ok = np.array(records["cond_fail"]) == 0
-    counts = int(ok.sum()), int(ok.size - ok.sum())  # num_ok, num_failed
-    key = dataclasses.astuple(point)  # PointSummary's leading GridPoint fields
-    if not ok.any():
-        return PointSummary(*key, None, None, None, None, None, None, *counts)
-    # the usable trials' capacities, one contiguous array each (None reads nan)
-    coop, zf, ideal = (
-        np.array(records[name], dtype=float)[ok]
-        for name in ("capacity_coop", "capacity_zf", "capacity_ideal")
-    )
-    mean_ideal = float(ideal.mean())
-    # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
-    norm_capacity = float(coop.mean()) / mean_ideal if mean_ideal > 0.0 else None
-    return PointSummary(
-        *key, float(coop.mean()), _sem(coop), float(zf.mean()), _sem(zf), mean_ideal,
-        norm_capacity, *counts,
-    )
+def summarize_point(coop, zf, ideal, num_trials: int) -> dict:
+    """The aggregate columns of :data:`SUMMARY_FIELDS` after the grid-point key,
+    ``{field: list}`` in C order of the points.
 
-
-def _sem(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+    The last axis of each array holds the capacities of the usable trials,
+    U of ``num_trials``, and the leading axes of ``coop`` are the points:
+    (b, SNR, link, U) for a user count, (U,) for one point. ``zf`` and
+    ``ideal`` broadcast against ``coop`` once reduced, as (SNR, 1, U) or
+    (U,). Every point gets ``num_ok`` U and ``num_failed`` T - U; with
+    no usable trial the six statistics are None, and with one the
+    standard errors are 0.0. Each array must be C-contiguous along its
+    last axis: numpy sums a contiguous row pairwise, but the rows of a
+    strided view (a boolean mask on the last axis gives one) in another
+    order, so the same values would round differently.
+    """
+    points, usable = coop.shape[:-1], coop.shape[-1]
+    size = int(np.prod(points))
+    columns = [[None] * size for _ in range(6)]
+    if usable:
+        mean_coop, mean_zf, mean_ideal = (x.mean(axis=-1) for x in (coop, zf, ideal))
+        sem_coop, sem_zf = (
+            x.std(axis=-1, ddof=1) / np.sqrt(usable) if usable > 1 else 0.0 for x in (coop, zf)
+        )
+        stats = (mean_coop, sem_coop, mean_zf, sem_zf, mean_ideal)
+        columns[:5] = (np.broadcast_to(x, points).ravel().tolist() for x in stats)
+        # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
+        columns[5] = [c / i if i > 0.0 else None for c, i in zip(columns[0], columns[4])]
+    columns += [[usable] * size, [num_trials - usable] * size]
+    return dict(zip(SUMMARY_FIELDS[-len(columns):], columns))
 
 
 def _cells(values) -> list:
@@ -408,26 +409,13 @@ def _csv_lines(header: str, config: ExperimentConfig, columns: dict) -> list:
     return lines
 
 
-def _columns(rows) -> dict:
-    """Dataclass rows as the ``{field: list}`` columns that the writers take."""
-    return {f.name: [getattr(r, f.name) for r in rows] for f in dataclasses.fields(rows[0])}
-
-
-def trial_csv_lines(config: ExperimentConfig, records: dict) -> list:
-    return _csv_lines(TRIAL_CSV_HEADER, config, records)
-
-
-def aggregate_csv_lines(config: ExperimentConfig, summaries) -> list:
-    return _csv_lines(AGGREGATE_CSV_HEADER, config, _columns(summaries))
-
-
 def write_outputs(out_dir, config: ExperimentConfig, records, summaries, json_mirror=False):
     """Write trials.csv and aggregate.csv, and on request their JSON mirrors
-    (one object per row), from :func:`run_experiment`'s records and summaries."""
+    (one object per row), from :func:`run_experiment`'s two tables of columns."""
     os.makedirs(out_dir, exist_ok=True)
     tables = (
         ("trials", TRIAL_CSV_HEADER, records),
-        ("aggregate", AGGREGATE_CSV_HEADER, _columns(summaries)),
+        ("aggregate", AGGREGATE_CSV_HEADER, summaries),
     )
     written = []
     for suffix in (".csv", ".json") if json_mirror else (".csv",):

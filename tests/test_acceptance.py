@@ -23,7 +23,7 @@ from d2dcoop import (
     snr_lower_bound,
     uniform_quantize,
 )
-from d2dcoop.harness import aggregate_csv_lines, trial_csv_lines, write_outputs
+from d2dcoop.harness import AGGREGATE_CSV_HEADER, TRIAL_CSV_HEADER, _csv_lines, write_outputs
 from d2dcoop.precoding import eigen_spectrum, gram, gram_inverse, snr_denominators
 from d2dcoop.quantization import CooperationLink, bits_from_bandwidth
 
@@ -206,13 +206,14 @@ def test_criterion_05_cell_distortion_band():
 
 def test_criterion_06_capacity_vs_snr_trend(fig2_run):
     config, records, summaries = fig2_run
-    by_point = {(s.bits, s.snr_db): s for s in summaries}
+    points = zip(summaries["bits"], summaries["snr_db"])
+    by_point = dict(zip(points, zip(summaries["mean_coop"], summaries["mean_zf"])))
     mean_ok = True
     for snr in config.snr_db_grid:
-        s6, s12 = by_point[(6, snr)], by_point[(12, snr)]
-        if not (s12.mean_coop >= s6.mean_coop >= s6.mean_zf):
+        (coop6, zf6), (coop12, zf12) = by_point[(6, snr)], by_point[(12, snr)]
+        if not (coop12 >= coop6 >= zf6):
             mean_ok = False
-        if not (s12.mean_coop > s12.mean_zf):
+        if not (coop12 > zf12):
             mean_ok = False
     keys = zip(records["bits"], records["snr_db"], records["trial"])
     by_trial = dict(zip(keys, records["capacity_coop"]))
@@ -238,10 +239,11 @@ def test_criterion_07_normalized_capacity_trend(fig3_run):
     ok = True
     thresholds = {}
     for users in config.user_count_grid:
+        names = ("users", "bits", "norm_capacity", "sem_coop", "mean_ideal")
         curve = sorted(
-            (s.bits, s.norm_capacity, s.sem_coop / s.mean_ideal)
-            for s in summaries
-            if s.users == users
+            (bits, norm, sem / ideal)
+            for p, bits, norm, sem, ideal in zip(*(summaries[name] for name in names))
+            if p == users
         )
         norms = [n for _, n, _ in curve]
         sems = [e for _, _, e in curve]
@@ -269,8 +271,9 @@ def test_criterion_08_bandwidth_trends(fig4_run, fig4_ideal_run, fig5_run):
     largest = max(config.bandwidth_ratio_grid)
     smallest = min(config.bandwidth_ratio_grid)
 
-    quantized = {(s.bandwidth_ratio, s.snr_db): s.mean_coop for s in summaries}
-    ideal = {s.snr_db: s.mean_coop for s in ideal_summaries}
+    points = zip(summaries["bandwidth_ratio"], summaries["snr_db"])
+    quantized = dict(zip(points, summaries["mean_coop"]))
+    ideal = dict(zip(ideal_summaries["snr_db"], ideal_summaries["mean_coop"]))
     saturation = min(quantized[(largest, snr)] / ideal[snr] for snr in config.snr_db_grid)
     saturation_ok = saturation >= 0.99
 
@@ -337,9 +340,11 @@ def test_criterion_09_byte_identical_reruns(tmp_path):
     write_outputs(out_b, config, rec2, sum2)
     same_trials = (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
     same_agg = (out_a / "aggregate.csv").read_bytes() == (out_b / "aggregate.csv").read_bytes()
-    lines_match = trial_csv_lines(config, rec1) == trial_csv_lines(
-        config, rec2
-    ) and aggregate_csv_lines(config, sum1) == aggregate_csv_lines(config, sum2)
+    lines_match = _csv_lines(TRIAL_CSV_HEADER, config, rec1) == _csv_lines(
+        TRIAL_CSV_HEADER, config, rec2
+    ) and _csv_lines(AGGREGATE_CSV_HEADER, config, sum1) == _csv_lines(
+        AGGREGATE_CSV_HEADER, config, sum2
+    )
     ok = same_trials and same_agg and lines_match
     _report(9, "byte-identical determinism", ok, "two seeded preset runs compared")
 

@@ -151,19 +151,19 @@ def test_cli_runs_are_byte_identical(tmp_path):
 GOLDEN_DIGESTS = {
     "fig-capacity-vs-snr": (
         "4f7e03af8cbf9bb60c4763f9f6b8f881fdb52f958a7b83f07cdb338c96cb0ea7",
-        "966bf53c08e72a02b2d33162134057f4f1188c7ccb2194177e19dbc2518053c0",
+        "8a3659f31e304bd787c4a01dda63c9124d7f35ae94e06dd928ef27e25e42e208",
     ),
     "fig-capacity-vs-bits": (
         "5d4f28999402ae926731b18e5f2f85d1423ec3cad69f133fe5ab2bcbc28cef75",
-        "3aba3c2b6919c9541584128fd5ef1d99b22fbb8f281c8791cba76233f6ae1247",
+        "7a292d9cfebc037d2203d8e1c5c5ddbc25f3ffb8720169223274b6a22faaed7e",
     ),
     "fig-capacity-vs-bandwidth-snr": (
         "2bb84ec3ae0caf8741d029091b6b6c05b5d98d88f667642cb137cc743db9577c",
-        "145117e6d098b9867cdd14c54d5fa50ce089a539037347eb339d2831af6b6789",
+        "3f9bdf4cb531837f430c021352b093af0a3f85b14d4dd0822a17bf616fe2a977",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
         "6cd5263ab24d4783f71e2ffe04bb8e908caf5e5964634a20a46607525f5001d9",
-        "680ec56138444c3cd31013699b903fe838b920e4f09a8e610329739b72bbb793",
+        "132a0c2d5e5cddad28a17be7795c69f4b4e37ca888e6d867b2bad3009bc9b26d",
     ),
 }
 

@@ -37,17 +37,17 @@ from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     DRAW_CHUNK,
+    SUMMARY_FIELDS,
     TRIAL_CSV_HEADER,
     TRIAL_FIELDS,
     TRIAL_STREAM,
     GridPoint,
-    aggregate_csv_lines,
+    _csv_lines,
     codebook_blocks,
     codebook_for,
     draw_trials,
     grid_points,
     summarize_point,
-    trial_csv_lines,
     write_outputs,
 )
 
@@ -319,31 +319,51 @@ class TestRunExperiment:
         config = small_config()
         records, summaries = run_experiment(config)
         assert len(records["trial"]) == 4 * config.num_trials
-        assert len(summaries) == 4
-        for s in summaries:
-            assert s.num_ok == config.num_trials
-            assert s.num_failed == 0
-            assert 0.0 < s.norm_capacity <= 1.0
-            assert s.sem_coop >= 0.0
+        assert all(len(column) == 4 for column in summaries.values())
+        assert summaries["num_ok"] == [config.num_trials] * 4
+        assert summaries["num_failed"] == [0] * 4
+        assert all(0.0 < norm <= 1.0 for norm in summaries["norm_capacity"])
+        assert all(sem >= 0.0 for sem in summaries["sem_coop"])
+
+    def test_summarize_point_runs_once_per_user_count(self, monkeypatch):
+        # one stacked reduction over (b, SNR, link, usable trial) per user
+        # count, not one call per grid point
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return summarize_point(*args)
+
+        monkeypatch.setattr(harness, "summarize_point", spy)
+        config = small_config(user_count_grid=[2, 3, 4])
+        _, summaries = run_experiment(config)
+        assert len(calls) == 3
+        assert [args[0].shape[:-1] for args in calls] == [(2, 2, 1)] * 3
+        assert len(summaries["users"]) == 12
 
     def test_all_zero_capacities_leave_norm_capacity_empty(self):
         # below about -170 dB every log2(1 + snr) rounds to 0.0, so the
         # normalised capacity is 0/0: written as an empty cell, not nan
         config = small_config(snr_db_grid=[-200.0, -150.0], b_grid=[2], num_trials=3)
         _, summaries = run_experiment(config)
-        lowest, low = summaries
-        assert lowest.mean_ideal == lowest.mean_coop == 0.0
-        assert lowest.norm_capacity is None
-        assert 0.0 < low.norm_capacity <= 1.0
-        row = aggregate_csv_lines(config, summaries)[1]
-        assert row.endswith(",0.0,")
+        assert summaries["mean_ideal"][0] == summaries["mean_coop"][0] == 0.0
+        assert summaries["norm_capacity"][0] is None
+        assert 0.0 < summaries["norm_capacity"][1] <= 1.0
+        header, row = _csv_lines(AGGREGATE_CSV_HEADER, config, summaries)[:2]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["mean_ideal"] == "0.0"
+        assert cells["norm_capacity"] == ""
 
     def test_rerun_is_byte_identical(self):
         config = small_config()
         rec1, sum1 = run_experiment(config)
         rec2, sum2 = run_experiment(config)
-        assert trial_csv_lines(config, rec1) == trial_csv_lines(config, rec2)
-        assert aggregate_csv_lines(config, sum1) == aggregate_csv_lines(config, sum2)
+        assert _csv_lines(TRIAL_CSV_HEADER, config, rec1) == _csv_lines(
+            TRIAL_CSV_HEADER, config, rec2
+        )
+        assert _csv_lines(AGGREGATE_CSV_HEADER, config, sum1) == _csv_lines(
+            AGGREGATE_CSV_HEADER, config, sum2
+        )
 
     @pytest.mark.parametrize(
         "overrides",
@@ -473,12 +493,20 @@ class TestRunExperiment:
         user_count_grid=[1, 4], num_trials=3, sector_spread=0.01, mode="quantized-rsi",
         gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
     ))
+    @example(small_config(
+        user_count_grid=[1, 4], num_trials=24, sector_spread=0.01, mode="quantized-rsi",
+        gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
+    ))
     def test_written_rows_equal_per_point_reference(self, config):
         # every trials.csv row is its (point, trial)'s run_trial record and
-        # every aggregate.csv row summarize_point on the point's reference
-        # records, both formatted cell by cell: repr for a float, str for an
-        # int, "" for None. The example holds a one-user count (no bound),
-        # zero-bit links (0.5) and ill-conditioned trials
+        # every aggregate.csv row summarize_point on the one contiguous array
+        # of the point's usable reference capacities, both formatted cell by
+        # cell: repr for a float, str for an int, "" for None. The examples
+        # hold a one-user count (no bound), zero-bit links (0.5) and
+        # ill-conditioned trials. The 24-trial one mixes usable and flagged
+        # trials at four users: a sweep that reduced a masked view of all the
+        # trials (x[..., usable], which is strided) would sum more than 8
+        # values in another order and move the last bit of the means
         records, summaries = run_experiment(config)
         with tempfile.TemporaryDirectory() as out:
             write_outputs(out, config, records, summaries)
@@ -500,8 +528,15 @@ class TestRunExperiment:
             for r in rows:
                 cells = (*key, *(getattr(r, name) for name in own_trial))
                 expected_trials.append(",".join(map(csv_cell, cells)))
-            s = summarize_point(point, as_columns(rows))
-            cells = (*key, *(getattr(s, name) for name in own_aggregate))
+            usable = [r for r in rows if not r.cond_fail]
+            s = summarize_point(
+                *(
+                    np.array([getattr(r, name) for r in usable], dtype=float)
+                    for name in ("capacity_coop", "capacity_zf", "capacity_ideal")
+                ),
+                n,
+            )
+            cells = (*key, *(s[name][0] for name in own_aggregate))
             expected_aggregate.append(",".join(map(csv_cell, cells)))
         assert trial_lines == expected_trials
         assert aggregate_lines == expected_aggregate
@@ -563,13 +598,14 @@ class TestCsvOutput:
         )
         assert AGGREGATE_CSV_HEADER == (
             "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,"
-            "mean_coop,sem_coop,mean_zf,sem_zf,mean_ideal,norm_capacity"
+            "mean_coop,sem_coop,mean_zf,sem_zf,mean_ideal,norm_capacity,"
+            "num_ok,num_failed"
         )
 
     def test_row_shape_and_empty_fields(self):
         config = small_config(num_trials=2)
         records, summaries = run_experiment(config)
-        lines = trial_csv_lines(config, records)
+        lines = _csv_lines(TRIAL_CSV_HEADER, config, records)
         assert len(lines) == 1 + len(records["trial"])
         first = lines[1].split(",")
         assert len(first) == len(TRIAL_CSV_HEADER.split(","))
@@ -594,7 +630,8 @@ class TestCsvOutput:
         mirrored = json.loads((tmp_path / "trials.json").read_text())
         assert mirrored == [dataclasses.asdict(r) for r in per_point_reference(config)]
         mirrored = json.loads((tmp_path / "aggregate.json").read_text())
-        assert mirrored == [dataclasses.asdict(s) for s in summaries]
+        assert all(list(row) == list(SUMMARY_FIELDS) for row in mirrored)
+        assert {name: [row[name] for row in mirrored] for name in SUMMARY_FIELDS} == summaries
 
 
 def test_grid_point_is_hashable_record():
