@@ -10,8 +10,9 @@ selection is not a minimum-distortion quantizer; the printed ratios
 quantify that gap. For two users it reads about half the first: its
 pairing may swap the two columns, which doubles the choices.
 Both are measured on the trials and codebook of a default sweep
-(``ExperimentConfig`` with ``P``, ``b_grid``, ``num_trials`` and
-``master_seed`` from the flags), one ``cell_distortion_audit`` per P.
+(``ExperimentConfig`` with ``user_count_grid``, ``b_grid``, ``num_trials``
+and ``master_seed`` from the flags), one ``cell_distortion_audit`` per P.
+Repeated ``--users`` or ``--bits`` values are audited once.
 
 Usage:
     python scripts/distortion_gap.py [--users 2 3] [--bits 4 6 8 10] [--trials 300]
@@ -35,25 +36,29 @@ def main() -> int:
     args = ap.parse_args()
     if min(args.users) < 2:
         ap.error("--users must be at least 2: one user's cell has no angle")
-    # validate names the offending flag's config field: num_trials, b_grid, P or master_seed
-    configs = [
-        ExperimentConfig(
-            P=users, b_grid=sorted(set(args.bits)), num_trials=args.trials, master_seed=args.seed
+    # validate names the offending flag's config field:
+    # num_trials, b_grid, user_count_grid or master_seed
+    configs = {
+        users: ExperimentConfig(
+            user_count_grid=[users],
+            b_grid=sorted(set(args.bits)),
+            num_trials=args.trials,
+            master_seed=args.seed,
         )
-        for users in args.users
-    ]
-    for config in configs:
+        for users in dict.fromkeys(args.users)
+    }
+    for config in configs.values():
         try:
             config.validate()
         except ConfigError as exc:
             ap.error(str(exc))
 
     print(f"{'P':>3} {'b':>3} {'approx':>10} {'cell':>10} {'ratio':>6} {'selected':>10} {'ratio':>6}")
-    for config in configs:
-        for bits, (cell, selected) in cell_distortion_audit(config, config.P).items():
-            approx = expected_cell_distortion(bits, config.P)
+    for users, config in configs.items():
+        for bits, (cell, selected) in cell_distortion_audit(config, users).items():
+            approx = expected_cell_distortion(bits, users)
             print(
-                f"{config.P:>3} {bits:>3} {approx:>10.5f} {cell:>10.5f} {cell / approx:>6.2f}"
+                f"{users:>3} {bits:>3} {approx:>10.5f} {cell:>10.5f} {cell / approx:>6.2f}"
                 f" {selected:>10.5f} {selected / approx:>6.2f}"
             )
     return 0

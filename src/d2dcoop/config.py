@@ -3,8 +3,8 @@
 A config is a plain JSON object with exactly the fields of
 :class:`ExperimentConfig`; unknown fields are rejected so a typo cannot
 silently change an experiment. Field names follow the conventional
-symbols: ``M`` transmit antennas, ``P`` users, ``D`` effective-channel
-dimension, ``L`` propagation paths.
+symbols: ``M`` transmit antennas, ``D`` effective-channel dimension,
+``L`` propagation paths; ``user_count_grid`` sweeps the user count P.
 """
 
 import copy
@@ -53,21 +53,20 @@ class ExperimentConfig:
     """Full description of one Monte Carlo sweep.
 
     Grids are swept as a Cartesian product; ``gamma_db_grid`` and
-    ``bandwidth_ratio_grid`` only apply in ``quantized-rsi`` mode.
-    ``user_count_grid`` overrides ``P`` with a sweep when present.
+    ``bandwidth_ratio_grid`` only apply in ``quantized-rsi`` mode, but are
+    validated in both. ``user_count_grid`` alone sets the user counts.
     Downlink SNR in dB maps to noise power ``N0 = 10**(-snr_db/10)``
     under unit transmit symbol power.
     """
 
     M: int = 64
-    P: int = 4
     D: int = 6
     L: int = 20
     sector_center: float = 0.0
     sector_spread: float = math.pi
     snr_db_grid: list = field(default_factory=lambda: [-5.0])
     b_grid: list = field(default_factory=lambda: [6])
-    user_count_grid: list | None = None
+    user_count_grid: list = field(default_factory=lambda: [4])
     tau: float = 30.0
     gamma_db_grid: list = field(default_factory=lambda: [10.0])
     bandwidth_ratio_grid: list = field(default_factory=lambda: [1.0])
@@ -76,11 +75,8 @@ class ExperimentConfig:
     mode: str = "ideal-rsi"
     figure_preset: str | None = None
 
-    def user_counts(self) -> list:
-        return list(self.user_count_grid) if self.user_count_grid else [self.P]
-
     def validate(self) -> None:
-        for name in ("M", "P", "D", "L", "num_trials"):
+        for name in ("M", "D", "L", "num_trials"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
@@ -105,35 +101,30 @@ class ExperimentConfig:
 
         _check_grid(self.snr_db_grid, "snr_db_grid", _is_db)
         _check_grid(self.b_grid, "b_grid", lambda b: _is_int(b) and b >= 0)
-        if self.user_count_grid is not None:
-            _check_grid(
-                self.user_count_grid, "user_count_grid", lambda p: _is_int(p) and p >= 1
+        _check_grid(self.user_count_grid, "user_count_grid", lambda p: _is_int(p) and p >= 1)
+        _check_grid(self.gamma_db_grid, "gamma_db_grid", _is_db)
+        _check_grid(
+            self.bandwidth_ratio_grid,
+            "bandwidth_ratio_grid",
+            lambda r: _is_finite_number(r) and r > 0,
+        )
+        # the sweep's own link table; an inf variance would turn the SNRs nan mid-sweep
+        try:
+            variances, _ = link_variances(self.gamma_db_grid, self.bandwidth_ratio_grid, self.tau)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"a cooperation link is unusable: {exc}") from exc
+        if not all(map(math.isfinite, variances)):
+            raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
+        worst = max(self.user_count_grid)
+        if self.mode == "quantized-rsi" and worst > OVERLOAD_MAX_USERS:
+            raise ConfigError(
+                f"quantized mode audits overload for at most {OVERLOAD_MAX_USERS} users"
             )
-        if self.mode == "quantized-rsi":
-            _check_grid(self.gamma_db_grid, "gamma_db_grid", _is_db)
-            _check_grid(
-                self.bandwidth_ratio_grid,
-                "bandwidth_ratio_grid",
-                lambda r: _is_finite_number(r) and r > 0,
-            )
-            # the sweep's own link table; an inf variance would turn the SNRs nan mid-sweep
-            grids = self.gamma_db_grid, self.bandwidth_ratio_grid
-            try:
-                variances, _ = link_variances(*grids, self.tau)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"a quantized link is unusable: {exc}") from exc
-            if not all(map(math.isfinite, variances)):
-                raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
-            if max(self.user_counts()) > OVERLOAD_MAX_USERS:
-                raise ConfigError(
-                    f"quantized mode audits overload for at most {OVERLOAD_MAX_USERS} users"
-                )
         if self.D > min(self.M, self.L):
             raise ConfigError(
                 f"D={self.D} exceeds min(M, L), the rank of the spatial covariance; "
                 "extra dimensions would carry no channel energy"
             )
-        worst = max(self.user_counts())
         if self.D < worst:
             raise ConfigError(
                 f"D={self.D} is below the largest user count {worst}; zero-forcing needs D >= P"
@@ -166,11 +157,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     config = ExperimentConfig(**data)
     config.validate()
-    # float fields hold floats, so 0 and 0.0 write the same bytes (link grids: quantized only)
+    # float fields hold floats, so 0 and 0.0 write the same bytes
     for name in ("sector_center", "sector_spread", "tau"):
         setattr(config, name, float(getattr(config, name)))
-    grids = ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid")
-    for name in grids if config.mode == "quantized-rsi" else grids[:1]:
+    for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
         setattr(config, name, [float(value) for value in getattr(config, name)])
     return config
 
@@ -209,13 +199,10 @@ def preset_config(
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     # deep-copied, so a caller editing its config's grids cannot edit the table
-    config = ExperimentConfig(**copy.deepcopy(PRESETS[name]), figure_preset=name)
-    if num_trials is not None:
-        config.num_trials = num_trials
-    if master_seed is not None:
-        config.master_seed = master_seed
-    config.validate()
-    return config
+    data = copy.deepcopy(PRESETS[name]) | {"figure_preset": name}
+    overrides = {"num_trials": num_trials, "master_seed": master_seed}
+    data.update((key, value) for key, value in overrides.items() if value is not None)
+    return config_from_dict(data)
 
 
 def _is_int(value) -> bool:

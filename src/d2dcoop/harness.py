@@ -108,7 +108,7 @@ def _link_axes(config: ExperimentConfig):
 
 def grid_points(config: ExperimentConfig):
     """The deterministic sweep order used for records and CSV rows."""
-    axes = (config.user_counts(), config.b_grid, config.snr_db_grid, *_link_axes(config))
+    axes = (config.user_count_grid, config.b_grid, config.snr_db_grid, *_link_axes(config))
     return (GridPoint(*key) for key in itertools.product(*axes))
 
 
@@ -288,7 +288,7 @@ def run_experiment(config: ExperimentConfig):
     """
     config.validate()
     tables = {name: [] for name in TRIAL_FIELDS}, {name: [] for name in SUMMARY_FIELDS}
-    for users in config.user_counts():
+    for users in config.user_count_grid:
         trials = draw_trials(config, users, range(config.num_trials))
         choices = {}
         if len(trials.a_inv):
@@ -321,7 +321,7 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     trial is usable or when ``users`` is not a user count of the config.
     """
     config.validate()
-    if users not in config.user_counts():
+    if users not in config.user_count_grid:
         raise ValueError(f"{users} users is not a user count of the sweep")
     trials = draw_trials(config, users, range(config.num_trials))
     eigenvectors = trials.eigenvectors[trials.usable]

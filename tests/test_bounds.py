@@ -73,7 +73,9 @@ class TestExpectedCellDistortion:
 
     def test_monte_carlo_cross_check_factor_two(self):
         # quantization-cell statistic of a sweep's own codebook and trials
-        config = ExperimentConfig(M=16, L=8, P=2, b_grid=[6], num_trials=150, master_seed=2)
+        config = ExperimentConfig(
+            M=16, L=8, user_count_grid=[2], b_grid=[6], num_trials=150, master_seed=2
+        )
         measured, _ = cell_distortion_audit(config, 2)[6]
         expected = expected_cell_distortion(6, 2)
         assert expected / 2 <= measured <= expected * 2
@@ -214,8 +216,9 @@ class TestDistortionMeasures:
         (["1"], ["2"], "2", 2),
         (["2"], ["2"], "0", 2),
         (["2"], ["-1"], "2", 2),
+        (["2", "2"], ["2"], "2", 0),
     ],
-    ids=["ok", "two-users-two-bits", "one-user", "no-trials", "negative-bits"],
+    ids=["ok", "two-users-two-bits", "one-user", "no-trials", "negative-bits", "repeated-users"],
 )
 def test_distortion_gap_script_runs(users, bits, trials, code):
     # the script imports from the package root, so an export change must fail here
@@ -233,6 +236,6 @@ def test_distortion_gap_script_runs(users, bits, trials, code):
         return
     header, *rows = result.stdout.splitlines()
     assert header.split()[:2] == ["P", "b"]
-    # one row per (P, b), b ascending within each P
-    expected = [[p, b] for p in users for b in sorted(bits, key=int)]
+    # one row per distinct (P, b), P in the order given, b ascending within each P
+    expected = [[p, b] for p in dict.fromkeys(users) for b in sorted(set(bits), key=int)]
     assert [row.split()[:2] for row in rows] == expected

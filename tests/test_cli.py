@@ -22,7 +22,7 @@ def write_config(path, **overrides):
         M=16,
         L=8,
         D=6,
-        P=4,
+        user_count_grid=[4],
         snr_db_grid=[-5.0],
         b_grid=[2],
         num_trials=3,
@@ -48,7 +48,7 @@ def test_validate_rejects_unknown_field(tmp_path, capsys):
 
 def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    for content in (b"{oops", b'\xff\xfe{"P": 3}'):  # not JSON; not UTF-8
+    for content in (b"{oops", b'\xff\xfe{"M": 16}'):  # not JSON; not UTF-8
         path.write_bytes(content)
         assert main(["validate", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
@@ -118,6 +118,14 @@ def test_preset_rejects_unknown_name(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["preset", "fig-made-up", "--out", str(tmp_path)])
     assert info.value.code != 0
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
+def test_preset_rejects_bad_override(tmp_path, capsys, flag, value):
+    out = tmp_path / "results"
+    assert main(["preset", "fig-capacity-vs-snr", flag, value, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integer_spelling_writes_the_same_bytes(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from d2dcoop import (
     preset_config,
     quantization_noise_variance,
 )
+from d2dcoop.config import MODES
 from d2dcoop.quantization import link_variances
 
 
@@ -27,11 +29,14 @@ def test_defaults_validate():
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError, match="unknown config fields: bogus"):
         config_from_dict({"bogus": 1})
+    # user_count_grid alone sets the user counts; a leftover P is not ignored
+    with pytest.raises(ConfigError, match="unknown config fields: P$"):
+        config_from_dict({"P": 8, "user_count_grid": [3]})
 
 
 def test_missing_fields_take_defaults():
-    config = config_from_dict({"P": 3, "snr_db_grid": [0.0]})
-    assert config.P == 3
+    config = config_from_dict({"user_count_grid": [3], "snr_db_grid": [0.0]})
+    assert config.user_count_grid == [3]
     assert config.M == 64
     assert config.mode == "ideal-rsi"
 
@@ -40,7 +45,7 @@ def test_missing_fields_take_defaults():
     "overrides",
     [
         {"M": 0},
-        {"P": -1},
+        {"user_count_grid": [-1]},
         {"num_trials": 0},
         {"master_seed": -1},
         {"master_seed": 2**64},
@@ -69,9 +74,14 @@ def test_missing_fields_take_defaults():
         {"mode": "quantized-rsi", "gamma_db_grid": [-4000.0, 10.0]},
         {"snr_db_grid": [4000.0]},
         {"snr_db_grid": [-4000.0]},
-        {"mode": "quantized-rsi", "P": 7, "D": 8},
+        {"mode": "quantized-rsi", "user_count_grid": [7], "D": 8},
         {"mode": "quantized-rsi", "tau": 1e300},
-        {"mode": "quantized-rsi", "P": 1, "tau": 1e154},
+        {"mode": "quantized-rsi", "user_count_grid": [1], "tau": 1e154},
+        {"P": 4},
+        {"user_count_grid": None},
+        {"gamma_db_grid": "abc"},
+        {"bandwidth_ratio_grid": [-1.0]},
+        {"tau": 1e300},
     ],
 )
 def test_invalid_values_rejected(overrides):
@@ -129,24 +139,36 @@ def test_link_variances_match_per_link_formulas(name):
 
 
 def test_quantized_mode_requires_link_grids():
-    config_from_dict({"mode": "ideal-rsi", "gamma_db_grid": []})
-    with pytest.raises(ConfigError):
-        config_from_dict({"mode": "quantized-rsi", "gamma_db_grid": []})
-    with pytest.raises(ConfigError):
-        config_from_dict({"mode": "quantized-rsi", "bandwidth_ratio_grid": [0.0]})
+    # the link grids are checked in both modes, though only quantized mode sweeps them
+    for mode in MODES:
+        with pytest.raises(ConfigError):
+            config_from_dict({"mode": mode, "gamma_db_grid": []})
+        with pytest.raises(ConfigError):
+            config_from_dict({"mode": mode, "bandwidth_ratio_grid": [0.0]})
 
 
 def test_user_counts_helper():
-    assert ExperimentConfig().user_counts() == [4]
-    assert ExperimentConfig(user_count_grid=[3, 4]).user_counts() == [3, 4]
+    # user_count_grid is the one field that sets the user counts
+    assert ExperimentConfig().user_count_grid == [4]
+    assert config_from_dict({}).user_count_grid == [4]
+    assert config_from_dict({"user_count_grid": [3, 4]}).user_count_grid == [3, 4]
+    assert not hasattr(ExperimentConfig(), "P")
 
 
 def test_json_round_trip(tmp_path):
-    config = preset_config("fig-capacity-vs-bits", num_trials=7, master_seed=5)
-    path = tmp_path / "config.json"
-    config.to_json(path)
-    loaded = load_config(path)
-    assert loaded == config
+    for name in PRESET_NAMES:
+        config = preset_config(name, num_trials=7, master_seed=5)
+        path = tmp_path / f"{name}.json"
+        config.to_json(path)
+        assert load_config(path) == config
+
+
+def test_readme_config_example_loads():
+    # the README's "Config format" block states every field; a schema change must update it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    data = json.loads(block)
+    assert list(data) == list(config_from_dict(data).to_dict())
 
 
 def test_load_rejects_malformed_json(tmp_path):

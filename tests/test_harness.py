@@ -57,7 +57,7 @@ def small_config(**overrides):
         M=16,
         L=8,
         D=6,
-        P=4,
+        user_count_grid=[4],
         snr_db_grid=[-5.0, 0.0],
         b_grid=[2, 3],
         num_trials=5,
@@ -173,7 +173,7 @@ def draw_configs(draw):
         M=draw(st.integers(D, 24)),
         L=draw(st.integers(D, 12)),
         D=D,
-        P=users,
+        user_count_grid=[users],
         sector_center=draw(st.floats(-1.0, 1.0)),
         sector_spread=draw(st.sampled_from([1e-9, 0.05, 0.5, np.pi])),
         master_seed=draw(st.integers(0, 2**32 - 1)),
@@ -295,11 +295,12 @@ class TestDrawTrials:
     def test_stacked_draw_equals_one_trial_draws(self, config, extra):
         # the chain runs on stacks of DRAW_CHUNK trials; across a chunk
         # edge every trial must be, bitwise, its own one-trial draw
-        trials = draw_trials(config, config.P, range(DRAW_CHUNK + extra))
+        (users,) = config.user_count_grid
+        trials = draw_trials(config, users, range(DRAW_CHUNK + extra))
         for trial in range(DRAW_CHUNK + extra):
-            assert trial_bytes(trials, trial) == one_trial_draw(config, config.P, trial)
+            assert trial_bytes(trials, trial) == one_trial_draw(config, users, trial)
         for trial in (0, DRAW_CHUNK):
-            one = draw_trials(config, config.P, [trial])
+            one = draw_trials(config, users, [trial])
             assert trial_bytes(one, 0) == trial_bytes(trials, trial)
 
     def test_all_ill_conditioned_chunk_raises_no_warning(self):
@@ -412,7 +413,7 @@ class TestRunExperiment:
         # time. Generating a block peaks at 1.79 MB (its Gaussian draws and
         # the CGS2 temporaries), scoring one at 0.78 MB; a second block
         # held across the next draw would take the peak to 2.2 MB
-        config = small_config(P=5, b_grid=[14], snr_db_grid=[0.0], num_trials=2)
+        config = small_config(user_count_grid=[5], b_grid=[14], snr_db_grid=[0.0], num_trials=2)
         tracemalloc.start()
         try:
             records, _ = run_experiment(config)
@@ -429,7 +430,7 @@ class TestRunExperiment:
         # 0.66 MB; stacked over the 16 trials it would hold every trial's
         # tails at once, 1.5 MB for one array of them, and it peaked at 8.4 MB
         config = small_config(
-            P=6, mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0],
+            user_count_grid=[6], mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0],
             snr_db_grid=[0.0], b_grid=[1], num_trials=16,
         )
         tracemalloc.start()
@@ -457,7 +458,7 @@ class TestRunExperiment:
         # one scoring pass per trial picks, for every b, the codeword the
         # per-point selector picks at every SNR of the grid
         chosen = {}
-        for users in config.user_counts():
+        for users in config.user_count_grid:
             book = codebook_for(config, users, max(config.b_grid))
             for trial in range(config.num_trials):
                 trials = draw_trials(config, users, [trial])
@@ -569,7 +570,7 @@ class TestCellDistortionAudit:
         # 2**10 ends on the first streamed block's last codeword and 2**11
         # spans two blocks; the running minima must equal the distortion
         # minimum over each whole prefix
-        config = small_config(P=3, b_grid=[2, 10, 11], num_trials=3)
+        config = small_config(user_count_grid=[3], b_grid=[2, 10, 11], num_trials=3)
         audit = cell_distortion_audit(config, 3)
         book = codebook_for(config, 3, 11)
         trials = draw_trials(config, 3, range(3))
