@@ -15,10 +15,14 @@ post-decoding SNR on the current channel.
 
 Codewords are drawn sequentially, so for a fixed seed the ``2**b``
 codebook is exactly the prefix of the ``2**(b+1)`` one, which paired-seed
-experiments rely on. ``BLOCK``-sized :func:`generate_codebook` calls on
-one generator yield, bitwise, the blocks of one call for the whole
-codebook; selection reads such a stream block by block.
+experiments rely on. :func:`codebook_stream` draws the codebook one
+``BLOCK`` at a time into one workspace that it reuses for every block, so
+a block is valid only until the next is drawn; selection reads the stream
+block by block, scoring in a workspace of its own, and
+:func:`generate_codebook` copies it into a fresh array.
 """
+
+import math
 
 import numpy as np
 
@@ -41,32 +45,74 @@ def codebook_bytes(num_users: int, bits: int) -> int:
 def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
-    Filled one block of ``BLOCK`` codewords at a time, each the next draws
-    of ``rng``, so generation peaks at the codebook plus one block. Raises
-    :class:`CodebookBudgetError`, before any draw, above ``DEFAULT_BUDGET_BYTES``.
+    The blocks of :func:`codebook_stream` on ``rng``, each copied into a new
+    store as it is drawn, so generation peaks at the codebook plus the
+    stream's workspace. Raises :class:`CodebookBudgetError`, before any
+    draw, above ``DEFAULT_BUDGET_BYTES``.
     """
+    _check_codebook(num_users, bits)
+    # stored column by column: each decoding vector is contiguous
+    book = np.empty((1 << bits, num_users, num_users), dtype=complex).swapaxes(-1, -2)
+    start = 0
+    for block in codebook_stream(num_users, bits, rng):
+        book[start : start + len(block)] = block
+        start += len(block)
+    return book
+
+
+def codebook_stream(num_users: int, bits: int, rng: np.random.Generator):
+    """The ``2**bits`` codebook of :func:`generate_codebook`, one block of ``BLOCK``
+    (or fewer) codewords at a time, each the next draws of ``rng``.
+
+    The stream owns one workspace, allocated at the first block: the Gaussian
+    draws, one block store and the CGS2 temporaries. Every block is drawn into
+    it, so a yielded block is valid only until the next one is drawn; a
+    consumer copies what it keeps. Raises as :func:`generate_codebook` does,
+    before any draw.
+    """
+    _check_codebook(num_users, bits)
+    rows = min(1 << bits, BLOCK)
+    draws = np.empty((rows, num_users, num_users, 2))
+    # the (real, imaginary) pairs of the draws, read in place as complex
+    g = draws.view(complex)[..., 0]
+    store = np.empty((rows, num_users, num_users), dtype=complex)
+    work = _cgs2_workspace(rows, num_users)
+    for _ in range((1 << bits) // rows):
+        rng.standard_normal(out=draws)
+        g /= np.sqrt(2.0)
+        _orthonormalize(g, store, work)
+        yield store.swapaxes(-1, -2)
+
+
+def _check_codebook(num_users: int, bits: int) -> None:
+    """Raise on a codebook that cannot be drawn or that exceeds ``DEFAULT_BUDGET_BYTES``."""
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
     if bits < 0:
         raise ValueError("bits must be nonnegative")
-    size = 1 << bits
     need = codebook_bytes(num_users, bits)
     if need > DEFAULT_BUDGET_BYTES:
         raise CodebookBudgetError(
             f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
         )
-    # stored column by column: each decoding vector is contiguous
-    store = np.empty((size, num_users, num_users), dtype=complex)
-    for start in range(0, size, BLOCK):
-        # the (real, imaginary) pairs of the draws, read in place as complex
-        shape = (min(BLOCK, size - start), num_users, num_users, 2)
-        g = rng.standard_normal(shape).view(complex)[..., 0]
-        g /= np.sqrt(2.0)
-        _orthonormalize(g, store[start : start + len(g)])
-    return store.swapaxes(-1, -2)
 
 
-def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
+def _cgs2_workspace(rows: int, users: int) -> tuple:
+    """The temporaries of :func:`_orthonormalize` for ``rows`` matrices of ``users``
+    columns: a column, its conjugate, its projection, its magnitudes, the flat
+    anchor positions (and the first flat position of each row), the anchors,
+    their magnitudes, the column norms, and the projection coefficients, flat,
+    as a column step takes a prefix of them."""
+    column = np.empty((rows, users), dtype=complex)
+    return (
+        column, np.empty_like(column), np.empty_like(column), np.empty((rows, users)),
+        np.empty(rows, dtype=np.intp), np.arange(0, rows * users, users),
+        np.empty(rows, dtype=complex), np.empty(rows), np.empty(rows),
+        np.empty(rows * (users - 1), dtype=complex),
+    )
+
+
+def _orthonormalize(g: np.ndarray, out: np.ndarray, work: tuple) -> None:
     """Write the phase-canonical Q factor of each matrix of ``g`` into ``out``.
 
     ``out[k, j]`` becomes column ``j`` of the Q factor of ``g[k]``, as the
@@ -74,25 +120,37 @@ def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
     it twice (CGS2), one column step for the whole stack, then rotated by
     the conjugate phase of its largest-magnitude (anchor) entry, the
     anchor set to its magnitude, and divided by its norm as real pairs,
-    so a 1 x 1 codeword is exactly 1.
+    so a 1 x 1 codeword is exactly 1. Every temporary is a buffer of
+    ``work``, from :func:`_cgs2_workspace` at ``len(g)`` rows.
     """
+    v, conj_v, projection, magnitudes, anchor_at, row_starts, anchor, magnitude, norm, coefs = work
+    rows, users = len(g), g.shape[-1]
     columns = np.swapaxes(g, -1, -2)
-    rows = np.arange(len(g))
-    for j in range(g.shape[-1]):
-        v = columns[:, j].copy()
+    flat_v, pairs = v.reshape(-1), v.view(float)
+    for j in range(users):
+        np.copyto(v, columns[:, j])
         if j:
             previous = out[:, :j]
-            conj_previous = np.conj(previous)
+            coef = coefs[: rows * j].reshape(rows, j)
             for _ in range(2):
-                coef = np.einsum("nkp,np->nk", conj_previous, v)
-                v -= np.einsum("nkp,nk->np", previous, coef)
-        anchor_at = np.argmax(np.abs(v), axis=1)
-        anchor = v[rows, anchor_at]
-        magnitude = np.abs(anchor)
-        v *= np.conj(anchor / magnitude)[:, None]
-        v[rows, anchor_at] = magnitude
-        pairs = v.view(float)
-        norm = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+                # conj(sum_p q_p conj(v_p)) is, bitwise, sum_p conj(q_p) v_p:
+                # conjugation flips signs, which rounding commutes with
+                np.conjugate(v, out=conj_v)
+                np.einsum("nkp,np->nk", previous, conj_v, out=coef)
+                np.conjugate(coef, out=coef)
+                np.einsum("nkp,nk->np", previous, coef, out=projection)
+                v -= projection
+        np.absolute(v, out=magnitudes)
+        np.argmax(magnitudes, axis=1, out=anchor_at)
+        anchor_at += row_starts  # flat positions in v
+        np.take(flat_v, anchor_at, out=anchor)
+        np.absolute(anchor, out=magnitude)
+        np.divide(anchor, magnitude, out=anchor)
+        np.conjugate(anchor, out=anchor)
+        v *= anchor[:, None]
+        flat_v[anchor_at] = magnitude
+        np.einsum("ij,ij->i", pairs, pairs, out=norm)
+        np.sqrt(norm, out=norm)
         np.divide(pairs, norm[:, None], out=out[:, j].view(float))
 
 
@@ -124,11 +182,13 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
     ``blocks`` yields the codebook from codeword 0 on, read once up to codeword
-    ``2**max(bit_counts)``; each block is released before the next is drawn.
+    ``2**max(bit_counts)``; a block need stay valid only until the next is
+    asked for, as :func:`codebook_stream`'s do, since the chosen codewords are copied.
     ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
     weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
     part of a block for a chunk of Gram inverses, sized so that its features
-    and its denominators each stay within ``SCORE_ELEMENTS``. A running
+    and its denominators each stay within ``SCORE_ELEMENTS``. Every temporary
+    is allocated once per call, at the largest part and chunk. A running
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
@@ -147,6 +207,9 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     best_scores, best_index = np.full(num, -np.inf), np.zeros(num, dtype=int)
     best = np.empty((num, users, users), dtype=complex).swapaxes(-1, -2)
     chosen = {bits: (best_index.copy(), best.copy(order="K")) for bits in edge_bits.values()}
+    features_work = _features_workspace(users, min(part_rows, size))
+    most = min(chunk, num) * min(part_rows, size)
+    denominators_work, scores_work = np.empty(most * users), np.empty(most)
     start = 0
     for block in blocks:
         stop = min(start + len(block), size)
@@ -155,12 +218,15 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
         cuts = sorted({*range(start, stop, part_rows), *edges})
         for low, high in zip(cuts, [*cuts[1:], stop]):
             part = block[low - start : high - start]
-            features = _lifted_features(part, upper_i, upper_j)
+            features = _lifted_features(part, features_work)
             for first in range(0, num, chunk):
                 rows = slice(first, first + chunk)
-                denominators = weights[rows] @ features
+                chunk_weights = weights[rows]
+                denominators = _prefix(denominators_work, len(chunk_weights), features.shape[1])
+                np.matmul(chunk_weights, features, out=denominators)
                 np.reciprocal(denominators, out=denominators)
-                scores = denominators.reshape(len(denominators), users, -1).sum(axis=1)
+                scores = _prefix(scores_work, len(chunk_weights), len(part))
+                denominators.reshape(len(scores), users, -1).sum(axis=1, out=scores)
                 k = scores.argmax(axis=1)
                 score = scores[np.arange(len(k)), k]
                 hit = np.flatnonzero(score > best_scores[rows])
@@ -170,8 +236,6 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
                     index, codeword = chosen[edge_bits[high]]
                     index[rows], codeword[rows] = best_index[rows], best[rows]
         start = stop
-        # the stream draws the next block only after this one is released
-        block = part = features = denominators = scores = None
         if start == size:
             break
     if start < size:
@@ -179,13 +243,48 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     return chosen
 
 
-def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:
-    """Features ``Re(conj(q_i) q_j)``, then ``Im(conj(q_i) q_j)`` (``i < j``: ``upper_i``,
-    ``upper_j``), then ``|q_i|^2`` of each decoding vector ``q``: one column per
-    vector, user by user."""
-    # entries[i, p * count + k]: entry i of column p of codeword k
-    entries = np.transpose(codewords, (1, 2, 0)).reshape(codewords.shape[-1], -1)
-    products = np.conj(entries[upper_i]) * entries[upper_j]
-    squares = np.square(entries.real) + np.square(entries.imag)
-    return np.concatenate([products.real, products.imag, squares])
+def _prefix(buffer: np.ndarray, *shape) -> np.ndarray:
+    """The leading elements of a flat workspace buffer, as a C-contiguous array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
+
+def _features_workspace(users: int, rows: int) -> tuple:
+    """Flat buffers for :func:`_lifted_features` on up to ``rows`` codewords of ``users``:
+    the entries, one conjugated user row of them, the pair products, the squared
+    imaginary parts and the features."""
+    vectors = users * users * rows
+    pairs = vectors * (users - 1) // 2
+    return (
+        np.empty(vectors, dtype=complex), np.empty(users * rows, dtype=complex),
+        np.empty(pairs, dtype=complex), np.empty(vectors), np.empty(vectors * users),
+    )
+
+
+def _lifted_features(codewords: np.ndarray, work: tuple) -> np.ndarray:
+    """Features ``Re(conj(q_i) q_j)``, then ``Im(conj(q_i) q_j)`` (``i < j``, row by
+    row of the upper triangle), then ``|q_i|^2`` of each decoding vector ``q``: one
+    column per vector, user by user, in the buffers of ``work`` from
+    :func:`_features_workspace`."""
+    users = codewords.shape[-1]
+    width = users * len(codewords)
+    pairs = users * (users - 1) // 2
+    entries_work, conj_work, products_work, imag_work, features_work = work
+    # entries[i, p * count + k]: entry i of column p of codeword k
+    entries = _prefix(entries_work, users, users, len(codewords))
+    np.copyto(entries, np.transpose(codewords, (1, 2, 0)))
+    entries = entries.reshape(users, width)
+    conj, products = conj_work[:width], _prefix(products_work, pairs, width)
+    row = 0
+    for i in range(users - 1):
+        # the pairs (i, i+1), ..., (i, users-1): one row of the upper triangle
+        np.conjugate(entries[i], out=conj)
+        np.multiply(conj, entries[i + 1 :], out=products[row : row + users - 1 - i])
+        row += users - 1 - i
+    features = _prefix(features_work, users * users, width)
+    np.copyto(features[:pairs], products.real)
+    np.copyto(features[pairs : 2 * pairs], products.imag)
+    squares, imag_squares = features[2 * pairs :], _prefix(imag_work, users, width)
+    np.square(entries.real, out=squares)
+    np.square(entries.imag, out=imag_squares)
+    squares += imag_squares
+    return features

@@ -137,6 +137,11 @@ class ExperimentConfig:
                 f"codebook of 2**{max(self.b_grid)} matrices for {worst} users needs "
                 f"{need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
             )
+        # float fields hold floats, so 0 and 0.0 write the same bytes
+        for name in ("sector_center", "sector_spread", "tau"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
+            setattr(self, name, [float(value) for value in getattr(self, name)])
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -157,11 +162,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     config = ExperimentConfig(**data)
     config.validate()
-    # float fields hold floats, so 0 and 0.0 write the same bytes
-    for name in ("sector_center", "sector_spread", "tau"):
-        setattr(config, name, float(getattr(config, name)))
-    for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
-        setattr(config, name, [float(value) for value in getattr(config, name)])
     return config
 
 

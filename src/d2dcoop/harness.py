@@ -30,7 +30,7 @@ from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_te
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import ScatteringEnvironment, draw_environment, inner_precoder, path_gains, ray_sum
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
-from .codebook import BLOCK, generate_codebook, select_codeword, select_prefix_codewords
+from .codebook import codebook_stream, generate_codebook, select_codeword, select_prefix_codewords
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import effective_channel, eigen_spectrum, gram_inverse, well_conditioned
@@ -126,16 +126,13 @@ def codebook_for(config: ExperimentConfig, users: int, bits: int) -> np.ndarray:
 
 
 def codebook_blocks(config: ExperimentConfig, users: int, bits: int):
-    """The codebook of :func:`codebook_for`, generated one ``BLOCK`` at a time.
+    """The codebook of :func:`codebook_for`, streamed one ``BLOCK`` at a time.
 
-    Consecutive block-sized draws of the one codebook generator are,
-    bitwise, the blocks of the whole codebook; each is generated only
-    when the consumer asks for it.
+    :func:`~d2dcoop.codebook.codebook_stream` on the one codebook generator:
+    each block is generated only when the consumer asks for it, into the
+    stream's one workspace, so a block is valid only until the next is drawn.
     """
-    rng = _codebook_rng(config, users)
-    block_bits = min(bits, BLOCK.bit_length() - 1)
-    for _ in range(1 << (bits - block_bits)):
-        yield generate_codebook(users, block_bits, rng)
+    return codebook_stream(users, bits, _codebook_rng(config, users))
 
 
 @dataclass(frozen=True)
@@ -281,8 +278,9 @@ def run_experiment(config: ExperimentConfig):
 
     Each user count's trials are drawn once. If one is usable, the count's
     ``2**max(b)`` codebook is then streamed once through selection: each
-    block is generated, scored against every usable trial and dropped, so
-    the sweep never holds the codebook. All the count's trials are then
+    block is generated into the stream's one workspace and scored against
+    every usable trial before the next overwrites it, so the sweep never
+    holds the codebook. All the count's trials are then
     evaluated, and summarised, at all of its grid points at once; the
     sweep only joins the two tables across user counts.
     """
@@ -343,7 +341,6 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
                         np.minimum(least[row], prefix, out=least[row])
             yield block
             start += len(block)
-            del block, distortion  # released before the stream draws the next block
 
     blocks = lowering_nearest(codebook_blocks(config, users, max(config.b_grid)))
     choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)

@@ -26,8 +26,10 @@ import d2dcoop.codebook as codebook_module
 from d2dcoop.codebook import (
     BLOCK,
     SCORE_ELEMENTS,
+    _cgs2_workspace,
     _orthonormalize,
     codebook_bytes,
+    codebook_stream,
     codeword_scores,
     select_prefix_codewords,
 )
@@ -89,31 +91,27 @@ def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
     # generation fills the store block by block; from b = 11 on it spans
     # several blocks and must still equal one draw of every codeword
     store = np.empty((1 << bits, users, users), dtype=complex)
-    _orthonormalize(gaussian_draws(users, bits, seed), store)
+    _orthonormalize(gaussian_draws(users, bits, seed), store, _cgs2_workspace(1 << bits, users))
     reference = store.swapaxes(-1, -2)
     streamed = generate_codebook(users, bits, np.random.default_rng(seed))
     assert streamed.strides == reference.strides
     assert streamed.tobytes("A") == reference.tobytes("A")
 
 
-def block_stream(users, bits, rng):
-    """The codebook as consecutive block-sized draws of one generator, as a sweep reads it."""
-    block_bits = min(bits, BLOCK.bit_length() - 1)
-    return [generate_codebook(users, block_bits, rng) for _ in range(1 << (bits - block_bits))]
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 5), st.integers(0, 13), st.integers(0, 2**32 - 1))
 def test_block_sized_calls_equal_one_shot_codebook(users, bits, seed):
-    # the sweep streams the codebook as block-sized calls on the one
-    # generator; the blocks must be, bitwise, those of the whole codebook
-    blocks = block_stream(users, bits, np.random.default_rng(seed))
+    # the sweep streams the codebook block by block from the one generator;
+    # each block, taken as it arrives (the next draw overwrites it), must
+    # be, bitwise and in layout, that block of the whole codebook
+    stream = codebook_stream(users, bits, np.random.default_rng(seed))
+    blocks = [(len(block), block.strides, block.tobytes("A")) for block in stream]
     book = generate_codebook(users, bits, np.random.default_rng(seed))
-    assert sum(len(block) for block in blocks) == len(book)
-    for start, block in zip(range(0, len(book), BLOCK), blocks):
+    assert sum(rows for rows, _, _ in blocks) == len(book)
+    for start, (_, strides, data) in zip(range(0, len(book), BLOCK), blocks):
         reference = book[start : start + BLOCK]
-        assert block.strides == reference.strides
-        assert block.tobytes("A") == reference.tobytes("A")
+        assert strides == reference.strides
+        assert data == reference.tobytes("A")
 
 
 @settings(deadline=None, max_examples=40)
@@ -176,6 +174,17 @@ def test_generation_peak_is_codebook_plus_a_few_blocks(users):
     finally:
         tracemalloc.stop()
     assert peak <= codebook_bytes(users, 14) + 8 * codebook_bytes(users, 10)
+
+
+def test_generated_codebooks_are_independent_arrays():
+    # the stream draws every block into one workspace; each whole codebook
+    # is a fresh copy of it, so neither call's array aliases the other's
+    a = generate_codebook(3, 11, np.random.default_rng(5))
+    b = generate_codebook(3, 11, np.random.default_rng(5))
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, b)
+    a[:] = 0.0
+    assert np.array_equal(b, generate_codebook(3, 11, np.random.default_rng(5)))
 
 
 def test_memory_budget_enforced():
@@ -287,22 +296,29 @@ class TestSelection:
             assert index == int(np.argmax(unblocked[: 1 << bits]))
             assert np.array_equal(q, cb[index])
 
-    @pytest.mark.parametrize("users", [2, 4])
+    @pytest.mark.parametrize("users", [1, 2, 3, 4, 5])
     def test_streamed_choices_equal_reference_selector(self, users):
         # prefix edges inside the first block (2**0 .. 2**9) and on block
-        # boundaries (2**10, 2**11, 2**12), for several Gram inverses at once
+        # boundaries (2**10, 2**11, 2**12), for several Gram inverses at once.
+        # The scoring workspace is sized at the largest part and chunk and
+        # sliced for shorter ones: a block ends in a short part (1024 =
+        # 7 * 131 + 107 codewords at P = 5, 606 + 418 at P = 3), and the
+        # Gram inverses fill fewer than one chunk, or one and a short one
         bit_counts = [0, 1, 4, 9, 10, 11, 12]
+        part_rows = max(1, min(BLOCK, SCORE_ELEMENTS // users**3))
+        chunk = max(1, SCORE_ELEMENTS // (users * part_rows))
         book = generate_codebook(users, 12, np.random.default_rng(51))
         rng = np.random.default_rng(52)
-        a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(3)]
-        stream = block_stream(users, 12, np.random.default_rng(51))
-        choices = select_prefix_codewords(iter(stream), a_invs, bit_counts)
-        assert sorted(choices) == bit_counts
-        for bits, (indices, codewords) in choices.items():
-            for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
-                assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
-                assert q.strides == book[index].strides
-                assert np.array_equal(q, book[index])
+        for num in (3, chunk + 3):
+            a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(num)]
+            stream = codebook_stream(users, 12, np.random.default_rng(51))
+            choices = select_prefix_codewords(stream, a_invs, bit_counts)
+            assert sorted(choices) == bit_counts
+            for bits, (indices, codewords) in choices.items():
+                for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
+                    assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
+                    assert q.strides == book[index].strides
+                    assert np.array_equal(q, book[index])
 
     def test_tie_across_block_boundary_resolves_to_lower_index(self):
         # the eigenbasis attains the score cap; planted on both sides of

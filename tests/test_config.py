@@ -17,6 +17,8 @@ from d2dcoop import (
     load_config,
     preset_config,
     quantization_noise_variance,
+    run_experiment,
+    write_outputs,
 )
 from d2dcoop.config import MODES
 from d2dcoop.quantization import link_variances
@@ -120,6 +122,21 @@ def test_float_fields_stored_as_floats():
     for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
         assert all(type(value) is float for value in getattr(config, name))
     assert config.snr_db_grid == [0.0, -5.0]
+
+
+def test_direct_config_writes_the_bytes_of_its_dict(tmp_path):
+    # validate stores the float fields as floats, so a config built directly
+    # with int spellings is the experiment that config_from_dict builds
+    fields = dict(
+        M=16, L=8, D=6, user_count_grid=[2], snr_db_grid=[0, -5], b_grid=[2],
+        sector_center=0, tau=30, num_trials=3, master_seed=4,
+    )
+    for name, config in (("direct", ExperimentConfig(**fields)), ("dict", config_from_dict(fields))):
+        write_outputs(tmp_path / name, config, *run_experiment(config))
+    for table in ("trials.csv", "aggregate.csv"):
+        direct = (tmp_path / "direct" / table).read_bytes()
+        assert direct == (tmp_path / "dict" / table).read_bytes()
+        assert b",0.0," in direct
 
 
 @pytest.mark.parametrize("name", ["fig-capacity-vs-bandwidth-snr", "fig-capacity-vs-bandwidth-gamma"])

@@ -410,9 +410,12 @@ class TestRunExperiment:
     def test_sweep_never_holds_the_codebook(self):
         # the 2**14 codebook of 5 users is 6.5 MB in 16 blocks of 0.41 MB;
         # the sweep streams it through selection and holds one block at a
-        # time. Generating a block peaks at 1.79 MB (its Gaussian draws and
-        # the CGS2 temporaries), scoring one at 0.78 MB; a second block
-        # held across the next draw would take the peak to 2.2 MB
+        # time. The stream's workspace holds the Gaussian draws, the block
+        # store and the CGS2 temporaries, about 0.4 MB each; selection's holds
+        # the features of a part and its denominators, 0.34 MB. The sweep
+        # peaks at 1.70 MB (1.80 MB when each block's buffers were freed
+        # and allocated again); a second block held across the next draw
+        # would add 0.41 MB
         config = small_config(user_count_grid=[5], b_grid=[14], snr_db_grid=[0.0], num_trials=2)
         tracemalloc.start()
         try:
@@ -445,9 +448,21 @@ class TestRunExperiment:
     @pytest.mark.parametrize("bits", [3, 12])
     def test_codebook_blocks_concatenate_to_codebook_for(self, bits):
         config = small_config()
-        blocks = list(codebook_blocks(config, 3, bits))
+        blocks = [block.copy() for block in codebook_blocks(config, 3, bits)]
         assert max(len(block) for block in blocks) <= BLOCK
         assert np.array_equal(np.concatenate(blocks), codebook_for(config, 3, bits))
+
+    def test_held_block_is_overwritten_by_the_next_draw(self):
+        # every block is drawn into the stream's one workspace: a consumer
+        # that keeps a block past the next draw holds the next block instead
+        config = small_config()
+        book = codebook_for(config, 3, 12)
+        blocks = codebook_blocks(config, 3, 12)
+        held = next(blocks)
+        assert np.array_equal(held, book[:BLOCK])
+        following = next(blocks)
+        assert np.shares_memory(held, following)
+        assert np.array_equal(held, book[BLOCK : 2 * BLOCK])
 
     @settings(deadline=None, max_examples=25)
     @given(small_sweeps())
