@@ -6,11 +6,11 @@ angles. That shared geometry is what makes the spatial covariance common
 across users, and the covariance eigenbasis is what the inner precoder is
 built from.
 
-:func:`ray_sum` and :func:`inner_precoder` accept a stack of
-environments, path angles with leading (trial) axes, and return the
-matching stack: each member equals, bitwise, the result of its own call.
-:func:`path_gains`, :func:`sample_channel` and :func:`analytic_covariance`
-take one environment and reject a stack.
+An environment is one list of path angles. The sweep takes each trial's
+effective Gram from the L x L path Gram (:func:`path_effective_channel`);
+:func:`ray_sum`, :func:`sample_channel`, :func:`inner_precoder` and
+:func:`~d2dcoop.precoding.effective_channel` are the oracle chain over the
+M antennas, for the link-level oracle and the tests.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,7 @@ class ScatteringEnvironment:
     num_antennas : int
         Array size of the uniform linear array at the base station.
     path_angles : np.ndarray
-        Angle of arrival per path, radians in [-pi/2, pi/2), on the last
-        axis; leading axes hold a stack of environments.
+        Angle of arrival per path, radians in [-pi/2, pi/2).
 
     Per-path complex gains have average power ``1 / num_paths`` so that the
     total average channel power per antenna pair is one.
@@ -46,6 +45,8 @@ class ScatteringEnvironment:
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be a positive integer")
         angles = np.atleast_1d(np.asarray(self.path_angles, dtype=float))
+        if angles.ndim > 1:
+            raise ValueError("expected one environment, got a stack of path angles")
         if angles.size == 0:
             raise ValueError("path_angles must be nonempty")
         if not np.all(np.isfinite(angles)):
@@ -56,7 +57,7 @@ class ScatteringEnvironment:
 
     @property
     def num_paths(self) -> int:
-        return int(self.path_angles.shape[-1])
+        return len(self.path_angles)
 
     @property
     def path_gain_variance(self) -> float:
@@ -70,15 +71,8 @@ class ScatteringEnvironment:
         column has squared norm equal to the antenna count. Computed once
         per environment: the ray sum and the inner precoder share it.
         """
-        sines = np.sin(self.path_angles)[..., None, :]
+        sines = np.sin(self.path_angles)
         return np.exp(1j * (np.pi * (np.arange(self.num_antennas)[:, None] * sines)))
-
-
-def _sorted_steering(env: ScatteringEnvironment) -> np.ndarray:
-    """The steering columns in ascending angle order, so that what is built
-    from them does not depend on how ``path_angles`` happens to be permuted."""
-    order = np.argsort(env.path_angles, axis=-1)[..., None, :]
-    return np.take_along_axis(env.steering, order, axis=-1)
 
 
 def draw_environment(
@@ -107,21 +101,14 @@ def draw_environment(
     return ScatteringEnvironment(num_antennas, angles)
 
 
-def _single(env: ScatteringEnvironment) -> None:
-    if env.path_angles.ndim > 1:
-        raise ValueError("expected one environment, got a stack of path angles")
-
-
 def path_gains(
     env: ScatteringEnvironment, num_users: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw every user's per-path gains (paths x users) for one environment.
 
     Circularly-symmetric complex Gaussian of variance ``1 / num_paths``
-    (real and imaginary parts each N(0, 1/(2L))). A stack of environments
-    is rejected: its members would share one draw.
+    (real and imaginary parts each N(0, 1/(2L))).
     """
-    _single(env)
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
     shape = (env.num_paths, num_users)
@@ -130,15 +117,15 @@ def path_gains(
 
 
 def ray_sum(env: ScatteringEnvironment, gains: np.ndarray) -> np.ndarray:
-    """The channel (antennas x users): each user's column is a ray sum
-    over the environment's paths with that user's gains."""
+    """Oracle chain: the channel (antennas x users), each user's column a
+    ray sum over the environment's paths with that user's gains."""
     return env.steering @ gains
 
 
 def sample_channel(
     env: ScatteringEnvironment, num_users: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one channel matrix (antennas x users) from the environment."""
+    """Oracle chain: draw one channel matrix (antennas x users) from the environment."""
     return ray_sum(env, path_gains(env, num_users, rng))
 
 
@@ -150,14 +137,13 @@ def analytic_covariance(env: ScatteringEnvironment) -> np.ndarray:
     summed in sorted order. The oracle for :func:`inner_precoder`, which
     never forms this matrix.
     """
-    _single(env)
-    s = _sorted_steering(env)
+    s = env.steering[:, np.argsort(env.path_angles)]
     r = (s @ s.conj().T) / env.num_paths
     return (r + r.conj().T) / 2.0
 
 
 def inner_precoder(env: ScatteringEnvironment, dim: int) -> np.ndarray:
-    """Top-``dim`` eigenvectors of the spatial covariance (antennas x dim).
+    """Oracle chain: top-``dim`` eigenvectors of the spatial covariance (antennas x dim).
 
     The covariance is ``S S^H / L`` for the steering matrix ``S`` of the
     sorted angles, so these are the top left singular vectors of ``S``:
@@ -165,5 +151,35 @@ def inner_precoder(env: ScatteringEnvironment, dim: int) -> np.ndarray:
     """
     if not 1 <= dim <= min(env.num_antennas, env.num_paths):
         raise ValueError(f"dim must be in [1, min(M, L)], got {dim}")
-    u, _, _ = np.linalg.svd(_sorted_steering(env), full_matrices=False)
-    return phase_canonicalize(u[..., :dim])
+    u, _, _ = np.linalg.svd(env.steering[:, np.argsort(env.path_angles)], full_matrices=False)
+    return phase_canonicalize(u[:, :dim])
+
+
+def path_effective_channel(
+    num_antennas: int, path_angles: np.ndarray, gains: np.ndarray, dim: int
+) -> np.ndarray:
+    """A channel (..., dim, P) with the Gram of ``effective_channel(inner_precoder(env, dim),
+    ray_sum(env, gains))``, for a stack of path angles (..., L) and gains (..., L, P).
+
+    It is ``Sigma_D V_D^H gains`` for the steering matrix ``S = U Sigma V^H``,
+    the effective channel up to a unitary rotation of its rows. With the phase
+    reference at the array centre, ``S^H S`` is real symmetric: the cosine rows
+    are even and the sine rows odd about it, so it is twice its sum over one
+    half of the array, and the centring phases fold into the gains. Each trial
+    of a stack gets, bitwise, the result of its own call.
+    """
+    if not 1 <= dim <= min(num_antennas, np.shape(path_angles)[-1]):
+        raise ValueError(f"dim must be in [1, min(M, L)], got {dim}")
+    sines = np.sin(path_angles)[..., None, :]
+    centre = (num_antennas - 1) / 2.0
+    phases = (np.pi * (np.arange(num_antennas // 2, num_antennas) - centre))[:, None] * sines
+    cosines, sines_n = np.cos(phases), np.sin(phases)
+    path_gram = 2.0 * (cosines.swapaxes(-1, -2) @ cosines + sines_n.swapaxes(-1, -2) @ sines_n)
+    if num_antennas % 2:
+        path_gram -= 1.0  # the centre row, cos 0 = 1 and sin 0 = 0, counted once
+    eigenvalues, eigenvectors = np.linalg.eigh(path_gram)
+    centred_gains = np.exp(1j * (np.pi * centre * sines)).swapaxes(-1, -2) * gains
+    # a real GEMM on the gains' interleaved real and imaginary parts
+    x = (eigenvectors[..., -dim:].swapaxes(-1, -2) @ centred_gains.view(float)).view(complex)
+    # rounding can leave a vanishing eigenvalue slightly negative
+    return np.sqrt(np.maximum(eigenvalues[..., -dim:], 0.0))[..., None] * x

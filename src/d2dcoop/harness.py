@@ -28,12 +28,14 @@ import numpy as np
 
 from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
-from .channel import ScatteringEnvironment, draw_environment, inner_precoder, path_gains, ray_sum
+from .channel import draw_environment, path_effective_channel, path_gains
+from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import codebook_stream, generate_codebook, select_codeword, select_prefix_codewords
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
-from .precoding import effective_channel, eigen_spectrum, gram_inverse, well_conditioned
+from .precoding import effective_channel  # noqa: F401  perfbench/spans.py wraps it by name
+from .precoding import eigen_spectrum, gram_inverse, well_conditioned
 from .precoding import noncooperative_baseline_snr, snr_denominators
 from .quantization import cooperative_snr, expected_overload, link_variances
 from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps it by name
@@ -41,7 +43,7 @@ from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
 CODEBOOK_STREAM = 2
-# trials per stacked channel draw: bounds the steering and SVD temporaries
+# trials per stacked channel draw: bounds the (trials, M/2, L) cosine and sine temporaries
 DRAW_CHUNK = 8
 
 TRIAL_CSV_HEADER = (
@@ -153,12 +155,12 @@ class Trials:
 
 
 def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
-    """Draw the channels of ``trials`` and factorise their effective channels.
+    """Draw the channels of ``trials`` and factorise their effective Grams.
 
     Each trial draws its path angles and gains from its own generator,
-    seeded from ``(master_seed, TRIAL_STREAM, trial)``. The deterministic
-    chain (steering, ray sum, inner precoder, effective channel, Gram
-    factorisation) then runs once per ``DRAW_CHUNK`` trials on the
+    seeded from ``(master_seed, TRIAL_STREAM, trial)``. The L x L path
+    Gram route (:func:`~d2dcoop.channel.path_effective_channel`) and the
+    Gram factorisation then run once per ``DRAW_CHUNK`` trials on the
     stacked draws, and one condition check and inverse run on all of
     them; every row equals, bitwise, its trial's own one-trial draw.
     """
@@ -174,9 +176,8 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
             )
             angles.append(env.path_angles)
             gains.append(path_gains(env, users, rng))
-        env = ScatteringEnvironment(config.M, np.stack(angles))
-        h = ray_sum(env, np.stack(gains))
-        spectra.append(eigen_spectrum(effective_channel(inner_precoder(env, config.D), h)))
+        h_e = path_effective_channel(config.M, np.stack(angles), np.stack(gains), config.D)
+        spectra.append(eigen_spectrum(h_e))
     eigenvalues, eigenvectors = (np.concatenate(arrays) for arrays in zip(*spectra))
     usable = well_conditioned(eigenvalues)
     a_inv = gram_inverse(eigenvalues[usable], eigenvectors[usable])

@@ -39,7 +39,7 @@ class IllConditionedChannelError(RuntimeError):
 
 
 def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Project the physical channel through the inner precoder.
+    """Oracle chain: project the physical channel through the inner precoder.
 
     ``inner`` has orthonormal columns (antennas x dims). Result is
     dims x users.

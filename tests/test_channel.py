@@ -10,6 +10,7 @@ from d2dcoop import (
     inner_precoder,
     sample_channel,
 )
+from d2dcoop.channel import path_effective_channel
 
 
 def one_path_covariance(theta, num_antennas):
@@ -127,13 +128,10 @@ class TestSampleChannel:
 
     def test_stack_of_environments_rejected(self):
         # a stack would share one gain draw among its members and the
-        # covariance is defined per environment; only the ray sum and the
-        # inner precoder take stacks
-        env = ScatteringEnvironment(4, np.array([[0.2, -0.4], [0.1, 0.3]]))
+        # covariance is defined per environment, so an environment is one
+        # list of angles; the sweep stacks trials in path_effective_channel
         with pytest.raises(ValueError, match="stack"):
-            sample_channel(env, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="stack"):
-            analytic_covariance(env)
+            ScatteringEnvironment(4, np.array([[0.2, -0.4], [0.1, 0.3]]))
 
 
 class TestAnalyticCovariance:
@@ -221,9 +219,13 @@ class TestInnerPrecoder:
 
     def test_rejects_bad_inputs(self):
         env = ScatteringEnvironment(4, np.array([-0.5, 0.0, 0.5]))
+        gains = np.ones((3, 1), dtype=complex)
         for dim in (0, 4):
             with pytest.raises(ValueError):
                 inner_precoder(env, dim)
+            # the sweep's route takes the same subspace dimensions
+            with pytest.raises(ValueError):
+                path_effective_channel(4, env.path_angles, gains, dim)
         # more paths than antennas: the antenna count bounds the rank
         with pytest.raises(ValueError):
             inner_precoder(ScatteringEnvironment(2, np.array([-0.5, 0.0, 0.5])), 3)

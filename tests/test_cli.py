@@ -158,20 +158,20 @@ def test_cli_runs_are_byte_identical(tmp_path):
 # SHA-256 of (trials.csv, aggregate.csv) from `d2dcoop preset NAME --trials 6 --seed 3`
 GOLDEN_DIGESTS = {
     "fig-capacity-vs-snr": (
-        "4f7e03af8cbf9bb60c4763f9f6b8f881fdb52f958a7b83f07cdb338c96cb0ea7",
-        "8a3659f31e304bd787c4a01dda63c9124d7f35ae94e06dd928ef27e25e42e208",
+        "7fc4e0c2e2736dfd8bb255d38b3a6541942d93274943171366a06de5bb817ffa",
+        "275e2acbbf7871b3b09c35cd0a04142ef13fabba476ee89b0f7cd500a271046a",
     ),
     "fig-capacity-vs-bits": (
-        "5d4f28999402ae926731b18e5f2f85d1423ec3cad69f133fe5ab2bcbc28cef75",
-        "7a292d9cfebc037d2203d8e1c5c5ddbc25f3ffb8720169223274b6a22faaed7e",
+        "32d6fd3af1ac03d909451293c7b9a162ef08cf62dedb0e9b5a8fd7add34a8d7d",
+        "5e844e8db1b91523da13150688fe338489a34369ecf79142d2132798a165ab8b",
     ),
     "fig-capacity-vs-bandwidth-snr": (
-        "2bb84ec3ae0caf8741d029091b6b6c05b5d98d88f667642cb137cc743db9577c",
-        "3f9bdf4cb531837f430c021352b093af0a3f85b14d4dd0822a17bf616fe2a977",
+        "14981dd8324b80f71be7c6f85c5a645242979b243f152dca93c4f58a77278a46",
+        "7f23e76a2d4e8d679efca2c0440b494b7f44b81cd2f3b75e778fc8e7a3582598",
     ),
     "fig-capacity-vs-bandwidth-gamma": (
-        "6cd5263ab24d4783f71e2ffe04bb8e908caf5e5964634a20a46607525f5001d9",
-        "132a0c2d5e5cddad28a17be7795c69f4b4e37ca888e6d867b2bad3009bc9b26d",
+        "f718e565dbc3257a85a04e119267c99accd17751915b86f62d8482549712d68c",
+        "6fd85fa679384ff62d84ae17fb9a505367f473fe42123132af8bef81b3a8fff2",
     ),
 }
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from d2dcoop import (
     CooperationLink,
     ExperimentConfig,
-    IllConditionedChannelError,
     aligned_cell_distortion,
     bits_from_bandwidth,
     capacity,
@@ -22,17 +21,16 @@ from d2dcoop import (
     cell_distortion_audit,
     draw_environment,
     effective_channel,
-    eigen_spectrum,
-    gram_inverse,
+    gram,
     inner_precoder,
     quantized_snr,
     run_experiment,
     run_trial,
-    sample_channel,
     select_codeword,
     snr_denominators,
 )
 from d2dcoop import harness
+from d2dcoop.channel import path_gains, ray_sum
 from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
@@ -50,6 +48,7 @@ from d2dcoop.harness import (
     summarize_point,
     write_outputs,
 )
+from d2dcoop.precoding import COND_LIMIT, condition_number
 
 
 def small_config(**overrides):
@@ -136,21 +135,20 @@ def spy_codebooks(monkeypatch):
     return generated
 
 
-def one_trial_draw(config, users, trial):
-    """One trial through the layer functions, one environment at a time, as
-    :func:`trial_bytes` reads it."""
-    rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
-    env = draw_environment(
-        config.M, config.L, rng,
-        sector_center=config.sector_center, sector_spread=config.sector_spread,
-    )
-    h = sample_channel(env, users, rng)
-    eigenvalues, eigenvectors = eigen_spectrum(effective_channel(inner_precoder(env, config.D), h))
-    try:
-        a_inv = gram_inverse(eigenvalues, eigenvectors)
-    except IllConditionedChannelError:
-        return trial, eigenvalues.tobytes(), eigenvectors.tobytes(), None
-    return trial, eigenvalues.tobytes(), eigenvectors.tobytes(), a_inv.tobytes()
+def oracle_grams(config, users, trials):
+    """The effective Grams of ``trials`` through the oracle chain over the M
+    antennas, one environment at a time, from the draws that :func:`draw_trials` makes."""
+    grams = []
+    for trial in trials:
+        rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
+        env = draw_environment(
+            config.M, config.L, rng,
+            sector_center=config.sector_center, sector_spread=config.sector_spread,
+        )
+        gains = path_gains(env, users, rng)
+        w = inner_precoder(env, config.D)
+        grams.append((env, gram(effective_channel(w, ray_sum(env, gains)))))
+    return grams
 
 
 def trial_bytes(trials, row):
@@ -166,16 +164,17 @@ def trial_bytes(trials, row):
 
 @st.composite
 def draw_configs(draw):
-    """Random array, path and user counts, scattering sectors and seeds."""
-    users = draw(st.integers(1, 5))
-    D = draw(st.integers(users, 8))
+    """Random array, path, subspace and user counts (P <= D <= min(M, L)),
+    scattering sectors from point-like to the half space, and seeds."""
+    M, L = draw(st.integers(1, 64)), draw(st.integers(1, 24))
+    D = draw(st.integers(1, min(M, L)))
     return ExperimentConfig(
-        M=draw(st.integers(D, 24)),
-        L=draw(st.integers(D, 12)),
+        M=M,
+        L=L,
         D=D,
-        user_count_grid=[users],
+        user_count_grid=[draw(st.integers(1, D))],
         sector_center=draw(st.floats(-1.0, 1.0)),
-        sector_spread=draw(st.sampled_from([1e-9, 0.05, 0.5, np.pi])),
+        sector_spread=10.0 ** draw(st.floats(-9.0, float(np.log10(np.pi)))),
         master_seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -293,15 +292,36 @@ class TestDrawTrials:
     @settings(deadline=None, max_examples=20)
     @given(draw_configs(), st.integers(1, 3))
     def test_stacked_draw_equals_one_trial_draws(self, config, extra):
-        # the chain runs on stacks of DRAW_CHUNK trials; across a chunk
+        # the draw runs on stacks of DRAW_CHUNK trials; across a chunk
         # edge every trial must be, bitwise, its own one-trial draw
         (users,) = config.user_count_grid
         trials = draw_trials(config, users, range(DRAW_CHUNK + extra))
         for trial in range(DRAW_CHUNK + extra):
-            assert trial_bytes(trials, trial) == one_trial_draw(config, users, trial)
-        for trial in (0, DRAW_CHUNK):
             one = draw_trials(config, users, [trial])
             assert trial_bytes(one, 0) == trial_bytes(trials, trial)
+
+    @settings(deadline=None, max_examples=150)
+    @given(draw_configs())
+    def test_path_route_matches_oracle_chain(self, config):
+        (users,) = config.user_count_grid
+        trials = draw_trials(config, users, range(3))
+        for row, (env, oracle) in enumerate(oracle_grams(config, users, range(3))):
+            lam, v = trials.eigenvalues[row], trials.eigenvectors[row]
+            # forming S^H S squares the steering condition, so the tolerance
+            # scales with the condition of the path Gram's rank-D truncation,
+            # lambda_D / (lambda_D - lambda_{D+1}) and at least 1: rounding of
+            # order eps * lambda_1 turns its top-D eigenspace by that over the
+            # gap, which moves the truncation by lambda_D times as much
+            paths = np.linalg.eigvalsh(env.steering.conj().T @ env.steering)[::-1]
+            gap = paths[config.D - 1] - (paths[config.D] if config.D < config.L else 0.0)
+            condition = max(1.0, paths[config.D - 1] / gap) if gap > 0 else np.inf
+            rtol = 1e4 * np.finfo(float).eps * condition
+            error = np.linalg.norm((v * lam) @ v.conj().T - oracle)
+            assert error <= rtol * np.linalg.norm(oracle)
+            # the usable masks agree a factor 10 or more away from COND_LIMIT
+            oracle_cond = condition_number(np.linalg.eigvalsh(oracle))
+            if not COND_LIMIT / 10 < oracle_cond < COND_LIMIT * 10:
+                assert trials.usable[row] == (oracle_cond <= COND_LIMIT)
 
     def test_all_ill_conditioned_chunk_raises_no_warning(self):
         # a point-like sector makes every Gram singular; the stacked
@@ -312,7 +332,21 @@ class TestDrawTrials:
             trials = draw_trials(config, 4, range(DRAW_CHUNK + 2))
         assert not trials.usable.any() and trials.a_inv.shape == (0, 4, 4)
         for trial in (0, DRAW_CHUNK - 1, DRAW_CHUNK + 1):
-            assert trial_bytes(trials, trial) == one_trial_draw(config, 4, trial)
+            one = draw_trials(config, 4, [trial])
+            assert trial_bytes(one, 0) == trial_bytes(trials, trial)
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_narrow_sector_tie_raises_no_warning(self, users):
+        # a point-like sector gives the path Gram rank one, so lambda_D =
+        # lambda_{D+1} = 0 up to rounding and the top-D subspace is undefined:
+        # the routes need not agree, but the draw is finite and one user's
+        # 1 x 1 Gram is still usable
+        config = small_config(sector_spread=1e-12, user_count_grid=[users])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trials = draw_trials(config, users, range(DRAW_CHUNK + 2))
+        assert np.isfinite(trials.eigenvalues).all() and np.isfinite(trials.eigenvectors).all()
+        assert trials.usable.tolist() == [users == 1] * (DRAW_CHUNK + 2)
 
 
 class TestRunExperiment:
