@@ -1,0 +1,111 @@
+"""Paired perfbench runs of two source trees, for a before/after comparison.
+
+Usage:
+    python3 scripts/paired_perfbench.py PARENT_TREE CHANGE_TREE \\
+        --workload snr-sweep --pairs 10 --seconds 15 --seed 301
+
+Pair i runs each tree's own ``perfbench/run.py`` once, with seed K + i and
+the given run length, as a separate process from the tree's root. The
+parent runs first in even pairs and the change first in odd ones, so that
+drift of a shared host falls on both sides alike. The last stdout line of
+each run is its JSON result; each run's full record goes to its own tree's
+``perfbench/out/``.
+
+For every end-to-end metric named in the parent tree's ``BENCHMARK.json``
+the script prints each side's median and quartiles (inclusive method), the
+median of the paired change/parent ratios and the pairs the change won,
+ties counting for neither. A gain may be claimed when the change wins at
+least nine pairs in ten and the medians differ by more than the parent's
+quartile spread; the last column says whether both hold. Every run is
+printed as it finishes. Uses the standard library only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="source tree of the parent commit")
+    ap.add_argument("change", help="source tree of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+    for tree in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            ap.error(f"{tree} has no perfbench/run.py")
+    return args
+
+
+def run_once(tree, workload, seed, seconds) -> dict:
+    """One perfbench run in ``tree``: ``{metric: value}`` from its last JSON line."""
+    command = [
+        sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        print(f"  {tree}: seed {seed} reported incorrect output", file=sys.stderr)
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def quartiles(values) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summary(name, better, parent, change) -> str:
+    """One table row: each side's median (quartiles), the paired ratio and the wins."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
+    claim = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
+    return (
+        f"| {name} | {p_med:.6g} ({p_q1:.6g}–{p_q3:.6g}) | {c_med:.6g} ({c_q1:.6g}–{c_q3:.6g})"
+        f" | {ratio} | {wins} of {len(parent)} | {'yes' if claim else 'no'} |"
+    )
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            values = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(values)
+            shown = " ".join(f"{name}={values.get(name)}" for name, _ in metrics)
+            print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
+    print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seeds "
+          f"{args.seed}–{args.seed + args.pairs - 1}")
+    print("| metric | parent median (quartiles) | change median (quartiles) "
+          "| paired ratio median | change won | gain rule met |")
+    print("|---|---|---|---|---|---|")
+    for name, better in metrics:
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        print(summary(name, better, parent, change))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,8 +6,12 @@ angles. That shared geometry is what makes the spatial covariance common
 across users, and the covariance eigenbasis is what the inner precoder is
 built from.
 
-An environment is one list of path angles. The sweep takes each trial's
-effective Gram from the L x L path Gram (:func:`path_effective_channel`);
+An environment is one list of path angles. A trial's random draws are L
+uniforms, then 2LP standard normals; :func:`sector_angles` and
+:func:`gains_from_normals` turn them into path angles and gains, for one
+environment (:func:`draw_environment`, :func:`path_gains`) or for the
+sweep's stack of trials, which builds no environment. The sweep takes each
+trial's effective Gram from the L x L path Gram (:func:`path_effective_channel`);
 :func:`ray_sum`, :func:`sample_channel`, :func:`inner_precoder` and
 :func:`~d2dcoop.precoding.effective_channel` are the oracle chain over the
 M antennas, for the link-level oracle and the tests.
@@ -75,6 +79,29 @@ class ScatteringEnvironment:
         return np.exp(1j * (np.pi * (np.arange(self.num_antennas)[:, None] * sines)))
 
 
+def sector_angles(uniforms: np.ndarray, sector_center: float, sector_spread: float) -> np.ndarray:
+    """Path angles from uniform draws in [0, 1), elementwise over any stack.
+
+    Each draw maps onto the sector ``[center - spread/2, center + spread/2)``
+    and is clipped back into [-pi/2, pi/2). The one sector map: the sweep
+    applies it to a stack of trials, :func:`draw_environment` to one.
+    """
+    low = sector_center - sector_spread / 2.0
+    return np.clip(low + sector_spread * uniforms, -HALF_PI, np.nextafter(HALF_PI, 0.0))
+
+
+def gains_from_normals(normals: np.ndarray) -> np.ndarray:
+    """Per-path gains (..., L, P) from standard normal draws (..., 2, L, P).
+
+    Axis -3 holds the real parts, then the imaginary parts, each scaled to
+    N(0, 1/(2L)): circularly-symmetric complex Gaussian gains of variance
+    ``1 / L``. The one gain scaling: the sweep applies it to a stack of
+    trials, :func:`path_gains` to one.
+    """
+    scale = np.sqrt(1.0 / normals.shape[-2] / 2.0)
+    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+
+
 def draw_environment(
     num_antennas: int,
     num_paths: int,
@@ -85,7 +112,8 @@ def draw_environment(
 ) -> ScatteringEnvironment:
     """Draw path angles i.i.d. uniform over an angular sector.
 
-    The sector is ``[center - spread/2, center + spread/2)`` and draws are
+    ``num_paths`` uniform draws of ``rng``, mapped by :func:`sector_angles`:
+    the sector is ``[center - spread/2, center + spread/2)`` and draws are
     clipped back into [-pi/2, pi/2). A non-positive spread is rejected; a
     point source is expressed with a tiny positive spread instead.
     """
@@ -95,9 +123,7 @@ def draw_environment(
         raise ValueError("sector_center must be finite")
     if not (sector_spread > 0.0) or not np.isfinite(sector_spread):
         raise ValueError("sector_spread must be positive and finite")
-    low = sector_center - sector_spread / 2.0
-    angles = low + sector_spread * rng.random(num_paths)
-    angles = np.clip(angles, -HALF_PI, np.nextafter(HALF_PI, 0.0))
+    angles = sector_angles(rng.random(num_paths), sector_center, sector_spread)
     return ScatteringEnvironment(num_antennas, angles)
 
 
@@ -106,14 +132,14 @@ def path_gains(
 ) -> np.ndarray:
     """Draw every user's per-path gains (paths x users) for one environment.
 
-    Circularly-symmetric complex Gaussian of variance ``1 / num_paths``
-    (real and imaginary parts each N(0, 1/(2L))).
+    ``2 * num_paths * num_users`` standard normal draws of ``rng``, all the
+    real parts first, scaled by :func:`gains_from_normals`: circularly-symmetric
+    complex Gaussian of variance ``1 / num_paths`` (real and imaginary parts
+    each N(0, 1/(2L))).
     """
     if num_users < 1:
         raise ValueError("num_users must be a positive integer")
-    shape = (env.num_paths, num_users)
-    scale = np.sqrt(env.path_gain_variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return gains_from_normals(rng.standard_normal((2, env.num_paths, num_users)))
 
 
 def ray_sum(env: ScatteringEnvironment, gains: np.ndarray) -> np.ndarray:

@@ -42,6 +42,30 @@ def codebook_bytes(num_users: int, bits: int) -> int:
     return (1 << bits) * num_users * num_users * 16
 
 
+def over_budget(num_users: int, bits: int) -> str | None:
+    """Why a codebook of ``2**bits`` matrices for ``num_users`` users exceeds
+    ``DEFAULT_BUDGET_BYTES``, or None when it fits.
+
+    ``2**bits`` codewords exceed the budget for any user count once ``bits``
+    reaches the budget's bit length, so such an entry is rejected before
+    ``2**bits`` is formed: for a huge ``bits`` the shift alone overflows or
+    exhausts memory.
+    """
+    limit = DEFAULT_BUDGET_BYTES.bit_length()
+    if bits >= limit:
+        return (
+            f"a codebook of 2**b matrices with b >= {limit} exceeds the budget "
+            f"of {DEFAULT_BUDGET_BYTES} bytes"
+        )
+    need = codebook_bytes(num_users, bits)
+    if need > DEFAULT_BUDGET_BYTES:
+        return (
+            f"codebook of 2**{bits} matrices for {num_users} users needs "
+            f"{need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
+        )
+    return None
+
+
 def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh random codebook of ``2**bits`` unitary matrices.
 
@@ -90,11 +114,9 @@ def _check_codebook(num_users: int, bits: int) -> None:
         raise ValueError("num_users must be a positive integer")
     if bits < 0:
         raise ValueError("bits must be nonnegative")
-    need = codebook_bytes(num_users, bits)
-    if need > DEFAULT_BUDGET_BYTES:
-        raise CodebookBudgetError(
-            f"codebook of 2**{bits} matrices needs {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
-        )
+    reason = over_budget(num_users, bits)
+    if reason:
+        raise CodebookBudgetError(reason)
 
 
 def _cgs2_workspace(rows: int, users: int) -> tuple:

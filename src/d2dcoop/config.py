@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .codebook import DEFAULT_BUDGET_BYTES, codebook_bytes
+from .codebook import over_budget
 from .quantization import OVERLOAD_MAX_USERS, link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
@@ -131,12 +131,9 @@ class ExperimentConfig:
             )
         # the sweep and cell_distortion_audit stream the codebook; only the
         # per-point reference run_trial holds all of it at once
-        need = codebook_bytes(worst, max(self.b_grid))
-        if need > DEFAULT_BUDGET_BYTES:
-            raise ConfigError(
-                f"codebook of 2**{max(self.b_grid)} matrices for {worst} users needs "
-                f"{need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
-            )
+        reason = over_budget(worst, max(self.b_grid))
+        if reason:
+            raise ConfigError(reason)
         # float fields hold floats, so 0 and 0.0 write the same bytes
         for name in ("sector_center", "sector_spread", "tau"):
             setattr(self, name, float(getattr(self, name)))

@@ -11,11 +11,12 @@ depend on the SNR, one streamed pass of the codebook per user count
 chooses every trial's codeword for every b and SNR. Every grid point is
 then a closed form of a trial's Gram factorisation and chosen codewords.
 A user count's trials stay one array axis from :func:`draw_trials`, the
-package's only channel draw, to disk: the closed forms run over the
-trial and grid axes at once, the records are columns, the aggregate is
-one reduction of the same arrays along their trial axis, and one CSV
-writer formats each column once. :func:`run_trial` is the per-point
-reference.
+package's only channel draw, to disk: each trial's generator fills its
+row of stacked draws, and no per-trial environment object is built; the
+closed forms run over the trial and grid axes at once, the records are
+columns, the aggregate is one reduction of the same arrays along their
+trial axis, and one CSV writer formats each column once.
+:func:`run_trial` is the per-point reference.
 """
 
 import dataclasses
@@ -28,7 +29,8 @@ import numpy as np
 
 from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
-from .channel import draw_environment, path_effective_channel, path_gains
+from .channel import draw_environment  # noqa: F401  perfbench/spans.py wraps it by name
+from .channel import gains_from_normals, path_effective_channel, sector_angles
 from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import codebook_stream, generate_codebook, select_codeword, select_prefix_codewords
@@ -43,8 +45,9 @@ from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
 CODEBOOK_STREAM = 2
-# trials per stacked channel draw: bounds the (trials, M/2, L) cosine and sine temporaries
-DRAW_CHUNK = 8
+# bounds the elements of each (trials, ceil(M/2), L) cosine and sine temporary
+# of a stacked channel draw; the draw sizes its chunks of trials by it
+DRAW_ELEMENTS = 1 << 14
 
 TRIAL_CSV_HEADER = (
     "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,trial,"
@@ -157,28 +160,35 @@ class Trials:
 def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     """Draw the channels of ``trials`` and factorise their effective Grams.
 
-    Each trial draws its path angles and gains from its own generator,
-    seeded from ``(master_seed, TRIAL_STREAM, trial)``. The L x L path
-    Gram route (:func:`~d2dcoop.channel.path_effective_channel`) and the
-    Gram factorisation then run once per ``DRAW_CHUNK`` trials on the
-    stacked draws, and one condition check and inverse run on all of
-    them; every row equals, bitwise, its trial's own one-trial draw.
+    The trials run in chunks, as many per chunk as keep the path Gram's
+    ``(trials, ceil(M/2), L)`` temporaries within ``DRAW_ELEMENTS`` (at
+    least one). Each trial's own generator, seeded from ``(master_seed,
+    TRIAL_STREAM, trial)``, fills its row of the chunk's ``(T, L)`` uniforms
+    and then of its ``(T, 2, L, P)`` normals: the draws that
+    :func:`~d2dcoop.channel.draw_environment` and
+    :func:`~d2dcoop.channel.path_gains` make, in their order. The sector map,
+    the gain scaling, the L x L path Gram route
+    (:func:`~d2dcoop.channel.path_effective_channel`) and the Gram
+    factorisation then run once on the chunk, and one condition check and
+    inverse on all the trials; every row equals, bitwise, its trial's own
+    one-trial draw.
     """
     ids = np.array(trials, dtype=int)
-    spectra = []
-    for first in range(0, len(ids), DRAW_CHUNK):
-        angles, gains = [], []
-        for trial in ids[first : first + DRAW_CHUNK].tolist():
+    per_chunk = max(1, DRAW_ELEMENTS // (-(-config.M // 2) * config.L))
+    eigenvalues = np.empty((len(ids), users))
+    eigenvectors = np.empty((len(ids), users, users), dtype=complex)
+    for first in range(0, len(ids), per_chunk):
+        chunk = ids[first : first + per_chunk]
+        uniforms = np.empty((len(chunk), config.L))
+        normals = np.empty((len(chunk), 2, config.L, users))
+        for trial, u, n in zip(chunk.tolist(), uniforms, normals):
             rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
-            env = draw_environment(
-                config.M, config.L, rng,
-                sector_center=config.sector_center, sector_spread=config.sector_spread,
-            )
-            angles.append(env.path_angles)
-            gains.append(path_gains(env, users, rng))
-        h_e = path_effective_channel(config.M, np.stack(angles), np.stack(gains), config.D)
-        spectra.append(eigen_spectrum(h_e))
-    eigenvalues, eigenvectors = (np.concatenate(arrays) for arrays in zip(*spectra))
+            rng.random(out=u)
+            rng.standard_normal(out=n)
+        angles = sector_angles(uniforms, config.sector_center, config.sector_spread)
+        h_e = path_effective_channel(config.M, angles, gains_from_normals(normals), config.D)
+        rows = slice(first, first + len(chunk))
+        eigenvalues[rows], eigenvectors[rows] = eigen_spectrum(h_e)
     usable = well_conditioned(eigenvalues)
     a_inv = gram_inverse(eigenvalues[usable], eigenvectors[usable])
     return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)

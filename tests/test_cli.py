@@ -46,6 +46,12 @@ def test_validate_rejects_unknown_field(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+def test_validate_rejects_oversized_codebook(tmp_path, capsys):
+    path = write_config(tmp_path / "huge.json", b_grid=[10**30])
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     for content in (b"{oops", b'\xff\xfe{"M": 16}'):  # not JSON; not UTF-8
@@ -274,3 +280,21 @@ def test_traced_benchmark_names_resolve():
         signature = inspect.signature(vars(d2dcoop.harness)[name])
         absent = [param for param in params if param not in signature.parameters]
         assert not absent, f"harness.{name} lacks parameters {absent}"
+
+
+def test_paired_perfbench_claim_rule():
+    # the claim rule: the change wins at least 9 pairs in 10, and the medians
+    # differ by more than the parent's quartile spread, in the better direction
+    path = Path(__file__).resolve().parents[1] / "scripts" / "paired_perfbench.py"
+    spec = importlib.util.spec_from_file_location("paired_perfbench", path)
+    paired = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(paired)
+    parent = [10.0, 10.2, 10.4, 10.1, 10.3, 10.2, 10.0, 10.4, 10.1, 10.3]
+    faster = [x - 1.0 for x in parent]
+    row = paired.summary("ms", "lower", parent, faster)
+    assert row.endswith("| 10 of 10 | yes |")
+    # nine wins of ten still claim; a win under the parent's spread does not
+    assert paired.summary("ms", "lower", parent, faster[:9] + [11.0]).endswith("| 9 of 10 | yes |")
+    assert paired.summary("ms", "lower", parent, [x - 0.1 for x in parent]).endswith("| no |")
+    # for a higher-is-better metric the same numbers are losses
+    assert paired.summary("share", "higher", parent, faster).endswith("| 0 of 10 | no |")

@@ -193,6 +193,16 @@ def test_memory_budget_enforced():
         generate_codebook(4, 23, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bits", [10**30, 2**63])
+def test_oversized_bits_rejected_before_any_shift(bits):
+    # 2**bits itself would overflow or exhaust memory: both entry points
+    # reject the count from its size alone
+    with pytest.raises(CodebookBudgetError):
+        generate_codebook(3, bits, np.random.default_rng(0))
+    with pytest.raises(CodebookBudgetError):
+        next(codebook_stream(3, bits, np.random.default_rng(0)))
+
+
 class TestAverageSnr:
     """The score ``select_codeword`` returns for a one-codeword codebook."""
 

@@ -84,6 +84,9 @@ def test_missing_fields_take_defaults():
         {"gamma_db_grid": "abc"},
         {"bandwidth_ratio_grid": [-1.0]},
         {"tau": 1e300},
+        # past the budget for any user count: rejected before 2**b is formed
+        {"b_grid": [10**30]},
+        {"b_grid": [2**63]},
     ],
 )
 def test_invalid_values_rejected(overrides):

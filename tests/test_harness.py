@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,11 +31,10 @@ from d2dcoop import (
     snr_denominators,
 )
 from d2dcoop import harness
-from d2dcoop.channel import path_gains, ray_sum
+from d2dcoop.channel import path_effective_channel, path_gains, ray_sum
 from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
-    DRAW_CHUNK,
     SUMMARY_FIELDS,
     TRIAL_CSV_HEADER,
     TRIAL_FIELDS,
@@ -135,20 +135,32 @@ def spy_codebooks(monkeypatch):
     return generated
 
 
-def oracle_grams(config, users, trials):
-    """The effective Grams of ``trials`` through the oracle chain over the M
-    antennas, one environment at a time, from the draws that :func:`draw_trials` makes."""
-    grams = []
+def oracle_draws(config, users, trials):
+    """Each trial's environment and gains, one environment at a time, through
+    :func:`draw_environment` and :func:`path_gains` on the trial's own generator."""
     for trial in trials:
         rng = np.random.default_rng([config.master_seed, TRIAL_STREAM, trial])
         env = draw_environment(
             config.M, config.L, rng,
             sector_center=config.sector_center, sector_spread=config.sector_spread,
         )
-        gains = path_gains(env, users, rng)
-        w = inner_precoder(env, config.D)
-        grams.append((env, gram(effective_channel(w, ray_sum(env, gains)))))
-    return grams
+        yield env, path_gains(env, users, rng)
+
+
+def oracle_grams(config, users, trials):
+    """The effective Grams of ``trials`` through the oracle chain over the M
+    antennas, one environment at a time, from the draws that :func:`draw_trials` makes."""
+    return [
+        (env, gram(effective_channel(inner_precoder(env, config.D), ray_sum(env, gains))))
+        for env, gains in oracle_draws(config, users, trials)
+    ]
+
+
+def chunk_budget(config, trials):
+    """A ``DRAW_ELEMENTS`` that puts ``trials`` trials of ``config`` in each draw
+    chunk, short of the next multiple so that the chunk size rounds down."""
+    per_trial = -(-config.M // 2) * config.L
+    return patch.object(harness, "DRAW_ELEMENTS", (trials + 1) * per_trial - 1)
 
 
 def trial_bytes(trials, row):
@@ -290,15 +302,37 @@ class TestRunTrial:
 
 class TestDrawTrials:
     @settings(deadline=None, max_examples=20)
-    @given(draw_configs(), st.integers(1, 3))
-    def test_stacked_draw_equals_one_trial_draws(self, config, extra):
-        # the draw runs on stacks of DRAW_CHUNK trials; across a chunk
-        # edge every trial must be, bitwise, its own one-trial draw
+    @given(draw_configs(), st.integers(2, 4))
+    def test_stacked_draw_equals_one_trial_draws(self, config, size):
+        # a small draw budget splits the trials into chunks of ``size``, the
+        # last one short; across the chunk edges every trial must be,
+        # bitwise, its own one-trial draw
         (users,) = config.user_count_grid
-        trials = draw_trials(config, users, range(DRAW_CHUNK + extra))
-        for trial in range(DRAW_CHUNK + extra):
+        with chunk_budget(config, size):
+            trials = draw_trials(config, users, range(3 * size - 1))
+        for trial in range(3 * size - 1):
             one = draw_trials(config, users, [trial])
             assert trial_bytes(one, 0) == trial_bytes(trials, trial)
+
+    @settings(deadline=None, max_examples=50)
+    @given(draw_configs(), st.integers(1, 3))
+    def test_stacked_draws_read_each_generator_as_oracle_chain(self, config, size):
+        # the sweep fills stacked arrays from each trial's generator; its
+        # angles and gains must be, bitwise, those that draw_environment and
+        # path_gains draw from the same generator, in the same order
+        (users,) = config.user_count_grid
+        seen = []
+
+        def spy(num_antennas, angles, gains, dim):
+            seen.append((angles.copy(), gains.copy()))
+            return path_effective_channel(num_antennas, angles, gains, dim)
+
+        with chunk_budget(config, size), patch.object(harness, "path_effective_channel", spy):
+            draw_trials(config, users, range(4))
+        angles, gains = (np.concatenate(parts) for parts in zip(*seen))
+        for row, (env, oracle_gains) in enumerate(oracle_draws(config, users, range(4))):
+            assert angles[row].tobytes() == env.path_angles.tobytes()
+            assert gains[row].tobytes() == oracle_gains.tobytes()
 
     @settings(deadline=None, max_examples=150)
     @given(draw_configs())
@@ -327,11 +361,11 @@ class TestDrawTrials:
         # a point-like sector makes every Gram singular; the stacked
         # condition check must not divide by the nonpositive eigenvalues
         config = small_config(sector_spread=1e-9)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), chunk_budget(config, 8):
             warnings.simplefilter("error")
-            trials = draw_trials(config, 4, range(DRAW_CHUNK + 2))
+            trials = draw_trials(config, 4, range(10))
         assert not trials.usable.any() and trials.a_inv.shape == (0, 4, 4)
-        for trial in (0, DRAW_CHUNK - 1, DRAW_CHUNK + 1):
+        for trial in (0, 7, 9):
             one = draw_trials(config, 4, [trial])
             assert trial_bytes(one, 0) == trial_bytes(trials, trial)
 
@@ -342,11 +376,11 @@ class TestDrawTrials:
         # the routes need not agree, but the draw is finite and one user's
         # 1 x 1 Gram is still usable
         config = small_config(sector_spread=1e-12, user_count_grid=[users])
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), chunk_budget(config, 8):
             warnings.simplefilter("error")
-            trials = draw_trials(config, users, range(DRAW_CHUNK + 2))
+            trials = draw_trials(config, users, range(10))
         assert np.isfinite(trials.eigenvalues).all() and np.isfinite(trials.eigenvectors).all()
-        assert trials.usable.tolist() == [users == 1] * (DRAW_CHUNK + 2)
+        assert trials.usable.tolist() == [users == 1] * 10
 
 
 class TestRunExperiment:
