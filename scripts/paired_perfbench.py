@@ -11,13 +11,17 @@ drift of a shared host falls on both sides alike. The last stdout line of
 each run is its JSON result; each run's full record goes to its own tree's
 ``perfbench/out/``.
 
-For every end-to-end metric named in the parent tree's ``BENCHMARK.json``
-the script prints each side's median and quartiles (inclusive method), the
+For every end-to-end metric named in the parent tree's ``BENCHMARK.json``,
+and for the unscaled ``wall.ms_per_trial_point`` of each run's record, the
+script prints each side's median and quartiles (inclusive method), the
 median of the paired change/parent ratios and the pairs the change won,
 ties counting for neither. A gain may be claimed when the change wins at
 least nine pairs in ten and the medians differ by more than the parent's
 quartile spread; the last column says whether both hold. Every run is
-printed as it finishes. Uses the standard library only.
+printed as it finishes. Under the table it counts, per side, the runs
+whose output failed perfbench's own check; the script exits 1 when there
+is any, since their numbers are in the medians. Uses the standard
+library only.
 """
 
 import argparse
@@ -26,6 +30,10 @@ import os
 import statistics
 import subprocess
 import sys
+
+# perfbench scales its reported times by a kernel timed after each sweep; the
+# record also keeps the unscaled median
+WALL = "wall.ms_per_trial_point"
 
 
 def parse_args(argv):
@@ -45,8 +53,9 @@ def parse_args(argv):
     return args
 
 
-def run_once(tree, workload, seed, seconds) -> dict:
-    """One perfbench run in ``tree``: ``{metric: value}`` from its last JSON line."""
+def run_once(tree, workload, seed, seconds) -> tuple:
+    """One perfbench run in ``tree``: ``({metric: value}, correct)`` from its last
+    JSON line, with the unscaled :data:`WALL` from its record in ``perfbench/out/``."""
     command = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -56,9 +65,11 @@ def run_once(tree, workload, seed, seconds) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    if not result["correct"]:
-        print(f"  {tree}: seed {seed} reported incorrect output", file=sys.stderr)
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    values = {name: entry["value"] for name, entry in result["metrics"].items()}
+    record = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
+    with open(record, encoding="utf-8") as fh:
+        values[WALL] = json.load(fh)["wall"]["ms_per_trial_point"]
+    return values, result["correct"]
 
 
 def quartiles(values) -> tuple:
@@ -86,15 +97,19 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+    metrics.append((WALL, "lower"))
     runs = {"parent": [], "change": []}
+    incorrect = dict.fromkeys(runs, 0)
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            values, correct = run_once(getattr(args, side), args.workload, seed, args.seconds)
             runs[side].append(values)
+            incorrect[side] += not correct
             shown = " ".join(f"{name}={values.get(name)}" for name, _ in metrics)
-            print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
+            flag = "" if correct else " INCORRECT OUTPUT"
+            print(f"pair {i + 1} seed {seed} {side}: {shown}{flag}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seeds "
           f"{args.seed}–{args.seed + args.pairs - 1}")
     print("| metric | parent median (quartiles) | change median (quartiles) "
@@ -104,7 +119,9 @@ def main(argv=None) -> int:
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
         print(summary(name, better, parent, change))
-    return 0
+    print(f"\nincorrect runs: parent {incorrect['parent']} of {args.pairs}, "
+          f"change {incorrect['change']} of {args.pairs}")
+    return 1 if any(incorrect.values()) else 0
 
 
 if __name__ == "__main__":

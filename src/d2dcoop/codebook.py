@@ -16,13 +16,11 @@ post-decoding SNR on the current channel.
 Codewords are drawn sequentially, so for a fixed seed the ``2**b``
 codebook is exactly the prefix of the ``2**(b+1)`` one, which paired-seed
 experiments rely on. :func:`codebook_stream` draws the codebook one
-``BLOCK`` at a time into one workspace that it reuses for every block, so
-a block is valid only until the next is drawn; selection reads the stream
-block by block, scoring in a workspace of its own, and
-:func:`generate_codebook` copies it into a fresh array.
+``BLOCK`` at a time into one draw buffer and one block store that it
+reuses for every block, so a block is valid only until the next is drawn;
+selection reads the stream block by block, and :func:`generate_codebook`
+copies it into a fresh array.
 """
-
-import math
 
 import numpy as np
 
@@ -71,8 +69,8 @@ def generate_codebook(num_users: int, bits: int, rng: np.random.Generator) -> np
 
     The blocks of :func:`codebook_stream` on ``rng``, each copied into a new
     store as it is drawn, so generation peaks at the codebook plus the
-    stream's workspace. Raises :class:`CodebookBudgetError`, before any
-    draw, above ``DEFAULT_BUDGET_BYTES``.
+    stream's draw buffer and block store. Raises :class:`CodebookBudgetError`,
+    before any draw, above ``DEFAULT_BUDGET_BYTES``.
     """
     _check_codebook(num_users, bits)
     # stored column by column: each decoding vector is contiguous
@@ -88,11 +86,10 @@ def codebook_stream(num_users: int, bits: int, rng: np.random.Generator):
     """The ``2**bits`` codebook of :func:`generate_codebook`, one block of ``BLOCK``
     (or fewer) codewords at a time, each the next draws of ``rng``.
 
-    The stream owns one workspace, allocated at the first block: the Gaussian
-    draws, one block store and the CGS2 temporaries. Every block is drawn into
-    it, so a yielded block is valid only until the next one is drawn; a
-    consumer copies what it keeps. Raises as :func:`generate_codebook` does,
-    before any draw.
+    The stream owns two buffers, allocated at the first block: the Gaussian
+    draws and one block store. Every block is drawn into them, so a yielded
+    block is valid only until the next one is drawn; a consumer copies what
+    it keeps. Raises as :func:`generate_codebook` does, before any draw.
     """
     _check_codebook(num_users, bits)
     rows = min(1 << bits, BLOCK)
@@ -100,11 +97,10 @@ def codebook_stream(num_users: int, bits: int, rng: np.random.Generator):
     # the (real, imaginary) pairs of the draws, read in place as complex
     g = draws.view(complex)[..., 0]
     store = np.empty((rows, num_users, num_users), dtype=complex)
-    work = _cgs2_workspace(rows, num_users)
     for _ in range((1 << bits) // rows):
         rng.standard_normal(out=draws)
         g /= np.sqrt(2.0)
-        _orthonormalize(g, store, work)
+        _orthonormalize(g, store)
         yield store.swapaxes(-1, -2)
 
 
@@ -119,22 +115,7 @@ def _check_codebook(num_users: int, bits: int) -> None:
         raise CodebookBudgetError(reason)
 
 
-def _cgs2_workspace(rows: int, users: int) -> tuple:
-    """The temporaries of :func:`_orthonormalize` for ``rows`` matrices of ``users``
-    columns: a column, its conjugate, its projection, its magnitudes, the flat
-    anchor positions (and the first flat position of each row), the anchors,
-    their magnitudes, the column norms, and the projection coefficients, flat,
-    as a column step takes a prefix of them."""
-    column = np.empty((rows, users), dtype=complex)
-    return (
-        column, np.empty_like(column), np.empty_like(column), np.empty((rows, users)),
-        np.empty(rows, dtype=np.intp), np.arange(0, rows * users, users),
-        np.empty(rows, dtype=complex), np.empty(rows), np.empty(rows),
-        np.empty(rows * (users - 1), dtype=complex),
-    )
-
-
-def _orthonormalize(g: np.ndarray, out: np.ndarray, work: tuple) -> None:
+def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
     """Write the phase-canonical Q factor of each matrix of ``g`` into ``out``.
 
     ``out[k, j]`` becomes column ``j`` of the Q factor of ``g[k]``, as the
@@ -142,37 +123,26 @@ def _orthonormalize(g: np.ndarray, out: np.ndarray, work: tuple) -> None:
     it twice (CGS2), one column step for the whole stack, then rotated by
     the conjugate phase of its largest-magnitude (anchor) entry, the
     anchor set to its magnitude, and divided by its norm as real pairs,
-    so a 1 x 1 codeword is exactly 1. Every temporary is a buffer of
-    ``work``, from :func:`_cgs2_workspace` at ``len(g)`` rows.
+    so a 1 x 1 codeword is exactly 1.
     """
-    v, conj_v, projection, magnitudes, anchor_at, row_starts, anchor, magnitude, norm, coefs = work
-    rows, users = len(g), g.shape[-1]
     columns = np.swapaxes(g, -1, -2)
-    flat_v, pairs = v.reshape(-1), v.view(float)
-    for j in range(users):
-        np.copyto(v, columns[:, j])
+    rows = np.arange(len(g))
+    for j in range(g.shape[-1]):
+        v = columns[:, j].copy()
         if j:
             previous = out[:, :j]
-            coef = coefs[: rows * j].reshape(rows, j)
             for _ in range(2):
                 # conj(sum_p q_p conj(v_p)) is, bitwise, sum_p conj(q_p) v_p:
                 # conjugation flips signs, which rounding commutes with
-                np.conjugate(v, out=conj_v)
-                np.einsum("nkp,np->nk", previous, conj_v, out=coef)
-                np.conjugate(coef, out=coef)
-                np.einsum("nkp,nk->np", previous, coef, out=projection)
-                v -= projection
-        np.absolute(v, out=magnitudes)
-        np.argmax(magnitudes, axis=1, out=anchor_at)
-        anchor_at += row_starts  # flat positions in v
-        np.take(flat_v, anchor_at, out=anchor)
-        np.absolute(anchor, out=magnitude)
-        np.divide(anchor, magnitude, out=anchor)
-        np.conjugate(anchor, out=anchor)
-        v *= anchor[:, None]
-        flat_v[anchor_at] = magnitude
-        np.einsum("ij,ij->i", pairs, pairs, out=norm)
-        np.sqrt(norm, out=norm)
+                coef = np.conj(np.einsum("nkp,np->nk", previous, np.conj(v)))
+                v -= np.einsum("nkp,nk->np", previous, coef)
+        anchor_at = np.argmax(np.abs(v), axis=1)
+        anchor = v[rows, anchor_at]
+        magnitude = np.abs(anchor)
+        v *= np.conj(anchor / magnitude)[:, None]
+        v[rows, anchor_at] = magnitude
+        pairs = v.view(float)
+        norm = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
         np.divide(pairs, norm[:, None], out=out[:, j].view(float))
 
 
@@ -209,8 +179,7 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
     weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
     part of a block for a chunk of Gram inverses, sized so that its features
-    and its denominators each stay within ``SCORE_ELEMENTS``. Every temporary
-    is allocated once per call, at the largest part and chunk. A running
+    and its denominators each stay within ``SCORE_ELEMENTS``. A running
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
@@ -229,9 +198,6 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     best_scores, best_index = np.full(num, -np.inf), np.zeros(num, dtype=int)
     best = np.empty((num, users, users), dtype=complex).swapaxes(-1, -2)
     chosen = {bits: (best_index.copy(), best.copy(order="K")) for bits in edge_bits.values()}
-    features_work = _features_workspace(users, min(part_rows, size))
-    most = min(chunk, num) * min(part_rows, size)
-    denominators_work, scores_work = np.empty(most * users), np.empty(most)
     start = 0
     for block in blocks:
         stop = min(start + len(block), size)
@@ -240,15 +206,12 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
         cuts = sorted({*range(start, stop, part_rows), *edges})
         for low, high in zip(cuts, [*cuts[1:], stop]):
             part = block[low - start : high - start]
-            features = _lifted_features(part, features_work)
+            features = _lifted_features(part, upper_i, upper_j)
             for first in range(0, num, chunk):
                 rows = slice(first, first + chunk)
-                chunk_weights = weights[rows]
-                denominators = _prefix(denominators_work, len(chunk_weights), features.shape[1])
-                np.matmul(chunk_weights, features, out=denominators)
+                denominators = weights[rows] @ features
                 np.reciprocal(denominators, out=denominators)
-                scores = _prefix(scores_work, len(chunk_weights), len(part))
-                denominators.reshape(len(scores), users, -1).sum(axis=1, out=scores)
+                scores = denominators.reshape(len(denominators), users, -1).sum(axis=1)
                 k = scores.argmax(axis=1)
                 score = scores[np.arange(len(k)), k]
                 hit = np.flatnonzero(score > best_scores[rows])
@@ -265,48 +228,12 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     return chosen
 
 
-def _prefix(buffer: np.ndarray, *shape) -> np.ndarray:
-    """The leading elements of a flat workspace buffer, as a C-contiguous array of ``shape``."""
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
-def _features_workspace(users: int, rows: int) -> tuple:
-    """Flat buffers for :func:`_lifted_features` on up to ``rows`` codewords of ``users``:
-    the entries, one conjugated user row of them, the pair products, the squared
-    imaginary parts and the features."""
-    vectors = users * users * rows
-    pairs = vectors * (users - 1) // 2
-    return (
-        np.empty(vectors, dtype=complex), np.empty(users * rows, dtype=complex),
-        np.empty(pairs, dtype=complex), np.empty(vectors), np.empty(vectors * users),
-    )
-
-
-def _lifted_features(codewords: np.ndarray, work: tuple) -> np.ndarray:
-    """Features ``Re(conj(q_i) q_j)``, then ``Im(conj(q_i) q_j)`` (``i < j``, row by
-    row of the upper triangle), then ``|q_i|^2`` of each decoding vector ``q``: one
-    column per vector, user by user, in the buffers of ``work`` from
-    :func:`_features_workspace`."""
-    users = codewords.shape[-1]
-    width = users * len(codewords)
-    pairs = users * (users - 1) // 2
-    entries_work, conj_work, products_work, imag_work, features_work = work
+def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:
+    """Features ``Re(conj(q_i) q_j)``, then ``Im(conj(q_i) q_j)`` (``i < j``: ``upper_i``,
+    ``upper_j``), then ``|q_i|^2`` of each decoding vector ``q``: one column per
+    vector, user by user."""
     # entries[i, p * count + k]: entry i of column p of codeword k
-    entries = _prefix(entries_work, users, users, len(codewords))
-    np.copyto(entries, np.transpose(codewords, (1, 2, 0)))
-    entries = entries.reshape(users, width)
-    conj, products = conj_work[:width], _prefix(products_work, pairs, width)
-    row = 0
-    for i in range(users - 1):
-        # the pairs (i, i+1), ..., (i, users-1): one row of the upper triangle
-        np.conjugate(entries[i], out=conj)
-        np.multiply(conj, entries[i + 1 :], out=products[row : row + users - 1 - i])
-        row += users - 1 - i
-    features = _prefix(features_work, users * users, width)
-    np.copyto(features[:pairs], products.real)
-    np.copyto(features[pairs : 2 * pairs], products.imag)
-    squares, imag_squares = features[2 * pairs :], _prefix(imag_work, users, width)
-    np.square(entries.real, out=squares)
-    np.square(entries.imag, out=imag_squares)
-    squares += imag_squares
-    return features
+    entries = np.transpose(codewords, (1, 2, 0)).reshape(codewords.shape[-1], -1)
+    products = np.conj(entries[upper_i]) * entries[upper_j]
+    squares = np.square(entries.real) + np.square(entries.imag)
+    return np.concatenate([products.real, products.imag, squares])

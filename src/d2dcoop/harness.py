@@ -135,7 +135,7 @@ def codebook_blocks(config: ExperimentConfig, users: int, bits: int):
 
     :func:`~d2dcoop.codebook.codebook_stream` on the one codebook generator:
     each block is generated only when the consumer asks for it, into the
-    stream's one workspace, so a block is valid only until the next is drawn.
+    stream's one block store, so a block is valid only until the next is drawn.
     """
     return codebook_stream(users, bits, _codebook_rng(config, users))
 
@@ -289,7 +289,7 @@ def run_experiment(config: ExperimentConfig):
 
     Each user count's trials are drawn once. If one is usable, the count's
     ``2**max(b)`` codebook is then streamed once through selection: each
-    block is generated into the stream's one workspace and scored against
+    block is generated into the stream's one block store and scored against
     every usable trial before the next overwrites it, so the sweep never
     holds the codebook. All the count's trials are then
     evaluated, and summarised, at all of its grid points at once; the

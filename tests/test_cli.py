@@ -282,13 +282,18 @@ def test_traced_benchmark_names_resolve():
         assert not absent, f"harness.{name} lacks parameters {absent}"
 
 
-def test_paired_perfbench_claim_rule():
-    # the claim rule: the change wins at least 9 pairs in 10, and the medians
-    # differ by more than the parent's quartile spread, in the better direction
+def load_paired_perfbench():
     path = Path(__file__).resolve().parents[1] / "scripts" / "paired_perfbench.py"
     spec = importlib.util.spec_from_file_location("paired_perfbench", path)
     paired = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(paired)
+    return paired
+
+
+def test_paired_perfbench_claim_rule():
+    # the claim rule: the change wins at least 9 pairs in 10, and the medians
+    # differ by more than the parent's quartile spread, in the better direction
+    paired = load_paired_perfbench()
     parent = [10.0, 10.2, 10.4, 10.1, 10.3, 10.2, 10.0, 10.4, 10.1, 10.3]
     faster = [x - 1.0 for x in parent]
     row = paired.summary("ms", "lower", parent, faster)
@@ -298,3 +303,38 @@ def test_paired_perfbench_claim_rule():
     assert paired.summary("ms", "lower", parent, [x - 0.1 for x in parent]).endswith("| no |")
     # for a higher-is-better metric the same numbers are losses
     assert paired.summary("share", "higher", parent, faster).endswith("| 0 of 10 | no |")
+
+
+@pytest.mark.parametrize("bad_side", [None, "parent", "change"])
+def test_paired_perfbench_counts_incorrect_runs(tmp_path, monkeypatch, capsys, bad_side):
+    # a run whose output failed perfbench's check is counted on its side,
+    # and any such run fails the whole comparison
+    paired = load_paired_perfbench()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("")
+    (trees["parent"] / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "ms_per_trial_point", "better": "lower"}]})
+    )
+    seen = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = Path(tree).name
+        seen.append((side, workload, seed, seconds))
+        correct = not (side == bad_side and seed == 8)
+        return {"ms_per_trial_point": 1.0 + seed, paired.WALL: 2.0 + seed}, correct
+
+    monkeypatch.setattr(paired, "run_once", fake_run_once)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
+            "--pairs", "3", "--seconds", "0.5", "--seed", "7"]
+    assert paired.main(argv) == (0 if bad_side is None else 1)
+    # the first side alternates from pair to pair
+    assert [(side, seed) for side, _, seed, _ in seen] == [
+        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 9), ("change", 9),
+    ]
+    out = capsys.readouterr().out
+    counts = {side: int(side == bad_side) for side in trees}
+    assert f"incorrect runs: parent {counts['parent']} of 3, change {counts['change']} of 3" in out
+    assert out.count("INCORRECT OUTPUT") == sum(counts.values())
+    assert f"| {paired.WALL} | 10 (9.5–10.5) | 10 (9.5–10.5) | 1.0000 | 0 of 3 | no |" in out

@@ -26,7 +26,6 @@ import d2dcoop.codebook as codebook_module
 from d2dcoop.codebook import (
     BLOCK,
     SCORE_ELEMENTS,
-    _cgs2_workspace,
     _orthonormalize,
     codebook_bytes,
     codebook_stream,
@@ -91,7 +90,7 @@ def test_streamed_generation_equals_one_shot_draw(users, bits, seed):
     # generation fills the store block by block; from b = 11 on it spans
     # several blocks and must still equal one draw of every codeword
     store = np.empty((1 << bits, users, users), dtype=complex)
-    _orthonormalize(gaussian_draws(users, bits, seed), store, _cgs2_workspace(1 << bits, users))
+    _orthonormalize(gaussian_draws(users, bits, seed), store)
     reference = store.swapaxes(-1, -2)
     streamed = generate_codebook(users, bits, np.random.default_rng(seed))
     assert streamed.strides == reference.strides
@@ -177,7 +176,7 @@ def test_generation_peak_is_codebook_plus_a_few_blocks(users):
 
 
 def test_generated_codebooks_are_independent_arrays():
-    # the stream draws every block into one workspace; each whole codebook
+    # the stream draws every block into one store; each whole codebook
     # is a fresh copy of it, so neither call's array aliases the other's
     a = generate_codebook(3, 11, np.random.default_rng(5))
     b = generate_codebook(3, 11, np.random.default_rng(5))
@@ -310,10 +309,10 @@ class TestSelection:
     def test_streamed_choices_equal_reference_selector(self, users):
         # prefix edges inside the first block (2**0 .. 2**9) and on block
         # boundaries (2**10, 2**11, 2**12), for several Gram inverses at once.
-        # The scoring workspace is sized at the largest part and chunk and
-        # sliced for shorter ones: a block ends in a short part (1024 =
-        # 7 * 131 + 107 codewords at P = 5, 606 + 418 at P = 3), and the
-        # Gram inverses fill fewer than one chunk, or one and a short one
+        # Parts and chunks are cut short at their ends: a block ends in a
+        # short part (1024 = 7 * 131 + 107 codewords at P = 5, 606 + 418 at
+        # P = 3), and the Gram inverses fill fewer than one chunk, or one and
+        # a short one
         bit_counts = [0, 1, 4, 9, 10, 11, 12]
         part_rows = max(1, min(BLOCK, SCORE_ELEMENTS // users**3))
         chunk = max(1, SCORE_ELEMENTS // (users * part_rows))
