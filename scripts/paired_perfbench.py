@@ -17,7 +17,12 @@ script prints each side's median and quartiles (inclusive method), the
 median of the paired change/parent ratios and the pairs the change won,
 ties counting for neither. A gain may be claimed when the change wins at
 least nine pairs in ten and the medians differ by more than the parent's
-quartile spread; the last column says whether both hold. Every run is
+quartile spread; the "gain rule met" column says whether both hold. The
+regression column reads ``worse`` when the change's median is worse than the
+parent's by more than the metric's ``BENCHMARK.json`` bound, taken as a
+fraction of the parent's median; ``unresolved`` when the parent's quartile
+spread exceeds that margin, unless every change run beats every parent run;
+``no`` otherwise, and ``n/a`` for a metric without a bound. Every run is
 printed as it finishes. Under the table it counts, per side, the runs
 whose output failed perfbench's own check; the script exits 1 when there
 is any, since their numbers are in the medians. Uses the standard
@@ -78,8 +83,9 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summary(name, better, parent, change) -> str:
-    """One table row: each side's median (quartiles), the paired ratio and the wins."""
+def summary(name, better, parent, change, bound=None) -> str:
+    """One table row: each side's median (quartiles), the paired ratio, the wins,
+    the gain rule and the regression verdict against ``bound``."""
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     sign = 1.0 if better == "higher" else -1.0
@@ -87,17 +93,26 @@ def summary(name, better, parent, change) -> str:
     ratios = [c / p for p, c in zip(parent, change) if p]
     ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
     claim = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
+    verdict = "n/a"
+    if bound is not None:
+        margin = bound * abs(p_med)
+        beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
+        verdict = "no"
+        if sign * (p_med - c_med) > margin:
+            verdict = "worse"
+        elif p_q3 - p_q1 > margin and not beats_all:
+            verdict = "unresolved"
     return (
         f"| {name} | {p_med:.6g} ({p_q1:.6g}–{p_q3:.6g}) | {c_med:.6g} ({c_q1:.6g}–{c_q3:.6g})"
-        f" | {ratio} | {wins} of {len(parent)} | {'yes' if claim else 'no'} |"
+        f" | {ratio} | {wins} of {len(parent)} | {'yes' if claim else 'no'} | {verdict} |"
     )
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
-    metrics.append((WALL, "lower"))
+        metrics = [(m["name"], m["better"], m.get("bound")) for m in json.load(fh)["end_to_end"]]
+    metrics.append((WALL, "lower", None))
     runs = {"parent": [], "change": []}
     incorrect = dict.fromkeys(runs, 0)
     for i in range(args.pairs):
@@ -107,18 +122,18 @@ def main(argv=None) -> int:
             values, correct = run_once(getattr(args, side), args.workload, seed, args.seconds)
             runs[side].append(values)
             incorrect[side] += not correct
-            shown = " ".join(f"{name}={values.get(name)}" for name, _ in metrics)
+            shown = " ".join(f"{name}={values.get(name)}" for name, _, _ in metrics)
             flag = "" if correct else " INCORRECT OUTPUT"
             print(f"pair {i + 1} seed {seed} {side}: {shown}{flag}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seeds "
           f"{args.seed}–{args.seed + args.pairs - 1}")
     print("| metric | parent median (quartiles) | change median (quartiles) "
-          "| paired ratio median | change won | gain rule met |")
-    print("|---|---|---|---|---|---|")
-    for name, better in metrics:
+          "| paired ratio median | change won | gain rule met | regression |")
+    print("|---|---|---|---|---|---|---|")
+    for name, better, bound in metrics:
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
-        print(summary(name, better, parent, change))
+        print(summary(name, better, parent, change, bound))
     print(f"\nincorrect runs: parent {incorrect['parent']} of {args.pairs}, "
           f"change {incorrect['change']} of {args.pairs}")
     return 1 if any(incorrect.values()) else 0

@@ -13,6 +13,8 @@ sweep's trials.
 
 import numpy as np
 
+from .precoding import check_noise_power
+
 
 class BoundInvalidError(RuntimeError):
     """A bound denominator went nonpositive; carries the offending user."""
@@ -49,8 +51,7 @@ def snr_lower_bound_terms(
     distortion: their mean is the bound. A column of noise powers gives a row
     each, and so does a stack of spectra (eigenvalues on the last axis).
     """
-    if not np.all(np.asarray(noise_power) > 0):
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("all eigenvalues must be positive")
@@ -76,8 +77,7 @@ def ideal_cooperation_snr(eigenvalues: np.ndarray, noise_power: float) -> float:
     divided by the noise power. This is also the infinite-codebook limit
     of :func:`snr_lower_bound`.
     """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     return float(lam.sum() / (noise_power * lam.size))
 

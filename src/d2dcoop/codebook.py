@@ -24,11 +24,11 @@ copies it into a fresh array.
 
 import numpy as np
 
-from .precoding import snr_denominators
+from .precoding import check_noise_power, snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
 BLOCK = 1024
-SCORE_ELEMENTS = 1 << 14  # bounds each scoring temporary; selection sizes its GEMMs by it
+ELEMENT_BOUND = 1 << 14  # bounds each temporary: of a scoring part or GEMM, of a draw chunk
 
 
 class CodebookBudgetError(RuntimeError):
@@ -163,8 +163,7 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
     Returns ``(index, codeword, average_snr)``: the independent reference
     for :func:`select_prefix_codewords`, the selector the sweep calls.
     """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     scores = codeword_scores(codebook, gram_inv)
     index = int(np.argmax(scores))
     return index, codebook[index], float(scores[index] / (noise_power * codebook.shape[1]))
@@ -179,7 +178,7 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
     weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
     part of a block for a chunk of Gram inverses, sized so that its features
-    and its denominators each stay within ``SCORE_ELEMENTS``. A running
+    and its denominators each stay within ``ELEMENT_BOUND``. A running
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
@@ -190,8 +189,8 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     size = max(edge_bits)
     gram_invs = np.asarray(gram_invs)
     num, users = gram_invs.shape[:2]
-    part_rows = max(1, min(BLOCK, SCORE_ELEMENTS // users**3))
-    chunk = max(1, SCORE_ELEMENTS // (users * part_rows))
+    part_rows = max(1, min(BLOCK, ELEMENT_BOUND // users**3))
+    chunk = max(1, ELEMENT_BOUND // (users * part_rows))
     upper_i, upper_j = np.triu_indices(users, 1)
     upper = 2.0 * gram_invs[:, upper_i, upper_j]
     weights = np.concatenate([upper.real, -upper.imag, np.diagonal(gram_invs, 0, 1, 2).real], 1)

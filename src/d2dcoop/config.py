@@ -111,8 +111,10 @@ class ExperimentConfig:
         # the sweep's own link table; an inf variance would turn the SNRs nan mid-sweep
         try:
             variances, _ = link_variances(self.gamma_db_grid, self.bandwidth_ratio_grid, self.tau)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"a cooperation link is unusable: {exc}") from exc
+        except OverflowError:  # tau**2
+            variances = [math.inf]
         if not all(map(math.isfinite, variances)):
             raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
         worst = max(self.user_count_grid)

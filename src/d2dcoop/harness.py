@@ -33,7 +33,8 @@ from .channel import draw_environment  # noqa: F401  perfbench/spans.py wraps it
 from .channel import gains_from_normals, path_effective_channel, sector_angles
 from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
-from .codebook import codebook_stream, generate_codebook, select_codeword, select_prefix_codewords
+from .codebook import ELEMENT_BOUND, codebook_stream, generate_codebook
+from .codebook import select_codeword, select_prefix_codewords
 from .config import ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import effective_channel  # noqa: F401  perfbench/spans.py wraps it by name
@@ -45,19 +46,6 @@ from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps 
 # seed-sequence stream tags keeping trial and codebook draws independent
 TRIAL_STREAM = 1
 CODEBOOK_STREAM = 2
-# bounds the elements of each (trials, ceil(M/2), L) cosine and sine temporary
-# of a stacked channel draw; the draw sizes its chunks of trials by it
-DRAW_ELEMENTS = 1 << 14
-
-TRIAL_CSV_HEADER = (
-    "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,trial,"
-    "capacity_coop,capacity_zf,capacity_ideal,capacity_bound,cond_fail,overload_rate"
-)
-AGGREGATE_CSV_HEADER = (
-    "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio,"
-    "mean_coop,sem_coop,mean_zf,sem_zf,mean_ideal,norm_capacity,num_ok,num_failed"
-)
-
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -90,6 +78,10 @@ SUMMARY_FIELDS = tuple(f.name for f in dataclasses.fields(GridPoint)) + (
     "mean_coop", "sem_coop", "mean_zf", "sem_zf", "mean_ideal", "norm_capacity",
     "num_ok", "num_failed",
 )
+# the CSV key, config then grid point; each header goes on past a table's grid-point key
+CSV_KEY = "preset,mode,M,P,D,L,b,snr_db,gamma_db,bw_ratio"
+TRIAL_CSV_HEADER = ",".join((CSV_KEY, *TRIAL_FIELDS[5:]))
+AGGREGATE_CSV_HEADER = ",".join((CSV_KEY, *SUMMARY_FIELDS[5:]))
 
 
 def capacity(snrs):
@@ -161,7 +153,7 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     """Draw the channels of ``trials`` and factorise their effective Grams.
 
     The trials run in chunks, as many per chunk as keep the path Gram's
-    ``(trials, ceil(M/2), L)`` temporaries within ``DRAW_ELEMENTS`` (at
+    ``(trials, ceil(M/2), L)`` temporaries within ``ELEMENT_BOUND`` (at
     least one). Each trial's own generator, seeded from ``(master_seed,
     TRIAL_STREAM, trial)``, fills its row of the chunk's ``(T, L)`` uniforms
     and then of its ``(T, 2, L, P)`` normals: the draws that
@@ -174,7 +166,7 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     one-trial draw.
     """
     ids = np.array(trials, dtype=int)
-    per_chunk = max(1, DRAW_ELEMENTS // (-(-config.M // 2) * config.L))
+    per_chunk = max(1, ELEMENT_BOUND // (-(-config.M // 2) * config.L))
     eigenvalues = np.empty((len(ids), users))
     eigenvectors = np.empty((len(ids), users, users), dtype=complex)
     for first in range(0, len(ids), per_chunk):
@@ -245,15 +237,15 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     # records in sweep order: each point's key once per trial, then the fields
     # over (b, SNR, link, trial), empty (cond_fail 1) at the flagged trials
     ids = trials.ids.tolist()
-    axes = ([users], config.b_grid, config.snr_db_grid, gammas, ratios)
-    keys = list(zip(*itertools.product(*axes)))
+    points = [p for p in grid_points(config) if p.users == users]
+    keys = [[getattr(p, name) for p in points] for name in SUMMARY_FIELDS[:5]]
     columns = [[key for key in axis for _ in ids] for axis in keys]
     fields = np.full((6, *shape[:3], len(ids)), None, dtype=object)
     fields[4] = 1  # cond_fail
     for field, values in zip(fields, (coop, zf, ideal, bound, 0, overload)):
         field[..., trials.usable] = values
     columns += [ids * int(np.prod(shape[:3])), *(field.ravel().tolist() for field in fields)]
-    summaries = dict(zip(SUMMARY_FIELDS, map(list, keys)))
+    summaries = dict(zip(SUMMARY_FIELDS, keys))
     summaries.update(summarize_point(coop, zf, ideal, len(ids)))
     return dict(zip(TRIAL_FIELDS, columns)), summaries
 
@@ -267,7 +259,7 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
     first, and an ill-conditioned one generates no codebook.
     """
     one_point = dataclasses.replace(
-        config, b_grid=[point.bits], snr_db_grid=[point.snr_db],
+        config, user_count_grid=[point.users], b_grid=[point.bits], snr_db_grid=[point.snr_db],
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
     )
     trials = draw_trials(one_point, point.users, [trial])
@@ -402,10 +394,10 @@ def _cells(values) -> list:
 
 
 def _csv_lines(header: str, config: ExperimentConfig, columns: dict) -> list:
-    """``header`` then one line per row of ``columns``, an equal run of rows per
-    grid point in sweep order: the point's config and grid-point cells, formatted
-    once per point, then the row's own fields, which the header names after them."""
-    own = zip(*(_cells(columns[name]) for name in header.split(",")[10:]))
+    """``header`` then a line per row of ``columns``, an equal run of rows per grid
+    point in :func:`grid_points` order: the point's :data:`CSV_KEY` cells, formatted
+    once per point, then the row's own fields, those after the table's grid-point key."""
+    own = zip(*(_cells(column) for column in list(columns.values())[5:]))
     rows = [",".join(cells) for cells in own]
     points = list(grid_points(config))
     per_point = len(rows) // len(points)

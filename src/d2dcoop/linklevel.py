@@ -9,12 +9,8 @@ this path is the independent oracle for the analytic ones.
 
 import numpy as np
 
-from .precoding import effective_channel, zf_outer_precoder
-from .quantization import QuantizerConfig, overload_fraction, uniform_quantize
-
-
-def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, shape)))
+from .precoding import check_noise_power, effective_channel, zf_outer_precoder
+from .quantization import QPSK, QuantizerConfig, overload_fraction, uniform_quantize
 
 
 def empirical_snr(
@@ -35,8 +31,7 @@ def empirical_snr(
     signal components that saturated the quantizer (0.0 when
     ``quantizer`` is None, i.e. ideal sample sharing).
     """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     if num_symbols < 1:
         raise ValueError("num_symbols must be positive")
     h_e = effective_channel(inner, channel)
@@ -44,7 +39,7 @@ def empirical_snr(
     num_users = q.shape[1]
     v = zf_outer_precoder(h_e, q)
 
-    x = _qpsk(rng, (num_users, num_symbols))
+    x = QPSK[rng.integers(0, 4, (num_users, num_symbols))]
     z = np.sqrt(noise_power / 2.0) * (
         rng.standard_normal((num_users, num_symbols))
         + 1j * rng.standard_normal((num_users, num_symbols))

@@ -38,6 +38,12 @@ class IllConditionedChannelError(RuntimeError):
         self.condition_number = float(condition_number)
 
 
+def check_noise_power(noise_power) -> None:
+    """Raise ValueError unless every noise power is positive; NaN is not."""
+    if not np.all(np.asarray(noise_power) > 0):
+        raise ValueError("noise_power must be positive")
+
+
 def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """Oracle chain: project the physical channel through the inner precoder.
 
@@ -141,8 +147,7 @@ def per_user_snr_gram(
     directly (SVD condition number, LU inverse) instead of reusing the
     effective-channel Gram inverse. ``user`` is a 0-based column index.
     """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     if not 0 <= user < np.shape(decoding)[1]:
         raise ValueError(f"user index {user} out of range")
     _, m = _overall_gram_inverse(h_e, decoding)
@@ -156,8 +161,7 @@ def noncooperative_baseline_snr(gram_inv: np.ndarray, noise_power: float) -> np.
     own received sample only. A column of noise powers gives a row each;
     a stack of inverses (leading axes) gives a row per inverse.
     """
-    if not np.all(np.asarray(noise_power) > 0):
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     return 1.0 / (noise_power * np.diagonal(gram_inv, 0, -2, -1).real)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precoding import noncooperative_baseline_snr, snr_denominators
+from .precoding import check_noise_power, noncooperative_baseline_snr, snr_denominators
 
 # 2.0**1024 overflows a float, so total_bits stays below this
 TOTAL_BITS_CAP = 1024
@@ -26,7 +26,7 @@ OVERLOAD_MAX_USERS = 6
 # math.erfc is exactly 0.0 from 27.2264 on, so larger arguments skip it
 ERFC_ZERO = 27.3
 # unit-power QPSK, the constellation the link-level oracle sends
-_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
+QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,21 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
 def link_variances(gamma_db_grid, bandwidth_ratio_grid, tau: float):
     """Each link's quantization variance in sweep order, and whether it carries bits.
 
-    A zero-bit link gets variance 0.0. Raises ValueError at ``TOTAL_BITS_CAP``
-    bits and OverflowError when the budget or ``tau**2`` overflows; a
+    A zero-bit link gets variance 0.0. Raises ValueError, naming the link's
+    ``(gamma_db, bandwidth_ratio)`` and its budget, when a budget reaches
+    ``TOTAL_BITS_CAP`` bits, and OverflowError when ``tau**2`` overflows; a
     variance can still come out inf.
     """
-    links = itertools.product(gamma_db_grid, bandwidth_ratio_grid)
-    bits = [bits_from_bandwidth(CooperationLink(r, 10.0 ** (g / 10.0))) for g, r in links]
+    bits = []
+    for g, r in itertools.product(gamma_db_grid, bandwidth_ratio_grid):
+        link = CooperationLink(r, 10.0 ** (g / 10.0))
+        budget = rate_budget_bits(link)
+        if not budget < TOTAL_BITS_CAP:
+            raise ValueError(
+                f"the link at (gamma_db, bandwidth_ratio) = ({g!r}, {r!r}) budgets "
+                f"{budget!r} bits per sample, at or over the {TOTAL_BITS_CAP}-bit cap"
+            )
+        bits.append(bits_from_bandwidth(link))
     variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
     return np.array(variances), np.array(bits) > 0
 
@@ -157,8 +166,7 @@ def cooperative_snr(
     and variances (K, 1) broadcast to (S, K, users), or with (S, 1, 1, 1)
     and (K, 1, 1) a stack of T decoding matrices to (S, K, T, users).
     """
-    if not np.all(np.asarray(noise_power) > 0):
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     own = np.abs(np.diagonal(np.asarray(decoding), 0, -2, -1)) ** 2
     return 1.0 / ((noise_power + (1.0 - own) * noise_variance) * denominators)
 
@@ -212,12 +220,11 @@ def expected_overload(
     quantized sweeps at ``OVERLOAD_MAX_USERS``. An array of noise powers
     shares the means and gives an array of fractions of the same shape.
     """
-    if not np.all(np.asarray(noise_power) > 0):
-        raise ValueError("noise_power must be positive")
+    check_noise_power(noise_power)
     q = np.asarray(decoding)
     users = q.shape[1]
     # one column per symbol vector; user 0's index axis has length 1
-    symbols = _QPSK[np.indices((1,) + (4,) * (users - 1)).reshape(users, -1)]
+    symbols = QPSK[np.indices((1,) + (4,) * (users - 1)).reshape(users, -1)]
     means = (q / np.sqrt(denominators)) @ symbols
     m = np.concatenate([means.real.ravel(), means.imag.ravel()])
     scale = np.sqrt(noise_power)[..., None]

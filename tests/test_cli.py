@@ -297,12 +297,13 @@ def test_paired_perfbench_claim_rule():
     parent = [10.0, 10.2, 10.4, 10.1, 10.3, 10.2, 10.0, 10.4, 10.1, 10.3]
     faster = [x - 1.0 for x in parent]
     row = paired.summary("ms", "lower", parent, faster)
-    assert row.endswith("| 10 of 10 | yes |")
+    assert row.endswith("| 10 of 10 | yes | n/a |")
     # nine wins of ten still claim; a win under the parent's spread does not
-    assert paired.summary("ms", "lower", parent, faster[:9] + [11.0]).endswith("| 9 of 10 | yes |")
-    assert paired.summary("ms", "lower", parent, [x - 0.1 for x in parent]).endswith("| no |")
+    row = paired.summary("ms", "lower", parent, faster[:9] + [11.0])
+    assert row.endswith("| 9 of 10 | yes | n/a |")
+    assert paired.summary("ms", "lower", parent, [x - 0.1 for x in parent]).endswith("| no | n/a |")
     # for a higher-is-better metric the same numbers are losses
-    assert paired.summary("share", "higher", parent, faster).endswith("| 0 of 10 | no |")
+    assert paired.summary("share", "higher", parent, faster).endswith("| 0 of 10 | no | n/a |")
 
 
 @pytest.mark.parametrize("bad_side", [None, "parent", "change"])
@@ -337,4 +338,44 @@ def test_paired_perfbench_counts_incorrect_runs(tmp_path, monkeypatch, capsys, b
     counts = {side: int(side == bad_side) for side in trees}
     assert f"incorrect runs: parent {counts['parent']} of 3, change {counts['change']} of 3" in out
     assert out.count("INCORRECT OUTPUT") == sum(counts.values())
-    assert f"| {paired.WALL} | 10 (9.5–10.5) | 10 (9.5–10.5) | 1.0000 | 0 of 3 | no |" in out
+    assert f"| {paired.WALL} | 10 (9.5–10.5) | 10 (9.5–10.5) | 1.0000 | 0 of 3 | no | n/a |" in out
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, verdict",
+    [
+        # the change's median is 20 % worse: past the 10 % bound
+        ("lower", [1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "worse"),
+        ("higher", [1.0, 1.0, 1.0, 1.0], [0.8, 0.8, 0.8, 0.8], "worse"),
+        # the parent's quartiles spread 1.0 apart, past 10 % of its median
+        ("lower", [1.0, 2.0, 1.0, 2.0], [1.5, 1.5, 1.5, 1.5], "unresolved"),
+        # ... unless every change run beats every parent run
+        ("lower", [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5], "no"),
+        # 5 % worse is within the bound
+        ("lower", [1.0, 1.0, 1.0, 1.0], [1.05, 1.05, 1.05, 1.05], "no"),
+    ],
+)
+def test_paired_perfbench_regression_verdict(tmp_path, monkeypatch, capsys,
+                                             better, parent, change, verdict):
+    # worse: the change's median is worse by more than the bound, a fraction of
+    # the parent's median; unresolved: the parent's spread exceeds that margin
+    paired = load_paired_perfbench()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("")
+    metric = {"name": "metric", "better": better, "bound": 0.1}
+    (trees["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    values = {"parent": parent, "change": change}
+
+    def fake_run_once(tree, workload, seed, seconds):
+        return {"metric": values[Path(tree).name][seed], paired.WALL: 1.0}, True
+
+    monkeypatch.setattr(paired, "run_once", fake_run_once)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
+            "--pairs", "4", "--seconds", "0.5", "--seed", "0"]
+    assert paired.main(argv) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| ")]
+    assert rows[0].endswith("| regression |")
+    assert rows[1].startswith("| metric |") and rows[1].endswith(f"| {verdict} |")
+    assert rows[2].startswith(f"| {paired.WALL} |") and rows[2].endswith("| n/a |")

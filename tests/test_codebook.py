@@ -25,7 +25,7 @@ from d2dcoop import (
 import d2dcoop.codebook as codebook_module
 from d2dcoop.codebook import (
     BLOCK,
-    SCORE_ELEMENTS,
+    ELEMENT_BOUND,
     _orthonormalize,
     codebook_bytes,
     codebook_stream,
@@ -111,6 +111,20 @@ def test_block_sized_calls_equal_one_shot_codebook(users, bits, seed):
         reference = book[start : start + BLOCK]
         assert strides == reference.strides
         assert data == reference.tobytes("A")
+
+
+@pytest.mark.parametrize("block, bits", [(1, 9), (64, 13), (4096, 13)])
+def test_codebook_is_the_same_at_any_block_size(block, bits):
+    # each codeword is orthonormalised from its own next draws, so the block
+    # size moves no bit: 2**13 codewords span 128 blocks of 64 and two of
+    # 4096; one-codeword blocks take a Python step each, so they run 2**9
+    for users in range(1, 9):
+        reference = generate_codebook(users, bits, np.random.default_rng(users))
+        with patch.object(codebook_module, "BLOCK", block):
+            stream = codebook_stream(users, bits, np.random.default_rng(users))
+            blocks = [codewords.copy() for codewords in stream]
+        assert len(blocks) == len(reference) // block
+        assert np.concatenate(blocks).tobytes() == reference.tobytes()
 
 
 @settings(deadline=None, max_examples=40)
@@ -314,8 +328,8 @@ class TestSelection:
         # P = 3), and the Gram inverses fill fewer than one chunk, or one and
         # a short one
         bit_counts = [0, 1, 4, 9, 10, 11, 12]
-        part_rows = max(1, min(BLOCK, SCORE_ELEMENTS // users**3))
-        chunk = max(1, SCORE_ELEMENTS // (users * part_rows))
+        part_rows = max(1, min(BLOCK, ELEMENT_BOUND // users**3))
+        chunk = max(1, ELEMENT_BOUND // (users * part_rows))
         book = generate_codebook(users, 12, np.random.default_rng(51))
         rng = np.random.default_rng(52)
         for num in (3, chunk + 3):
@@ -349,7 +363,7 @@ class TestSelection:
         for a_inv_t, index in zip(a_invs, indices, strict=True):
             assert index == select_codeword(book, a_inv_t, 1.0)[0]
         # and for two copies inside one block, in different scoring parts
-        assert 5 + SCORE_ELEMENTS // 3**3 < BLOCK - 2
+        assert 5 + ELEMENT_BOUND // 3**3 < BLOCK - 2
         book[5] = book[BLOCK - 2] = u
         choices = select_prefix_codewords(block_slices(book), a_invs, [10, 11])
         assert choices[10][0][0] == choices[11][0][-1] == 5
@@ -406,8 +420,8 @@ def selection_cases(draw):
     num = draw(st.sampled_from([1, 2, 35]))
     # the default scoring temporaries, or parts of one codeword or of three,
     # which make many small GEMMs and so get smaller codebooks
-    elements = draw(st.sampled_from([SCORE_ELEMENTS, 1, 3 * users**3]))
-    top = 11 if elements == SCORE_ELEMENTS else 8
+    elements = draw(st.sampled_from([ELEMENT_BOUND, 1, 3 * users**3]))
+    top = 11 if elements == ELEMENT_BOUND else 8
     bit_counts = draw(st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True))
     size = 1 << max(bit_counts)
     cuts = draw(st.lists(st.integers(1, size - 1), max_size=4, unique=True)) if size > 1 else []
@@ -425,7 +439,7 @@ def test_lifted_choices_equal_reference_selector(case):
     a_invs = [inverse_of(gaussian_effective_channel(rng, users + 2, users)) for _ in range(num)]
     edges = [0, *cuts, len(book)]
     blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
-    with patch.object(codebook_module, "SCORE_ELEMENTS", elements):
+    with patch.object(codebook_module, "ELEMENT_BOUND", elements):
         choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
     assert sorted(choices) == sorted(bit_counts)
     for bits, (indices, codewords) in choices.items():

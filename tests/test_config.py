@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,36 @@ def test_missing_fields_take_defaults():
 )
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigError):
+        config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # tau**2 overflows, then 2 * tau**2: both are the variance's overflow
+        ({"tau": 1e300}, "tau=1e+300 overflows the quantization noise variance"),
+        ({"tau": 1.2e154}, "tau=1.2e+154 overflows the quantization noise variance"),
+        # an infinite budget and finite ones past the cap name the first such link,
+        # in sweep order, and its budget
+        (
+            {"bandwidth_ratio_grid": [1e308]},
+            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1e+308) budgets inf bits "
+            "per sample, at or over the 1024-bit cap",
+        ),
+        (
+            {"gamma_db_grid": [0.0, 10.0], "bandwidth_ratio_grid": [1.0, 1030.0]},
+            "the link at (gamma_db, bandwidth_ratio) = (0.0, 1030.0) budgets 1030.0 bits "
+            "per sample, at or over the 1024-bit cap",
+        ),
+        (
+            {"bandwidth_ratio_grid": [1000.0]},
+            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1000.0) budgets "
+            f"{1000.0 * math.log2(11.0)!r} bits per sample, at or over the 1024-bit cap",
+        ),
+    ],
+)
+def test_unusable_link_names_its_cause(overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(overrides)
 
 

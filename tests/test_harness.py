@@ -157,10 +157,10 @@ def oracle_grams(config, users, trials):
 
 
 def chunk_budget(config, trials):
-    """A ``DRAW_ELEMENTS`` that puts ``trials`` trials of ``config`` in each draw
-    chunk, short of the next multiple so that the chunk size rounds down."""
+    """An ``ELEMENT_BOUND`` for the draw that puts ``trials`` trials of ``config`` in
+    each draw chunk, short of the next multiple so that the chunk size rounds down."""
     per_trial = -(-config.M // 2) * config.L
-    return patch.object(harness, "DRAW_ELEMENTS", (trials + 1) * per_trial - 1)
+    return patch.object(harness, "ELEMENT_BOUND", (trials + 1) * per_trial - 1)
 
 
 def trial_bytes(trials, row):

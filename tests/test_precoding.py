@@ -18,14 +18,18 @@ from d2dcoop import (
     IllConditionedChannelError,
     effective_channel,
     eigen_spectrum,
+    empirical_snr,
     generate_codebook,
     gram_inverse,
+    ideal_cooperation_snr,
     noncooperative_baseline_snr,
     per_user_snr_gram,
     select_codeword,
+    snr_lower_bound_terms,
     zf_outer_precoder,
 )
 from d2dcoop.precoding import condition_number, gram, snr_denominators, well_conditioned
+from d2dcoop.quantization import cooperative_snr, expected_overload
 
 
 def orthonormal_columns(dim, users, rng):
@@ -143,6 +147,34 @@ class TestPerUserSnr:
             noncooperative_baseline_snr(a_inv, 0.0)
         with pytest.raises(ValueError):
             select_codeword(np.eye(4)[None], a_inv, 0.0)
+
+
+def noise_checked_calls():
+    """``{name: f(noise_power)}`` for every function that checks its noise power."""
+    rng = np.random.default_rng(12)
+    h_e = gaussian_effective_channel(rng, 6, 4)
+    a_inv, q = inverse_of(h_e), haar_unitary(4, rng)
+    d, lam = snr_denominators(q, a_inv), eigen_spectrum(h_e)[0]
+    return {
+        "select_codeword": lambda n: select_codeword(q[None], a_inv, n),
+        "per_user_snr_gram": lambda n: per_user_snr_gram(h_e, q, n, 0),
+        "noncooperative_baseline_snr": lambda n: noncooperative_baseline_snr(a_inv, n),
+        "snr_lower_bound_terms": lambda n: snr_lower_bound_terms(lam, 4, n),
+        "ideal_cooperation_snr": lambda n: ideal_cooperation_snr(lam, n),
+        "cooperative_snr": lambda n: cooperative_snr(q, d, n, 0.1),
+        "expected_overload": lambda n: expected_overload(q, d, n, 3.0),
+        "empirical_snr": lambda n: empirical_snr(np.eye(6), h_e, q, n, rng, 10),
+    }
+
+
+@pytest.mark.parametrize("name", list(noise_checked_calls()))
+def test_noise_power_check_rejects_nan(name):
+    # one check, in the array form: nan > 0 is False, so nan is not positive
+    call = noise_checked_calls()[name]
+    call(1.0)
+    for bad in (float("nan"), 0.0, -1.0, np.array([[1.0], [np.nan]])):
+        with pytest.raises(ValueError, match="noise_power must be positive"):
+            call(bad)
 
 
 class TestSnrDenominators:
