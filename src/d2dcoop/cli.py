@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .config import PRESET_NAMES, ConfigError, load_config, preset_config
-from .harness import run_experiment, write_outputs
+from .harness import grid_points, run_experiment, write_outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,21 +54,16 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         else:
             config = preset_config(args.name, args.trials, args.seed)
-        records, summaries = run_experiment(config)
-        written = write_outputs(args.out, config, records, summaries, json_mirror=args.json)
-        # a channel is drawn once per (users, trial): every point of a user
-        # count counts the same failed trials
-        failed = sum(dict(zip(summaries["users"], summaries["num_failed"])).values())
+        results = run_experiment(config)
+        written = write_outputs(args.out, config, results, json_mirror=args.json)
+        points = sum(1 for _ in grid_points(config))
+        failed = sum(result.num_failed for result in results)
         print(
-            f"wrote {len(records['trial'])} trial records over {len(summaries['users'])} "
+            f"wrote {points * config.num_trials} trial records over {points} "
             f"grid points ({failed} ill-conditioned trials excluded)"
         )
         for path in written:
             print(f"  {path}")
-        empty = summaries["num_ok"].count(0)
-        if empty:
-            print(f"error: {empty} grid points have no usable trials", file=sys.stderr)
-            return 1
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

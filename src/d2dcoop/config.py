@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .codebook import over_budget
+from .codebook import DEFAULT_BUDGET_BYTES, over_budget
 from .quantization import OVERLOAD_MAX_USERS, link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
@@ -42,6 +42,8 @@ PRESET_NAMES = tuple(PRESETS)
 # 10**(-x/10) stays a normal positive float for |x| <= 300 dB; beyond it
 # noise powers and link SNRs underflow to 0 or overflow
 DB_LIMIT = 300.0
+# a record row's five float64 values in the sweep's results
+RECORD_ROW_BYTES = 5 * 8
 
 
 class ConfigError(ValueError):
@@ -136,6 +138,19 @@ class ExperimentConfig:
         reason = over_budget(worst, max(self.b_grid))
         if reason:
             raise ConfigError(reason)
+        # a sweep holds every count's records and drawn trials at once, under the same budget
+        points = len(self.b_grid) * len(self.snr_db_grid)
+        if self.mode == "quantized-rsi":
+            points *= len(self.gamma_db_grid) * len(self.bandwidth_ratio_grid)
+        rows = points * len(self.user_count_grid) * self.num_trials
+        # per trial: id, usable flag, eigenvalues, and eigenvectors and Gram inverse
+        per_trial = sum(9 + 8 * p + 32 * p * p for p in self.user_count_grid)
+        need = rows * RECORD_ROW_BYTES + self.num_trials * per_trial
+        if need > DEFAULT_BUDGET_BYTES:
+            raise ConfigError(
+                f"num_trials={self.num_trials} makes {rows} record rows: the records and "
+                f"the drawn trials need {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
+            )
         # float fields hold floats, so 0 and 0.0 write the same bytes
         for name in ("sector_center", "sector_spread", "tau"):
             setattr(self, name, float(getattr(self, name)))

@@ -2,26 +2,23 @@
 
 Determinism contract: every trial owns a private generator seeded from
 ``(master_seed, stream, trial_index)``, so records are bitwise
-reproducible. Each channel is drawn and factorised once per
-(users, trial) and shared by every grid point of that user count, which
-makes curves paired comparisons. The decoding codebook is seeded from
-``(master_seed, stream, user_count)`` only, so smaller codebooks are
-exact prefixes of bigger ones; with a selection score that does not
-depend on the SNR, one streamed pass of the codebook per user count
-chooses every trial's codeword for every b and SNR. Every grid point is
-then a closed form of a trial's Gram factorisation and chosen codewords.
-A user count's trials stay one array axis from :func:`draw_trials`, the
-package's only channel draw, to disk: each trial's generator fills its
-row of stacked draws, and no per-trial environment object is built; the
-closed forms run over the trial and grid axes at once, the records are
-columns, the aggregate is one reduction of the same arrays along their
-trial axis, and one CSV writer formats each column once.
+reproducible. Each channel is drawn and factorised once per (users,
+trial) and shared by every grid point of that user count, which makes
+curves paired comparisons. The codebook is seeded from ``(master_seed,
+stream, user_count)`` only, so smaller codebooks are exact prefixes of
+bigger ones and one streamed pass per user count chooses every trial's
+codeword for every b and SNR. Every grid point is then a closed form run
+over the trial and grid axes at once, from :func:`draw_trials`, the only
+channel draw, to one float array of records per user count, which
+:func:`point_rows` turns into Python values a grid point at a time.
 :func:`run_trial` is the per-point reference.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -35,10 +32,11 @@ from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it b
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import ELEMENT_BOUND, codebook_stream, generate_codebook
 from .codebook import select_codeword, select_prefix_codewords
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import effective_channel  # noqa: F401  perfbench/spans.py wraps it by name
-from .precoding import eigen_spectrum, gram_inverse, well_conditioned
+from .precoding import COND_LIMIT, condition_number, eigen_spectrum
+from .precoding import gram_inverse, well_conditioned
 from .precoding import noncooperative_baseline_snr, snr_denominators
 from .quantization import cooperative_snr, expected_overload, link_variances
 from .quantization import quantized_snr  # noqa: F401  perfbench/spans.py wraps it by name
@@ -61,7 +59,7 @@ class GridPoint:
 @dataclass(frozen=True)
 class TrialRecord(GridPoint):
     """Capacities of one Monte Carlo trial at a grid point, after its key fields:
-    the row that :func:`run_trial` returns, and the schema of the sweep's record columns."""
+    the row that :func:`run_trial` returns, and the schema of the sweep's trial rows."""
 
     trial: int
     capacity_coop: float | None
@@ -186,41 +184,46 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)
 
 
-def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict):
-    """Records and summaries of drawn trials at every grid point of ``users``,
-    in sweep order: two tables of columns ``{field: list}``, the records over
-    :data:`TRIAL_FIELDS`, one row per (point, trial), and the summaries over
-    :data:`SUMMARY_FIELDS`, one row per point.
+@dataclass(frozen=True)
+class CountResult:
+    """One user count's sweep: ``values`` (5, N, T) holds the capacity_coop,
+    capacity_zf, capacity_ideal, capacity_bound and overload_rate of its N
+    grid points, in sweep order, and T ``trials``, NaN in every empty cell (a
+    flagged trial's, a bound below two users); ``stats`` (6, N) holds each
+    point's :func:`summarize_point` statistics."""
 
-    ``choices`` maps every b of the grid to the ``(indices, codewords)``
-    chosen for the usable trials, and is empty when no trial is usable;
-    an ill-conditioned trial yields flagged records with empty
-    capacities. Per point: the cooperative capacity under the configured
-    sharing mode, the plain zero-forcing baseline, the perfect-cooperation
-    capacity and (for two or more users) the analytic lower-bound
-    capacity, each a closed form of a trial's factorisation and its chosen
-    codewords. The grid axes (b, SNR, link) and the usable trials are
-    array axes: each closed form runs once, or once per b, on an (S, 1, 1)
-    column of noise powers against every usable trial. The cooperative
-    SNR is one :func:`~d2dcoop.quantization.cooperative_snr` call per b
-    over the (SNR, link) grid of link variances, ideal sharing being one
-    noiseless link; a link that carries no bits takes the zero-forcing
-    capacity. Only the overload audit runs per (trial, b): its
-    ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack. One
-    :func:`summarize_point` call reduces the trial axis of the usable
-    trials' capacities for every point at once.
+    trials: Trials
+    values: np.ndarray
+    stats: np.ndarray
+
+    @property
+    def num_failed(self) -> int:
+        return len(self.trials.ids) - len(self.trials.a_inv)
+
+
+def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict):
+    """The :class:`CountResult` of drawn trials at every grid point of ``users``.
+
+    ``choices`` maps each b to the ``(indices, codewords)`` chosen for the
+    usable trials (empty when none is). Each capacity (cooperative under the
+    sharing mode, zero-forcing, perfect cooperation and, from two users on,
+    the lower bound) is a closed form run once, or once per b, on an (S, 1,
+    1) column of noise powers against every usable trial; the cooperative SNR
+    is one :func:`~d2dcoop.quantization.cooperative_snr` call per b over the
+    (SNR, link) grid, ideal sharing being one noiseless link, and a zero-bit
+    link takes the zero-forcing capacity. Only the overload audit runs per
+    (trial, b): its ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack.
     """
-    gammas, ratios = _link_axes(config)
     a_inv, eigenvalues = trials.a_inv, trials.eigenvalues[trials.usable]
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
     column = noise[:, None, None]  # (S, 1, 1) against the (U, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
     if config.mode == "quantized-rsi":
-        variances, carries = link_variances(gammas, ratios, config.tau)
+        variances, carries = link_variances(*_link_axes(config), config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
     shape = (len(config.b_grid), len(noise), len(variances), len(a_inv))
     coop, overload = np.empty(shape), np.zeros(shape)
-    bound = np.empty((*shape[:2], 1, shape[3])) if users >= 2 else None
+    bound = np.full((*shape[:2], 1, shape[3]), np.nan)  # stays empty below two users
     zf = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
     ideal = capacity(eigenvalues / column)[:, None]
     for bits, (_, decoding) in choices.items():
@@ -234,20 +237,12 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
                 overload[i, ..., row] = np.where(carries, rates, 0.0)
         if users >= 2:
             bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, column))[:, None]
-    # records in sweep order: each point's key once per trial, then the fields
-    # over (b, SNR, link, trial), empty (cond_fail 1) at the flagged trials
-    ids = trials.ids.tolist()
-    points = [p for p in grid_points(config) if p.users == users]
-    keys = [[getattr(p, name) for p in points] for name in SUMMARY_FIELDS[:5]]
-    columns = [[key for key in axis for _ in ids] for axis in keys]
-    fields = np.full((6, *shape[:3], len(ids)), None, dtype=object)
-    fields[4] = 1  # cond_fail
-    for field, values in zip(fields, (coop, zf, ideal, bound, 0, overload)):
-        field[..., trials.usable] = values
-    columns += [ids * int(np.prod(shape[:3])), *(field.ravel().tolist() for field in fields)]
-    summaries = dict(zip(SUMMARY_FIELDS, keys))
-    summaries.update(summarize_point(coop, zf, ideal, len(ids)))
-    return dict(zip(TRIAL_FIELDS, columns)), summaries
+    values = np.full((5, *shape[:3], len(trials.ids)), np.nan)
+    for field, usable_values in zip(values, (coop, zf, ideal, bound, overload)):
+        field[..., trials.usable] = usable_values
+    points = int(np.prod(shape[:3]))
+    stats = summarize_point(coop, zf, ideal).reshape(6, points)
+    return CountResult(trials, values.reshape(5, points, -1), stats)
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -255,8 +250,8 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
 
     It chooses from its own whole ``2**b`` codebook with the reference
     :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point
-    grid through the same :func:`evaluate_trials`. The trial is drawn
-    first, and an ill-conditioned one generates no codebook.
+    grid through the same :func:`evaluate_trials` and :func:`point_rows`.
+    An ill-conditioned trial generates no codebook and has ``cond_fail`` 1.
     """
     one_point = dataclasses.replace(
         config, user_count_grid=[point.users], b_grid=[point.bits], snr_db_grid=[point.snr_db],
@@ -269,36 +264,35 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
         choices[point.bits] = np.array([index]), codeword[None]
-    record, _ = evaluate_trials(one_point, point.users, trials, choices)
-    return TrialRecord(*(column[0] for column in record.values()))
+    result = evaluate_trials(one_point, point.users, trials, choices)
+    ((key, records, _),) = point_rows(one_point, [result])
+    return TrialRecord(*key, *(column[0] for column in records))
 
 
-def run_experiment(config: ExperimentConfig):
-    """Run the full Cartesian sweep; returns (records, summaries), two tables
-    of columns ``{field: list}``: the records over :data:`TRIAL_FIELDS` in
-    (grid point, trial index) order and the summaries over
-    :data:`SUMMARY_FIELDS`, one row per grid point.
+def run_experiment(config: ExperimentConfig) -> list:
+    """Run the full Cartesian sweep: a :class:`CountResult` per user count.
 
-    Each user count's trials are drawn once. If one is usable, the count's
-    ``2**max(b)`` codebook is then streamed once through selection: each
-    block is generated into the stream's one block store and scored against
-    every usable trial before the next overwrites it, so the sweep never
-    holds the codebook. All the count's trials are then
-    evaluated, and summarised, at all of its grid points at once; the
-    sweep only joins the two tables across user counts.
+    Every count's trials are drawn first: one with no usable trial raises
+    :class:`~d2dcoop.config.ConfigError` before any codebook. Each count's
+    ``2**max(b)`` codebook is then streamed once through selection, a block at
+    a time, and its trials are evaluated at all of its grid points at once.
     """
     config.validate()
-    tables = {name: [] for name in TRIAL_FIELDS}, {name: [] for name in SUMMARY_FIELDS}
-    for users in config.user_count_grid:
-        trials = draw_trials(config, users, range(config.num_trials))
-        choices = {}
-        if len(trials.a_inv):
-            blocks = codebook_blocks(config, users, max(config.b_grid))
-            choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
-        for table, columns in zip(tables, evaluate_trials(config, users, trials, choices)):
-            for name, column in columns.items():
-                table[name].extend(column)
-    return tables
+    counts = config.user_count_grid
+    drawn = {users: draw_trials(config, users, range(config.num_trials)) for users in counts}
+    for users, trials in drawn.items():
+        if not len(trials.a_inv):
+            worst = condition_number(trials.eigenvalues).max()
+            raise ConfigError(
+                f"all {config.num_trials} trials of {users} users are ill-conditioned: "
+                f"the largest condition number is {worst:.3e}, over the limit {COND_LIMIT:.1e}"
+            )
+    results = []
+    for users, trials in drawn.items():
+        blocks = codebook_blocks(config, users, max(config.b_grid))
+        choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
+        results.append(evaluate_trials(config, users, trials, choices))
+    return results
 
 
 def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
@@ -357,35 +351,47 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     return audit
 
 
-def summarize_point(coop, zf, ideal, num_trials: int) -> dict:
-    """The aggregate columns of :data:`SUMMARY_FIELDS` after the grid-point key,
-    ``{field: list}`` in C order of the points.
+def summarize_point(coop, zf, ideal) -> np.ndarray:
+    """The six statistics of :data:`SUMMARY_FIELDS` from ``mean_coop`` to
+    ``norm_capacity``: a float (6, *points) array, NaN where undefined.
 
-    The last axis of each array holds the capacities of the usable trials,
-    U of ``num_trials``, and the leading axes of ``coop`` are the points:
-    (b, SNR, link, U) for a user count, (U,) for one point. ``zf`` and
-    ``ideal`` broadcast against ``coop`` once reduced, as (SNR, 1, U) or
-    (U,). Every point gets ``num_ok`` U and ``num_failed`` T - U; with
-    no usable trial the six statistics are None, and with one the
-    standard errors are 0.0. Each array must be C-contiguous along its
-    last axis: numpy sums a contiguous row pairwise, but the rows of a
-    strided view (a boolean mask on the last axis gives one) in another
-    order, so the same values would round differently.
+    The last axis of each array holds the U usable trials' capacities, the
+    leading axes of ``coop`` the points, and ``zf`` and ``ideal`` broadcast
+    against it once reduced; with U = 1 the standard errors are 0.0. Each
+    array must be C-contiguous along its last axis: numpy sums a contiguous
+    row pairwise but a strided one (a boolean mask on the last axis gives
+    one) in another order, so the same values would round differently.
     """
     points, usable = coop.shape[:-1], coop.shape[-1]
-    size = int(np.prod(points))
-    columns = [[None] * size for _ in range(6)]
+    stats = np.full((6, *points), np.nan)
     if usable:
-        mean_coop, mean_zf, mean_ideal = (x.mean(axis=-1) for x in (coop, zf, ideal))
-        sem_coop, sem_zf = (
-            x.std(axis=-1, ddof=1) / np.sqrt(usable) if usable > 1 else 0.0 for x in (coop, zf)
-        )
-        stats = (mean_coop, sem_coop, mean_zf, sem_zf, mean_ideal)
-        columns[:5] = (np.broadcast_to(x, points).ravel().tolist() for x in stats)
-        # every capacity rounds to 0.0 at extreme negative SNR: the ratio is undefined
-        columns[5] = [c / i if i > 0.0 else None for c, i in zip(columns[0], columns[4])]
-    columns += [[usable] * size, [num_trials - usable] * size]
-    return dict(zip(SUMMARY_FIELDS[-len(columns):], columns))
+        stats[0], stats[2], stats[4] = (x.mean(axis=-1) for x in (coop, zf, ideal))
+        sems = (x.std(axis=-1, ddof=1) / np.sqrt(usable) if usable > 1 else 0.0 for x in (coop, zf))
+        stats[1], stats[3] = sems
+        # 0/0 once every capacity rounds to 0.0 at extreme negative SNR; a view even for one point
+        np.divide(stats[0], stats[4], out=stats[5, ...], where=stats[4] > 0.0)
+    return stats
+
+
+def point_rows(config: ExperimentConfig, results):
+    """``(key, records, summary)`` per grid point of ``results``, in sweep order:
+    the point's :class:`GridPoint` fields, its trial rows as columns (a list per
+    field of :data:`TRIAL_FIELDS` after the key) and its fields of
+    :data:`SUMMARY_FIELDS` after the key, as Python values with None in empty
+    cells. Each point's slices leave numpy in one ``tolist`` each."""
+    keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
+    for result in results:
+        ids, cond_fail = result.trials.ids.tolist(), (~result.trials.usable).astype(int).tolist()
+        counts = (len(result.trials.a_inv), result.num_failed)
+        for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
+            coop, zf, ideal, bound, overload = map(_nones, values.tolist())
+            records = [ids, coop, zf, ideal, bound, cond_fail, overload]
+            yield next(keys), records, (*_nones(stats.tolist()), *counts)
+
+
+def _nones(values: list) -> list:
+    """``values`` with each NaN, the one float unequal to itself, as None."""
+    return [None if value != value else value for value in values]
 
 
 def _cells(values) -> list:
@@ -393,39 +399,37 @@ def _cells(values) -> list:
     return ["" if value is None else str(value) for value in values]
 
 
-def _csv_lines(header: str, config: ExperimentConfig, columns: dict) -> list:
-    """``header`` then a line per row of ``columns``, an equal run of rows per grid
-    point in :func:`grid_points` order: the point's :data:`CSV_KEY` cells, formatted
-    once per point, then the row's own fields, those after the table's grid-point key."""
-    own = zip(*(_cells(column) for column in list(columns.values())[5:]))
-    rows = [",".join(cells) for cells in own]
-    points = list(grid_points(config))
-    per_point = len(rows) // len(points)
-    lines = [header]
-    for i, p in enumerate(points):
-        key = (config.figure_preset, config.mode, config.M, p.users, config.D, config.L)
-        prefix = ",".join(_cells((*key, p.bits, p.snr_db, p.gamma_db, p.bandwidth_ratio))) + ","
-        lines.extend(prefix + row for row in rows[i * per_point : (i + 1) * per_point])
-    return lines
-
-
-def write_outputs(out_dir, config: ExperimentConfig, records, summaries, json_mirror=False):
+def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False):
     """Write trials.csv and aggregate.csv, and on request their JSON mirrors
-    (one object per row), from :func:`run_experiment`'s two tables of columns."""
+    (one object per row), from one pass of :func:`point_rows`; returns their paths.
+
+    A CSV row is its point's :data:`CSV_KEY` cells, formatted once per point,
+    then its own; a mirror takes each point's objects as one ``indent=1``
+    list without its brackets: ``json.dumps(rows, indent=1)`` byte for byte.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    tables = (
-        ("trials", TRIAL_CSV_HEADER, records),
-        ("aggregate", AGGREGATE_CSV_HEADER, summaries),
-    )
-    written = []
-    for suffix in (".csv", ".json") if json_mirror else (".csv",):
-        for name, header, columns in tables:
-            if suffix == ".csv":
-                text = "\n".join(_csv_lines(header, config, columns))
-            else:
-                rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-                text = json.dumps(rows, indent=1)
-            written.append(os.path.join(out_dir, name + suffix))
-            with open(written[-1], "w", encoding="utf-8", newline="") as fh:
-                fh.write(text + "\n")
+    names = ["trials.csv", "aggregate.csv"] + ["trials.json", "aggregate.json"] * json_mirror
+    written = [os.path.join(out_dir, name) for name in names]
+    encode = json.JSONEncoder(indent=1).encode  # json.dumps would build one per call
+    with contextlib.ExitStack() as stack:
+        trials_csv, aggregate_csv, *mirrors = (
+            stack.enter_context(open(path, "w", encoding="utf-8", newline="")) for path in written
+        )
+        trials_csv.write(TRIAL_CSV_HEADER + "\n")
+        aggregate_csv.write(AGGREGATE_CSV_HEADER + "\n")
+        opening = "[\n"
+        for key, records, summary in point_rows(config, results):
+            users, *point = key
+            cells = (config.figure_preset, config.mode, config.M, users, config.D, config.L, *point)
+            prefix = ",".join(_cells(cells)) + ","
+            rows = zip(*map(_cells, records))
+            trials_csv.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
+            aggregate_csv.write(prefix + ",".join(_cells(summary)) + "\n")
+            tables = ((TRIAL_FIELDS, zip(*records)), (SUMMARY_FIELDS, [summary]))
+            for mirror, (fields, rows) in zip(mirrors, tables):
+                objects = [dict(zip(fields, (*key, *row))) for row in rows]
+                mirror.write(opening + encode(objects)[2:-2])  # drop "[\n" and "\n]"
+            opening = ",\n"
+        for mirror in mirrors:
+            mirror.write("\n]\n")
     return written

@@ -124,29 +124,33 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
     """Largest even bit count the sharing link supports per sample.
 
     Zero means the budget cannot carry even one bit per component and
-    cooperation is infeasible at this operating point.
+    cooperation is infeasible at this operating point. Raises ValueError,
+    naming the budget, when it reaches ``TOTAL_BITS_CAP`` bits.
     """
-    return 2 * int(math.floor(rate_budget_bits(link) / 2.0))
+    budget = rate_budget_bits(link)
+    if not budget < TOTAL_BITS_CAP:
+        raise ValueError(
+            f"a link budget of {budget!r} bits per sample is at or over the "
+            f"{TOTAL_BITS_CAP}-bit cap"
+        )
+    return 2 * int(math.floor(budget / 2.0))
 
 
 def link_variances(gamma_db_grid, bandwidth_ratio_grid, tau: float):
     """Each link's quantization variance in sweep order, and whether it carries bits.
 
-    A zero-bit link gets variance 0.0. Raises ValueError, naming the link's
-    ``(gamma_db, bandwidth_ratio)`` and its budget, when a budget reaches
-    ``TOTAL_BITS_CAP`` bits, and OverflowError when ``tau**2`` overflows; a
-    variance can still come out inf.
+    A zero-bit link gets variance 0.0. Raises the ValueError of
+    :func:`bits_from_bandwidth`, naming the link's ``(gamma_db,
+    bandwidth_ratio)``, when a budget reaches ``TOTAL_BITS_CAP`` bits, and
+    OverflowError when ``tau**2`` overflows; a variance can still come out inf.
     """
     bits = []
     for g, r in itertools.product(gamma_db_grid, bandwidth_ratio_grid):
-        link = CooperationLink(r, 10.0 ** (g / 10.0))
-        budget = rate_budget_bits(link)
-        if not budget < TOTAL_BITS_CAP:
-            raise ValueError(
-                f"the link at (gamma_db, bandwidth_ratio) = ({g!r}, {r!r}) budgets "
-                f"{budget!r} bits per sample, at or over the {TOTAL_BITS_CAP}-bit cap"
-            )
-        bits.append(bits_from_bandwidth(link))
+        try:
+            bits.append(bits_from_bandwidth(CooperationLink(r, 10.0 ** (g / 10.0))))
+        except ValueError as exc:
+            where = f"the link at (gamma_db, bandwidth_ratio) = ({g!r}, {r!r})"
+            raise ValueError(f"{where}: {exc}") from exc
     variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
     return np.array(variances), np.array(bits) > 0
 

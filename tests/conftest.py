@@ -65,3 +65,19 @@ def assert_stacks_like_row_calls(fn, *stacks):
     expected = np.stack([fn(*rows) for rows in zip(*stacks, strict=True)])
     assert stacked.shape == expected.shape
     assert stacked.tobytes() == expected.tobytes()
+
+
+def columns(config, results):
+    """``run_experiment`` results as two ``{field: list}`` tables in sweep order:
+    the records over ``harness.TRIAL_FIELDS`` and the summaries over
+    ``harness.SUMMARY_FIELDS``, read through ``harness.point_rows``."""
+    from d2dcoop.harness import SUMMARY_FIELDS, TRIAL_FIELDS, point_rows
+
+    records, summaries = [], []
+    for key, point_records, summary in point_rows(config, results):
+        records += [(*key, *row) for row in zip(*point_records)]
+        summaries.append((*key, *summary))
+    return (
+        {name: list(column) for name, column in zip(TRIAL_FIELDS, zip(*records))},
+        {name: list(column) for name, column in zip(SUMMARY_FIELDS, zip(*summaries))},
+    )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from conftest import average_snr, pipeline_channel
+from conftest import average_snr, columns, pipeline_channel
 from d2dcoop import (
     ExperimentConfig,
     QuantizerConfig,
@@ -23,7 +23,7 @@ from d2dcoop import (
     snr_lower_bound,
     uniform_quantize,
 )
-from d2dcoop.harness import AGGREGATE_CSV_HEADER, TRIAL_CSV_HEADER, _csv_lines, write_outputs
+from d2dcoop.harness import point_rows, write_outputs
 from d2dcoop.precoding import eigen_spectrum, gram, gram_inverse, snr_denominators
 from d2dcoop.quantization import CooperationLink, bits_from_bandwidth
 
@@ -47,13 +47,13 @@ def algebra_instances():
 @pytest.fixture(scope="module")
 def fig2_run():
     config = preset_config("fig-capacity-vs-snr", num_trials=200, master_seed=1001)
-    return config, *run_experiment(config)
+    return config, *columns(config, run_experiment(config))
 
 
 @pytest.fixture(scope="module")
 def fig3_run():
     config = preset_config("fig-capacity-vs-bits", num_trials=200, master_seed=1002)
-    return config, *run_experiment(config)
+    return config, *columns(config, run_experiment(config))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def fig4_run():
     config = preset_config(
         "fig-capacity-vs-bandwidth-snr", num_trials=200, master_seed=1003
     )
-    return config, *run_experiment(config)
+    return config, *columns(config, run_experiment(config))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def fig4_ideal_run():
         num_trials=200,
         master_seed=1003,
     )
-    return config, *run_experiment(config)
+    return config, *columns(config, run_experiment(config))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def fig5_run():
     config = preset_config(
         "fig-capacity-vs-bandwidth-gamma", num_trials=200, master_seed=1004
     )
-    return config, *run_experiment(config)
+    return config, *columns(config, run_experiment(config))
 
 
 def test_criterion_01_algebraic_identities(algebra_instances):
@@ -333,19 +333,14 @@ def test_criterion_08_bandwidth_trends(fig4_run, fig4_ideal_run, fig5_run):
 
 def test_criterion_09_byte_identical_reruns(tmp_path):
     config = preset_config("fig-capacity-vs-snr", num_trials=20, master_seed=77)
-    rec1, sum1 = run_experiment(config)
-    rec2, sum2 = run_experiment(config)
+    run1, run2 = run_experiment(config), run_experiment(config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    write_outputs(out_a, config, rec1, sum1)
-    write_outputs(out_b, config, rec2, sum2)
+    write_outputs(out_a, config, run1)
+    write_outputs(out_b, config, run2)
     same_trials = (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
     same_agg = (out_a / "aggregate.csv").read_bytes() == (out_b / "aggregate.csv").read_bytes()
-    lines_match = _csv_lines(TRIAL_CSV_HEADER, config, rec1) == _csv_lines(
-        TRIAL_CSV_HEADER, config, rec2
-    ) and _csv_lines(AGGREGATE_CSV_HEADER, config, sum1) == _csv_lines(
-        AGGREGATE_CSV_HEADER, config, sum2
-    )
-    ok = same_trials and same_agg and lines_match
+    rows_match = list(point_rows(config, run1)) == list(point_rows(config, run2))
+    ok = same_trials and same_agg and rows_match
     _report(9, "byte-identical determinism", ok, "two seeded preset runs compared")
 
 

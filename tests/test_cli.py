@@ -52,6 +52,15 @@ def test_validate_rejects_oversized_codebook(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_validate_rejects_a_sweep_over_the_memory_budget(tmp_path, capsys):
+    # the records and drawn trials of 10**15 trials would exhaust memory mid-run
+    path = write_config(tmp_path / "long.json", num_trials=10**15)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: num_trials=1000000000000000 makes ")
+    assert " record rows" in err
+
+
 def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     for content in (b"{oops", b'\xff\xfe{"M": 16}'):  # not JSON; not UTF-8
@@ -87,6 +96,18 @@ def test_summary_counts_each_ill_conditioned_trial_once(tmp_path, capsys):
         failed = {row["trial"] for row in csv.DictReader(fh) if row["cond_fail"] == "1"}
     assert len(failed) == 12
     assert "(12 ill-conditioned trials excluded)" in capsys.readouterr().out
+
+
+def test_user_count_without_usable_trial_fails_before_writing(tmp_path, capsys):
+    # a point-like sector leaves every channel of 2 and of 3 users singular
+    config = write_config(
+        tmp_path / "config.json", user_count_grid=[2, 3], sector_spread=1e-9, num_trials=3
+    )
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out), "--json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: all 3 trials of 2 users are ill-conditioned")
+    assert not out.exists()
 
 
 def test_run_json_mirror(tmp_path):
@@ -198,6 +219,41 @@ def test_preset_outputs_match_golden_digests(tmp_path, preset):
         for name in ("trials.csv", "aggregate.csv")
     )
     assert digests == GOLDEN_DIGESTS[preset]
+
+
+# SHA-256 of (trials.json, aggregate.json) from the same runs with --json
+GOLDEN_JSON_DIGESTS = {
+    "fig-capacity-vs-snr": (
+        "6760d5a9979bd5952cc50027a519947734e33a9aa22c1bd487db93af3cc98ec3",
+        "7e44170399680be71e02c89d7a1d6a367d7b3d313755712806f715d88f0a0d2a",
+    ),
+    "fig-capacity-vs-bits": (
+        "718aa3b5d5ab978ac7b9e36c33941d8944649f3ba10df4d9552eda9f7c9ec1b2",
+        "2b93ae2eb683cf862c1f586a93a3f0151af072b786eb1279a0952812bdffd4aa",
+    ),
+    "fig-capacity-vs-bandwidth-snr": (
+        "6548b1701316f7c745c442bb1ad1764de6d80d19b34eea927ae672b4e090d519",
+        "cd4ad0098ae4bf78790b395a3fbca347ab2280263ef0b834f375b63d458d80a2",
+    ),
+    "fig-capacity-vs-bandwidth-gamma": (
+        "8d1caa993cdf439d542ddf3425e0c9c762dc2ee8f85eac3f0f3ba71feed69bcf",
+        "fb35dd36acbfd09faa894c5581b05e1f114775e0973a37053dd50fe4c606fe9e",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_JSON_DIGESTS))
+def test_preset_json_mirrors_match_golden_digests(tmp_path, preset):
+    """The JSON mirrors are byte-identical too: ``json.dumps(rows, indent=1)``
+    of the CSV rows, however the writer builds the text."""
+    out = tmp_path / preset
+    args = ["preset", preset, "--trials", "6", "--seed", "3", "--json", "--out", str(out)]
+    assert main(args) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trials.json", "aggregate.json")
+    )
+    assert digests == GOLDEN_JSON_DIGESTS[preset]
 
 
 def test_missing_config_file_is_io_error(tmp_path):

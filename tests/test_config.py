@@ -105,18 +105,18 @@ def test_invalid_values_rejected(overrides):
         # in sweep order, and its budget
         (
             {"bandwidth_ratio_grid": [1e308]},
-            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1e+308) budgets inf bits "
-            "per sample, at or over the 1024-bit cap",
+            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1e+308): a link budget of inf "
+            "bits per sample is at or over the 1024-bit cap",
         ),
         (
             {"gamma_db_grid": [0.0, 10.0], "bandwidth_ratio_grid": [1.0, 1030.0]},
-            "the link at (gamma_db, bandwidth_ratio) = (0.0, 1030.0) budgets 1030.0 bits "
-            "per sample, at or over the 1024-bit cap",
+            "the link at (gamma_db, bandwidth_ratio) = (0.0, 1030.0): a link budget of "
+            "1030.0 bits per sample is at or over the 1024-bit cap",
         ),
         (
             {"bandwidth_ratio_grid": [1000.0]},
-            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1000.0) budgets "
-            f"{1000.0 * math.log2(11.0)!r} bits per sample, at or over the 1024-bit cap",
+            "the link at (gamma_db, bandwidth_ratio) = (10.0, 1000.0): a link budget of "
+            f"{1000.0 * math.log2(11.0)!r} bits per sample is at or over the 1024-bit cap",
         ),
     ],
 )
@@ -166,7 +166,7 @@ def test_direct_config_writes_the_bytes_of_its_dict(tmp_path):
         sector_center=0, tau=30, num_trials=3, master_seed=4,
     )
     for name, config in (("direct", ExperimentConfig(**fields)), ("dict", config_from_dict(fields))):
-        write_outputs(tmp_path / name, config, *run_experiment(config))
+        write_outputs(tmp_path / name, config, run_experiment(config))
     for table in ("trials.csv", "aggregate.csv"):
         direct = (tmp_path / "direct" / table).read_bytes()
         assert direct == (tmp_path / "dict" / table).read_bytes()

@@ -9,10 +9,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import columns
 from d2dcoop import (
+    ConfigError,
     CooperationLink,
     ExperimentConfig,
     aligned_cell_distortion,
@@ -24,6 +26,7 @@ from d2dcoop import (
     effective_channel,
     gram,
     inner_precoder,
+    preset_config,
     quantized_snr,
     run_experiment,
     run_trial,
@@ -40,7 +43,6 @@ from d2dcoop.harness import (
     TRIAL_FIELDS,
     TRIAL_STREAM,
     GridPoint,
-    _csv_lines,
     codebook_blocks,
     codebook_for,
     draw_trials,
@@ -103,8 +105,16 @@ def per_point_reference(config):
     ]
 
 
+def all_counts_usable(config):
+    """Whether every user count of ``config`` has a usable trial, as a sweep requires."""
+    return all(
+        draw_trials(config, users, range(config.num_trials)).usable.any()
+        for users in config.user_count_grid
+    )
+
+
 def as_columns(rows):
-    """``run_trial`` rows as the sweep's ``{field: list}`` record columns."""
+    """``run_trial`` rows as the ``{field: list}`` records table of ``conftest.columns``."""
     return {name: [getattr(r, name) for r in rows] for name in TRIAL_FIELDS}
 
 
@@ -386,7 +396,7 @@ class TestDrawTrials:
 class TestRunExperiment:
     def test_record_layout_and_aggregates(self):
         config = small_config()
-        records, summaries = run_experiment(config)
+        records, summaries = columns(config, run_experiment(config))
         assert len(records["trial"]) == 4 * config.num_trials
         assert all(len(column) == 4 for column in summaries.values())
         assert summaries["num_ok"] == [config.num_trials] * 4
@@ -405,34 +415,32 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "summarize_point", spy)
         config = small_config(user_count_grid=[2, 3, 4])
-        _, summaries = run_experiment(config)
+        _, summaries = columns(config, run_experiment(config))
         assert len(calls) == 3
         assert [args[0].shape[:-1] for args in calls] == [(2, 2, 1)] * 3
         assert len(summaries["users"]) == 12
 
-    def test_all_zero_capacities_leave_norm_capacity_empty(self):
+    def test_all_zero_capacities_leave_norm_capacity_empty(self, tmp_path):
         # below about -170 dB every log2(1 + snr) rounds to 0.0, so the
         # normalised capacity is 0/0: written as an empty cell, not nan
         config = small_config(snr_db_grid=[-200.0, -150.0], b_grid=[2], num_trials=3)
-        _, summaries = run_experiment(config)
+        results = run_experiment(config)
+        _, summaries = columns(config, results)
         assert summaries["mean_ideal"][0] == summaries["mean_coop"][0] == 0.0
         assert summaries["norm_capacity"][0] is None
         assert 0.0 < summaries["norm_capacity"][1] <= 1.0
-        header, row = _csv_lines(AGGREGATE_CSV_HEADER, config, summaries)[:2]
+        write_outputs(tmp_path, config, results)
+        header, row = (tmp_path / "aggregate.csv").read_text().splitlines()[:2]
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["mean_ideal"] == "0.0"
         assert cells["norm_capacity"] == ""
 
-    def test_rerun_is_byte_identical(self):
+    def test_rerun_is_byte_identical(self, tmp_path):
         config = small_config()
-        rec1, sum1 = run_experiment(config)
-        rec2, sum2 = run_experiment(config)
-        assert _csv_lines(TRIAL_CSV_HEADER, config, rec1) == _csv_lines(
-            TRIAL_CSV_HEADER, config, rec2
-        )
-        assert _csv_lines(AGGREGATE_CSV_HEADER, config, sum1) == _csv_lines(
-            AGGREGATE_CSV_HEADER, config, sum2
-        )
+        for run in ("a", "b"):
+            write_outputs(tmp_path / run, config, run_experiment(config), json_mirror=True)
+        for name in ("trials.csv", "aggregate.csv", "trials.json", "aggregate.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -447,19 +455,18 @@ class TestRunExperiment:
                 gamma_db_grid=[0.0, 10.0],
                 bandwidth_ratio_grid=[0.5, 2.0, 4.0],
             ),
-            dict(sector_spread=1e-9),
             # a narrow sector leaves trial 0 usable and trials 1 and 2
             # ill-conditioned, so the usable rows sit between flagged ones
             dict(sector_spread=0.01),
         ],
-        ids=["quantized", "all-ill-conditioned", "mixed"],
+        ids=["quantized", "mixed"],
     )
     def test_sweep_equals_per_point_reference(self, overrides, monkeypatch):
         config = small_config(num_trials=3, **overrides)
         generated = spy_codebooks(monkeypatch)
         reference = per_point_reference(config)
         by_reference = len(generated)
-        records, _ = run_experiment(config)
+        records, _ = columns(config, run_experiment(config))
         assert records == as_columns(reference)
         if config.mode == "quantized-rsi":
             assert any(rate > 0.0 for rate in records["overload_rate"])
@@ -468,12 +475,25 @@ class TestRunExperiment:
             assert generated[by_reference:] == [
                 ("codebook_blocks", 3, 3), ("codebook_blocks", 4, 3)
             ]
-        elif config.sector_spread == 1e-9:
-            assert all(flag == 1 for flag in records["cond_fail"])
-            # no usable trial, so neither path generates a codebook
-            assert generated == []
         else:
             assert set(records["cond_fail"]) == {0, 1}
+
+    def test_count_without_usable_trial_raises_before_any_codebook(self, monkeypatch):
+        # a point-like sector leaves one user's 1 x 1 Gram usable and every
+        # four-user Gram singular. The sweep draws every count's trials
+        # first, so it raises before the one-user codebook; the per-point
+        # reference still records each four-user trial as flagged, and
+        # generates no codebook for it
+        config = small_config(user_count_grid=[1, 4], num_trials=3, sector_spread=1e-9)
+        generated = spy_codebooks(monkeypatch)
+        message = r"all 3 trials of 4 users are ill-conditioned: the largest condition number is "
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config)
+        assert generated == []
+        flagged = [r for r in per_point_reference(config) if r.users == 4]
+        assert flagged and all(r.cond_fail == 1 for r in flagged)
+        assert all(r.capacity_coop is r.overload_rate is None for r in flagged)
+        assert {users for _, users, _ in generated} == {1}
 
     def test_sweep_never_holds_the_codebook(self):
         # the 2**14 codebook of 5 users is 6.5 MB in 16 blocks of 0.41 MB;
@@ -487,11 +507,11 @@ class TestRunExperiment:
         config = small_config(user_count_grid=[5], b_grid=[14], snr_db_grid=[0.0], num_trials=2)
         tracemalloc.start()
         try:
-            records, _ = run_experiment(config)
+            (result,) = run_experiment(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not any(records["cond_fail"])
+        assert result.num_failed == 0
         assert peak < 4 * codebook_bytes(5, 10)
 
     def test_overload_audit_holds_one_trial(self):
@@ -506,11 +526,11 @@ class TestRunExperiment:
         )
         tracemalloc.start()
         try:
-            records, _ = run_experiment(config)
+            (result,) = run_experiment(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not any(records["cond_fail"])
+        assert result.num_failed == 0
         assert peak < config.num_trials * 2 * 6 * 4**5 * 8
 
     @pytest.mark.parametrize("bits", [3, 12])
@@ -535,7 +555,8 @@ class TestRunExperiment:
     @settings(deadline=None, max_examples=25)
     @given(small_sweeps())
     def test_random_sweep_equals_per_point_reference(self, config):
-        records, _ = run_experiment(config)
+        assume(all_counts_usable(config))
+        records, _ = columns(config, run_experiment(config))
         assert records == as_columns(per_point_reference(config))
         assert_overload_shared_across_links(records)
         # one scoring pass per trial picks, for every b, the codeword the
@@ -591,16 +612,15 @@ class TestRunExperiment:
         # trials at four users: a sweep that reduced a masked view of all the
         # trials (x[..., usable], which is strided) would sum more than 8
         # values in another order and move the last bit of the means
-        records, summaries = run_experiment(config)
+        assume(all_counts_usable(config))
         with tempfile.TemporaryDirectory() as out:
-            write_outputs(out, config, records, summaries)
+            write_outputs(out, config, run_experiment(config))
             trial_lines, aggregate_lines = (
                 Path(out, name).read_text().splitlines()[1:]
                 for name in ("trials.csv", "aggregate.csv")
             )
         reference = per_point_reference(config)
         own_trial = TRIAL_CSV_HEADER.split(",")[10:]
-        own_aggregate = AGGREGATE_CSV_HEADER.split(",")[10:]
         n = config.num_trials
         expected_trials, expected_aggregate = [], []
         for i, point in enumerate(grid_points(config)):
@@ -613,14 +633,14 @@ class TestRunExperiment:
                 cells = (*key, *(getattr(r, name) for name in own_trial))
                 expected_trials.append(",".join(map(csv_cell, cells)))
             usable = [r for r in rows if not r.cond_fail]
-            s = summarize_point(
+            stats = summarize_point(
                 *(
                     np.array([getattr(r, name) for r in usable], dtype=float)
                     for name in ("capacity_coop", "capacity_zf", "capacity_ideal")
-                ),
-                n,
+                )
             )
-            cells = (*key, *(s[name][0] for name in own_aggregate))
+            stats = [None if np.isnan(x) else float(x) for x in stats]
+            cells = (*key, *stats, len(usable), n - len(usable))
             expected_aggregate.append(",".join(map(csv_cell, cells)))
         assert trial_lines == expected_trials
         assert aggregate_lines == expected_aggregate
@@ -686,11 +706,11 @@ class TestCsvOutput:
             "num_ok,num_failed"
         )
 
-    def test_row_shape_and_empty_fields(self):
+    def test_row_shape_and_empty_fields(self, tmp_path):
         config = small_config(num_trials=2)
-        records, summaries = run_experiment(config)
-        lines = _csv_lines(TRIAL_CSV_HEADER, config, records)
-        assert len(lines) == 1 + len(records["trial"])
+        write_outputs(tmp_path, config, run_experiment(config))
+        lines = (tmp_path / "trials.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 * config.num_trials
         first = lines[1].split(",")
         assert len(first) == len(TRIAL_CSV_HEADER.split(","))
         layout = dict(zip(TRIAL_CSV_HEADER.split(","), first))
@@ -703,8 +723,9 @@ class TestCsvOutput:
 
     def test_written_files(self, tmp_path):
         config = small_config(num_trials=2)
-        records, summaries = run_experiment(config)
-        written = write_outputs(tmp_path, config, records, summaries, json_mirror=True)
+        results = run_experiment(config)
+        records, summaries = columns(config, results)
+        written = write_outputs(tmp_path, config, results, json_mirror=True)
         names = sorted(p.split("/")[-1] for p in written)
         assert names == ["aggregate.csv", "aggregate.json", "trials.csv", "trials.json"]
         trials = (tmp_path / "trials.csv").read_text().splitlines()
@@ -716,6 +737,22 @@ class TestCsvOutput:
         mirrored = json.loads((tmp_path / "aggregate.json").read_text())
         assert all(list(row) == list(SUMMARY_FIELDS) for row in mirrored)
         assert {name: [row[name] for row in mirrored] for name in SUMMARY_FIELDS} == summaries
+
+    def test_records_peak_under_a_third_of_a_kilobyte_per_row(self, tmp_path):
+        # the records stay one float array per user count and the writer
+        # streams one grid point at a time: the sweep and all four files peak
+        # at 0.14 KB per row. Object columns and whole-table text peaked at
+        # 3.0 KB per row, JSON mirrors included
+        config = preset_config("fig-capacity-vs-bandwidth-snr", num_trials=200)
+        rows = sum(1 for _ in grid_points(config)) * config.num_trials
+        tracemalloc.start()
+        try:
+            write_outputs(tmp_path, config, run_experiment(config), json_mirror=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 9000
+        assert peak / rows < 300
 
 
 def test_grid_point_is_hashable_record():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ class TestQuantizedSnr:
         out = quantized_snr(q, a_inv, 2.0, link, 30.0)
         assert np.array_equal(out, noncooperative_baseline_snr(a_inv, 2.0))
         assert_broadcasts_like_scalar_calls(lambda noise: quantized_snr(q, a_inv, noise, link, 30.0))
+
+    @pytest.mark.parametrize(
+        "link, budget",
+        [
+            # an infinite budget used to overflow converting it to an integer,
+            # a finite one past the cap to fail later on the quantizer's bit count
+            (CooperationLink(1e308, 10.0), "inf"),
+            (CooperationLink(1000.0, 10.0), repr(1000.0 * math.log2(11.0))),
+        ],
+    )
+    def test_link_over_the_bit_cap_names_its_budget(self, link, budget):
+        message = f"a link budget of {budget} bits per sample is at or over the 1024-bit cap"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quantized_snr(np.eye(2), np.eye(2), 1.0, link, 30.0)
 
     def test_huge_bandwidth_converges_to_ideal_sharing(self):
         h_e, q = self._setup(1)
