@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .codebook import DEFAULT_BUDGET_BYTES, over_budget
+from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget
 from .quantization import OVERLOAD_MAX_USERS, link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
@@ -42,8 +42,9 @@ PRESET_NAMES = tuple(PRESETS)
 # 10**(-x/10) stays a normal positive float for |x| <= 300 dB; beyond it
 # noise powers and link SNRs underflow to 0 or overflow
 DB_LIMIT = 300.0
-# a record row's five float64 values in the sweep's results
-RECORD_ROW_BYTES = 5 * 8
+# the writer's Python objects per trial row of the one grid point it holds:
+# values, cells, CSV line and mirror object, 1.8 KB measured with mirrors
+WRITER_ROW_BYTES = 2048
 
 
 class ConfigError(ValueError):
@@ -138,24 +139,61 @@ class ExperimentConfig:
         reason = over_budget(worst, max(self.b_grid))
         if reason:
             raise ConfigError(reason)
-        # a sweep holds every count's records and drawn trials at once, under the same budget
-        points = len(self.b_grid) * len(self.snr_db_grid)
-        if self.mode == "quantized-rsi":
-            points *= len(self.gamma_db_grid) * len(self.bandwidth_ratio_grid)
-        rows = points * len(self.user_count_grid) * self.num_trials
-        # per trial: id, usable flag, eigenvalues, and eigenvectors and Gram inverse
-        per_trial = sum(9 + 8 * p + 32 * p * p for p in self.user_count_grid)
-        need = rows * RECORD_ROW_BYTES + self.num_trials * per_trial
+        need = self.sweep_bytes()
         if need > DEFAULT_BUDGET_BYTES:
+            rows = math.prod(map(len, self.sweep_axes())) * self.num_trials
             raise ConfigError(
-                f"num_trials={self.num_trials} makes {rows} record rows: the records and "
-                f"the drawn trials need {need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
+                f"num_trials={self.num_trials} makes {rows} record rows: the sweep "
+                f"needs {need} bytes at its peak, budget is {DEFAULT_BUDGET_BYTES}"
             )
         # float fields hold floats, so 0 and 0.0 write the same bytes
         for name in ("sector_center", "sector_spread", "tau"):
             setattr(self, name, float(getattr(self, name)))
         for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
             setattr(self, name, [float(value) for value in getattr(self, name)])
+
+    def sweep_axes(self) -> tuple:
+        """The five axes in sweep order: P, b, SNR, gamma, Wc/W (one None each in ideal mode)."""
+        quantized = self.mode == "quantized-rsi"
+        links = (self.gamma_db_grid, self.bandwidth_ratio_grid) if quantized else ([None], [None])
+        return (self.user_count_grid, self.b_grid, self.snr_db_grid, *links)
+
+    def sweep_bytes(self) -> int:
+        """An upper bound on the bytes a sweep of this validated config holds at once.
+
+        Throughout, per trial: every count's drawn trials (id, usable flag,
+        eigenvalues, eigenvectors and Gram inverse: 9 + 8P + 32P^2) and
+        records (40 per grid point). On top, the larger of two phases. The
+        sweep, one count at a time: per trial, the count's chosen codewords
+        (16P^2 + 8 per b) and either the selection state (32P^2 + 16) or the
+        evaluation's coop, overload, bound and standard-error arrays (32 per
+        point), one b's SNR temporaries, three at once in ``capacity`` (24P
+        per SNR and link), and its zero-forcing and ideal capacities and Gram
+        products (16 per SNR, 16P^2); and the codebook stream's draw buffer,
+        block store and CGS2 temporaries (48P^2 per codeword of a block). Or
+        the writer's rows of one grid point (``WRITER_ROW_BYTES`` per trial).
+        Then eight float64 arrays the size of the largest chunk temporary, of
+        the draw or of the scoring, and in quantized mode one trial's overload
+        tails, as arrays and as a list of floats (80 per tail and SNR).
+        """
+        _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
+        per_b = snrs * gammas * ratios  # the (S, K) of the SNR temporaries
+        points, trials, counts = bits * per_b, self.num_trials, self.user_count_grid
+        held = trials * sum(9 + 8 * p + 32 * p * p + 40 * points for p in counts)
+
+        def count_bytes(p):
+            evaluation = 32 * points + 24 * per_b * p + 16 * (snrs + p * p)
+            return bits * (16 * p * p + 8) + max(32 * p * p + 16, evaluation)
+
+        stream = 48 * max(counts) ** 2 * min(1 << max(self.b_grid), BLOCK)
+        sweep = trials * max(map(count_bytes, counts)) + stream
+        half = -(-self.M // 2)
+        per_chunk = max(1, ELEMENT_BOUND // (half * self.L))
+        chunk = 64 * max(ELEMENT_BOUND, per_chunk * self.L * max(half, self.L))
+        tails = 0
+        if self.mode == "quantized-rsi":  # 2P * 4**(P - 1) tails per SNR
+            tails = 40 * snrs * max(p * 4**p for p in counts)
+        return held + max(sweep, trials * WRITER_ROW_BYTES) + chunk + tails
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

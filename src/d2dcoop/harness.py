@@ -10,14 +10,14 @@ bigger ones and one streamed pass per user count chooses every trial's
 codeword for every b and SNR. Every grid point is then a closed form run
 over the trial and grid axes at once, from :func:`draw_trials`, the only
 channel draw, to one float array of records per user count, which
-:func:`point_rows` turns into Python values a grid point at a time.
-:func:`run_trial` is the per-point reference.
+:func:`point_rows` turns into Python values a grid point at a time and
+:func:`write_outputs` into cells, formatted once for both a CSV row and a
+JSON mirror object. :func:`run_trial` is the per-point reference.
 """
 
 import contextlib
 import dataclasses
 import itertools
-import json
 import operator
 import os
 from dataclasses import dataclass
@@ -94,17 +94,9 @@ def capacity(snrs):
     return float(rates) if rates.ndim == 0 else rates
 
 
-def _link_axes(config: ExperimentConfig):
-    """The gamma and bandwidth-ratio axes; one None each in ideal mode."""
-    if config.mode == "quantized-rsi":
-        return config.gamma_db_grid, config.bandwidth_ratio_grid
-    return [None], [None]
-
-
 def grid_points(config: ExperimentConfig):
     """The deterministic sweep order used for records and CSV rows."""
-    axes = (config.user_count_grid, config.b_grid, config.snr_db_grid, *_link_axes(config))
-    return (GridPoint(*key) for key in itertools.product(*axes))
+    return (GridPoint(*key) for key in itertools.product(*config.sweep_axes()))
 
 
 def _codebook_rng(config: ExperimentConfig, users: int) -> np.random.Generator:
@@ -219,7 +211,8 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     column = noise[:, None, None]  # (S, 1, 1) against the (U, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
     if config.mode == "quantized-rsi":
-        variances, carries = link_variances(*_link_axes(config), config.tau)
+        grids = config.gamma_db_grid, config.bandwidth_ratio_grid
+        variances, carries = link_variances(*grids, config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
     shape = (len(config.b_grid), len(noise), len(variances), len(a_inv))
     coop, overload = np.empty(shape), np.zeros(shape)
@@ -269,6 +262,19 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
     return TrialRecord(*key, *(column[0] for column in records))
 
 
+def sweep_trials(config: ExperimentConfig, users: int) -> Trials:
+    """:func:`draw_trials` of the sweep's trials of ``users``; raises
+    :class:`ConfigError`, naming the largest condition number, when none is usable."""
+    trials = draw_trials(config, users, range(config.num_trials))
+    if not len(trials.a_inv):
+        worst = condition_number(trials.eigenvalues).max()
+        raise ConfigError(
+            f"all {config.num_trials} trials of {users} users are ill-conditioned: "
+            f"the largest condition number is {worst:.3e}, over the limit {COND_LIMIT:.1e}"
+        )
+    return trials
+
+
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the full Cartesian sweep: a :class:`CountResult` per user count.
 
@@ -278,20 +284,13 @@ def run_experiment(config: ExperimentConfig) -> list:
     a time, and its trials are evaluated at all of its grid points at once.
     """
     config.validate()
-    counts = config.user_count_grid
-    drawn = {users: draw_trials(config, users, range(config.num_trials)) for users in counts}
-    for users, trials in drawn.items():
-        if not len(trials.a_inv):
-            worst = condition_number(trials.eigenvalues).max()
-            raise ConfigError(
-                f"all {config.num_trials} trials of {users} users are ill-conditioned: "
-                f"the largest condition number is {worst:.3e}, over the limit {COND_LIMIT:.1e}"
-            )
+    drawn = {users: sweep_trials(config, users) for users in config.user_count_grid}
     results = []
     for users, trials in drawn.items():
         blocks = codebook_blocks(config, users, max(config.b_grid))
         choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
         results.append(evaluate_trials(config, users, trials, choices))
+        del choices  # so a count's codewords are freed before the next count selects
     return results
 
 
@@ -312,17 +311,16 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     pairing, of the codeword the average-SNR selector picks. Selection is
     not a minimum-distortion quantizer, so the gap between the two audits
     the cell approximation behind the bound. Ill-conditioned trials are
-    skipped. Raises ValueError, before generating the codebook, when no
-    trial is usable or when ``users`` is not a user count of the config.
+    skipped. Raises, before generating the codebook, the ConfigError of
+    :func:`sweep_trials` when no trial is usable, and ValueError when
+    ``users`` is not a user count of the config.
     """
     config.validate()
     if users not in config.user_count_grid:
         raise ValueError(f"{users} users is not a user count of the sweep")
-    trials = draw_trials(config, users, range(config.num_trials))
+    trials = sweep_trials(config, users)
     eigenvectors = trials.eigenvectors[trials.usable]
     usable = len(eigenvectors)
-    if not usable:
-        raise ValueError(f"all {config.num_trials} trials are ill-conditioned")
     # nearest[b][t, p]: the least distortion of column p over the 2**b prefix, usable trial t
     nearest = {bits: np.full((usable, users), np.inf) for bits in config.b_grid}
 
@@ -395,7 +393,7 @@ def _nones(values: list) -> list:
 
 
 def _cells(values) -> list:
-    """CSV cells: ``""`` for None, else ``str``, which is ``repr`` for a float."""
+    """Output cells: ``""`` for None, else ``str``, which is ``repr`` for a float."""
     return ["" if value is None else str(value) for value in values]
 
 
@@ -403,14 +401,18 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
     """Write trials.csv and aggregate.csv, and on request their JSON mirrors
     (one object per row), from one pass of :func:`point_rows`; returns their paths.
 
-    A CSV row is its point's :data:`CSV_KEY` cells, formatted once per point,
-    then its own; a mirror takes each point's objects as one ``indent=1``
-    list without its brackets: ``json.dumps(rows, indent=1)`` byte for byte.
+    Each point's key, trial columns and summary are formatted once, by :func:`_cells`. A
+    CSV row joins its :data:`CSV_KEY` cells and its own; a mirror object fills its table's
+    layout with them, ``null`` for ``""``, so a mirror is ``json.dumps(rows, indent=1)``:
+    the values are ints, finite floats and None, and ``json`` writes a float's ``repr``.
     """
     os.makedirs(out_dir, exist_ok=True)
     names = ["trials.csv", "aggregate.csv"] + ["trials.json", "aggregate.json"] * json_mirror
     written = [os.path.join(out_dir, name) for name in names]
-    encode = json.JSONEncoder(indent=1).encode  # json.dumps would build one per call
+    # one object of json.dumps(rows, indent=1) per table, a %s per field
+    layouts = [" {\n" + ",\n".join(f'  "{name}": %s' for name in fields) + "\n }"
+               for fields in (TRIAL_FIELDS, SUMMARY_FIELDS)]
+    head, tail = _cells((config.figure_preset, config.mode, config.M)), _cells((config.D, config.L))
     with contextlib.ExitStack() as stack:
         trials_csv, aggregate_csv, *mirrors = (
             stack.enter_context(open(path, "w", encoding="utf-8", newline="")) for path in written
@@ -419,16 +421,14 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
         aggregate_csv.write(AGGREGATE_CSV_HEADER + "\n")
         opening = "[\n"
         for key, records, summary in point_rows(config, results):
-            users, *point = key
-            cells = (config.figure_preset, config.mode, config.M, users, config.D, config.L, *point)
-            prefix = ",".join(_cells(cells)) + ","
-            rows = zip(*map(_cells, records))
-            trials_csv.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
-            aggregate_csv.write(prefix + ",".join(_cells(summary)) + "\n")
-            tables = ((TRIAL_FIELDS, zip(*records)), (SUMMARY_FIELDS, [summary]))
-            for mirror, (fields, rows) in zip(mirrors, tables):
-                objects = [dict(zip(fields, (*key, *row))) for row in rows]
-                mirror.write(opening + encode(objects)[2:-2])  # drop "[\n" and "\n]"
+            users, *point = key_cells = _cells(key)
+            prefix = ",".join((*head, users, *tail, *point)) + ","
+            columns, summary_cells = [*map(_cells, records)], _cells(summary)
+            trials_csv.write("".join([prefix + ",".join(row) + "\n" for row in zip(*columns)]))
+            aggregate_csv.write(prefix + ",".join(summary_cells) + "\n")
+            for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), [summary_cells])):
+                objects = [layout % tuple(c or "null" for c in (*key_cells, *row)) for row in rows]
+                mirror.write(opening + ",\n".join(objects))
             opening = ",\n"
         for mirror in mirrors:
             mirror.write("\n]\n")

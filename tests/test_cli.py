@@ -53,12 +53,20 @@ def test_validate_rejects_oversized_codebook(tmp_path, capsys):
 
 
 def test_validate_rejects_a_sweep_over_the_memory_budget(tmp_path, capsys):
-    # the records and drawn trials of 10**15 trials would exhaust memory mid-run
+    # the records and drawn trials of 10**15 trials would exhaust memory
+    # mid-run. At 200,000 trials the bits preset's records are 0.4 GB, but
+    # its chosen codewords, a 5 x 5 matrix per b and trial, add 1.3 GB
     path = write_config(tmp_path / "long.json", num_trials=10**15)
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: num_trials=1000000000000000 makes ")
     assert " record rows" in err
+    out = tmp_path / "bits"
+    assert main(["preset", "fig-capacity-vs-bits", "--trials", "200000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: num_trials=200000 makes 9600000 record rows"
+    )
+    assert not out.exists()
 
 
 def test_validate_rejects_malformed_json(tmp_path, capsys):

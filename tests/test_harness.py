@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import columns
 from d2dcoop import (
+    PRESET_NAMES,
     ConfigError,
     CooperationLink,
     ExperimentConfig,
@@ -481,14 +482,16 @@ class TestRunExperiment:
     def test_count_without_usable_trial_raises_before_any_codebook(self, monkeypatch):
         # a point-like sector leaves one user's 1 x 1 Gram usable and every
         # four-user Gram singular. The sweep draws every count's trials
-        # first, so it raises before the one-user codebook; the per-point
-        # reference still records each four-user trial as flagged, and
-        # generates no codebook for it
+        # first, so it raises before the one-user codebook, and the audit of
+        # that count raises the same error; the per-point reference still
+        # records each four-user trial as flagged, and generates no codebook for it
         config = small_config(user_count_grid=[1, 4], num_trials=3, sector_spread=1e-9)
         generated = spy_codebooks(monkeypatch)
         message = r"all 3 trials of 4 users are ill-conditioned: the largest condition number is "
         with pytest.raises(ConfigError, match=message):
             run_experiment(config)
+        with pytest.raises(ConfigError, match=message):
+            cell_distortion_audit(config, 4)
         assert generated == []
         flagged = [r for r in per_point_reference(config) if r.users == 4]
         assert flagged and all(r.cond_fail == 1 for r in flagged)
@@ -602,6 +605,7 @@ class TestRunExperiment:
         user_count_grid=[1, 4], num_trials=24, sector_spread=0.01, mode="quantized-rsi",
         gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
     ))
+    @example(small_config(snr_db_grid=[-300.0, 300.0]))
     def test_written_rows_equal_per_point_reference(self, config):
         # every trials.csv row is its (point, trial)'s run_trial record and
         # every aggregate.csv row summarize_point on the one contiguous array
@@ -611,18 +615,23 @@ class TestRunExperiment:
         # ill-conditioned trials. The 24-trial one mixes usable and flagged
         # trials at four users: a sweep that reduced a masked view of all the
         # trials (x[..., usable], which is strided) would sum more than 8
-        # values in another order and move the last bit of the means
+        # values in another order and move the last bit of the means. At
+        # -300 dB every capacity is 0.0 and norm_capacity is empty. Each JSON
+        # mirror is json.dumps of the same rows, byte for byte
         assume(all_counts_usable(config))
         with tempfile.TemporaryDirectory() as out:
-            write_outputs(out, config, run_experiment(config))
+            write_outputs(out, config, run_experiment(config), json_mirror=True)
             trial_lines, aggregate_lines = (
                 Path(out, name).read_text().splitlines()[1:]
                 for name in ("trials.csv", "aggregate.csv")
             )
+            trial_json, aggregate_json = (
+                Path(out, name).read_text() for name in ("trials.json", "aggregate.json")
+            )
         reference = per_point_reference(config)
         own_trial = TRIAL_CSV_HEADER.split(",")[10:]
         n = config.num_trials
-        expected_trials, expected_aggregate = [], []
+        expected_trials, expected_aggregate, summaries = [], [], []
         for i, point in enumerate(grid_points(config)):
             key = (
                 config.figure_preset or "", config.mode, config.M, point.users, config.D,
@@ -642,8 +651,12 @@ class TestRunExperiment:
             stats = [None if np.isnan(x) else float(x) for x in stats]
             cells = (*key, *stats, len(usable), n - len(usable))
             expected_aggregate.append(",".join(map(csv_cell, cells)))
+            summary = (*dataclasses.astuple(point), *stats, len(usable), n - len(usable))
+            summaries.append(dict(zip(SUMMARY_FIELDS, summary)))
         assert trial_lines == expected_trials
         assert aggregate_lines == expected_aggregate
+        assert trial_json == json.dumps([dataclasses.asdict(r) for r in reference], indent=1) + "\n"
+        assert aggregate_json == json.dumps(summaries, indent=1) + "\n"
 
 
 class TestCellDistortionAudit:
@@ -742,17 +755,26 @@ class TestCsvOutput:
         # the records stay one float array per user count and the writer
         # streams one grid point at a time: the sweep and all four files peak
         # at 0.14 KB per row. Object columns and whole-table text peaked at
-        # 3.0 KB per row, JSON mirrors included
+        # 3.0 KB per row, JSON mirrors included. That peak, and each preset's
+        # at 2 trials, where the chunked temporaries and the codebook stream
+        # dominate, stay within what validate counts against the budget
+        def peak_bytes(config, out):
+            tracemalloc.start()
+            try:
+                write_outputs(out, config, run_experiment(config), json_mirror=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         config = preset_config("fig-capacity-vs-bandwidth-snr", num_trials=200)
         rows = sum(1 for _ in grid_points(config)) * config.num_trials
-        tracemalloc.start()
-        try:
-            write_outputs(tmp_path, config, run_experiment(config), json_mirror=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(config, tmp_path)
         assert rows == 9000
         assert peak / rows < 300
+        assert peak <= config.sweep_bytes()
+        for name in PRESET_NAMES:
+            small = preset_config(name, num_trials=2)
+            assert peak_bytes(small, tmp_path / name) <= small.sweep_bytes()
 
 
 def test_grid_point_is_hashable_record():
