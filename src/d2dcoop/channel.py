@@ -181,6 +181,12 @@ def inner_precoder(env: ScatteringEnvironment, dim: int) -> np.ndarray:
     return phase_canonicalize(u[:, :dim])
 
 
+def path_temporary_elements(num_antennas: int, num_paths: int) -> int:
+    """Elements of the largest temporary one trial of :func:`path_effective_channel`
+    forms: its (ceil(M/2), L) cosines and sines or its (L, L) path Gram."""
+    return num_paths * max(-(-num_antennas // 2), num_paths)
+
+
 def path_effective_channel(
     num_antennas: int, path_angles: np.ndarray, gains: np.ndarray, dim: int
 ) -> np.ndarray:

@@ -44,22 +44,14 @@ def over_budget(num_users: int, bits: int) -> str | None:
     """Why a codebook of ``2**bits`` matrices for ``num_users`` users exceeds
     ``DEFAULT_BUDGET_BYTES``, or None when it fits.
 
-    ``2**bits`` codewords exceed the budget for any user count once ``bits``
-    reaches the budget's bit length, so such an entry is rejected before
-    ``2**bits`` is formed: for a huge ``bits`` the shift alone overflows or
-    exhausts memory.
+    ``2**bits`` codewords exceed it for any user count from its bit length on, so
+    the check stops there, before a huge ``bits`` overflows the shift or exhausts memory.
     """
     limit = DEFAULT_BUDGET_BYTES.bit_length()
-    if bits >= limit:
+    if bits >= limit or codebook_bytes(num_users, bits) > DEFAULT_BUDGET_BYTES:
         return (
-            f"a codebook of 2**b matrices with b >= {limit} exceeds the budget "
-            f"of {DEFAULT_BUDGET_BYTES} bytes"
-        )
-    need = codebook_bytes(num_users, bits)
-    if need > DEFAULT_BUDGET_BYTES:
-        return (
-            f"codebook of 2**{bits} matrices for {num_users} users needs "
-            f"{need} bytes, budget is {DEFAULT_BUDGET_BYTES}"
+            f"a codebook of 2**{bits} matrices for {num_users} users exceeds the "
+            f"budget of {DEFAULT_BUDGET_BYTES} bytes"
         )
     return None
 

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .channel import path_temporary_elements
 from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget
 from .quantization import OVERLOAD_MAX_USERS, link_variances
 
@@ -143,8 +144,10 @@ class ExperimentConfig:
         if need > DEFAULT_BUDGET_BYTES:
             rows = math.prod(map(len, self.sweep_axes())) * self.num_trials
             raise ConfigError(
-                f"num_trials={self.num_trials} makes {rows} record rows: the sweep "
-                f"needs {need} bytes at its peak, budget is {DEFAULT_BUDGET_BYTES}"
+                f"num_trials={self.num_trials} makes {rows} record rows, M={self.M} and "
+                f"L={self.L} a draw temporary of {path_temporary_elements(self.M, self.L)} "
+                f"elements: the sweep needs {need} bytes at its peak, budget is "
+                f"{DEFAULT_BUDGET_BYTES}"
             )
         # float fields hold floats, so 0 and 0.0 write the same bytes
         for name in ("sector_center", "sector_spread", "tau"):
@@ -172,9 +175,9 @@ class ExperimentConfig:
         products (16 per SNR, 16P^2); and the codebook stream's draw buffer,
         block store and CGS2 temporaries (48P^2 per codeword of a block). Or
         the writer's rows of one grid point (``WRITER_ROW_BYTES`` per trial).
-        Then eight float64 arrays the size of the largest chunk temporary, of
-        the draw or of the scoring, and in quantized mode one trial's overload
-        tails, as arrays and as a list of floats (80 per tail and SNR).
+        Then eight float64 arrays of the largest chunk temporary (``ELEMENT_BOUND``
+        or one trial's ``path_temporary_elements``), and in quantized mode one
+        trial's overload tails, as arrays and as a list of floats (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b = snrs * gammas * ratios  # the (S, K) of the SNR temporaries
@@ -187,9 +190,7 @@ class ExperimentConfig:
 
         stream = 48 * max(counts) ** 2 * min(1 << max(self.b_grid), BLOCK)
         sweep = trials * max(map(count_bytes, counts)) + stream
-        half = -(-self.M // 2)
-        per_chunk = max(1, ELEMENT_BOUND // (half * self.L))
-        chunk = 64 * max(ELEMENT_BOUND, per_chunk * self.L * max(half, self.L))
+        chunk = 64 * max(ELEMENT_BOUND, path_temporary_elements(self.M, self.L))
         tails = 0
         if self.mode == "quantized-rsi":  # 2P * 4**(P - 1) tails per SNR
             tails = 40 * snrs * max(p * 4**p for p in counts)

@@ -27,7 +27,8 @@ import numpy as np
 from .bounds import aligned_cell_distortion, cell_distortion, snr_lower_bound_terms
 from .channel import analytic_covariance  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import draw_environment  # noqa: F401  perfbench/spans.py wraps it by name
-from .channel import gains_from_normals, path_effective_channel, sector_angles
+from .channel import gains_from_normals, path_effective_channel, path_temporary_elements
+from .channel import sector_angles
 from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import ELEMENT_BOUND, codebook_stream, generate_codebook
@@ -142,12 +143,12 @@ class Trials:
 def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     """Draw the channels of ``trials`` and factorise their effective Grams.
 
-    The trials run in chunks, as many per chunk as keep the path Gram's
-    ``(trials, ceil(M/2), L)`` temporaries within ``ELEMENT_BOUND`` (at
-    least one). Each trial's own generator, seeded from ``(master_seed,
-    TRIAL_STREAM, trial)``, fills its row of the chunk's ``(T, L)`` uniforms
-    and then of its ``(T, 2, L, P)`` normals: the draws that
-    :func:`~d2dcoop.channel.draw_environment` and
+    The trials run in chunks, as many per chunk as keep the path Gram route's
+    temporaries (:func:`~d2dcoop.channel.path_temporary_elements` per trial)
+    within ``ELEMENT_BOUND`` (at least one). Each trial's own generator,
+    seeded from ``(master_seed, TRIAL_STREAM, trial)``, fills its row of the
+    chunk's ``(T, L)`` uniforms and then of its ``(T, 2, L, P)`` normals: the
+    draws that :func:`~d2dcoop.channel.draw_environment` and
     :func:`~d2dcoop.channel.path_gains` make, in their order. The sector map,
     the gain scaling, the L x L path Gram route
     (:func:`~d2dcoop.channel.path_effective_channel`) and the Gram
@@ -156,7 +157,7 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     one-trial draw.
     """
     ids = np.array(trials, dtype=int)
-    per_chunk = max(1, ELEMENT_BOUND // (-(-config.M // 2) * config.L))
+    per_chunk = max(1, ELEMENT_BOUND // path_temporary_elements(config.M, config.L))
     eigenvalues = np.empty((len(ids), users))
     eigenvectors = np.empty((len(ids), users, users), dtype=complex)
     for first in range(0, len(ids), per_chunk):

@@ -83,6 +83,10 @@ class TestEnvironment:
             draw_environment(4, 1, rng, sector_spread=0.0)
         with pytest.raises(ValueError):
             draw_environment(4, 1, rng, sector_spread=-1.0)
+        with pytest.raises(ValueError, match="num_paths must be a positive integer"):
+            draw_environment(4, 0, rng)
+        with pytest.raises(ValueError, match="sector_center must be finite"):
+            draw_environment(4, 1, rng, sector_center=np.inf)
 
     def test_out_of_range_angles_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +95,8 @@ class TestEnvironment:
             ScatteringEnvironment(4, np.array([np.nan]))
         with pytest.raises(ValueError):
             ScatteringEnvironment(0, np.array([0.0]))
+        with pytest.raises(ValueError, match="path_angles must be nonempty"):
+            ScatteringEnvironment(4, np.array([]))
 
 
 class TestSampleChannel:

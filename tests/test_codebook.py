@@ -58,6 +58,13 @@ def test_codebook_size_is_power_of_two():
     rng = np.random.default_rng(0)
     assert len(generate_codebook(4, 0, rng)) == 1
     assert len(generate_codebook(4, 6, np.random.default_rng(0))) == 64
+    # no codebook has no users or a negative bit count, on either entry point
+    with pytest.raises(ValueError, match="num_users must be a positive integer"):
+        generate_codebook(0, 3, rng)
+    with pytest.raises(ValueError, match="num_users must be a positive integer"):
+        next(codebook_stream(0, 3, rng))
+    with pytest.raises(ValueError, match="bits must be nonnegative"):
+        generate_codebook(3, -1, rng)
 
 
 def test_all_codewords_unitary():

@@ -35,8 +35,8 @@ from d2dcoop import (
     snr_denominators,
 )
 from d2dcoop import harness
-from d2dcoop.channel import path_effective_channel, path_gains, ray_sum
-from d2dcoop.codebook import BLOCK, codebook_bytes, select_prefix_codewords
+from d2dcoop.channel import path_effective_channel, path_gains, path_temporary_elements, ray_sum
+from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, codebook_bytes, select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     SUMMARY_FIELDS,
@@ -170,7 +170,7 @@ def oracle_grams(config, users, trials):
 def chunk_budget(config, trials):
     """An ``ELEMENT_BOUND`` for the draw that puts ``trials`` trials of ``config`` in
     each draw chunk, short of the next multiple so that the chunk size rounds down."""
-    per_trial = -(-config.M // 2) * config.L
+    per_trial = path_temporary_elements(config.M, config.L)
     return patch.object(harness, "ELEMENT_BOUND", (trials + 1) * per_trial - 1)
 
 
@@ -367,6 +367,20 @@ class TestDrawTrials:
             oracle_cond = condition_number(np.linalg.eigvalsh(oracle))
             if not COND_LIMIT / 10 < oracle_cond < COND_LIMIT * 10:
                 assert trials.usable[row] == (oracle_cond <= COND_LIMIT)
+
+    def test_chunk_holds_its_path_grams_within_the_bound(self):
+        # at M = 16, L = 200 one trial's 200 x 200 path Gram outgrows its
+        # 8 x 200 cosines and sines. Sized by those alone, a chunk held 10
+        # trials, 400,000 elements in each L x L stack, and 30 trials peaked at
+        # 7.4 MB; with one trial per chunk they peak at 0.75 MB
+        config = small_config(L=200)
+        tracemalloc.start()
+        try:
+            draw_trials(config, 4, range(30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * ELEMENT_BOUND
 
     def test_all_ill_conditioned_chunk_raises_no_warning(self):
         # a point-like sector makes every Gram singular; the stacked
@@ -755,9 +769,11 @@ class TestCsvOutput:
         # the records stay one float array per user count and the writer
         # streams one grid point at a time: the sweep and all four files peak
         # at 0.14 KB per row. Object columns and whole-table text peaked at
-        # 3.0 KB per row, JSON mirrors included. That peak, and each preset's
-        # at 2 trials, where the chunked temporaries and the codebook stream
-        # dominate, stay within what validate counts against the budget
+        # 3.0 KB per row, JSON mirrors included. That peak, each preset's at 2
+        # trials, where the chunked temporaries and the codebook stream
+        # dominate, and that of paths outnumbering half the array, where one
+        # trial's L x L path Gram is the largest draw temporary, stay within
+        # what validate counts against the budget
         def peak_bytes(config, out):
             tracemalloc.start()
             try:
@@ -772,9 +788,10 @@ class TestCsvOutput:
         assert rows == 9000
         assert peak / rows < 300
         assert peak <= config.sweep_bytes()
-        for name in PRESET_NAMES:
-            small = preset_config(name, num_trials=2)
-            assert peak_bytes(small, tmp_path / name) <= small.sweep_bytes()
+        smalls = [preset_config(name, num_trials=2) for name in PRESET_NAMES]
+        smalls.append(ExperimentConfig(M=6, L=100, num_trials=40, user_count_grid=[2, 6]))
+        for index, small in enumerate(smalls):
+            assert peak_bytes(small, tmp_path / str(index)) <= small.sweep_bytes()
 
 
 def test_grid_point_is_hashable_record():

@@ -321,6 +321,11 @@ class TestIllConditioning:
         h_e[:, -1:] = h_e[:, :-1] @ weights
         with pytest.raises(IllConditionedChannelError):
             inverse_of(h_e)
+        # the oracles gate their own route on the same limit
+        with pytest.raises(IllConditionedChannelError, match="exceeds limit"):
+            per_user_snr_gram(h_e, np.eye(users), 1.0, 0)
+        with pytest.raises(IllConditionedChannelError, match="exceeds limit"):
+            zf_outer_precoder(h_e, np.eye(users))
 
 
 class TestStackedConditioning:

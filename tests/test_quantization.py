@@ -85,6 +85,7 @@ class TestUniformQuantize:
         assert np.abs(out.real).max() <= top and np.abs(out.imag).max() <= top
         assert overload_count(y, cfg) == 3
         assert overload_fraction(y, cfg) == pytest.approx(0.5)
+        assert overload_fraction(np.array([], dtype=complex), cfg) == 0.0
 
     def test_empirical_error_variance_matches_model(self):
         # uniform in-range inputs: per-component error variance tau^2/(3 2^c)
