@@ -161,6 +161,12 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
     return index, codebook[index], float(scores[index] / (noise_power * codebook.shape[1]))
 
 
+def part_elements(num_users: int) -> int:
+    """Elements one codeword adds to a scoring part of :func:`select_prefix_codewords`:
+    the ``P**2`` lifted features of each of its ``P`` columns."""
+    return num_users**3
+
+
 def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
@@ -181,7 +187,7 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     size = max(edge_bits)
     gram_invs = np.asarray(gram_invs)
     num, users = gram_invs.shape[:2]
-    part_rows = max(1, min(BLOCK, ELEMENT_BOUND // users**3))
+    part_rows = max(1, min(BLOCK, ELEMENT_BOUND // part_elements(users)))
     chunk = max(1, ELEMENT_BOUND // (users * part_rows))
     upper_i, upper_j = np.triu_indices(users, 1)
     upper = 2.0 * gram_invs[:, upper_i, upper_j]

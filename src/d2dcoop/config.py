@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .channel import path_temporary_elements
-from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget
+from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget, part_elements
 from .quantization import OVERLOAD_MAX_USERS, link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
@@ -44,7 +44,7 @@ PRESET_NAMES = tuple(PRESETS)
 # noise powers and link SNRs underflow to 0 or overflow
 DB_LIMIT = 300.0
 # the writer's Python objects per trial row of the one grid point it holds:
-# values, cells, CSV line and mirror object, 1.8 KB measured with mirrors
+# cells, CSV line and mirror object, 1.6 KB measured with mirrors
 WRITER_ROW_BYTES = 2048
 
 
@@ -175,9 +175,10 @@ class ExperimentConfig:
         products (16 per SNR, 16P^2); and the codebook stream's draw buffer,
         block store and CGS2 temporaries (48P^2 per codeword of a block). Or
         the writer's rows of one grid point (``WRITER_ROW_BYTES`` per trial).
-        Then eight float64 arrays of the largest chunk temporary (``ELEMENT_BOUND``
-        or one trial's ``path_temporary_elements``), and in quantized mode one
-        trial's overload tails, as arrays and as a list of floats (80 per tail and SNR).
+        Then eight float64 arrays of the largest chunk temporary (``ELEMENT_BOUND``,
+        one trial's ``path_temporary_elements`` or one codeword's ``part_elements``),
+        and in quantized mode one trial's overload tails, as arrays and as a list of
+        floats (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b = snrs * gammas * ratios  # the (S, K) of the SNR temporaries
@@ -190,7 +191,8 @@ class ExperimentConfig:
 
         stream = 48 * max(counts) ** 2 * min(1 << max(self.b_grid), BLOCK)
         sweep = trials * max(map(count_bytes, counts)) + stream
-        chunk = 64 * max(ELEMENT_BOUND, path_temporary_elements(self.M, self.L))
+        temporaries = path_temporary_elements(self.M, self.L), part_elements(max(counts))
+        chunk = 64 * max(ELEMENT_BOUND, *temporaries)
         tails = 0
         if self.mode == "quantized-rsi":  # 2P * 4**(P - 1) tails per SNR
             tails = 40 * snrs * max(p * 4**p for p in counts)

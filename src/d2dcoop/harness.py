@@ -10,9 +10,9 @@ bigger ones and one streamed pass per user count chooses every trial's
 codeword for every b and SNR. Every grid point is then a closed form run
 over the trial and grid axes at once, from :func:`draw_trials`, the only
 channel draw, to one float array of records per user count, which
-:func:`point_rows` turns into Python values a grid point at a time and
-:func:`write_outputs` into cells, formatted once for both a CSV row and a
-JSON mirror object. :func:`run_trial` is the per-point reference.
+:func:`point_rows` turns into output cells a grid point at a time, each formatted
+once for both a CSV row and a JSON mirror object of :func:`write_outputs`.
+:func:`run_trial` is the per-point reference.
 """
 
 import contextlib
@@ -243,9 +243,9 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
     """One trial at one grid point: the per-point reference path of the sweep.
 
     It chooses from its own whole ``2**b`` codebook with the reference
-    :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point
-    grid through the same :func:`evaluate_trials` and :func:`point_rows`.
-    An ill-conditioned trial generates no codebook and has ``cond_fail`` 1.
+    :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point grid
+    through the same :func:`evaluate_trials`, whose empty cells it returns as
+    None. An ill-conditioned trial generates no codebook and has ``cond_fail`` 1.
     """
     one_point = dataclasses.replace(
         config, user_count_grid=[point.users], b_grid=[point.bits], snr_db_grid=[point.snr_db],
@@ -258,9 +258,10 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
         choices[point.bits] = np.array([index]), codeword[None]
-    result = evaluate_trials(one_point, point.users, trials, choices)
-    ((key, records, _),) = point_rows(one_point, [result])
-    return TrialRecord(*key, *(column[0] for column in records))
+    values = evaluate_trials(one_point, point.users, trials, choices).values[:, 0, 0].tolist()
+    coop, zf, ideal, bound, overload = (None if value != value else value for value in values)
+    key, cond_fail = dataclasses.astuple(next(grid_points(one_point))), int(not trials.usable[0])
+    return TrialRecord(*key, trial, coop, zf, ideal, bound, cond_fail, overload)
 
 
 def sweep_trials(config: ExperimentConfig, users: int) -> Trials:
@@ -373,39 +374,35 @@ def summarize_point(coop, zf, ideal) -> np.ndarray:
 
 
 def point_rows(config: ExperimentConfig, results):
-    """``(key, records, summary)`` per grid point of ``results``, in sweep order:
-    the point's :class:`GridPoint` fields, its trial rows as columns (a list per
-    field of :data:`TRIAL_FIELDS` after the key) and its fields of
-    :data:`SUMMARY_FIELDS` after the key, as Python values with None in empty
-    cells. Each point's slices leave numpy in one ``tolist`` each."""
+    """``(key, columns, summary)`` output cells per grid point of ``results``, in sweep
+    order: the point's :class:`GridPoint` fields, its trial rows as columns (a list per
+    field of :data:`TRIAL_FIELDS` after the key) and its :data:`SUMMARY_FIELDS` after the
+    key. A point's slices leave numpy in one ``tolist`` each; a count's ``trial``,
+    ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
     keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
     for result in results:
-        ids, cond_fail = result.trials.ids.tolist(), (~result.trials.usable).astype(int).tolist()
-        counts = (len(result.trials.a_inv), result.num_failed)
+        trials = result.trials
+        ids, cond_fail = _cells(trials.ids.tolist()), _cells((~trials.usable).astype(int).tolist())
+        counts = _cells((len(trials.a_inv), result.num_failed))
         for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
-            coop, zf, ideal, bound, overload = map(_nones, values.tolist())
-            records = [ids, coop, zf, ideal, bound, cond_fail, overload]
-            yield next(keys), records, (*_nones(stats.tolist()), *counts)
-
-
-def _nones(values: list) -> list:
-    """``values`` with each NaN, the one float unequal to itself, as None."""
-    return [None if value != value else value for value in values]
+            coop, zf, ideal, bound, overload = map(_cells, values.tolist())
+            columns = [ids, coop, zf, ideal, bound, cond_fail, overload]
+            yield _cells(next(keys)), columns, _cells(stats.tolist()) + counts
 
 
 def _cells(values) -> list:
-    """Output cells: ``""`` for None, else ``str``, which is ``repr`` for a float."""
-    return ["" if value is None else str(value) for value in values]
+    """Output cells: ``""`` for None and NaN, else ``str``, which is ``repr`` for a float."""
+    return ["" if value is None or value != value else str(value) for value in values]
 
 
 def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False):
     """Write trials.csv and aggregate.csv, and on request their JSON mirrors
     (one object per row), from one pass of :func:`point_rows`; returns their paths.
 
-    Each point's key, trial columns and summary are formatted once, by :func:`_cells`. A
-    CSV row joins its :data:`CSV_KEY` cells and its own; a mirror object fills its table's
-    layout with them, ``null`` for ``""``, so a mirror is ``json.dumps(rows, indent=1)``:
-    the values are ints, finite floats and None, and ``json`` writes a float's ``repr``.
+    Each point's cells are formatted once, by :func:`point_rows`. A CSV row joins its
+    :data:`CSV_KEY` cells and its own; a mirror object fills its table's layout with
+    them, ``null`` for ``""``, so a mirror is ``json.dumps(rows, indent=1)``: the values
+    are ints, finite floats and None, and ``json`` writes a float's ``repr``.
     """
     os.makedirs(out_dir, exist_ok=True)
     names = ["trials.csv", "aggregate.csv"] + ["trials.json", "aggregate.json"] * json_mirror
@@ -421,10 +418,9 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
         trials_csv.write(TRIAL_CSV_HEADER + "\n")
         aggregate_csv.write(AGGREGATE_CSV_HEADER + "\n")
         opening = "[\n"
-        for key, records, summary in point_rows(config, results):
-            users, *point = key_cells = _cells(key)
+        for key_cells, columns, summary_cells in point_rows(config, results):
+            users, *point = key_cells
             prefix = ",".join((*head, users, *tail, *point)) + ","
-            columns, summary_cells = [*map(_cells, records)], _cells(summary)
             trials_csv.write("".join([prefix + ",".join(row) + "\n" for row in zip(*columns)]))
             aggregate_csv.write(prefix + ",".join(summary_cells) + "\n")
             for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), [summary_cells])):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -70,13 +72,24 @@ def assert_stacks_like_row_calls(fn, *stacks):
 def columns(config, results):
     """``run_experiment`` results as two ``{field: list}`` tables in sweep order:
     the records over ``harness.TRIAL_FIELDS`` and the summaries over
-    ``harness.SUMMARY_FIELDS``, read through ``harness.point_rows``."""
-    from d2dcoop.harness import SUMMARY_FIELDS, TRIAL_FIELDS, point_rows
+    ``harness.SUMMARY_FIELDS``, read from each ``harness.CountResult``'s arrays
+    as Python values, with None for NaN."""
+    from d2dcoop.harness import SUMMARY_FIELDS, TRIAL_FIELDS, grid_points
 
+    def nones(values):
+        return [None if value != value else value for value in values.tolist()]
+
+    keys = grid_points(config)
     records, summaries = [], []
-    for key, point_records, summary in point_rows(config, results):
-        records += [(*key, *row) for row in zip(*point_records)]
-        summaries.append((*key, *summary))
+    for result in results:
+        ids, cond_fail = result.trials.ids.tolist(), (~result.trials.usable).astype(int).tolist()
+        counts = (len(result.trials.a_inv), result.num_failed)
+        for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
+            key = dataclasses.astuple(next(keys))
+            coop, zf, ideal, bound, overload = map(nones, values)
+            rows = zip(ids, coop, zf, ideal, bound, cond_fail, overload)
+            records += [(*key, *row) for row in rows]
+            summaries.append((*key, *nones(stats), *counts))
     return (
         {name: list(column) for name, column in zip(TRIAL_FIELDS, zip(*records))},
         {name: list(column) for name, column in zip(SUMMARY_FIELDS, zip(*summaries))},

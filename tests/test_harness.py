@@ -772,8 +772,9 @@ class TestCsvOutput:
         # 3.0 KB per row, JSON mirrors included. That peak, each preset's at 2
         # trials, where the chunked temporaries and the codebook stream
         # dominate, and that of paths outnumbering half the array, where one
-        # trial's L x L path Gram is the largest draw temporary, stay within
-        # what validate counts against the budget
+        # trial's L x L path Gram is the largest draw temporary, and that of 40
+        # users, where one codeword's P**3 lifted features pass ELEMENT_BOUND,
+        # stay within what validate counts against the budget
         def peak_bytes(config, out):
             tracemalloc.start()
             try:
@@ -790,6 +791,9 @@ class TestCsvOutput:
         assert peak <= config.sweep_bytes()
         smalls = [preset_config(name, num_trials=2) for name in PRESET_NAMES]
         smalls.append(ExperimentConfig(M=6, L=100, num_trials=40, user_count_grid=[2, 6]))
+        smalls.append(
+            ExperimentConfig(M=128, L=64, D=40, user_count_grid=[40], b_grid=[4], num_trials=2)
+        )
         for index, small in enumerate(smalls):
             assert peak_bytes(small, tmp_path / str(index)) <= small.sweep_bytes()
 
