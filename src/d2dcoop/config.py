@@ -43,9 +43,6 @@ PRESET_NAMES = tuple(PRESETS)
 # 10**(-x/10) stays a normal positive float for |x| <= 300 dB; beyond it
 # noise powers and link SNRs underflow to 0 or overflow
 DB_LIMIT = 300.0
-# the writer's Python objects per trial row of the one grid point it holds:
-# cells, CSV line and mirror object, 1.6 KB measured with mirrors
-WRITER_ROW_BYTES = 2048
 
 
 class ConfigError(ValueError):
@@ -162,41 +159,31 @@ class ExperimentConfig:
         return (self.user_count_grid, self.b_grid, self.snr_db_grid, *links)
 
     def sweep_bytes(self) -> int:
-        """An upper bound on the bytes a sweep of this validated config holds at once.
+        """An upper bound on the bytes a sweep of this validated config holds at once:
+        what it keeps, and its chunks.
 
-        Throughout, per trial: every count's drawn trials (id, usable flag,
-        eigenvalues, eigenvectors and Gram inverse: 9 + 8P + 32P^2) and
-        records (40 per grid point). On top, the larger of two phases. The
-        sweep, one count at a time: per trial, the count's chosen codewords
-        (16P^2 + 8 per b) and either the selection state (32P^2 + 16) or the
-        evaluation's coop, overload, bound and standard-error arrays (32 per
-        point), one b's SNR temporaries, three at once in ``capacity`` (24P
-        per SNR and link), and its zero-forcing and ideal capacities and Gram
-        products (16 per SNR, 16P^2); and the codebook stream's draw buffer,
-        block store and CGS2 temporaries (48P^2 per codeword of a block). Or
-        the writer's rows of one grid point (``WRITER_ROW_BYTES`` per trial).
-        Then eight float64 arrays of the largest chunk temporary (``ELEMENT_BOUND``,
-        one trial's ``path_temporary_elements`` or one codeword's ``part_elements``),
-        and in quantized mode one trial's overload tails, as arrays and as a list of
-        floats (80 per tail and SNR).
+        Kept, per trial: every count's drawn trials (id, usable flag, eigenvalues,
+        eigenvectors, Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and
+        one count's output id and flag cells (144), chosen codewords (16P^2 + 8 per b) and
+        either its selection state (32P^2 + 16) or its summary's inputs (a copy of its
+        cooperative capacities and one temporary, 16 per point; its zero-forcing and ideal
+        capacities, 16 per SNR; its usable index, 8); then the codebook stream's buffers
+        and CGS2 temporaries (48P^2 per codeword of a block). Chunked: eight float64 arrays
+        of the largest chunk (``ELEMENT_BOUND``, one trial's ``path_temporary_elements`` or
+        SNRs, or one codeword's ``part_elements``), which also hold a writer chunk (under
+        64 bytes a cell), and in quantized mode one trial's overload tails (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
-        per_b = snrs * gammas * ratios  # the (S, K) of the SNR temporaries
-        points, trials, counts = bits * per_b, self.num_trials, self.user_count_grid
-        held = trials * sum(9 + 8 * p + 32 * p * p + 40 * points for p in counts)
-
-        def count_bytes(p):
-            evaluation = 32 * points + 24 * per_b * p + 16 * (snrs + p * p)
-            return bits * (16 * p * p + 8) + max(32 * p * p + 16, evaluation)
-
+        per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
+        held = trials * (144 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
+        summary = 16 * (bits * per_b + snrs) + 8
+        working = max(bits * (16 * p * p + 8) + max(32 * p * p + 16, summary) for p in counts)
         stream = 48 * max(counts) ** 2 * min(1 << max(self.b_grid), BLOCK)
-        sweep = trials * max(map(count_bytes, counts)) + stream
         temporaries = path_temporary_elements(self.M, self.L), part_elements(max(counts))
-        chunk = 64 * max(ELEMENT_BOUND, *temporaries)
-        tails = 0
-        if self.mode == "quantized-rsi":  # 2P * 4**(P - 1) tails per SNR
-            tails = 40 * snrs * max(p * 4**p for p in counts)
-        return held + max(sweep, trials * WRITER_ROW_BYTES) + chunk + tails
+        chunk = 64 * max(ELEMENT_BOUND, per_b * max(counts), *temporaries)
+        quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
+        tails = 40 * snrs * max(p * 4**p for p in counts) if quantized else 0
+        return held + trials * working + stream + chunk + tails
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

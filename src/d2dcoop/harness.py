@@ -7,12 +7,11 @@ trial) and shared by every grid point of that user count, which makes
 curves paired comparisons. The codebook is seeded from ``(master_seed,
 stream, user_count)`` only, so smaller codebooks are exact prefixes of
 bigger ones and one streamed pass per user count chooses every trial's
-codeword for every b and SNR. Every grid point is then a closed form run
-over the trial and grid axes at once, from :func:`draw_trials`, the only
-channel draw, to one float array of records per user count, which
-:func:`point_rows` turns into output cells a grid point at a time, each formatted
-once for both a CSV row and a JSON mirror object of :func:`write_outputs`.
-:func:`run_trial` is the per-point reference.
+codeword for every b and SNR. Every grid point is then a closed form run over
+the grid axes and a chunk of trials at once, from :func:`draw_trials`, the only
+channel draw, to one float array of records per user count, which :func:`point_rows`
+turns into output cells a chunk of rows at a time, each formatted once for both a CSV
+row and a JSON mirror object. :func:`run_trial` is the per-point reference.
 """
 
 import contextlib
@@ -199,44 +198,49 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
 
     ``choices`` maps each b to the ``(indices, codewords)`` chosen for the
     usable trials (empty when none is). Each capacity (cooperative under the
-    sharing mode, zero-forcing, perfect cooperation and, from two users on,
-    the lower bound) is a closed form run once, or once per b, on an (S, 1,
-    1) column of noise powers against every usable trial; the cooperative SNR
-    is one :func:`~d2dcoop.quantization.cooperative_snr` call per b over the
-    (SNR, link) grid, ideal sharing being one noiseless link, and a zero-bit
-    link takes the zero-forcing capacity. Only the overload audit runs per
-    (trial, b): its ``2P * 4**(P - 1)`` symbol tails per SNR are too many to stack.
+    sharing mode, zero-forcing, perfect cooperation and, from two users on, the
+    lower bound) is a closed form run once, or once per b, on an (S, 1, 1) column
+    of noise powers against a chunk of usable trials, as many as keep their (S, K,
+    P) SNRs over the K links within ``ELEMENT_BOUND``, written straight into the
+    records. The cooperative SNR is one :func:`~d2dcoop.quantization.cooperative_snr`
+    call per b over the (SNR, link) grid, ideal sharing being one noiseless link,
+    and a zero-bit link takes the zero-forcing capacity. Only the overload audit
+    runs per (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are too many to stack.
     """
-    a_inv, eigenvalues = trials.a_inv, trials.eigenvalues[trials.usable]
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
-    column = noise[:, None, None]  # (S, 1, 1) against the (U, P) rows
+    column = noise[:, None, None]  # (S, 1, 1) against the (trials, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
     if config.mode == "quantized-rsi":
         grids = config.gamma_db_grid, config.bandwidth_ratio_grid
         variances, carries = link_variances(*grids, config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
-    shape = (len(config.b_grid), len(noise), len(variances), len(a_inv))
-    coop, overload = np.empty(shape), np.zeros(shape)
-    bound = np.full((*shape[:2], 1, shape[3]), np.nan)  # stays empty below two users
-    zf = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
-    ideal = capacity(eigenvalues / column)[:, None]
-    for bits, (_, decoding) in choices.items():
-        i = config.b_grid.index(bits)
-        d = snr_denominators(decoding, a_inv)
-        snrs = cooperative_snr(decoding, d, column[..., None], variances[:, None, None])
-        coop[i] = np.where(carries[:, None], capacity(snrs), zf)
-        if audit:
-            for row, (q, d_row) in enumerate(zip(decoding, d)):
-                rates = expected_overload(q, d_row, noise[:, None], config.tau)
-                overload[i, ..., row] = np.where(carries, rates, 0.0)
-        if users >= 2:
-            bound[i] = capacity(snr_lower_bound_terms(eigenvalues, bits, column))[:, None]
-    values = np.full((5, *shape[:3], len(trials.ids)), np.nan)
-    for field, usable_values in zip(values, (coop, zf, ideal, bound, overload)):
-        field[..., trials.usable] = usable_values
-    points = int(np.prod(shape[:3]))
-    stats = summarize_point(coop, zf, ideal).reshape(6, points)
-    return CountResult(trials, values.reshape(5, points, -1), stats)
+    values = np.full((5, len(config.b_grid), len(noise), len(variances), len(trials.ids)), np.nan)
+    coop, _, _, bound, overload = values
+    usable = np.flatnonzero(trials.usable)
+    overload[..., usable] = 0.0  # a usable trial's rate where no audit runs
+    zf, ideal = zf_ideal = np.empty((2, len(noise), 1, len(usable)))  # (S, 1, U) each
+    per_chunk = max(1, ELEMENT_BOUND // (len(noise) * len(variances) * users))
+    for first in range(0, len(usable), per_chunk):
+        rows = slice(first, first + per_chunk)
+        at, a_inv, eigenvalues = usable[rows], trials.a_inv[rows], trials.eigenvalues[usable[rows]]
+        zf[..., rows] = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
+        ideal[..., rows] = capacity(eigenvalues / column)[:, None]
+        for bits, (_, decoding) in choices.items():
+            i, q = config.b_grid.index(bits), decoding[rows]
+            d = snr_denominators(q, a_inv)
+            snrs = cooperative_snr(q, d, column[..., None], variances[:, None, None])
+            coop[i][..., at] = np.where(carries[:, None], capacity(snrs), zf[..., rows])
+            if audit:
+                for trial, q_t, d_t in zip(at.tolist(), q, d):
+                    rates = expected_overload(q_t, d_t, noise[:, None], config.tau)
+                    overload[i, ..., trial] = np.where(carries, rates, 0.0)
+            if users >= 2:
+                terms = snr_lower_bound_terms(eigenvalues, bits, column)
+                bound[i][..., at] = capacity(terms)[:, None]
+    values[1:3][..., usable] = zf_ideal[:, None]
+    # a C-contiguous copy of the usable trials, as summarize_point needs
+    stats = summarize_point(np.compress(trials.usable, coop, axis=-1), zf, ideal)
+    return CountResult(trials, values.reshape(5, -1, len(trials.ids)), stats.reshape(6, -1))
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -283,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     Every count's trials are drawn first: one with no usable trial raises
     :class:`~d2dcoop.config.ConfigError` before any codebook. Each count's
     ``2**max(b)`` codebook is then streamed once through selection, a block at
-    a time, and its trials are evaluated at all of its grid points at once.
+    a time, and its trials are evaluated at all of its grid points.
     """
     config.validate()
     drawn = {users: sweep_trials(config, users) for users in config.user_count_grid}
@@ -374,20 +378,26 @@ def summarize_point(coop, zf, ideal) -> np.ndarray:
 
 
 def point_rows(config: ExperimentConfig, results):
-    """``(key, columns, summary)`` output cells per grid point of ``results``, in sweep
-    order: the point's :class:`GridPoint` fields, its trial rows as columns (a list per
-    field of :data:`TRIAL_FIELDS` after the key) and its :data:`SUMMARY_FIELDS` after the
-    key. A point's slices leave numpy in one ``tolist`` each; a count's ``trial``,
+    """``(key, columns, summaries)`` output cells per chunk of a grid point's trial rows,
+    in sweep order: the point's :class:`GridPoint` fields, the chunk's rows as columns (a
+    list per field of :data:`TRIAL_FIELDS` after the key) and its aggregate rows: the
+    point's :data:`SUMMARY_FIELDS` after the key on its first chunk, none on the others.
+    A chunk holds as many rows as keep the cells they write, CSV and mirror, within
+    ``ELEMENT_BOUND``, and leaves numpy in one ``tolist`` per field; a count's ``trial``,
     ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
     keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
+    per_chunk = max(1, ELEMENT_BOUND // (TRIAL_CSV_HEADER.count(",") + 1 + len(TRIAL_FIELDS)))
     for result in results:
         trials = result.trials
         ids, cond_fail = _cells(trials.ids.tolist()), _cells((~trials.usable).astype(int).tolist())
         counts = _cells((len(trials.a_inv), result.num_failed))
         for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
-            coop, zf, ideal, bound, overload = map(_cells, values.tolist())
-            columns = [ids, coop, zf, ideal, bound, cond_fail, overload]
-            yield _cells(next(keys)), columns, _cells(stats.tolist()) + counts
+            key, summaries = _cells(next(keys)), [_cells(stats.tolist()) + counts]
+            for first in range(0, len(ids), per_chunk):
+                rows = slice(first, first + per_chunk)
+                coop, zf, ideal, bound, overload = map(_cells, values[:, rows].tolist())
+                yield key, [ids[rows], coop, zf, ideal, bound, cond_fail[rows], overload], summaries
+                summaries = []
 
 
 def _cells(values) -> list:
@@ -399,10 +409,11 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
     """Write trials.csv and aggregate.csv, and on request their JSON mirrors
     (one object per row), from one pass of :func:`point_rows`; returns their paths.
 
-    Each point's cells are formatted once, by :func:`point_rows`. A CSV row joins its
-    :data:`CSV_KEY` cells and its own; a mirror object fills its table's layout with
-    them, ``null`` for ``""``, so a mirror is ``json.dumps(rows, indent=1)``: the values
-    are ints, finite floats and None, and ``json`` writes a float's ``repr``.
+    Each chunk of :func:`point_rows` is written as one text per table, so no grid point's
+    text is held whole. A CSV row joins its :data:`CSV_KEY` cells and its own; a mirror
+    object fills its table's layout with them, ``null`` for ``""``, so a mirror is
+    ``json.dumps(rows, indent=1)``: the values are ints, finite floats and None, and
+    ``json`` writes a float's ``repr``.
     """
     os.makedirs(out_dir, exist_ok=True)
     names = ["trials.csv", "aggregate.csv"] + ["trials.json", "aggregate.json"] * json_mirror
@@ -417,15 +428,16 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
         )
         trials_csv.write(TRIAL_CSV_HEADER + "\n")
         aggregate_csv.write(AGGREGATE_CSV_HEADER + "\n")
-        opening = "[\n"
-        for key_cells, columns, summary_cells in point_rows(config, results):
+        opening = "[\n"  # before a mirror's first object, ",\n" before each other
+        for key_cells, columns, summaries in point_rows(config, results):
             users, *point = key_cells
             prefix = ",".join((*head, users, *tail, *point)) + ","
-            trials_csv.write("".join([prefix + ",".join(row) + "\n" for row in zip(*columns)]))
-            aggregate_csv.write(prefix + ",".join(summary_cells) + "\n")
-            for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), [summary_cells])):
+            for table, rows in zip((trials_csv, aggregate_csv), (zip(*columns), summaries)):
+                table.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
+            for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), summaries)):
                 objects = [layout % tuple(c or "null" for c in (*key_cells, *row)) for row in rows]
-                mirror.write(opening + ",\n".join(objects))
+                if objects:
+                    mirror.writelines([opening, ",\n".join(objects)])
             opening = ",\n"
         for mirror in mirrors:
             mirror.write("\n]\n")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import d2dcoop
@@ -217,8 +218,16 @@ def test_preset_outputs_match_golden_digests(tmp_path, preset):
 
     The digests are tied to the numpy/OpenBLAS build they were recorded
     with (numpy 2.4.6 on scipy-openblas 0.3.31, x86-64): another BLAS
-    build may round the last bit differently. If a change moves one,
-    name the rows and columns that moved instead of re-recording it.
+    build may round the last bit differently. They are tied to the SIMD
+    targets numpy dispatches to at run time as well: the recording host
+    found ``X86_V3``, ``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR``
+    (``np.show_config(mode="dicts")["SIMD Extensions"]``, which a failure
+    prints). With the AVX-512 targets off (only ``X86_V3`` found), the CSV
+    and JSON digests of fig-capacity-vs-bits and fig-capacity-vs-bandwidth-snr
+    move; with ``X86_V3`` (AVX2/FMA3) off too, all eight move, and so do the
+    codebook stream's own bytes, through ``np.abs`` of a complex array and
+    the complex multiply in ``codebook._orthonormalize``. If a change moves
+    one, name the rows and columns that moved instead of re-recording it.
     """
     out = tmp_path / preset
     assert main(["preset", preset, "--trials", "6", "--seed", "3", "--out", str(out)]) == 0
@@ -226,7 +235,7 @@ def test_preset_outputs_match_golden_digests(tmp_path, preset):
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("trials.csv", "aggregate.csv")
     )
-    assert digests == GOLDEN_DIGESTS[preset]
+    assert digests == GOLDEN_DIGESTS[preset], np.show_config(mode="dicts")["SIMD Extensions"]
 
 
 # SHA-256 of (trials.json, aggregate.json) from the same runs with --json
@@ -253,7 +262,11 @@ GOLDEN_JSON_DIGESTS = {
 @pytest.mark.parametrize("preset", sorted(GOLDEN_JSON_DIGESTS))
 def test_preset_json_mirrors_match_golden_digests(tmp_path, preset):
     """The JSON mirrors are byte-identical too: ``json.dumps(rows, indent=1)``
-    of the CSV rows, however the writer builds the text."""
+    of the CSV rows, however the writer builds the text. Like the CSV digests,
+    they hold per numpy build and SIMD targets: recorded with ``X86_V3``,
+    ``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR`` found, the mirrors of
+    fig-capacity-vs-bits and fig-capacity-vs-bandwidth-snr move with the
+    AVX-512 targets off, and all four with ``X86_V3`` off too."""
     out = tmp_path / preset
     args = ["preset", preset, "--trials", "6", "--seed", "3", "--json", "--out", str(out)]
     assert main(args) == 0
@@ -261,7 +274,7 @@ def test_preset_json_mirrors_match_golden_digests(tmp_path, preset):
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("trials.json", "aggregate.json")
     )
-    assert digests == GOLDEN_JSON_DIGESTS[preset]
+    assert digests == GOLDEN_JSON_DIGESTS[preset], np.show_config(mode="dicts")["SIMD Extensions"]
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -30,6 +30,7 @@ from d2dcoop.codebook import (
     codebook_bytes,
     codebook_stream,
     codeword_scores,
+    part_elements,
     select_prefix_codewords,
 )
 from d2dcoop.linalg import phase_canonicalize
@@ -333,10 +334,13 @@ class TestSelection:
         # Parts and chunks are cut short at their ends: a block ends in a
         # short part (1024 = 7 * 131 + 107 codewords at P = 5, 606 + 418 at
         # P = 3), and the Gram inverses fill fewer than one chunk, or one and
-        # a short one
+        # a short one. The part and chunk sizes are select_prefix_codewords'
+        # own, from part_elements, so these cases track its rule
         bit_counts = [0, 1, 4, 9, 10, 11, 12]
-        part_rows = max(1, min(BLOCK, ELEMENT_BOUND // users**3))
+        part_rows = max(1, min(BLOCK, ELEMENT_BOUND // part_elements(users)))
         chunk = max(1, ELEMENT_BOUND // (users * part_rows))
+        if users in (3, 5):  # the short last parts named above
+            assert (part_rows, BLOCK % part_rows) == {3: (606, 418), 5: (131, 107)}[users]
         book = generate_codebook(users, 12, np.random.default_rng(51))
         rng = np.random.default_rng(52)
         for num in (3, chunk + 3):

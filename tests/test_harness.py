@@ -4,6 +4,7 @@ import json
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -48,6 +49,7 @@ from d2dcoop.harness import (
     codebook_for,
     draw_trials,
     grid_points,
+    point_rows,
     summarize_point,
     write_outputs,
 )
@@ -672,6 +674,39 @@ class TestRunExperiment:
         assert trial_json == json.dumps([dataclasses.asdict(r) for r in reference], indent=1) + "\n"
         assert aggregate_json == json.dumps(summaries, indent=1) + "\n"
 
+    def test_chunk_bound_leaves_every_output_byte_identical(self, tmp_path):
+        # at an element bound of 87 (harness only: codebook.ELEMENT_BOUND, which
+        # sizes scoring, is untouched, so the choices cannot move), a four-user
+        # trial's 2 x 2 x 4 SNRs take 16 elements, so its usable trials run in
+        # chunks of at most 5, and the 24 rows of each grid point are written a
+        # few at a time. The narrow sector flags trials between usable ones of
+        # one chunk. All four files must equal those of the default bound
+        config = small_config(
+            user_count_grid=[1, 4], num_trials=24, sector_spread=0.01, mode="quantized-rsi",
+            gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
+        )
+        write_outputs(tmp_path / "default", config, run_experiment(config), json_mirror=True)
+        sizes = []
+
+        def spy(decoding, gram_inv):  # one call per (chunk, b)
+            sizes.append(decoding.shape[:2])
+            return snr_denominators(decoding, gram_inv)
+
+        bound = patch.object(harness, "ELEMENT_BOUND", 87)
+        with bound, patch.object(harness, "snr_denominators", spy):
+            results = run_experiment(config)
+            chunks = Counter(tuple(key) for key, _, _ in point_rows(config, results))
+            write_outputs(tmp_path / "chunked", config, results, json_mirror=True)
+        four = [n for n, users in sizes if users == 4][:: len(config.b_grid)]
+        usable = np.flatnonzero(draw_trials(config, 4, range(config.num_trials)).usable)
+        starts = np.cumsum([0, *four])
+        assert len(four) >= 3 and starts[-1] == len(usable)
+        assert any(usable[b - 1] - usable[a] > b - 1 - a for a, b in zip(starts, starts[1:]))
+        assert len(chunks) == sum(1 for _ in grid_points(config)) and min(chunks.values()) >= 2
+        for name in ("trials.csv", "aggregate.csv", "trials.json", "aggregate.json"):
+            chunked = (tmp_path / "chunked" / name).read_bytes()
+            assert chunked == (tmp_path / "default" / name).read_bytes(), name
+
 
 class TestCellDistortionAudit:
     def test_equals_per_b_reference(self):
@@ -767,14 +802,15 @@ class TestCsvOutput:
 
     def test_records_peak_under_a_third_of_a_kilobyte_per_row(self, tmp_path):
         # the records stay one float array per user count and the writer
-        # streams one grid point at a time: the sweep and all four files peak
-        # at 0.14 KB per row. Object columns and whole-table text peaked at
-        # 3.0 KB per row, JSON mirrors included. That peak, each preset's at 2
-        # trials, where the chunked temporaries and the codebook stream
-        # dominate, and that of paths outnumbering half the array, where one
-        # trial's L x L path Gram is the largest draw temporary, and that of 40
-        # users, where one codeword's P**3 lifted features pass ELEMENT_BOUND,
-        # stay within what validate counts against the budget
+        # streams a chunk of a grid point's rows at a time: the sweep and all
+        # four files peak at 0.12 KB per row. Object columns and whole-table
+        # text peaked at 3.0 KB per row, JSON mirrors included. That peak,
+        # each preset's at 2 trials, where the chunked temporaries and the
+        # codebook stream dominate, and that of paths outnumbering half the
+        # array, where one trial's L x L path Gram is the largest draw
+        # temporary, and that of 40 users, where one codeword's P**3 lifted
+        # features pass ELEMENT_BOUND, stay within what validate counts
+        # against the budget
         def peak_bytes(config, out):
             tracemalloc.start()
             try:
