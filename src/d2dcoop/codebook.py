@@ -167,12 +167,12 @@ def part_elements(num_users: int) -> int:
     return num_users**3
 
 
-def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
+def select_prefix_codewords(blocks, gram_invs, bit_counts):
     """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
     ``blocks`` yields the codebook from codeword 0 on, read once up to codeword
     ``2**max(bit_counts)``; a block need stay valid only until the next is
-    asked for, as :func:`codebook_stream`'s do, since the chosen codewords are copied.
+    asked for, as :func:`codebook_stream`'s do, since each choice is copied out of it.
     ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
     weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
     part of a block for a chunk of Gram inverses, sized so that its features
@@ -180,8 +180,10 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
-    a multiple of the identity. Returns ``{b: (indices, codewords)}``, a row per
-    Gram inverse, codewords in the store's layout. Raises ValueError on fewer codewords.
+    a multiple of the identity. Yields ``(b, (indices, codewords))`` by increasing b as
+    the ``2**b`` prefix is scored: the running choices, a row per Gram inverse, codewords
+    in the store's layout, valid until the next is asked for. Raises ValueError, when
+    the stream ends, on fewer codewords.
     """
     edge_bits = {1 << bits: bits for bits in sorted(bit_counts)}
     size = max(edge_bits)
@@ -194,7 +196,6 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
     weights = np.concatenate([upper.real, -upper.imag, np.diagonal(gram_invs, 0, 1, 2).real], 1)
     best_scores, best_index = np.full(num, -np.inf), np.zeros(num, dtype=int)
     best = np.empty((num, users, users), dtype=complex).swapaxes(-1, -2)
-    chosen = {bits: (best_index.copy(), best.copy(order="K")) for bits in edge_bits.values()}
     start = 0
     for block in blocks:
         stop = min(start + len(block), size)
@@ -214,15 +215,13 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts) -> dict:
                 hit = np.flatnonzero(score > best_scores[rows])
                 best_scores[first + hit], best_index[first + hit] = score[hit], low + k[hit]
                 best[first + hit] = part[k[hit]]
-                if high in edge_bits:
-                    index, codeword = chosen[edge_bits[high]]
-                    index[rows], codeword[rows] = best_index[rows], best[rows]
+            if high in edge_bits:
+                yield edge_bits[high], (best_index, best)
         start = stop
         if start == size:
             break
     if start < size:
         raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
-    return chosen
 
 
 def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:

@@ -163,24 +163,25 @@ class ExperimentConfig:
         what it keeps, and its chunks.
 
         Kept, per trial: every count's drawn trials (id, usable flag, eigenvalues,
-        eigenvectors, Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and
-        one count's output id and flag cells (144), chosen codewords (16P^2 + 8 per b) and
-        either its selection state (32P^2 + 16) or its summary's inputs (a copy of its
-        cooperative capacities and one temporary, 16 per point; its zero-forcing and ideal
-        capacities, 16 per SNR; its usable index, 8); then the codebook stream's buffers
-        and CGS2 temporaries (48P^2 per codeword of a block). Chunked: eight float64 arrays
-        of the largest chunk (``ELEMENT_BOUND``, one trial's ``path_temporary_elements`` or
-        SNRs, or one codeword's ``part_elements``), which also hold a writer chunk (under
-        64 bytes a cell), and in quantized mode one trial's overload tails (80 per tail and SNR).
+        eigenvectors, Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and one
+        count's output id and flag cells (72), running choices (16P^2 + 8, seen by its
+        summary too), zero-forcing and ideal capacities (16 per SNR) and usable index (8),
+        and either the rest of its selection state and the P x P products of a b's
+        evaluation (32P^2 + 8) or its summary's inputs (a copy of its cooperative capacities
+        and one temporary, 16 per point); then the codebook stream's buffers and CGS2
+        temporaries (48P^2 per codeword of a block). Chunked: eight float64 arrays of the
+        largest chunk (``ELEMENT_BOUND``, one trial's ``path_temporary_elements`` or SNRs,
+        or one codeword's ``part_elements``), which also hold a writer chunk (under 64 bytes
+        a cell), and in quantized mode one trial's overload tails (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
-        held = trials * (144 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
-        summary = 16 * (bits * per_b + snrs) + 8
-        working = max(bits * (16 * p * p + 8) + max(32 * p * p + 16, summary) for p in counts)
-        stream = 48 * max(counts) ** 2 * min(1 << max(self.b_grid), BLOCK)
-        temporaries = path_temporary_elements(self.M, self.L), part_elements(max(counts))
-        chunk = 64 * max(ELEMENT_BOUND, per_b * max(counts), *temporaries)
+        held = trials * (72 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
+        users = max(counts)
+        working = 16 * (users**2 + snrs + 1) + max(32 * users**2 + 8, 16 * bits * per_b)
+        stream = 48 * users**2 * min(1 << max(self.b_grid), BLOCK)
+        temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
+        chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
         tails = 40 * snrs * max(p * 4**p for p in counts) if quantized else 0
         return held + trials * working + stream + chunk + tails

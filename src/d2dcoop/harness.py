@@ -193,19 +193,19 @@ class CountResult:
         return len(self.trials.ids) - len(self.trials.a_inv)
 
 
-def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices: dict):
+def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices):
     """The :class:`CountResult` of drawn trials at every grid point of ``users``.
 
-    ``choices`` maps each b to the ``(indices, codewords)`` chosen for the
-    usable trials (empty when none is). Each capacity (cooperative under the
-    sharing mode, zero-forcing, perfect cooperation and, from two users on, the
-    lower bound) is a closed form run once, or once per b, on an (S, 1, 1) column
-    of noise powers against a chunk of usable trials, as many as keep their (S, K,
-    P) SNRs over the K links within ``ELEMENT_BOUND``, written straight into the
-    records. The cooperative SNR is one :func:`~d2dcoop.quantization.cooperative_snr`
-    call per b over the (SNR, link) grid, ideal sharing being one noiseless link,
-    and a zero-bit link takes the zero-forcing capacity. Only the overload audit
-    runs per (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are too many to stack.
+    ``choices`` yields ``(b, (indices, codewords))`` per b, the codewords chosen for the
+    usable trials, each read before the next is asked for. Each capacity is a closed
+    form run on an (S, 1, 1) column of noise powers against a chunk of usable trials, as
+    many as keep their (S, K, P) SNRs over the K links within ``ELEMENT_BOUND``, written
+    straight into the records: zero-forcing and perfect cooperation first, then, per b
+    as it comes, cooperative under the sharing mode and, from two users on, the lower
+    bound. The cooperative SNR is one :func:`~d2dcoop.quantization.cooperative_snr` call
+    per b over the (SNR, link) grid, ideal sharing being one noiseless link, and a
+    zero-bit link takes the zero-forcing capacity. Only the overload audit runs per
+    (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are too many to stack.
     """
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
     column = noise[:, None, None]  # (S, 1, 1) against the (trials, P) rows
@@ -220,13 +220,14 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     overload[..., usable] = 0.0  # a usable trial's rate where no audit runs
     zf, ideal = zf_ideal = np.empty((2, len(noise), 1, len(usable)))  # (S, 1, U) each
     per_chunk = max(1, ELEMENT_BOUND // (len(noise) * len(variances) * users))
-    for first in range(0, len(usable), per_chunk):
-        rows = slice(first, first + per_chunk)
-        at, a_inv, eigenvalues = usable[rows], trials.a_inv[rows], trials.eigenvalues[usable[rows]]
-        zf[..., rows] = capacity(noncooperative_baseline_snr(a_inv, column))[:, None]
-        ideal[..., rows] = capacity(eigenvalues / column)[:, None]
-        for bits, (_, decoding) in choices.items():
-            i, q = config.b_grid.index(bits), decoding[rows]
+    chunks = [slice(first, first + per_chunk) for first in range(0, len(usable), per_chunk)]
+    for rows in chunks:
+        zf[..., rows] = capacity(noncooperative_baseline_snr(trials.a_inv[rows], column))[:, None]
+        ideal[..., rows] = capacity(trials.eigenvalues[usable[rows]] / column)[:, None]
+    for bits, (_, decoding) in choices:
+        i = config.b_grid.index(bits)
+        for rows in chunks:
+            at, a_inv, q = usable[rows], trials.a_inv[rows], decoding[rows]
             d = snr_denominators(q, a_inv)
             snrs = cooperative_snr(q, d, column[..., None], variances[:, None, None])
             coop[i][..., at] = np.where(carries[:, None], capacity(snrs), zf[..., rows])
@@ -235,7 +236,7 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
                     rates = expected_overload(q_t, d_t, noise[:, None], config.tau)
                     overload[i, ..., trial] = np.where(carries, rates, 0.0)
             if users >= 2:
-                terms = snr_lower_bound_terms(eigenvalues, bits, column)
+                terms = snr_lower_bound_terms(trials.eigenvalues[at], bits, column)
                 bound[i][..., at] = capacity(terms)[:, None]
     values[1:3][..., usable] = zf_ideal[:, None]
     # a C-contiguous copy of the usable trials, as summarize_point needs
@@ -256,12 +257,12 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
     )
     trials = draw_trials(one_point, point.users, [trial])
-    choices = {}
+    choices = []
     if trials.usable[0]:
         codebook = codebook_for(config, point.users, point.bits)
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
-        choices[point.bits] = np.array([index]), codeword[None]
+        choices.append((point.bits, (np.array([index]), codeword[None])))
     values = evaluate_trials(one_point, point.users, trials, choices).values[:, 0, 0].tolist()
     coop, zf, ideal, bound, overload = (None if value != value else value for value in values)
     key, cond_fail = dataclasses.astuple(next(grid_points(one_point))), int(not trials.usable[0])
@@ -287,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     Every count's trials are drawn first: one with no usable trial raises
     :class:`~d2dcoop.config.ConfigError` before any codebook. Each count's
     ``2**max(b)`` codebook is then streamed once through selection, a block at
-    a time, and its trials are evaluated at all of its grid points.
+    a time, which waits at each ``2**b`` while b's grid points are evaluated.
     """
     config.validate()
     drawn = {users: sweep_trials(config, users) for users in config.user_count_grid}
@@ -296,7 +297,6 @@ def run_experiment(config: ExperimentConfig) -> list:
         blocks = codebook_blocks(config, users, max(config.b_grid))
         choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
         results.append(evaluate_trials(config, users, trials, choices))
-        del choices  # so a count's codewords are freed before the next count selects
     return results
 
 
@@ -304,22 +304,21 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     """Measured quantization-cell distortion of the sweep's codebook, per b.
 
     Walks the sweep's own trials and codebook stream. The one pass of
-    :func:`select_prefix_codewords` over the ``2**max(b_grid)`` stream
-    chooses for every usable trial and b; next to it, each block lowers
-    every trial's running prefix minimum of
-    :func:`~d2dcoop.bounds.cell_distortion`, one per b, so the audit, like
-    the sweep, holds one block at a time. Returns ``{b: (cell,
-    selected)}``: ``cell`` is the mean squared sine between eigenvector p
-    and the nearest p-th codeword column of the ``2**b`` prefix, the raw
-    pairing (column p against eigenvector p) that ``2**(-b/(P-1))``
-    models; ``selected`` is the mean
-    :func:`~d2dcoop.bounds.aligned_cell_distortion`, which resolves the
-    pairing, of the codeword the average-SNR selector picks. Selection is
-    not a minimum-distortion quantizer, so the gap between the two audits
-    the cell approximation behind the bound. Ill-conditioned trials are
-    skipped. Raises, before generating the codebook, the ConfigError of
-    :func:`sweep_trials` when no trial is usable, and ValueError when
-    ``users`` is not a user count of the config.
+    :func:`select_prefix_codewords` over the ``2**max(b_grid)`` stream chooses for
+    every usable trial and b, read as each b is yielded; next to it, each block
+    lowers every trial's running prefix minimum of
+    :func:`~d2dcoop.bounds.cell_distortion`, one per b, before selection scores it,
+    so the audit, like the sweep, holds one block at a time. Returns ``{b: (cell,
+    selected)}``: ``cell`` is the mean squared sine between eigenvector p and the
+    nearest p-th codeword column of the ``2**b`` prefix, the raw pairing (column p
+    against eigenvector p) that ``2**(-b/(P-1))`` models; ``selected`` is the mean
+    :func:`~d2dcoop.bounds.aligned_cell_distortion`, which resolves the pairing, of
+    the codeword the average-SNR selector picks. Selection is not a
+    minimum-distortion quantizer, so the gap between the two audits the cell
+    approximation behind the bound. Ill-conditioned trials are skipped. Raises,
+    before generating the codebook, the ConfigError of :func:`sweep_trials` when no
+    trial is usable, and ValueError when ``users`` is not a user count of the
+    config.
     """
     config.validate()
     if users not in config.user_count_grid:
@@ -346,7 +345,7 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     blocks = lowering_nearest(codebook_blocks(config, users, max(config.b_grid)))
     choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
     audit = {}
-    for bits, (_, codewords) in choices.items():
+    for bits, (_, codewords) in choices:
         cell = selected = 0.0
         for least, q, u in zip(nearest[bits], codewords, eigenvectors):
             cell += float(least.mean())
@@ -388,9 +387,9 @@ def point_rows(config: ExperimentConfig, results):
     keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
     per_chunk = max(1, ELEMENT_BOUND // (TRIAL_CSV_HEADER.count(",") + 1 + len(TRIAL_FIELDS)))
     for result in results:
-        trials = result.trials
-        ids, cond_fail = _cells(trials.ids.tolist()), _cells((~trials.usable).astype(int).tolist())
-        counts = _cells((len(trials.a_inv), result.num_failed))
+        ids = _cells(result.trials.ids.tolist())
+        cond_fail = [("1", "0")[ok] for ok in result.trials.usable.tolist()]  # two shared cells
+        counts = _cells((len(result.trials.a_inv), result.num_failed))
         for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
             key, summaries = _cells(next(keys)), [_cells(stats.tolist()) + counts]
             for first in range(0, len(ids), per_chunk):

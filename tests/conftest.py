@@ -69,6 +69,13 @@ def assert_stacks_like_row_calls(fn, *stacks):
     assert stacked.tobytes() == expected.tobytes()
 
 
+def collect_choices(pairs) -> dict:
+    """``{b: (indices, codewords)}`` from the pairs ``select_prefix_codewords``
+    yields, each copied, strides kept, before the next is asked for: scoring
+    goes on in the arrays it yields."""
+    return {bits: (index.copy(), best.copy(order="K")) for bits, (index, best) in pairs}
+
+
 def columns(config, results):
     """``run_experiment`` results as two ``{field: list}`` tables in sweep order:
     the records over ``harness.TRIAL_FIELDS`` and the summaries over

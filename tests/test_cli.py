@@ -15,7 +15,7 @@ import d2dcoop
 import d2dcoop.cli
 import d2dcoop.harness
 from d2dcoop.cli import main
-from d2dcoop.config import preset_config
+from d2dcoop.config import ConfigError, preset_config
 
 
 def write_config(path, **overrides):
@@ -55,17 +55,21 @@ def test_validate_rejects_oversized_codebook(tmp_path, capsys):
 
 def test_validate_rejects_a_sweep_over_the_memory_budget(tmp_path, capsys):
     # the records and drawn trials of 10**15 trials would exhaust memory
-    # mid-run. At 200,000 trials the bits preset's records are 0.4 GB, but
-    # its chosen codewords, a 5 x 5 matrix per b and trial, add 1.3 GB
+    # mid-run. At 250,000 trials the bits preset's records are 0.48 GB, its
+    # drawn trials of 3, 4 and 5 users 0.43 GB and the five-user selection
+    # state 0.2 GB: over the 1 GiB budget. The verdict is checked first on its
+    # own, so a model that admits the sweep fails here instead of running it
     path = write_config(tmp_path / "long.json", num_trials=10**15)
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: num_trials=1000000000000000 makes ")
     assert " record rows" in err
+    with pytest.raises(ConfigError, match="num_trials=250000 makes 12000000 record rows"):
+        preset_config("fig-capacity-vs-bits", 250_000)
     out = tmp_path / "bits"
-    assert main(["preset", "fig-capacity-vs-bits", "--trials", "200000", "--out", str(out)]) == 1
+    assert main(["preset", "fig-capacity-vs-bits", "--trials", "250000", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        "config error: num_trials=200000 makes 9600000 record rows"
+        "config error: num_trials=250000 makes 12000000 record rows"
     )
     assert not out.exists()
 

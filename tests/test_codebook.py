@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 
 from conftest import (
     average_snr,
+    collect_choices,
     gaussian_effective_channel,
     haar_unitary,
     inverse_of,
@@ -299,7 +300,7 @@ class TestSelection:
         assert index == 0
         # the lifted selector, on every trial of a stack of Gram inverses
         a_invs = [inverse_of(gaussian_effective_channel(rng, 6, 4)) for _ in range(3)]
-        indices, _ = select_prefix_codewords([cb], a_invs, [1])[1]
+        indices, _ = collect_choices(select_prefix_codewords([cb], a_invs, [1]))[1]
         for index in indices:
             assert index == 0
 
@@ -321,7 +322,8 @@ class TestSelection:
         scores = codeword_scores(cb, a_inv)
         unblocked = (1.0 / snr_denominators(cb, a_inv)).sum(axis=1)
         assert np.array_equal(scores, unblocked)
-        choices = select_prefix_codewords(block_slices(cb), [a_inv], [0, 5, 12, 13])
+        blocks = block_slices(cb)
+        choices = collect_choices(select_prefix_codewords(blocks, [a_inv], [0, 5, 12, 13]))
         for bits, ((index,), (q,)) in choices.items():
             assert index == select_codeword(cb[: 1 << bits], a_inv, 0.3)[0]
             assert index == int(np.argmax(unblocked[: 1 << bits]))
@@ -346,7 +348,7 @@ class TestSelection:
         for num in (3, chunk + 3):
             a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(num)]
             stream = codebook_stream(users, 12, np.random.default_rng(51))
-            choices = select_prefix_codewords(stream, a_invs, bit_counts)
+            choices = collect_choices(select_prefix_codewords(stream, a_invs, bit_counts))
             assert sorted(choices) == bit_counts
             for bits, (indices, codewords) in choices.items():
                 for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
@@ -364,19 +366,19 @@ class TestSelection:
         book[BLOCK - 1] = book[BLOCK] = u
         blocks = block_slices(book)
         assert codeword_scores(blocks[0], a_inv)[-1] == codeword_scores(blocks[1], a_inv)[0]
-        choices = select_prefix_codewords(blocks, [a_inv], [10, 11])
+        choices = collect_choices(select_prefix_codewords(blocks, [a_inv], [10, 11]))
         assert choices[10][0][0] == choices[11][0][0] == BLOCK - 1
         # the same among other trials, in the first and in a later chunk of them
         others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(32)]
         a_invs = [a_inv, *others, a_inv]
-        indices = select_prefix_codewords(blocks, a_invs, [10, 11])[11][0]
+        indices = collect_choices(select_prefix_codewords(blocks, a_invs, [10, 11]))[11][0]
         assert indices[0] == indices[-1] == BLOCK - 1
         for a_inv_t, index in zip(a_invs, indices, strict=True):
             assert index == select_codeword(book, a_inv_t, 1.0)[0]
         # and for two copies inside one block, in different scoring parts
         assert 5 + ELEMENT_BOUND // 3**3 < BLOCK - 2
         book[5] = book[BLOCK - 2] = u
-        choices = select_prefix_codewords(block_slices(book), a_invs, [10, 11])
+        choices = collect_choices(select_prefix_codewords(block_slices(book), a_invs, [10, 11]))
         assert choices[10][0][0] == choices[11][0][-1] == 5
 
     def test_prefix_choices_need_the_largest_prefix(self):
@@ -384,11 +386,25 @@ class TestSelection:
         # rejected rather than scored on the codewords it has
         cb = generate_codebook(3, 4, np.random.default_rng(17))
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
-        assert set(select_prefix_codewords([cb], [a_inv], [2, 4])) == {2, 4}
+        assert set(collect_choices(select_prefix_codewords([cb], [a_inv], [2, 4]))) == {2, 4}
         with pytest.raises(ValueError, match="fewer than 32"):
-            select_prefix_codewords([cb], [a_inv], [2, 5])
+            collect_choices(select_prefix_codewords([cb], [a_inv], [2, 5]))
         with pytest.raises(ValueError, match="holds 8 codewords"):
-            select_prefix_codewords([cb[:8]], [a_inv], [4])
+            collect_choices(select_prefix_codewords([cb[:8]], [a_inv], [4]))
+
+    def test_pairs_are_the_running_choices_by_increasing_b(self):
+        # each b is yielded once its prefix is scored, smallest first, as the one
+        # pair of running arrays; a short stream raises only when it ends
+        cb = generate_codebook(3, 4, np.random.default_rng(17))
+        a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
+        pairs = select_prefix_codewords([cb[:8]], [a_inv], [4, 0, 2])
+        bits, (index, best) = next(pairs)
+        assert (bits, index[0]) == (0, 0) and np.array_equal(best[0], cb[0])
+        bits, (later_index, later) = next(pairs)
+        assert bits == 2 and later_index is index and later is best
+        assert index[0] == select_codeword(cb[:4], a_inv, 1.0)[0]
+        with pytest.raises(ValueError, match="holds 8 codewords, fewer than 16"):
+            next(pairs)
 
     def test_selected_snr_monotone_in_bits_per_trial(self):
         # nested prefixes: a bigger codebook can never select a worse value
@@ -451,7 +467,7 @@ def test_lifted_choices_equal_reference_selector(case):
     edges = [0, *cuts, len(book)]
     blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
     with patch.object(codebook_module, "ELEMENT_BOUND", elements):
-        choices = select_prefix_codewords(iter(blocks), a_invs, bit_counts)
+        choices = collect_choices(select_prefix_codewords(iter(blocks), a_invs, bit_counts))
     assert sorted(choices) == sorted(bit_counts)
     for bits, (indices, codewords) in choices.items():
         for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
@@ -480,7 +496,8 @@ def test_lifted_choices_equal_reference_near_condition_limit(cond):
         a_invs = [conditioned_inverse(users, cond, rng) for _ in range(4)]
         for a_inv in a_invs:
             assert np.linalg.cond(a_inv) > cond / 10
-        for bits, (indices, _) in select_prefix_codewords([book], a_invs, bit_counts).items():
+        choices = collect_choices(select_prefix_codewords([book], a_invs, bit_counts))
+        for bits, (indices, _) in choices.items():
             for a_inv, index in zip(a_invs, indices, strict=True):
                 assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
 
@@ -495,7 +512,7 @@ def test_near_ties_resolve_within_rounding():
     rng = np.random.default_rng(61)
     book = generate_codebook(users, 8, rng)
     a_invs = [gram_inverse(np.full(users, 2.0), haar_unitary(users, rng)) for _ in range(8)]
-    indices, _ = select_prefix_codewords([book], a_invs, [8])[8]
+    indices, _ = collect_choices(select_prefix_codewords([book], a_invs, [8]))[8]
     for a_inv, index in zip(a_invs, indices, strict=True):
         scores = codeword_scores(book, a_inv)
         assert np.ptp(scores) <= 1e-14 * scores.max()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import columns
+from conftest import collect_choices, columns
 from d2dcoop import (
     PRESET_NAMES,
     ConfigError,
@@ -588,7 +588,7 @@ class TestRunExperiment:
                 if not trials.usable[0]:
                     continue
                 a_inv = trials.a_inv[0]
-                choices = select_prefix_codewords([book], [a_inv], config.b_grid)
+                choices = collect_choices(select_prefix_codewords([book], [a_inv], config.b_grid))
                 for bits, snr_db in itertools.product(config.b_grid, config.snr_db_grid):
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book[: 1 << bits], a_inv, noise_power)[0]
@@ -688,7 +688,7 @@ class TestRunExperiment:
         write_outputs(tmp_path / "default", config, run_experiment(config), json_mirror=True)
         sizes = []
 
-        def spy(decoding, gram_inv):  # one call per (chunk, b)
+        def spy(decoding, gram_inv):  # one call per (b, chunk), b by b
             sizes.append(decoding.shape[:2])
             return snr_denominators(decoding, gram_inv)
 
@@ -697,7 +697,10 @@ class TestRunExperiment:
             results = run_experiment(config)
             chunks = Counter(tuple(key) for key, _, _ in point_rows(config, results))
             write_outputs(tmp_path / "chunked", config, results, json_mirror=True)
-        four = [n for n, users in sizes if users == 4][:: len(config.b_grid)]
+        # the four-user calls grouped by b: every b evaluates the same chunks
+        by_b = np.reshape([n for n, users in sizes if users == 4], (len(config.b_grid), -1))
+        assert (by_b == by_b[0]).all()
+        four = by_b[0].tolist()
         usable = np.flatnonzero(draw_trials(config, 4, range(config.num_trials)).usable)
         starts = np.cumsum([0, *four])
         assert len(four) >= 3 and starts[-1] == len(usable)
@@ -706,6 +709,25 @@ class TestRunExperiment:
         for name in ("trials.csv", "aggregate.csv", "trials.json", "aggregate.json"):
             chunked = (tmp_path / "chunked" / name).read_bytes()
             assert chunked == (tmp_path / "default" / name).read_bytes(), name
+
+    def test_holds_no_codeword_array_per_b(self):
+        # each b is evaluated on the running choices as its prefix closes, so
+        # eleven more b add their records (88 KB at 200 trials), not eleven
+        # (T, P, P) codeword arrays (880 KB), which half of would exceed
+        def peak_bytes(config):
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, many = (
+            ExperimentConfig(user_count_grid=[5], b_grid=grid, num_trials=200)
+            for grid in ([12], list(range(1, 13)))
+        )
+        codewords = 200 * 5 * 5 * 16
+        assert peak_bytes(many) - peak_bytes(one) < 11 * codewords / 2
 
 
 class TestCellDistortionAudit:
@@ -803,7 +825,7 @@ class TestCsvOutput:
     def test_records_peak_under_a_third_of_a_kilobyte_per_row(self, tmp_path):
         # the records stay one float array per user count and the writer
         # streams a chunk of a grid point's rows at a time: the sweep and all
-        # four files peak at 0.12 KB per row. Object columns and whole-table
+        # four files peak at 0.13 KB per row. Object columns and whole-table
         # text peaked at 3.0 KB per row, JSON mirrors included. That peak,
         # each preset's at 2 trials, where the chunked temporaries and the
         # codebook stream dominate, and that of paths outnumbering half the
