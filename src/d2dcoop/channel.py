@@ -63,10 +63,6 @@ class ScatteringEnvironment:
     def num_paths(self) -> int:
         return len(self.path_angles)
 
-    @property
-    def path_gain_variance(self) -> float:
-        return 1.0 / self.num_paths
-
     @cached_property
     def steering(self) -> np.ndarray:
         """Half-wavelength ULA responses (antennas x paths), one column per path angle.

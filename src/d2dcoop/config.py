@@ -111,13 +111,9 @@ class ExperimentConfig:
         )
         # the sweep's own link table; an inf variance would turn the SNRs nan mid-sweep
         try:
-            variances, _ = link_variances(self.gamma_db_grid, self.bandwidth_ratio_grid, self.tau)
+            link_variances(self.gamma_db_grid, self.bandwidth_ratio_grid, self.tau)
         except ValueError as exc:
             raise ConfigError(f"a cooperation link is unusable: {exc}") from exc
-        except OverflowError:  # tau**2
-            variances = [math.inf]
-        if not all(map(math.isfinite, variances)):
-            raise ConfigError(f"tau={self.tau!r} overflows the quantization noise variance")
         worst = max(self.user_count_grid)
         if self.mode == "quantized-rsi" and worst > OVERLOAD_MAX_USERS:
             raise ConfigError(
@@ -159,32 +155,27 @@ class ExperimentConfig:
         return (self.user_count_grid, self.b_grid, self.snr_db_grid, *links)
 
     def sweep_bytes(self) -> int:
-        """An upper bound on the bytes a sweep of this validated config holds at once:
-        what it keeps, and its chunks.
+        """An upper bound on the bytes a sweep of this validated config holds at once.
 
         Kept, per trial: every count's drawn trials (id, usable flag, eigenvalues,
         eigenvectors, Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and one
-        count's output id and flag cells (72), running choices (16P^2 + 8, seen by its
-        summary too), zero-forcing and ideal capacities (16 per SNR) and usable index (8),
-        and either the rest of its selection state and the P x P products of a b's
-        evaluation (32P^2 + 8) or its summary's inputs (a copy of its cooperative capacities
-        and one temporary, 16 per point); then the codebook stream's buffers and CGS2
-        temporaries (48P^2 per codeword of a block). Chunked: eight float64 arrays of the
-        largest chunk (``ELEMENT_BOUND``, one trial's ``path_temporary_elements`` or SNRs,
-        or one codeword's ``part_elements``), which also hold a writer chunk (under 64 bytes
-        a cell), and in quantized mode one trial's overload tails (80 per tail and SNR).
+        count's output id and flag cells (72) and working state, 48P^2 + 24: selection's
+        running choices, scores and weights (24P^2 + 16), the usable index and an evaluation
+        chunk's P x P products (16P^2 a trial). Then the codebook stream (48P^2 per codeword
+        of a block), eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or one
+        item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
+        chunk too, and in quantized mode one trial's overload tails (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
         held = trials * (72 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
         users = max(counts)
-        working = 16 * (users**2 + snrs + 1) + max(32 * users**2 + 8, 16 * bits * per_b)
         stream = 48 * users**2 * min(1 << max(self.b_grid), BLOCK)
         temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
         chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
         tails = 40 * snrs * max(p * 4**p for p in counts) if quantized else 0
-        return held + trials * working + stream + chunk + tails
+        return held + trials * (48 * users**2 + 24) + stream + chunk + tails
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -142,25 +142,21 @@ class Trials:
 def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
     """Draw the channels of ``trials`` and factorise their effective Grams.
 
-    The trials run in chunks, as many per chunk as keep the path Gram route's
-    temporaries (:func:`~d2dcoop.channel.path_temporary_elements` per trial)
-    within ``ELEMENT_BOUND`` (at least one). Each trial's own generator,
-    seeded from ``(master_seed, TRIAL_STREAM, trial)``, fills its row of the
-    chunk's ``(T, L)`` uniforms and then of its ``(T, 2, L, P)`` normals: the
-    draws that :func:`~d2dcoop.channel.draw_environment` and
-    :func:`~d2dcoop.channel.path_gains` make, in their order. The sector map,
-    the gain scaling, the L x L path Gram route
-    (:func:`~d2dcoop.channel.path_effective_channel`) and the Gram
-    factorisation then run once on the chunk, and one condition check and
-    inverse on all the trials; every row equals, bitwise, its trial's own
-    one-trial draw.
+    The trials run in :func:`_chunks` of the path Gram route's temporaries
+    (:func:`~d2dcoop.channel.path_temporary_elements` per trial). Each trial's own
+    generator, seeded from ``(master_seed, TRIAL_STREAM, trial)``, fills its row of the
+    chunk's ``(T, L)`` uniforms and then of its ``(T, 2, L, P)`` normals: the draws that
+    :func:`~d2dcoop.channel.draw_environment` and :func:`~d2dcoop.channel.path_gains`
+    make, in their order. The sector map, the gain scaling, the L x L path Gram route
+    (:func:`~d2dcoop.channel.path_effective_channel`) and the Gram factorisation run
+    once per chunk, then one condition check, and the usable trials' inverses run in
+    chunks of P x P per trial. Every row equals, bitwise, its trial's own one-trial draw.
     """
     ids = np.array(trials, dtype=int)
-    per_chunk = max(1, ELEMENT_BOUND // path_temporary_elements(config.M, config.L))
     eigenvalues = np.empty((len(ids), users))
     eigenvectors = np.empty((len(ids), users, users), dtype=complex)
-    for first in range(0, len(ids), per_chunk):
-        chunk = ids[first : first + per_chunk]
+    for rows in _chunks(len(ids), path_temporary_elements(config.M, config.L)):
+        chunk = ids[rows]
         uniforms = np.empty((len(chunk), config.L))
         normals = np.empty((len(chunk), 2, config.L, users))
         for trial, u, n in zip(chunk.tolist(), uniforms, normals):
@@ -169,10 +165,12 @@ def draw_trials(config: ExperimentConfig, users: int, trials) -> Trials:
             rng.standard_normal(out=n)
         angles = sector_angles(uniforms, config.sector_center, config.sector_spread)
         h_e = path_effective_channel(config.M, angles, gains_from_normals(normals), config.D)
-        rows = slice(first, first + len(chunk))
         eigenvalues[rows], eigenvectors[rows] = eigen_spectrum(h_e)
     usable = well_conditioned(eigenvalues)
-    a_inv = gram_inverse(eigenvalues[usable], eigenvectors[usable])
+    at = np.flatnonzero(usable)
+    a_inv = np.empty((len(at), users, users), dtype=complex)
+    for rows in _chunks(len(at), users * users):
+        a_inv[rows] = gram_inverse(eigenvalues[at[rows]], eigenvectors[at[rows]])
     return Trials(ids, eigenvalues, eigenvectors, usable, a_inv)
 
 
@@ -197,16 +195,25 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     """The :class:`CountResult` of drawn trials at every grid point of ``users``.
 
     ``choices`` yields ``(b, (indices, codewords))`` per b, the codewords chosen for the
-    usable trials, each read before the next is asked for. Each capacity is a closed
-    form run on an (S, 1, 1) column of noise powers against a chunk of usable trials, as
-    many as keep their (S, K, P) SNRs over the K links within ``ELEMENT_BOUND``, written
-    straight into the records: zero-forcing and perfect cooperation first, then, per b
-    as it comes, cooperative under the sharing mode and, from two users on, the lower
-    bound. The cooperative SNR is one :func:`~d2dcoop.quantization.cooperative_snr` call
-    per b over the (SNR, link) grid, ideal sharing being one noiseless link, and a
-    zero-bit link takes the zero-forcing capacity. Only the overload audit runs per
-    (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are too many to stack.
+    usable trials, each read before the next is asked for. Each capacity is a closed form
+    on an (S, 1, 1) column of noise powers and :func:`_chunks` of usable trials, (S, K, P)
+    SNRs each over the K links, written straight into the records: zero-forcing and
+    perfect cooperation first, then, per b as it comes, cooperative under the sharing mode
+    (one :func:`~d2dcoop.quantization.cooperative_snr` call over the (SNR, link) grid; a
+    zero-bit link takes the zero-forcing capacity) and, from two users on, the lower bound.
+    Only the overload audit runs per (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are
+    too many to stack. Then, the running choices released, :func:`summarize_point` reduces
+    C-contiguous copies of the usable trials' capacities, a chunk of points at a time.
     """
+    values = _records(config, users, trials, choices).reshape(5, -1, len(trials.ids))
+    stats = np.empty((6, values.shape[1]))
+    for points in _chunks(values.shape[1], 3 * len(trials.ids)):
+        stats[:, points] = summarize_point(*np.compress(trials.usable, values[:3, points], axis=-1))
+    return CountResult(trials, values, stats)
+
+
+def _records(config: ExperimentConfig, users: int, trials: Trials, choices) -> np.ndarray:
+    """The (5, B, S, K, T) records of :func:`evaluate_trials`; its return frees the choices."""
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
     column = noise[:, None, None]  # (S, 1, 1) against the (trials, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
@@ -215,22 +222,21 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
         variances, carries = link_variances(*grids, config.tau)
     audit = config.mode == "quantized-rsi" and carries.any()
     values = np.full((5, len(config.b_grid), len(noise), len(variances), len(trials.ids)), np.nan)
-    coop, _, _, bound, overload = values
+    coop, zf, ideal, bound, overload = values
     usable = np.flatnonzero(trials.usable)
     overload[..., usable] = 0.0  # a usable trial's rate where no audit runs
-    zf, ideal = zf_ideal = np.empty((2, len(noise), 1, len(usable)))  # (S, 1, U) each
-    per_chunk = max(1, ELEMENT_BOUND // (len(noise) * len(variances) * users))
-    chunks = [slice(first, first + per_chunk) for first in range(0, len(usable), per_chunk)]
+    chunks = _chunks(len(usable), len(noise) * len(variances) * users)
     for rows in chunks:
-        zf[..., rows] = capacity(noncooperative_baseline_snr(trials.a_inv[rows], column))[:, None]
-        ideal[..., rows] = capacity(trials.eigenvalues[usable[rows]] / column)[:, None]
+        at = usable[rows]
+        zf[..., at] = capacity(noncooperative_baseline_snr(trials.a_inv[rows], column))[:, None]
+        ideal[..., at] = capacity(trials.eigenvalues[at] / column)[:, None]
     for bits, (_, decoding) in choices:
         i = config.b_grid.index(bits)
         for rows in chunks:
             at, a_inv, q = usable[rows], trials.a_inv[rows], decoding[rows]
             d = snr_denominators(q, a_inv)
             snrs = cooperative_snr(q, d, column[..., None], variances[:, None, None])
-            coop[i][..., at] = np.where(carries[:, None], capacity(snrs), zf[..., rows])
+            coop[i][..., at] = np.where(carries[:, None], capacity(snrs), zf[i][..., at])
             if audit:
                 for trial, q_t, d_t in zip(at.tolist(), q, d):
                     rates = expected_overload(q_t, d_t, noise[:, None], config.tau)
@@ -238,10 +244,7 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
             if users >= 2:
                 terms = snr_lower_bound_terms(trials.eigenvalues[at], bits, column)
                 bound[i][..., at] = capacity(terms)[:, None]
-    values[1:3][..., usable] = zf_ideal[:, None]
-    # a C-contiguous copy of the usable trials, as summarize_point needs
-    stats = summarize_point(np.compress(trials.usable, coop, axis=-1), zf, ideal)
-    return CountResult(trials, values.reshape(5, -1, len(trials.ids)), stats.reshape(6, -1))
+    return values
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -358,9 +361,8 @@ def summarize_point(coop, zf, ideal) -> np.ndarray:
     """The six statistics of :data:`SUMMARY_FIELDS` from ``mean_coop`` to
     ``norm_capacity``: a float (6, *points) array, NaN where undefined.
 
-    The last axis of each array holds the U usable trials' capacities, the
-    leading axes of ``coop`` the points, and ``zf`` and ``ideal`` broadcast
-    against it once reduced; with U = 1 the standard errors are 0.0. Each
+    The last axis of each array holds the U usable trials' capacities and the
+    leading axes the points; with U = 1 the standard errors are 0.0. Each
     array must be C-contiguous along its last axis: numpy sums a contiguous
     row pairwise but a strided one (a boolean mask on the last axis gives
     one) in another order, so the same values would round differently.
@@ -385,18 +387,23 @@ def point_rows(config: ExperimentConfig, results):
     ``ELEMENT_BOUND``, and leaves numpy in one ``tolist`` per field; a count's ``trial``,
     ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
     keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
-    per_chunk = max(1, ELEMENT_BOUND // (TRIAL_CSV_HEADER.count(",") + 1 + len(TRIAL_FIELDS)))
     for result in results:
         ids = _cells(result.trials.ids.tolist())
         cond_fail = [("1", "0")[ok] for ok in result.trials.usable.tolist()]  # two shared cells
         counts = _cells((len(result.trials.a_inv), result.num_failed))
         for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
             key, summaries = _cells(next(keys)), [_cells(stats.tolist()) + counts]
-            for first in range(0, len(ids), per_chunk):
-                rows = slice(first, first + per_chunk)
+            for rows in _chunks(len(ids), TRIAL_CSV_HEADER.count(",") + 1 + len(TRIAL_FIELDS)):
                 coop, zf, ideal, bound, overload = map(_cells, values[:, rows].tolist())
                 yield key, [ids[rows], coop, zf, ideal, bound, cond_fail[rows], overload], summaries
                 summaries = []
+
+
+def _chunks(count: int, elements_per_item: int) -> list:
+    """Slices of ``range(count)``, each as many items as keep ``elements_per_item``
+    elements an item within ``ELEMENT_BOUND``, and at least one."""
+    step = max(1, ELEMENT_BOUND // elements_per_item)
+    return [slice(first, first + step) for first in range(0, count, step)]
 
 
 def _cells(values) -> list:

@@ -139,10 +139,10 @@ def bits_from_bandwidth(link: CooperationLink) -> int:
 def link_variances(gamma_db_grid, bandwidth_ratio_grid, tau: float):
     """Each link's quantization variance in sweep order, and whether it carries bits.
 
-    A zero-bit link gets variance 0.0. Raises the ValueError of
-    :func:`bits_from_bandwidth`, naming the link's ``(gamma_db,
-    bandwidth_ratio)``, when a budget reaches ``TOTAL_BITS_CAP`` bits, and
-    OverflowError when ``tau**2`` overflows; a variance can still come out inf.
+    A zero-bit link gets variance 0.0. Raises ValueError for a link the sweep cannot
+    use: the one of :func:`bits_from_bandwidth`, naming the link's ``(gamma_db,
+    bandwidth_ratio)``, when a budget reaches ``TOTAL_BITS_CAP`` bits, and one naming
+    ``tau`` when ``tau**2`` or a variance overflows.
     """
     bits = []
     for g, r in itertools.product(gamma_db_grid, bandwidth_ratio_grid):
@@ -151,7 +151,12 @@ def link_variances(gamma_db_grid, bandwidth_ratio_grid, tau: float):
         except ValueError as exc:
             where = f"the link at (gamma_db, bandwidth_ratio) = ({g!r}, {r!r})"
             raise ValueError(f"{where}: {exc}") from exc
-    variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
+    try:
+        variances = [quantization_noise_variance(QuantizerConfig(c, tau)) if c else 0.0 for c in bits]
+    except OverflowError:  # tau**2
+        variances = [math.inf]
+    if not all(map(math.isfinite, variances)):
+        raise ValueError(f"tau={tau!r} overflows the quantization noise variance")
     return np.array(variances), np.array(bits) > 0
 
 

@@ -64,7 +64,6 @@ class TestEnvironment:
         assert env.num_paths == 20
         assert np.all(env.path_angles >= -np.pi / 2)
         assert np.all(env.path_angles < np.pi / 2)
-        assert env.path_gain_variance * env.num_paths == pytest.approx(1.0)
 
     def test_same_seed_same_angles(self):
         a = draw_environment(8, 5, np.random.default_rng(7))

@@ -35,6 +35,7 @@ from d2dcoop import (
     select_codeword,
     snr_denominators,
 )
+from d2dcoop import codebook as codebook_module
 from d2dcoop import harness
 from d2dcoop.channel import path_effective_channel, path_gains, path_temporary_elements, ray_sum
 from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, codebook_bytes, select_prefix_codewords
@@ -434,7 +435,7 @@ class TestRunExperiment:
         config = small_config(user_count_grid=[2, 3, 4])
         _, summaries = columns(config, run_experiment(config))
         assert len(calls) == 3
-        assert [args[0].shape[:-1] for args in calls] == [(2, 2, 1)] * 3
+        assert [args[0].shape[:-1] for args in calls] == [(4,)] * 3
         assert len(summaries["users"]) == 12
 
     def test_all_zero_capacities_leave_norm_capacity_empty(self, tmp_path):
@@ -728,6 +729,63 @@ class TestRunExperiment:
         )
         codewords = 200 * 5 * 5 * 16
         assert peak_bytes(many) - peak_bytes(one) < 11 * codewords / 2
+
+    @pytest.mark.parametrize("mode", ["ideal-rsi", "quantized-rsi"])
+    def test_grid_points_add_their_records_and_no_per_trial_temporary(self, mode):
+        # 18 (ideal: 2 b x 9 SNRs) or 45 (quantized: 9 SNRs x 5 links) points
+        # against one: the peak grows by the records and at most a chunk. A
+        # per-trial array over the SNRs or points, such as zero-forcing and ideal
+        # capacities kept beside the records or a whole-count copy for the summary,
+        # grew it by 190 and 370 KB at 400 trials. The harness's element bound is
+        # lowered so that a few hundred trials outgrow a chunk; scoring, sized by the
+        # codebook's own bound, is the same in both sweeps
+        def peak_and_records(config):
+            tracemalloc.start()
+            try:
+                results = run_experiment(config)
+                return tracemalloc.get_traced_memory()[1], sum(r.values.nbytes for r in results)
+            finally:
+                tracemalloc.stop()
+
+        snrs = [-10.0 + 2.5 * i for i in range(9)]
+        base = dict(D=1, user_count_grid=[1], num_trials=400, mode=mode)
+        if mode == "ideal-rsi":
+            grids = dict(snr_db_grid=[0.0], b_grid=[6]), dict(snr_db_grid=snrs, b_grid=[3, 6])
+        else:
+            ratios = [0.6, 1.2, 2.4, 4.8, 9.6]
+            grids = (
+                dict(snr_db_grid=[0.0], b_grid=[6], bandwidth_ratio_grid=[2.4]),
+                dict(snr_db_grid=snrs, b_grid=[6], bandwidth_ratio_grid=ratios),
+            )
+        bound = 1024
+        with patch.object(harness, "ELEMENT_BOUND", bound):
+            (one, one_records), (many, many_records) = (
+                peak_and_records(small_config(**base, **grid)) for grid in grids
+            )
+        assert many - one <= many_records - one_records + 64 * bound
+
+    def test_summary_holds_no_running_choices(self, monkeypatch):
+        # the evaluation drops selection's running choices, one P x P codeword
+        # per usable trial, before the summary, which does not read them: kept
+        # alive by a loop variable, they were a 256 B per trial block of codebook.py
+        config = small_config(b_grid=[6], num_trials=500)
+        largest = []
+
+        def spy(*args):
+            snapshot = tracemalloc.take_snapshot()
+            held = snapshot.filter_traces([tracemalloc.Filter(True, codebook_module.__file__)])
+            largest.append(max((trace.size for trace in held.traces), default=0))
+            return summarize_point(*args)
+
+        monkeypatch.setattr(harness, "summarize_point", spy)
+        tracemalloc.start()
+        try:
+            (result,) = run_experiment(config)
+        finally:
+            tracemalloc.stop()
+        choices = len(result.trials.a_inv) * 16 * 4 * 4
+        assert largest and result.num_failed < 50
+        assert max(largest) < choices / 2
 
 
 class TestCellDistortionAudit:
