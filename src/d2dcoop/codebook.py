@@ -28,7 +28,7 @@ from .precoding import check_noise_power, snr_denominators
 
 DEFAULT_BUDGET_BYTES = 1 << 30
 BLOCK = 1024
-ELEMENT_BOUND = 1 << 14  # bounds each temporary: of a scoring part or GEMM, of a draw chunk
+ELEMENT_BOUND = 1 << 14  # bounds each temporary: of a scoring piece or GEMM, of a draw chunk
 
 
 class CodebookBudgetError(RuntimeError):
@@ -162,31 +162,47 @@ def select_codeword(codebook: np.ndarray, gram_inv: np.ndarray, noise_power: flo
 
 
 def part_elements(num_users: int) -> int:
-    """Elements one codeword adds to a scoring part of :func:`select_prefix_codewords`:
+    """Elements one codeword adds to a scoring piece of :func:`select_prefix_codewords`:
     the ``P**2`` lifted features of each of its ``P`` columns."""
     return num_users**3
 
 
-def select_prefix_codewords(blocks, gram_invs, bit_counts):
+def prefix_parts(blocks, bit_counts):
+    """The codebook stream ``blocks`` up to codeword ``2**max(bit_counts)``, each block
+    cut at every ``2**b`` inside it: ``(low, part, b)`` in order, ``part`` a view of its
+    block from codeword ``low`` on, ``b`` the bit count whose ``2**b`` prefix the part
+    closes, else None. Raises ValueError, when the stream ends, on fewer codewords."""
+    edge_bits = {1 << bits: bits for bits in bit_counts}
+    size = max(edge_bits)
+    start = 0
+    for block in blocks:
+        stop = min(start + len(block), size)
+        cuts = [cut for cut in sorted({stop, *edge_bits}) if start < cut <= stop]
+        for low, high in zip([start, *cuts], cuts):
+            yield low, block[low - start : high - start], edge_bits.get(high)
+        start = stop
+        if start == size:
+            return
+    raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
+
+
+def select_prefix_codewords(parts, gram_invs):
     """The best codeword of each ``2**b`` prefix, per Gram inverse, ties to the lowest index.
 
-    ``blocks`` yields the codebook from codeword 0 on, read once up to codeword
-    ``2**max(bit_counts)``; a block need stay valid only until the next is
-    asked for, as :func:`codebook_stream`'s do, since each choice is copied out of it.
+    ``parts`` are the :func:`prefix_parts` of a codebook stream; a part need stay
+    valid only until the next is asked for, as :func:`codebook_stream`'s blocks do,
+    since each choice is copied out of it.
     ``q^H B q`` is a real linear form in the features of ``q`` (:func:`_lifted_features`),
     weights ``2 Re B_ij``, ``-2 Im B_ij`` and ``B_ii``, so one real GEMM scores a
-    part of a block for a chunk of Gram inverses, sized so that its features
+    piece of a part for a chunk of Gram inverses, sized so that its features
     and its denominators each stay within ``ELEMENT_BOUND``. A running
     first-occurrence argmax records each ``b``'s choice, for every noise power:
     :func:`select_codeword`'s, unless two scores are equal within the rounding of
     the two forms (relative 1e-15; 2e-10 at ``COND_LIMIT``), as when the Gram is
     a multiple of the identity. Yields ``(b, (indices, codewords))`` by increasing b as
-    the ``2**b`` prefix is scored: the running choices, a row per Gram inverse, codewords
-    in the store's layout, valid until the next is asked for. Raises ValueError, when
-    the stream ends, on fewer codewords.
+    the part closing ``2**b`` is scored: the running choices, a row per Gram inverse,
+    codewords in the store's layout, valid until the next is asked for.
     """
-    edge_bits = {1 << bits: bits for bits in sorted(bit_counts)}
-    size = max(edge_bits)
     gram_invs = np.asarray(gram_invs)
     num, users = gram_invs.shape[:2]
     part_rows = max(1, min(BLOCK, ELEMENT_BOUND // part_elements(users)))
@@ -196,15 +212,10 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts):
     weights = np.concatenate([upper.real, -upper.imag, np.diagonal(gram_invs, 0, 1, 2).real], 1)
     best_scores, best_index = np.full(num, -np.inf), np.zeros(num, dtype=int)
     best = np.empty((num, users, users), dtype=complex).swapaxes(-1, -2)
-    start = 0
-    for block in blocks:
-        stop = min(start + len(block), size)
-        # parts of at most part_rows codewords, cut at the prefix edges
-        edges = (edge for edge in edge_bits if start < edge < stop)
-        cuts = sorted({*range(start, stop, part_rows), *edges})
-        for low, high in zip(cuts, [*cuts[1:], stop]):
-            part = block[low - start : high - start]
-            features = _lifted_features(part, upper_i, upper_j)
+    for low, part, bits in parts:
+        for offset in range(0, len(part), part_rows):
+            piece = part[offset : offset + part_rows]
+            features = _lifted_features(piece, upper_i, upper_j)
             for first in range(0, num, chunk):
                 rows = slice(first, first + chunk)
                 denominators = weights[rows] @ features
@@ -213,15 +224,10 @@ def select_prefix_codewords(blocks, gram_invs, bit_counts):
                 k = scores.argmax(axis=1)
                 score = scores[np.arange(len(k)), k]
                 hit = np.flatnonzero(score > best_scores[rows])
-                best_scores[first + hit], best_index[first + hit] = score[hit], low + k[hit]
-                best[first + hit] = part[k[hit]]
-            if high in edge_bits:
-                yield edge_bits[high], (best_index, best)
-        start = stop
-        if start == size:
-            break
-    if start < size:
-        raise ValueError(f"codebook holds {start} codewords, fewer than {size}")
+                best_scores[first + hit], best_index[first + hit] = score[hit], low + offset + k[hit]
+                best[first + hit] = piece[k[hit]]
+        if bits is not None:
+            yield bits, (best_index, best)
 
 
 def _lifted_features(codewords: np.ndarray, upper_i, upper_j) -> np.ndarray:

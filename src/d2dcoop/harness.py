@@ -31,7 +31,7 @@ from .channel import sector_angles
 from .channel import inner_precoder  # noqa: F401  perfbench/spans.py wraps it by name
 from .channel import sample_channel  # noqa: F401  perfbench/spans.py wraps it by name
 from .codebook import ELEMENT_BOUND, codebook_stream, generate_codebook
-from .codebook import select_codeword, select_prefix_codewords
+from .codebook import prefix_parts, select_codeword, select_prefix_codewords
 from .config import ConfigError, ExperimentConfig
 from .linklevel import empirical_snr  # noqa: F401  perfbench/spans.py wraps it by name
 from .precoding import effective_channel  # noqa: F401  perfbench/spans.py wraps it by name
@@ -297,8 +297,8 @@ def run_experiment(config: ExperimentConfig) -> list:
     drawn = {users: sweep_trials(config, users) for users in config.user_count_grid}
     results = []
     for users, trials in drawn.items():
-        blocks = codebook_blocks(config, users, max(config.b_grid))
-        choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
+        parts = prefix_parts(codebook_blocks(config, users, max(config.b_grid)), config.b_grid)
+        choices = select_prefix_codewords(parts, trials.a_inv)
         results.append(evaluate_trials(config, users, trials, choices))
     return results
 
@@ -306,54 +306,44 @@ def run_experiment(config: ExperimentConfig) -> list:
 def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     """Measured quantization-cell distortion of the sweep's codebook, per b.
 
-    Walks the sweep's own trials and codebook stream. The one pass of
-    :func:`select_prefix_codewords` over the ``2**max(b_grid)`` stream chooses for
-    every usable trial and b, read as each b is yielded; next to it, each block
-    lowers every trial's running prefix minimum of
-    :func:`~d2dcoop.bounds.cell_distortion`, one per b, before selection scores it,
-    so the audit, like the sweep, holds one block at a time. Returns ``{b: (cell,
-    selected)}``: ``cell`` is the mean squared sine between eigenvector p and the
-    nearest p-th codeword column of the ``2**b`` prefix, the raw pairing (column p
-    against eigenvector p) that ``2**(-b/(P-1))`` models; ``selected`` is the mean
-    :func:`~d2dcoop.bounds.aligned_cell_distortion`, which resolves the pairing, of
-    the codeword the average-SNR selector picks. Selection is not a
-    minimum-distortion quantizer, so the gap between the two audits the cell
-    approximation behind the bound. Ill-conditioned trials are skipped. Raises,
+    Walks the sweep's own trials and the :func:`~d2dcoop.codebook.prefix_parts` of its
+    ``2**max(b_grid)`` codebook stream. The one pass of :func:`select_prefix_codewords`
+    chooses for every usable trial and b, read as each b is yielded; before it scores a
+    part, the part lowers every trial's one running minimum of
+    :func:`~d2dcoop.bounds.cell_distortion`, so the audit, like the sweep, holds one
+    block at a time. Returns ``{b: (cell, selected)}``: ``cell`` is the mean squared
+    sine between eigenvector p and the nearest p-th codeword column of the ``2**b``
+    prefix, the raw pairing (column p against eigenvector p) that ``2**(-b/(P-1))``
+    models; ``selected`` is the mean :func:`~d2dcoop.bounds.aligned_cell_distortion`,
+    which resolves the pairing, of the codeword the average-SNR selector picks.
+    Selection is not a minimum-distortion quantizer, so the gap between the two audits
+    the cell approximation behind the bound. Ill-conditioned trials are skipped. Raises,
     before generating the codebook, the ConfigError of :func:`sweep_trials` when no
-    trial is usable, and ValueError when ``users`` is not a user count of the
-    config.
+    trial is usable, and ValueError when ``users`` is not a user count of the config.
     """
     config.validate()
     if users not in config.user_count_grid:
         raise ValueError(f"{users} users is not a user count of the sweep")
     trials = sweep_trials(config, users)
     eigenvectors = trials.eigenvectors[trials.usable]
-    usable = len(eigenvectors)
-    # nearest[b][t, p]: the least distortion of column p over the 2**b prefix, usable trial t
-    nearest = {bits: np.full((usable, users), np.inf) for bits in config.b_grid}
+    # nearest[t, p]: the least distortion of column p over the parts so far, usable trial t
+    nearest = np.full((len(eigenvectors), users), np.inf)
 
-    def lowering_nearest(blocks):
-        """The blocks, each passed on once it has lowered the running minima."""
-        start = 0
-        for block in blocks:
-            for row, u in enumerate(eigenvectors):
-                distortion = cell_distortion(block, u)
-                for bits, least in nearest.items():
-                    if start < 1 << bits:
-                        prefix = distortion[: (1 << bits) - start].min(axis=0)
-                        np.minimum(least[row], prefix, out=least[row])
-            yield block
-            start += len(block)
+    def lowering_nearest(parts):
+        """The parts, each passed on once it has lowered the running minima."""
+        for low, part, bits in parts:
+            for least, u in zip(nearest, eigenvectors):
+                np.minimum(least, cell_distortion(part, u).min(axis=0), out=least)
+            yield low, part, bits
 
-    blocks = lowering_nearest(codebook_blocks(config, users, max(config.b_grid)))
-    choices = select_prefix_codewords(blocks, trials.a_inv, config.b_grid)
+    parts = prefix_parts(codebook_blocks(config, users, max(config.b_grid)), config.b_grid)
     audit = {}
-    for bits, (_, codewords) in choices:
+    for bits, (_, codewords) in select_prefix_codewords(lowering_nearest(parts), trials.a_inv):
         cell = selected = 0.0
-        for least, q, u in zip(nearest[bits], codewords, eigenvectors):
+        for least, q, u in zip(nearest, codewords, eigenvectors):
             cell += float(least.mean())
             selected += float(aligned_cell_distortion(q, u).mean())
-        audit[bits] = cell / usable, selected / usable
+        audit[bits] = cell / len(nearest), selected / len(nearest)
     return audit
 
 
@@ -441,7 +431,8 @@ def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False)
             for table, rows in zip((trials_csv, aggregate_csv), (zip(*columns), summaries)):
                 table.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
             for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), summaries)):
-                objects = [layout % tuple(c or "null" for c in (*key_cells, *row)) for row in rows]
+                # tuple() of a list: tuples grown from a generator pile up in a free list
+                objects = [layout % tuple([c or "null" for c in (*key_cells, *row)]) for row in rows]
                 if objects:
                     mirror.writelines([opening, ",\n".join(objects)])
             opening = ",\n"

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib.util
@@ -286,10 +287,23 @@ def test_missing_config_file_is_io_error(tmp_path):
 
 
 def test_cli_import_skips_scipy():
-    # scipy is only needed by the distortion audit, not by any sweep
+    # scipy is only needed by the distortion audit, not by any sweep; and a
+    # sweep imports nothing lazily but argparse's gettext locale modules: a
+    # lazy import on the sweep's path (np.unique's numpy.ma, say) would double
+    # a short run's wall time in a fresh process. Nor does a sweep leave
+    # memory behind: mirror rows formatted through tuples grown from
+    # generators left 31 KB in this probe, 136 B a row up to 2000 rows
     probe = (
-        "import sys, d2dcoop.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import contextlib, io, sys, tempfile, tracemalloc, d2dcoop.cli\n"
+        "before = set(sys.modules)\n"
+        "tracemalloc.start()\n"
+        "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name in ('fig-capacity-vs-snr', 'fig-capacity-vs-bandwidth-snr'):\n"
+        "        d2dcoop.cli.main(['preset', name, '--trials', '2', '--out', out, '--json'])\n"
+        "mine = [tracemalloc.Filter(True, d2dcoop.harness.__file__)]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "print(sum(t.size for t in tracemalloc.take_snapshot().filter_traces(mine).traces))"
     )
     src = str(Path(d2dcoop.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -300,7 +314,10 @@ def test_cli_import_skips_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.stdout.strip() == "[]"
+    scipy_modules, lazy_imports, kept = map(ast.literal_eval, result.stdout.splitlines())
+    assert scipy_modules == []
+    assert set(lazy_imports) <= {"locale", "_locale"}
+    assert kept < 16_000
 
 
 def load_perfbench(name):

@@ -32,6 +32,7 @@ from d2dcoop.codebook import (
     codebook_stream,
     codeword_scores,
     part_elements,
+    prefix_parts,
     select_prefix_codewords,
 )
 from d2dcoop.linalg import phase_canonicalize
@@ -300,7 +301,7 @@ class TestSelection:
         assert index == 0
         # the lifted selector, on every trial of a stack of Gram inverses
         a_invs = [inverse_of(gaussian_effective_channel(rng, 6, 4)) for _ in range(3)]
-        indices, _ = collect_choices(select_prefix_codewords([cb], a_invs, [1]))[1]
+        indices, _ = collect_choices(select_prefix_codewords(prefix_parts([cb], [1]), a_invs))[1]
         for index in indices:
             assert index == 0
 
@@ -323,7 +324,8 @@ class TestSelection:
         unblocked = (1.0 / snr_denominators(cb, a_inv)).sum(axis=1)
         assert np.array_equal(scores, unblocked)
         blocks = block_slices(cb)
-        choices = collect_choices(select_prefix_codewords(blocks, [a_inv], [0, 5, 12, 13]))
+        parts = prefix_parts(blocks, [0, 5, 12, 13])
+        choices = collect_choices(select_prefix_codewords(parts, [a_inv]))
         for bits, ((index,), (q,)) in choices.items():
             assert index == select_codeword(cb[: 1 << bits], a_inv, 0.3)[0]
             assert index == int(np.argmax(unblocked[: 1 << bits]))
@@ -333,11 +335,12 @@ class TestSelection:
     def test_streamed_choices_equal_reference_selector(self, users):
         # prefix edges inside the first block (2**0 .. 2**9) and on block
         # boundaries (2**10, 2**11, 2**12), for several Gram inverses at once.
-        # Parts and chunks are cut short at their ends: a block ends in a
-        # short part (1024 = 7 * 131 + 107 codewords at P = 5, 606 + 418 at
-        # P = 3), and the Gram inverses fill fewer than one chunk, or one and
-        # a short one. The part and chunk sizes are select_prefix_codewords'
-        # own, from part_elements, so these cases track its rule
+        # Scoring pieces and chunks are cut short at their ends: a block past
+        # the first ends in a short piece (1024 = 7 * 131 + 107 codewords at
+        # P = 5, 606 + 418 at P = 3), and the Gram inverses fill fewer than one
+        # chunk, or one and a short one. The piece and chunk sizes are
+        # select_prefix_codewords' own, from part_elements, so these cases
+        # track its rule
         bit_counts = [0, 1, 4, 9, 10, 11, 12]
         part_rows = max(1, min(BLOCK, ELEMENT_BOUND // part_elements(users)))
         chunk = max(1, ELEMENT_BOUND // (users * part_rows))
@@ -348,7 +351,8 @@ class TestSelection:
         for num in (3, chunk + 3):
             a_invs = [inverse_of(gaussian_effective_channel(rng, 6, users)) for _ in range(num)]
             stream = codebook_stream(users, 12, np.random.default_rng(51))
-            choices = collect_choices(select_prefix_codewords(stream, a_invs, bit_counts))
+            parts = prefix_parts(stream, bit_counts)
+            choices = collect_choices(select_prefix_codewords(parts, a_invs))
             assert sorted(choices) == bit_counts
             for bits, (indices, codewords) in choices.items():
                 for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
@@ -366,19 +370,21 @@ class TestSelection:
         book[BLOCK - 1] = book[BLOCK] = u
         blocks = block_slices(book)
         assert codeword_scores(blocks[0], a_inv)[-1] == codeword_scores(blocks[1], a_inv)[0]
-        choices = collect_choices(select_prefix_codewords(blocks, [a_inv], [10, 11]))
+        choices = collect_choices(select_prefix_codewords(prefix_parts(blocks, [10, 11]), [a_inv]))
         assert choices[10][0][0] == choices[11][0][0] == BLOCK - 1
         # the same among other trials, in the first and in a later chunk of them
         others = [inverse_of(gaussian_effective_channel(rng, 6, 3)) for _ in range(32)]
         a_invs = [a_inv, *others, a_inv]
-        indices = collect_choices(select_prefix_codewords(blocks, a_invs, [10, 11]))[11][0]
+        parts = prefix_parts(blocks, [10, 11])
+        indices = collect_choices(select_prefix_codewords(parts, a_invs))[11][0]
         assert indices[0] == indices[-1] == BLOCK - 1
         for a_inv_t, index in zip(a_invs, indices, strict=True):
             assert index == select_codeword(book, a_inv_t, 1.0)[0]
-        # and for two copies inside one block, in different scoring parts
+        # and for two copies inside one block, in different scoring pieces
         assert 5 + ELEMENT_BOUND // 3**3 < BLOCK - 2
         book[5] = book[BLOCK - 2] = u
-        choices = collect_choices(select_prefix_codewords(block_slices(book), a_invs, [10, 11]))
+        parts = prefix_parts(block_slices(book), [10, 11])
+        choices = collect_choices(select_prefix_codewords(parts, a_invs))
         assert choices[10][0][0] == choices[11][0][-1] == 5
 
     def test_prefix_choices_need_the_largest_prefix(self):
@@ -386,18 +392,19 @@ class TestSelection:
         # rejected rather than scored on the codewords it has
         cb = generate_codebook(3, 4, np.random.default_rng(17))
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
-        assert set(collect_choices(select_prefix_codewords([cb], [a_inv], [2, 4]))) == {2, 4}
+        parts = prefix_parts([cb], [2, 4])
+        assert set(collect_choices(select_prefix_codewords(parts, [a_inv]))) == {2, 4}
         with pytest.raises(ValueError, match="fewer than 32"):
-            collect_choices(select_prefix_codewords([cb], [a_inv], [2, 5]))
+            collect_choices(select_prefix_codewords(prefix_parts([cb], [2, 5]), [a_inv]))
         with pytest.raises(ValueError, match="holds 8 codewords"):
-            collect_choices(select_prefix_codewords([cb[:8]], [a_inv], [4]))
+            collect_choices(select_prefix_codewords(prefix_parts([cb[:8]], [4]), [a_inv]))
 
     def test_pairs_are_the_running_choices_by_increasing_b(self):
         # each b is yielded once its prefix is scored, smallest first, as the one
         # pair of running arrays; a short stream raises only when it ends
         cb = generate_codebook(3, 4, np.random.default_rng(17))
         a_inv = inverse_of(gaussian_effective_channel(np.random.default_rng(18), 6, 3))
-        pairs = select_prefix_codewords([cb[:8]], [a_inv], [4, 0, 2])
+        pairs = select_prefix_codewords(prefix_parts([cb[:8]], [4, 0, 2]), [a_inv])
         bits, (index, best) = next(pairs)
         assert (bits, index[0]) == (0, 0) and np.array_equal(best[0], cb[0])
         bits, (later_index, later) = next(pairs)
@@ -441,6 +448,50 @@ class TestSelection:
 
 
 @st.composite
+def prefix_cases(draw):
+    """Bit counts, 0 among the choices, and a stream of ``arange`` codewords cut into
+    random blocks, some of one codeword and some cut on a ``2**b``; it may hold more
+    codewords than ``2**max(b)`` or fewer, none at all included."""
+    bit_counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    size = 1 << max(bit_counts)
+    total = draw(st.integers(0, 2 * size))
+    edges = st.sampled_from([1 << bits for bits in bit_counts])
+    cuts = draw(st.sets(st.one_of(edges, st.integers(1, size), st.integers(1, 2 * size))))
+    bounds = [0, *sorted(cut for cut in cuts if cut < total), total] if total else [0]
+    book = np.arange(total)
+    return bit_counts, book, [book[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
+@settings(deadline=None, max_examples=200)
+@given(prefix_cases())
+def test_prefix_parts_cut_blocks_at_every_edge(case):
+    # the parts concatenate to the first 2**max(b) codewords, each a view of
+    # one block; each b closes once, at 2**b, in increasing order; the stream
+    # is read no further than the block that reaches 2**max(b), and a short
+    # one raises once it ends, after the parts it holds
+    bit_counts, book, blocks = case
+    size = 1 << max(bit_counts)
+    stream = iter(blocks)
+    parts = []
+    if len(book) < size:
+        message = f"^codebook holds {len(book)} codewords, fewer than {size}$"
+        with pytest.raises(ValueError, match=message):
+            parts.extend(prefix_parts(stream, bit_counts))
+    else:
+        parts = list(prefix_parts(stream, bit_counts))
+    end = min(len(book), size)
+    assert np.array_equal(np.concatenate([book[:0]] + [part for _, part, _ in parts]), book[:end])
+    block_ends = np.cumsum([len(block) for block in blocks])
+    for low, part, _ in parts:
+        assert len(part) and part[0] == low and part.base is book
+        assert not np.any((low < block_ends) & (block_ends < low + len(part)))
+    closed = [(low + len(part), bits) for low, part, bits in parts if bits is not None]
+    assert closed == [(1 << bits, bits) for bits in sorted(bit_counts) if 1 << bits <= end]
+    read = min(len(blocks), np.searchsorted(block_ends, size) + 1)
+    assert len(list(stream)) == len(blocks) - read
+
+
+@st.composite
 def selection_cases(draw):
     """A random codebook cut into random consecutive blocks, prefix sizes and Gram inverses."""
     users = draw(st.integers(1, 6))
@@ -467,7 +518,8 @@ def test_lifted_choices_equal_reference_selector(case):
     edges = [0, *cuts, len(book)]
     blocks = [book[low:high] for low, high in zip(edges, edges[1:])]
     with patch.object(codebook_module, "ELEMENT_BOUND", elements):
-        choices = collect_choices(select_prefix_codewords(iter(blocks), a_invs, bit_counts))
+        parts = prefix_parts(iter(blocks), bit_counts)
+        choices = collect_choices(select_prefix_codewords(parts, a_invs))
     assert sorted(choices) == sorted(bit_counts)
     for bits, (indices, codewords) in choices.items():
         for a_inv, index, q in zip(a_invs, indices, codewords, strict=True):
@@ -496,7 +548,7 @@ def test_lifted_choices_equal_reference_near_condition_limit(cond):
         a_invs = [conditioned_inverse(users, cond, rng) for _ in range(4)]
         for a_inv in a_invs:
             assert np.linalg.cond(a_inv) > cond / 10
-        choices = collect_choices(select_prefix_codewords([book], a_invs, bit_counts))
+        choices = collect_choices(select_prefix_codewords(prefix_parts([book], bit_counts), a_invs))
         for bits, (indices, _) in choices.items():
             for a_inv, index in zip(a_invs, indices, strict=True):
                 assert index == select_codeword(book[: 1 << bits], a_inv, 1.0)[0]
@@ -512,7 +564,7 @@ def test_near_ties_resolve_within_rounding():
     rng = np.random.default_rng(61)
     book = generate_codebook(users, 8, rng)
     a_invs = [gram_inverse(np.full(users, 2.0), haar_unitary(users, rng)) for _ in range(8)]
-    indices, _ = collect_choices(select_prefix_codewords([book], a_invs, [8]))[8]
+    indices, _ = collect_choices(select_prefix_codewords(prefix_parts([book], [8]), a_invs))[8]
     for a_inv, index in zip(a_invs, indices, strict=True):
         scores = codeword_scores(book, a_inv)
         assert np.ptp(scores) <= 1e-14 * scores.max()

@@ -38,7 +38,8 @@ from d2dcoop import (
 from d2dcoop import codebook as codebook_module
 from d2dcoop import harness
 from d2dcoop.channel import path_effective_channel, path_gains, path_temporary_elements, ray_sum
-from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, codebook_bytes, select_prefix_codewords
+from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, codebook_bytes, prefix_parts
+from d2dcoop.codebook import select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
     SUMMARY_FIELDS,
@@ -589,7 +590,8 @@ class TestRunExperiment:
                 if not trials.usable[0]:
                     continue
                 a_inv = trials.a_inv[0]
-                choices = collect_choices(select_prefix_codewords([book], [a_inv], config.b_grid))
+                parts = prefix_parts([book], config.b_grid)
+                choices = collect_choices(select_prefix_codewords(parts, [a_inv]))
                 for bits, snr_db in itertools.product(config.b_grid, config.snr_db_grid):
                     noise_power = 10.0 ** (-snr_db / 10.0)
                     expected = select_codeword(book[: 1 << bits], a_inv, noise_power)[0]
