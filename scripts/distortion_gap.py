@@ -36,22 +36,20 @@ def main() -> int:
     args = ap.parse_args()
     if min(args.users) < 2:
         ap.error("--users must be at least 2: one user's cell has no angle")
-    # validate names the offending flag's config field:
+    # a config names the offending flag's field when it is built:
     # num_trials, b_grid, user_count_grid or master_seed
-    configs = {
-        users: ExperimentConfig(
-            user_count_grid=[users],
-            b_grid=sorted(set(args.bits)),
-            num_trials=args.trials,
-            master_seed=args.seed,
-        )
-        for users in dict.fromkeys(args.users)
-    }
-    for config in configs.values():
-        try:
-            config.validate()
-        except ConfigError as exc:
-            ap.error(str(exc))
+    try:
+        configs = {
+            users: ExperimentConfig(
+                user_count_grid=[users],
+                b_grid=sorted(set(args.bits)),
+                num_trials=args.trials,
+                master_seed=args.seed,
+            )
+            for users in dict.fromkeys(args.users)
+        }
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     print(f"{'P':>3} {'b':>3} {'approx':>10} {'cell':>10} {'ratio':>6} {'selected':>10} {'ratio':>6}")
     for users, config in configs.items():

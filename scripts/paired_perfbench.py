@@ -25,8 +25,11 @@ spread exceeds that margin, unless every change run beats every parent run;
 ``no`` otherwise, and ``n/a`` for a metric without a bound. Every run is
 printed as it finishes. Under the table it counts, per side, the runs
 whose output failed perfbench's own check; the script exits 1 when there
-is any, since their numbers are in the medians. Uses the standard
-library only.
+is any, since their numbers are in the medians. It then counts the pairs
+whose two runs wrote the same outputs: the record's ``digests``, the
+SHA-256 of ``trials.csv`` and ``aggregate.csv`` at the pair's seed, equal
+on both sides. That count is informational and leaves the exit code as
+it is. Uses the standard library only.
 """
 
 import argparse
@@ -39,6 +42,8 @@ import sys
 # perfbench scales its reported times by a kernel timed after each sweep; the
 # record also keeps the unscaled median
 WALL = "wall.ms_per_trial_point"
+# the record's output digests, kept beside the metrics of a run
+DIGESTS = "digests"
 
 
 def parse_args(argv):
@@ -60,7 +65,8 @@ def parse_args(argv):
 
 def run_once(tree, workload, seed, seconds) -> tuple:
     """One perfbench run in ``tree``: ``({metric: value}, correct)`` from its last
-    JSON line, with the unscaled :data:`WALL` from its record in ``perfbench/out/``."""
+    JSON line, with the unscaled :data:`WALL` and the output :data:`DIGESTS` from its
+    record in ``perfbench/out/``."""
     command = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -71,9 +77,10 @@ def run_once(tree, workload, seed, seconds) -> tuple:
         raise SystemExit(f"{tree}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     values = {name: entry["value"] for name, entry in result["metrics"].items()}
-    record = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
-    with open(record, encoding="utf-8") as fh:
-        values[WALL] = json.load(fh)["wall"]["ms_per_trial_point"]
+    path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    values[WALL], values[DIGESTS] = record["wall"]["ms_per_trial_point"], record["digests"]
     return values, result["correct"]
 
 
@@ -136,6 +143,9 @@ def main(argv=None) -> int:
         print(summary(name, better, parent, change, bound))
     print(f"\nincorrect runs: parent {incorrect['parent']} of {args.pairs}, "
           f"change {incorrect['change']} of {args.pairs}")
+    same = sum(p.get(DIGESTS) is not None and p.get(DIGESTS) == c.get(DIGESTS)
+               for p, c in zip(runs["parent"], runs["change"]))
+    print(f"equal output digests (trials.csv, aggregate.csv): {same} of {args.pairs} pairs")
     return 1 if any(incorrect.values()) else 0
 
 

@@ -7,12 +7,11 @@ symbols: ``M`` transmit antennas, ``D`` effective-channel dimension,
 ``L`` propagation paths; ``user_count_grid`` sweeps the user count P.
 """
 
-import copy
 import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import path_temporary_elements
 from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget, part_elements
@@ -49,15 +48,15 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration content."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo sweep.
+    """Full description of one Monte Carlo sweep, checked by :meth:`validate` when built.
 
-    Grids are swept as a Cartesian product; ``gamma_db_grid`` and
-    ``bandwidth_ratio_grid`` only apply in ``quantized-rsi`` mode, but are
-    validated in both. ``user_count_grid`` alone sets the user counts.
-    Downlink SNR in dB maps to noise power ``N0 = 10**(-snr_db/10)``
-    under unit transmit symbol power.
+    Frozen, with tuple grids, so it stays valid; ``dataclasses.replace`` checks the new
+    config. Grids are swept as a Cartesian product; ``gamma_db_grid`` and
+    ``bandwidth_ratio_grid`` only apply in ``quantized-rsi`` mode, but are validated in
+    both. ``user_count_grid`` alone sets the user counts. Downlink SNR in dB maps to noise
+    power ``N0 = 10**(-snr_db/10)`` under unit transmit symbol power.
     """
 
     M: int = 64
@@ -65,16 +64,19 @@ class ExperimentConfig:
     L: int = 20
     sector_center: float = 0.0
     sector_spread: float = math.pi
-    snr_db_grid: list = field(default_factory=lambda: [-5.0])
-    b_grid: list = field(default_factory=lambda: [6])
-    user_count_grid: list = field(default_factory=lambda: [4])
+    snr_db_grid: tuple = (-5.0,)
+    b_grid: tuple = (6,)
+    user_count_grid: tuple = (4,)
     tau: float = 30.0
-    gamma_db_grid: list = field(default_factory=lambda: [10.0])
-    bandwidth_ratio_grid: list = field(default_factory=lambda: [1.0])
+    gamma_db_grid: tuple = (10.0,)
+    bandwidth_ratio_grid: tuple = (1.0,)
     num_trials: int = 200
     master_seed: int = 0
     mode: str = "ideal-rsi"
     figure_preset: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for name in ("M", "D", "L", "num_trials"):
@@ -142,11 +144,13 @@ class ExperimentConfig:
                 f"elements: the sweep needs {need} bytes at its peak, budget is "
                 f"{DEFAULT_BUDGET_BYTES}"
             )
-        # float fields hold floats, so 0 and 0.0 write the same bytes
+        # float fields hold floats, so 0 and 0.0 write the same bytes; grids are tuples
         for name in ("sector_center", "sector_spread", "tau"):
-            setattr(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
-            setattr(self, name, [float(value) for value in getattr(self, name)])
+            object.__setattr__(self, name, tuple(float(value) for value in getattr(self, name)))
+        for name in ("b_grid", "user_count_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def sweep_axes(self) -> tuple:
         """The five axes in sweep order: P, b, SNR, gamma, Wc/W (one None each in ideal mode)."""
@@ -157,20 +161,22 @@ class ExperimentConfig:
     def sweep_bytes(self) -> int:
         """An upper bound on the bytes a sweep of this validated config holds at once.
 
-        Kept, per trial: every count's drawn trials (id, usable flag, eigenvalues,
-        eigenvectors, Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and one
-        count's output id and flag cells (72) and working state, 48P^2 + 24: selection's
-        running choices, scores and weights (24P^2 + 16), the usable index and an evaluation
-        chunk's P x P products (16P^2 a trial). Then the codebook stream (48P^2 per codeword
-        of a block), eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or one
-        item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
+        Kept, per trial: every count's drawn trials (id, usable flag, eigenvalues, eigenvectors,
+        Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and one count's output id
+        and flag cells (72) and working state, 48P^2 + 24: selection's running choices, scores and
+        weights (24P^2 + 16), the usable index and an evaluation chunk's P x P products (16P^2 a
+        trial). Then the codebook stream, 32P^2 + 96P per codeword of a block: its draw buffer and
+        block store (16P^2 each) and ``_orthonormalize``'s column temporaries, within six complex
+        P-vectors (at most the column, its conjugate, two coefficient vectors and einsum's buffer
+        are live at once). Then eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or
+        one item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
         chunk too, and in quantized mode one trial's overload tails (80 per tail and SNR).
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
         held = trials * (72 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
         users = max(counts)
-        stream = 48 * users**2 * min(1 << max(self.b_grid), BLOCK)
+        stream = (32 * users**2 + 96 * users) * min(1 << max(self.b_grid), BLOCK)
         temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
         chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
@@ -187,16 +193,14 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate a config from a plain dict, rejecting unknown keys."""
+    """Build a config, which validates itself, from a plain dict, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    config = ExperimentConfig(**data)
-    config.validate()
-    return config
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -232,8 +236,7 @@ def preset_config(
     """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    # deep-copied, so a caller editing its config's grids cannot edit the table
-    data = copy.deepcopy(PRESETS[name]) | {"figure_preset": name}
+    data = PRESETS[name] | {"figure_preset": name}
     overrides = {"num_trials": num_trials, "master_seed": master_seed}
     data.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(data)
@@ -257,7 +260,7 @@ def _is_db(value) -> bool:
 
 
 def _check_grid(grid, name, predicate) -> None:
-    if not isinstance(grid, list) or not grid:
+    if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigError(f"{name} must be a nonempty list")
     for entry in grid:
         if not predicate(entry):

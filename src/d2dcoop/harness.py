@@ -17,7 +17,6 @@ row and a JSON mirror object. :func:`run_trial` is the per-point reference.
 import contextlib
 import dataclasses
 import itertools
-import operator
 import os
 from dataclasses import dataclass
 
@@ -251,14 +250,14 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
     """One trial at one grid point: the per-point reference path of the sweep.
 
     It chooses from its own whole ``2**b`` codebook with the reference
-    :func:`~d2dcoop.codebook.select_codeword` and evaluates a one-point grid
-    through the same :func:`evaluate_trials`, whose empty cells it returns as
-    None. An ill-conditioned trial generates no codebook and has ``cond_fail`` 1.
+    :func:`~d2dcoop.codebook.select_codeword` and evaluates the point's own config,
+    checked as any config is, through the same :func:`evaluate_trials`, whose empty cells
+    it returns as None. An ill-conditioned trial generates no codebook and has ``cond_fail`` 1.
     """
-    one_point = dataclasses.replace(
-        config, user_count_grid=[point.users], b_grid=[point.bits], snr_db_grid=[point.snr_db],
-        gamma_db_grid=[point.gamma_db], bandwidth_ratio_grid=[point.bandwidth_ratio],
-    )
+    grids = dict(user_count_grid=(point.users,), b_grid=(point.bits,), snr_db_grid=(point.snr_db,))
+    if config.mode == "quantized-rsi":
+        grids.update(gamma_db_grid=(point.gamma_db,), bandwidth_ratio_grid=(point.bandwidth_ratio,))
+    one_point = dataclasses.replace(config, **grids)
     trials = draw_trials(one_point, point.users, [trial])
     choices = []
     if trials.usable[0]:
@@ -268,7 +267,7 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         choices.append((point.bits, (np.array([index]), codeword[None])))
     values = evaluate_trials(one_point, point.users, trials, choices).values[:, 0, 0].tolist()
     coop, zf, ideal, bound, overload = (None if value != value else value for value in values)
-    key, cond_fail = dataclasses.astuple(next(grid_points(one_point))), int(not trials.usable[0])
+    key, cond_fail = dataclasses.astuple(point), int(not trials.usable[0])
     return TrialRecord(*key, trial, coop, zf, ideal, bound, cond_fail, overload)
 
 
@@ -293,7 +292,6 @@ def run_experiment(config: ExperimentConfig) -> list:
     ``2**max(b)`` codebook is then streamed once through selection, a block at
     a time, which waits at each ``2**b`` while b's grid points are evaluated.
     """
-    config.validate()
     drawn = {users: sweep_trials(config, users) for users in config.user_count_grid}
     results = []
     for users, trials in drawn.items():
@@ -321,7 +319,6 @@ def cell_distortion_audit(config: ExperimentConfig, users: int) -> dict:
     before generating the codebook, the ConfigError of :func:`sweep_trials` when no
     trial is usable, and ValueError when ``users`` is not a user count of the config.
     """
-    config.validate()
     if users not in config.user_count_grid:
         raise ValueError(f"{users} users is not a user count of the sweep")
     trials = sweep_trials(config, users)
@@ -376,7 +373,7 @@ def point_rows(config: ExperimentConfig, results):
     A chunk holds as many rows as keep the cells they write, CSV and mirror, within
     ``ELEMENT_BOUND``, and leaves numpy in one ``tolist`` per field; a count's ``trial``,
     ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
-    keys = map(operator.attrgetter(*TRIAL_FIELDS[:5]), grid_points(config))  # astuple: 4x slower
+    keys = itertools.product(*config.sweep_axes())
     for result in results:
         ids = _cells(result.trials.ids.tolist())
         cond_fail = [("1", "0")[ok] for ok in result.trials.usable.tolist()]  # two shared cells

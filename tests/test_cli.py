@@ -16,7 +16,7 @@ import d2dcoop
 import d2dcoop.cli
 import d2dcoop.harness
 from d2dcoop.cli import main
-from d2dcoop.config import ConfigError, preset_config
+from d2dcoop.config import ConfigError, ExperimentConfig, preset_config
 
 
 def write_config(path, **overrides):
@@ -153,6 +153,25 @@ def test_preset_subcommand(tmp_path):
     points = len(config.snr_db_grid) * len(config.b_grid)
     lines = (out / "trials.csv").read_text().splitlines()
     assert len(lines) == 1 + points * 2
+
+
+@pytest.mark.parametrize("command", ["preset", "run"])
+def test_a_run_checks_its_config_once(tmp_path, monkeypatch, command):
+    # the config checks itself when built; nothing downstream checks it again
+    checked = []
+    validate = ExperimentConfig.validate
+
+    def spy(config):
+        checked.append(config)
+        validate(config)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", spy)
+    source = {
+        "preset": ["preset", "fig-capacity-vs-snr", "--trials", "2"],
+        "run": ["run", "--config", str(write_config(tmp_path / "config.json"))],
+    }[command]
+    assert main([*source, "--out", str(tmp_path / "out")]) == 0
+    assert len(checked) == 1
 
 
 def test_preset_rejects_unknown_name(tmp_path):
@@ -447,6 +466,43 @@ def test_paired_perfbench_counts_incorrect_runs(tmp_path, monkeypatch, capsys, b
     assert f"incorrect runs: parent {counts['parent']} of 3, change {counts['change']} of 3" in out
     assert out.count("INCORRECT OUTPUT") == sum(counts.values())
     assert f"| {paired.WALL} | 10 (9.5–10.5) | 10 (9.5–10.5) | 1.0000 | 0 of 3 | no | n/a |" in out
+
+
+# a stand-in for perfbench/run.py: it writes a record with the given output
+# digests, a different trials.csv digest at the seeds listed, and prints a result
+FAKE_PERFBENCH = """
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+digests = {"trials.csv": "%s" if seed in %r else "t", "aggregate.csv": "a"}
+os.makedirs(os.path.join("perfbench", "out"), exist_ok=True)
+path = os.path.join("perfbench", "out", f"{args['--workload']}-seed{seed}-trace0.json")
+with open(path, "w") as fh:
+    json.dump({"wall": {"ms_per_trial_point": 1.0 + seed}, "digests": digests}, fh)
+print(json.dumps({"metrics": {"ms_per_trial_point": {"value": 2.0}}, "correct": True}))
+"""
+
+
+def test_paired_perfbench_counts_pairs_with_equal_digests(tmp_path, capsys):
+    # each run's record gives its output digests; a pair counts when both
+    # sides wrote the same files at its seed, and the count leaves the exit code
+    paired = load_paired_perfbench()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    differs = {"parent": [], "change": [8]}
+    for side, tree in trees.items():
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(FAKE_PERFBENCH % (side, differs[side]))
+    (trees["parent"] / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "ms_per_trial_point", "better": "lower"}]})
+    )
+    values, correct = paired.run_once(str(trees["change"]), "snr-sweep", 8, 0.5)
+    assert correct and values[paired.WALL] == 9.0
+    assert values[paired.DIGESTS] == {"trials.csv": "change", "aggregate.csv": "a"}
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
+            "--pairs", "3", "--seconds", "0.5", "--seed", "7"]
+    assert paired.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "equal output digests (trials.csv, aggregate.csv): 2 of 3 pairs" in out
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from conftest import (
 )
 from d2dcoop import (
     CodebookBudgetError,
+    ExperimentConfig,
     generate_codebook,
     gram_inverse,
     noncooperative_baseline_snr,
@@ -197,6 +198,28 @@ def test_generation_peak_is_codebook_plus_a_few_blocks(users):
     finally:
         tracemalloc.stop()
     assert peak <= codebook_bytes(users, 14) + 8 * codebook_bytes(users, 10)
+
+
+@pytest.mark.parametrize("users", [1, 2, 3, 5, 6, 12])
+def test_stream_peak_within_its_sweep_bytes_term(users):
+    # sweep_bytes counts the stream per codeword of a full block; two configs at
+    # b = 10 and b = 0 differ in nothing else, so they differ by 1023 codewords'
+    # worth. The stream's own peak, after a warm-up stream, stays within it
+    def config(bits):
+        return ExperimentConfig(D=max(6, users), user_count_grid=[users], b_grid=[bits])
+
+    per_codeword = (config(10).sweep_bytes() - config(0).sweep_bytes()) / (BLOCK - 1)
+    for bits in (10, 11):
+        for _ in codebook_stream(users, bits, np.random.default_rng(1)):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in codebook_stream(users, bits, np.random.default_rng(2)):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_codeword * BLOCK
 
 
 def test_generated_codebooks_are_independent_arrays():

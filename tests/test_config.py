@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -39,7 +40,7 @@ def test_unknown_field_rejected():
 
 def test_missing_fields_take_defaults():
     config = config_from_dict({"user_count_grid": [3], "snr_db_grid": [0.0]})
-    assert config.user_count_grid == [3]
+    assert config.user_count_grid == (3,)
     assert config.M == 64
     assert config.mode == "ideal-rsi"
 
@@ -125,6 +126,50 @@ def test_unusable_link_names_its_cause(overrides, message):
         config_from_dict(overrides)
 
 
+def _cases(test):
+    """The parameter sets of a test's one ``parametrize`` mark, overrides first."""
+    (mark,) = test.pytestmark
+    return [case if isinstance(case, dict) else case[0] for case in mark.args[1]]
+
+
+FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [case for case in _cases(test_invalid_values_rejected) if set(case) <= FIELDS]
+    + _cases(test_unusable_link_names_its_cause),
+)
+def test_construction_rejects_what_config_from_dict_rejects(overrides):
+    # a config checks itself when built, so no caller can skip the check;
+    # only an unknown field is config_from_dict's own rejection
+    with pytest.raises(ConfigError) as via_dict:
+        config_from_dict(overrides)
+    with pytest.raises(ConfigError) as direct:
+        ExperimentConfig(**overrides)
+    assert str(direct.value) == str(via_dict.value)
+
+
+def test_config_cannot_change_after_its_check():
+    config = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.num_trials = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.snr_db_grid = [-5.0, -5.0]
+    with pytest.raises(AttributeError):
+        config.snr_db_grid.append(-5.0)
+    for name in PRESET_NAMES:
+        preset = preset_config(name)
+        grids = [value for key, value in preset.to_dict().items() if key.endswith("_grid")]
+        assert len(grids) == 5 and all(type(grid) is tuple for grid in grids)
+    # replace builds a new config, so it is checked and normalised too
+    with pytest.raises(ConfigError, match="num_trials must be a positive integer, got 0"):
+        dataclasses.replace(config, num_trials=0)
+    with pytest.raises(ConfigError, match="snr_db_grid has duplicate entries"):
+        dataclasses.replace(config, snr_db_grid=[-5.0, -5.0])
+    assert dataclasses.replace(config, snr_db_grid=[0, 5]).snr_db_grid == (0.0, 5.0)
+
+
 # an int beyond the float range, which math.isfinite cannot convert
 HUGE = 10**400
 
@@ -155,7 +200,7 @@ def test_float_fields_stored_as_floats():
         assert type(getattr(config, name)) is float
     for name in ("snr_db_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
         assert all(type(value) is float for value in getattr(config, name))
-    assert config.snr_db_grid == [0.0, -5.0]
+    assert config.snr_db_grid == (0.0, -5.0)
 
 
 def test_direct_config_writes_the_bytes_of_its_dict(tmp_path):
@@ -200,9 +245,9 @@ def test_quantized_mode_requires_link_grids():
 
 def test_user_counts_helper():
     # user_count_grid is the one field that sets the user counts
-    assert ExperimentConfig().user_count_grid == [4]
-    assert config_from_dict({}).user_count_grid == [4]
-    assert config_from_dict({"user_count_grid": [3, 4]}).user_count_grid == [3, 4]
+    assert ExperimentConfig().user_count_grid == (4,)
+    assert config_from_dict({}).user_count_grid == (4,)
+    assert config_from_dict({"user_count_grid": [3, 4]}).user_count_grid == (3, 4)
     assert not hasattr(ExperimentConfig(), "P")
 
 
@@ -252,33 +297,37 @@ def test_preset_overrides():
 
 
 def test_preset_grids_are_copies():
-    # a caller editing its config's grids leaves the next preset untouched
+    # a caller cannot edit its config's grids, so the next preset is untouched
     first = preset_config("fig-capacity-vs-bandwidth-snr")
     expected = preset_config("fig-capacity-vs-bandwidth-snr").to_dict()
-    for name in ("snr_db_grid", "b_grid", "gamma_db_grid", "bandwidth_ratio_grid"):
-        getattr(first, name).append(99.0)
-    first.snr_db_grid[0] = 3.0
+    for name in ("snr_db_grid", "b_grid", "user_count_grid", "gamma_db_grid",
+                 "bandwidth_ratio_grid"):
+        with pytest.raises(AttributeError):
+            getattr(first, name).append(99.0)
+        with pytest.raises(TypeError):
+            getattr(first, name)[0] = 3.0
     assert preset_config("fig-capacity-vs-bandwidth-snr").to_dict() == expected
+    assert first.to_dict() == expected
     assert preset_config("fig-capacity-vs-snr").snr_db_grid[0] == -10.0
-    bits = preset_config("fig-capacity-vs-bits")
-    bits.user_count_grid.clear()
-    assert preset_config("fig-capacity-vs-bits").user_count_grid == [3, 4, 5]
+    with pytest.raises(AttributeError):
+        preset_config("fig-capacity-vs-bits").user_count_grid.clear()
+    assert preset_config("fig-capacity-vs-bits").user_count_grid == (3, 4, 5)
 
 
 def test_preset_grids_match_documented_sweeps():
     fig2 = preset_config("fig-capacity-vs-snr")
-    assert fig2.b_grid == [6, 12]
+    assert fig2.b_grid == (6, 12)
     assert fig2.snr_db_grid[0] == -10.0 and fig2.snr_db_grid[-1] == 10.0
     assert len(fig2.snr_db_grid) == 9
     fig3 = preset_config("fig-capacity-vs-bits")
-    assert fig3.user_count_grid == [3, 4, 5]
-    assert fig3.b_grid == list(range(1, 17))
-    assert fig3.snr_db_grid == [-5.0]
+    assert fig3.user_count_grid == (3, 4, 5)
+    assert fig3.b_grid == tuple(range(1, 17))
+    assert fig3.snr_db_grid == (-5.0,)
     fig4 = preset_config("fig-capacity-vs-bandwidth-snr")
     assert fig4.mode == "quantized-rsi"
     fig5 = preset_config("fig-capacity-vs-bandwidth-gamma")
     assert fig5.mode == "quantized-rsi"
-    assert fig5.snr_db_grid == [-5.0]
+    assert fig5.snr_db_grid == (-5.0,)
     assert len(fig5.gamma_db_grid) >= 2
 
 

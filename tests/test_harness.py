@@ -314,6 +314,13 @@ class TestRunTrial:
         assert record.overload_rate is not None
         assert 0.0 <= record.overload_rate < 1e-3
 
+    def test_point_its_config_cannot_run_is_rejected(self):
+        # the one-point config is checked as any config is: four users on a
+        # two-dimensional effective channel cannot be zero-forced
+        config = small_config(D=2, user_count_grid=[2])
+        with pytest.raises(ConfigError, match="D=2 is below the largest user count 4"):
+            run_trial(config, GridPoint(4, 2, -5.0, None, None), 0)
+
 
 class TestDrawTrials:
     @settings(deadline=None, max_examples=20)
