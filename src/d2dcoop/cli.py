@@ -38,9 +38,6 @@ def _common_run_args(sub) -> None:
         default=None,
         help="ignored; the sweep runs on one thread",
     )
-    sub.add_argument(
-        "--json", action="store_true", help="also write JSON mirrors of the CSV files"
-    )
 
 
 def main(argv=None) -> int:
@@ -55,7 +52,7 @@ def main(argv=None) -> int:
         else:
             config = preset_config(args.name, args.trials, args.seed)
         results = run_experiment(config)
-        written = write_outputs(args.out, config, results, json_mirror=args.json)
+        written = write_outputs(args.out, config, results)
         points = sum(1 for _ in grid_points(config))
         failed = sum(result.num_failed for result in results)
         print(

@@ -10,11 +10,12 @@ bigger ones and one streamed pass per user count chooses every trial's
 codeword for every b and SNR. Every grid point is then a closed form run over
 the grid axes and a chunk of trials at once, from :func:`draw_trials`, the only
 channel draw, to one float array of records per user count, which :func:`point_rows`
-turns into output cells a chunk of rows at a time, each formatted once for both a CSV
-row and a JSON mirror object. :func:`run_trial` is the per-point reference.
+turns into CSV cells a chunk of rows at a time. :func:`run_trial` is the per-point
+reference. Trial-prefix contract: no trial's records depend on how many trials run, so
+each :class:`CountResult`'s ``values[..., :N]`` of an N-trial sweep equal, bitwise and
+NaN cells included, those of the same config run with more trials.
 """
 
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -370,7 +371,7 @@ def point_rows(config: ExperimentConfig, results):
     in sweep order: the point's :class:`GridPoint` fields, the chunk's rows as columns (a
     list per field of :data:`TRIAL_FIELDS` after the key) and its aggregate rows: the
     point's :data:`SUMMARY_FIELDS` after the key on its first chunk, none on the others.
-    A chunk holds as many rows as keep the cells they write, CSV and mirror, within
+    A chunk holds as many rows as keep the cells of their CSV rows within
     ``ELEMENT_BOUND``, and leaves numpy in one ``tolist`` per field; a count's ``trial``,
     ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
     keys = itertools.product(*config.sweep_axes())
@@ -380,7 +381,7 @@ def point_rows(config: ExperimentConfig, results):
         counts = _cells((len(result.trials.a_inv), result.num_failed))
         for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
             key, summaries = _cells(next(keys)), [_cells(stats.tolist()) + counts]
-            for rows in _chunks(len(ids), TRIAL_CSV_HEADER.count(",") + 1 + len(TRIAL_FIELDS)):
+            for rows in _chunks(len(ids), TRIAL_CSV_HEADER.count(",") + 1):
                 coop, zf, ideal, bound, overload = map(_cells, values[:, rows].tolist())
                 yield key, [ids[rows], coop, zf, ideal, bound, cond_fail[rows], overload], summaries
                 summaries = []
@@ -398,41 +399,21 @@ def _cells(values) -> list:
     return ["" if value is None or value != value else str(value) for value in values]
 
 
-def write_outputs(out_dir, config: ExperimentConfig, results, json_mirror=False):
-    """Write trials.csv and aggregate.csv, and on request their JSON mirrors
-    (one object per row), from one pass of :func:`point_rows`; returns their paths.
-
-    Each chunk of :func:`point_rows` is written as one text per table, so no grid point's
-    text is held whole. A CSV row joins its :data:`CSV_KEY` cells and its own; a mirror
-    object fills its table's layout with them, ``null`` for ``""``, so a mirror is
-    ``json.dumps(rows, indent=1)``: the values are ints, finite floats and None, and
-    ``json`` writes a float's ``repr``.
-    """
+def write_outputs(out_dir, config: ExperimentConfig, results):
+    """Write trials.csv and aggregate.csv from one pass of :func:`point_rows`, a chunk
+    as one text per table, so no grid point's text is held whole; returns their paths.
+    A row joins its :data:`CSV_KEY` cells and its own."""
     os.makedirs(out_dir, exist_ok=True)
-    names = ["trials.csv", "aggregate.csv"] + ["trials.json", "aggregate.json"] * json_mirror
-    written = [os.path.join(out_dir, name) for name in names]
-    # one object of json.dumps(rows, indent=1) per table, a %s per field
-    layouts = [" {\n" + ",\n".join(f'  "{name}": %s' for name in fields) + "\n }"
-               for fields in (TRIAL_FIELDS, SUMMARY_FIELDS)]
+    written = [os.path.join(out_dir, name) for name in ("trials.csv", "aggregate.csv")]
     head, tail = _cells((config.figure_preset, config.mode, config.M)), _cells((config.D, config.L))
-    with contextlib.ExitStack() as stack:
-        trials_csv, aggregate_csv, *mirrors = (
-            stack.enter_context(open(path, "w", encoding="utf-8", newline="")) for path in written
-        )
+    with (
+        open(written[0], "w", encoding="utf-8", newline="") as trials_csv,
+        open(written[1], "w", encoding="utf-8", newline="") as aggregate_csv,
+    ):
         trials_csv.write(TRIAL_CSV_HEADER + "\n")
         aggregate_csv.write(AGGREGATE_CSV_HEADER + "\n")
-        opening = "[\n"  # before a mirror's first object, ",\n" before each other
-        for key_cells, columns, summaries in point_rows(config, results):
-            users, *point = key_cells
+        for (users, *point), columns, summaries in point_rows(config, results):
             prefix = ",".join((*head, users, *tail, *point)) + ","
             for table, rows in zip((trials_csv, aggregate_csv), (zip(*columns), summaries)):
                 table.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
-            for mirror, layout, rows in zip(mirrors, layouts, (zip(*columns), summaries)):
-                # tuple() of a list: tuples grown from a generator pile up in a free list
-                objects = [layout % tuple([c or "null" for c in (*key_cells, *row)]) for row in rows]
-                if objects:
-                    mirror.writelines([opening, ",\n".join(objects)])
-            opening = ",\n"
-        for mirror in mirrors:
-            mirror.write("\n]\n")
     return written

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -118,18 +119,24 @@ def test_user_count_without_usable_trial_fails_before_writing(tmp_path, capsys):
         tmp_path / "config.json", user_count_grid=[2, 3], sector_spread=1e-9, num_trials=3
     )
     out = tmp_path / "results"
-    assert main(["run", "--config", str(config), "--out", str(out), "--json"]) == 1
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: all 3 trials of 2 users are ill-conditioned")
     assert not out.exists()
 
 
-def test_run_json_mirror(tmp_path):
-    config = write_config(tmp_path / "config.json")
-    out = tmp_path / "results"
-    assert main(["run", "--config", str(config), "--out", str(out), "--json"]) == 0
-    assert (out / "trials.json").exists()
-    assert (out / "aggregate.json").exists()
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_json_flag_is_rejected(tmp_path, command):
+    # the CSVs are the one output: --json is a usage error, before any file
+    source = {
+        "preset": ["preset", "fig-capacity-vs-snr", "--trials", "2"],
+        "run": ["run", "--config", str(write_config(tmp_path / "config.json"))],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*source, "--out", str(out), "--json"])
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_preset_subcommand(tmp_path):
@@ -172,6 +179,19 @@ def test_a_run_checks_its_config_once(tmp_path, monkeypatch, command):
     }[command]
     assert main([*source, "--out", str(tmp_path / "out")]) == 0
     assert len(checked) == 1
+
+
+def test_readme_cli_synopsis_parses():
+    # every command of the README's CLI block, its [...] parts included and
+    # its placeholders N, S and T set to 1, must parse: a flag deleted from
+    # the parser must not linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("d2dcoop")]
+    assert len(commands) == 3
+    for command in commands:
+        words = shlex.split(command.replace("[", "").replace("]", ""))[1:]
+        d2dcoop.cli.build_parser().parse_args(["1" if w in ("N", "S", "T") else w for w in words])
 
 
 def test_preset_rejects_unknown_name(tmp_path):
@@ -246,9 +266,9 @@ def test_preset_outputs_match_golden_digests(tmp_path, preset):
     targets numpy dispatches to at run time as well: the recording host
     found ``X86_V3``, ``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR``
     (``np.show_config(mode="dicts")["SIMD Extensions"]``, which a failure
-    prints). With the AVX-512 targets off (only ``X86_V3`` found), the CSV
-    and JSON digests of fig-capacity-vs-bits and fig-capacity-vs-bandwidth-snr
-    move; with ``X86_V3`` (AVX2/FMA3) off too, all eight move, and so do the
+    prints). With the AVX-512 targets off (only ``X86_V3`` found), the
+    digests of fig-capacity-vs-bits and fig-capacity-vs-bandwidth-snr move;
+    with ``X86_V3`` (AVX2/FMA3) off too, all eight move, and so do the
     codebook stream's own bytes, through ``np.abs`` of a complex array and
     the complex multiply in ``codebook._orthonormalize``. If a change moves
     one, name the rows and columns that moved instead of re-recording it.
@@ -262,45 +282,6 @@ def test_preset_outputs_match_golden_digests(tmp_path, preset):
     assert digests == GOLDEN_DIGESTS[preset], np.show_config(mode="dicts")["SIMD Extensions"]
 
 
-# SHA-256 of (trials.json, aggregate.json) from the same runs with --json
-GOLDEN_JSON_DIGESTS = {
-    "fig-capacity-vs-snr": (
-        "6760d5a9979bd5952cc50027a519947734e33a9aa22c1bd487db93af3cc98ec3",
-        "7e44170399680be71e02c89d7a1d6a367d7b3d313755712806f715d88f0a0d2a",
-    ),
-    "fig-capacity-vs-bits": (
-        "718aa3b5d5ab978ac7b9e36c33941d8944649f3ba10df4d9552eda9f7c9ec1b2",
-        "2b93ae2eb683cf862c1f586a93a3f0151af072b786eb1279a0952812bdffd4aa",
-    ),
-    "fig-capacity-vs-bandwidth-snr": (
-        "6548b1701316f7c745c442bb1ad1764de6d80d19b34eea927ae672b4e090d519",
-        "cd4ad0098ae4bf78790b395a3fbca347ab2280263ef0b834f375b63d458d80a2",
-    ),
-    "fig-capacity-vs-bandwidth-gamma": (
-        "8d1caa993cdf439d542ddf3425e0c9c762dc2ee8f85eac3f0f3ba71feed69bcf",
-        "fb35dd36acbfd09faa894c5581b05e1f114775e0973a37053dd50fe4c606fe9e",
-    ),
-}
-
-
-@pytest.mark.parametrize("preset", sorted(GOLDEN_JSON_DIGESTS))
-def test_preset_json_mirrors_match_golden_digests(tmp_path, preset):
-    """The JSON mirrors are byte-identical too: ``json.dumps(rows, indent=1)``
-    of the CSV rows, however the writer builds the text. Like the CSV digests,
-    they hold per numpy build and SIMD targets: recorded with ``X86_V3``,
-    ``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR`` found, the mirrors of
-    fig-capacity-vs-bits and fig-capacity-vs-bandwidth-snr move with the
-    AVX-512 targets off, and all four with ``X86_V3`` off too."""
-    out = tmp_path / preset
-    args = ["preset", preset, "--trials", "6", "--seed", "3", "--json", "--out", str(out)]
-    assert main(args) == 0
-    digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("trials.json", "aggregate.json")
-    )
-    assert digests == GOLDEN_JSON_DIGESTS[preset], np.show_config(mode="dicts")["SIMD Extensions"]
-
-
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 
@@ -310,15 +291,15 @@ def test_cli_import_skips_scipy():
     # sweep imports nothing lazily but argparse's gettext locale modules: a
     # lazy import on the sweep's path (np.unique's numpy.ma, say) would double
     # a short run's wall time in a fresh process. Nor does a sweep leave
-    # memory behind: mirror rows formatted through tuples grown from
-    # generators left 31 KB in this probe, 136 B a row up to 2000 rows
+    # memory behind: the 126 rows of this probe leave about 4 KB in free
+    # lists, and a leak of 100 B a row would pass the bound
     probe = (
         "import contextlib, io, sys, tempfile, tracemalloc, d2dcoop.cli\n"
         "before = set(sys.modules)\n"
         "tracemalloc.start()\n"
         "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
         "    for name in ('fig-capacity-vs-snr', 'fig-capacity-vs-bandwidth-snr'):\n"
-        "        d2dcoop.cli.main(['preset', name, '--trials', '2', '--out', out, '--json'])\n"
+        "        d2dcoop.cli.main(['preset', name, '--trials', '2', '--out', out])\n"
         "mine = [tracemalloc.Filter(True, d2dcoop.harness.__file__)]\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(set(sys.modules) - before))\n"

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import tempfile
 import tracemalloc
 import warnings
@@ -464,8 +463,8 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path):
         config = small_config()
         for run in ("a", "b"):
-            write_outputs(tmp_path / run, config, run_experiment(config), json_mirror=True)
-        for name in ("trials.csv", "aggregate.csv", "trials.json", "aggregate.json"):
+            write_outputs(tmp_path / run, config, run_experiment(config))
+        for name in ("trials.csv", "aggregate.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize(
@@ -642,22 +641,18 @@ class TestRunExperiment:
         # trials at four users: a sweep that reduced a masked view of all the
         # trials (x[..., usable], which is strided) would sum more than 8
         # values in another order and move the last bit of the means. At
-        # -300 dB every capacity is 0.0 and norm_capacity is empty. Each JSON
-        # mirror is json.dumps of the same rows, byte for byte
+        # -300 dB every capacity is 0.0 and norm_capacity is empty
         assume(all_counts_usable(config))
         with tempfile.TemporaryDirectory() as out:
-            write_outputs(out, config, run_experiment(config), json_mirror=True)
+            write_outputs(out, config, run_experiment(config))
             trial_lines, aggregate_lines = (
                 Path(out, name).read_text().splitlines()[1:]
                 for name in ("trials.csv", "aggregate.csv")
             )
-            trial_json, aggregate_json = (
-                Path(out, name).read_text() for name in ("trials.json", "aggregate.json")
-            )
         reference = per_point_reference(config)
         own_trial = TRIAL_CSV_HEADER.split(",")[10:]
         n = config.num_trials
-        expected_trials, expected_aggregate, summaries = [], [], []
+        expected_trials, expected_aggregate = [], []
         for i, point in enumerate(grid_points(config)):
             key = (
                 config.figure_preset or "", config.mode, config.M, point.users, config.D,
@@ -677,12 +672,8 @@ class TestRunExperiment:
             stats = [None if np.isnan(x) else float(x) for x in stats]
             cells = (*key, *stats, len(usable), n - len(usable))
             expected_aggregate.append(",".join(map(csv_cell, cells)))
-            summary = (*dataclasses.astuple(point), *stats, len(usable), n - len(usable))
-            summaries.append(dict(zip(SUMMARY_FIELDS, summary)))
         assert trial_lines == expected_trials
         assert aggregate_lines == expected_aggregate
-        assert trial_json == json.dumps([dataclasses.asdict(r) for r in reference], indent=1) + "\n"
-        assert aggregate_json == json.dumps(summaries, indent=1) + "\n"
 
     def test_chunk_bound_leaves_every_output_byte_identical(self, tmp_path):
         # at an element bound of 87 (harness only: codebook.ELEMENT_BOUND, which
@@ -690,12 +681,12 @@ class TestRunExperiment:
         # trial's 2 x 2 x 4 SNRs take 16 elements, so its usable trials run in
         # chunks of at most 5, and the 24 rows of each grid point are written a
         # few at a time. The narrow sector flags trials between usable ones of
-        # one chunk. All four files must equal those of the default bound
+        # one chunk. Both files must equal those of the default bound
         config = small_config(
             user_count_grid=[1, 4], num_trials=24, sector_spread=0.01, mode="quantized-rsi",
             gamma_db_grid=[0.0], bandwidth_ratio_grid=[0.5, 2.0],
         )
-        write_outputs(tmp_path / "default", config, run_experiment(config), json_mirror=True)
+        write_outputs(tmp_path / "default", config, run_experiment(config))
         sizes = []
 
         def spy(decoding, gram_inv):  # one call per (b, chunk), b by b
@@ -706,7 +697,7 @@ class TestRunExperiment:
         with bound, patch.object(harness, "snr_denominators", spy):
             results = run_experiment(config)
             chunks = Counter(tuple(key) for key, _, _ in point_rows(config, results))
-            write_outputs(tmp_path / "chunked", config, results, json_mirror=True)
+            write_outputs(tmp_path / "chunked", config, results)
         # the four-user calls grouped by b: every b evaluates the same chunks
         by_b = np.reshape([n for n, users in sizes if users == 4], (len(config.b_grid), -1))
         assert (by_b == by_b[0]).all()
@@ -716,9 +707,23 @@ class TestRunExperiment:
         assert len(four) >= 3 and starts[-1] == len(usable)
         assert any(usable[b - 1] - usable[a] > b - 1 - a for a, b in zip(starts, starts[1:]))
         assert len(chunks) == sum(1 for _ in grid_points(config)) and min(chunks.values()) >= 2
-        for name in ("trials.csv", "aggregate.csv", "trials.json", "aggregate.json"):
+        for name in ("trials.csv", "aggregate.csv"):
             chunked = (tmp_path / "chunked" / name).read_bytes()
             assert chunked == (tmp_path / "default" / name).read_bytes(), name
+
+    @settings(deadline=None, max_examples=20)
+    @given(small_sweeps(), st.integers(1, 5), st.integers(1, 6))
+    @example(small_config(user_count_grid=[5]), 26, 24)
+    def test_records_are_trial_prefix_stable(self, config, n, more):
+        # the trial-prefix contract: an n-trial sweep's records equal the first
+        # n trials' records of a longer one, NaN cells included. In the example
+        # all 26 trials at five users are usable, so selection's last chunk of
+        # ELEMENT_BOUND // (5 * 131) = 25 Gram inverses holds one row, where
+        # numpy may take a GEMV for the GEMM of the 50-trial run's chunk
+        short, longer = (dataclasses.replace(config, num_trials=k) for k in (n, n + more))
+        assume(all_counts_usable(short))
+        for prefix, result in zip(run_experiment(short), run_experiment(longer), strict=True):
+            assert prefix.values.tobytes() == result.values[..., :n].tobytes()
 
     def test_holds_no_codeword_array_per_b(self):
         # each b is evaluated on the running choices as its prefix closes, so
@@ -876,34 +881,33 @@ class TestCsvOutput:
         config = small_config(num_trials=2)
         results = run_experiment(config)
         records, summaries = columns(config, results)
-        written = write_outputs(tmp_path, config, results, json_mirror=True)
+        written = write_outputs(tmp_path, config, results)
         names = sorted(p.split("/")[-1] for p in written)
-        assert names == ["aggregate.csv", "aggregate.json", "trials.csv", "trials.json"]
+        assert names == ["aggregate.csv", "trials.csv"]
         trials = (tmp_path / "trials.csv").read_text().splitlines()
         assert trials[0] == TRIAL_CSV_HEADER
         assert len(trials) == 1 + len(records["trial"])
-        # the mirrors pin the schema: one object per reference row, field by field
-        mirrored = json.loads((tmp_path / "trials.json").read_text())
-        assert mirrored == [dataclasses.asdict(r) for r in per_point_reference(config)]
-        mirrored = json.loads((tmp_path / "aggregate.json").read_text())
-        assert all(list(row) == list(SUMMARY_FIELDS) for row in mirrored)
-        assert {name: [row[name] for row in mirrored] for name in SUMMARY_FIELDS} == summaries
+        # the aggregate schema, field by field: csv_cell tells an int, a float
+        # and None apart ("2", "2.0", ""); test_written_rows_equal_per_point_reference
+        # checks every trials.csv cell the same way
+        header, *rows = (tmp_path / "aggregate.csv").read_text().splitlines()
+        assert header == AGGREGATE_CSV_HEADER
+        expected = zip(*(map(csv_cell, summaries[name]) for name in SUMMARY_FIELDS[5:]))
+        assert [row.split(",")[10:] for row in rows] == [list(cells) for cells in expected]
 
     def test_records_peak_under_a_third_of_a_kilobyte_per_row(self, tmp_path):
         # the records stay one float array per user count and the writer
-        # streams a chunk of a grid point's rows at a time: the sweep and all
-        # four files peak at 0.13 KB per row. Object columns and whole-table
-        # text peaked at 3.0 KB per row, JSON mirrors included. That peak,
-        # each preset's at 2 trials, where the chunked temporaries and the
-        # codebook stream dominate, and that of paths outnumbering half the
-        # array, where one trial's L x L path Gram is the largest draw
-        # temporary, and that of 40 users, where one codeword's P**3 lifted
-        # features pass ELEMENT_BOUND, stay within what validate counts
-        # against the budget
+        # streams a chunk of a grid point's rows at a time: the sweep and both
+        # files peak at 0.13 KB per row. That peak, each preset's at 2 trials,
+        # where the chunked temporaries and the codebook stream dominate, and
+        # that of paths outnumbering half the array, where one trial's L x L
+        # path Gram is the largest draw temporary, and that of 40 users, where
+        # one codeword's P**3 lifted features pass ELEMENT_BOUND, stay within
+        # what validate counts against the budget
         def peak_bytes(config, out):
             tracemalloc.start()
             try:
-                write_outputs(out, config, run_experiment(config), json_mirror=True)
+                write_outputs(out, config, run_experiment(config))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
