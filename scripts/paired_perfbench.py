@@ -28,8 +28,12 @@ whose output failed perfbench's own check; the script exits 1 when there
 is any, since their numbers are in the medians. It then counts the pairs
 whose two runs wrote the same outputs: the record's ``digests``, the
 SHA-256 of ``trials.csv`` and ``aggregate.csv`` at the pair's seed, equal
-on both sides. That count is informational and leaves the exit code as
-it is. Uses the standard library only.
+on both sides. Last, it prints each side's median after/before ratio of the
+fixed kernel that perfbench times around every sweep, over the sweeps of
+all its runs: the scaled times divide by the mean of the two, so a ratio
+that moves with the tree moves the scaled metric with no change in the
+sweep. Both are informational and leave the exit code as it is. Uses the
+standard library only.
 """
 
 import argparse
@@ -44,6 +48,8 @@ import sys
 WALL = "wall.ms_per_trial_point"
 # the record's output digests, kept beside the metrics of a run
 DIGESTS = "digests"
+# each sweep's kernel time after it over the time before it, read from the record
+KERNEL = "kernel after/before"
 
 
 def parse_args(argv):
@@ -65,8 +71,8 @@ def parse_args(argv):
 
 def run_once(tree, workload, seed, seconds) -> tuple:
     """One perfbench run in ``tree``: ``({metric: value}, correct)`` from its last
-    JSON line, with the unscaled :data:`WALL` and the output :data:`DIGESTS` from its
-    record in ``perfbench/out/``."""
+    JSON line, with the unscaled :data:`WALL`, the output :data:`DIGESTS` and each
+    sweep's :data:`KERNEL` ratio from its record in ``perfbench/out/``."""
     command = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -81,6 +87,8 @@ def run_once(tree, workload, seed, seconds) -> tuple:
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     values[WALL], values[DIGESTS] = record["wall"]["ms_per_trial_point"], record["digests"]
+    kernels = [sweep["kernel_s"] for sweep in record["sweeps"] if "kernel_s" in sweep]
+    values[KERNEL] = [after / before for before, after in kernels]
     return values, result["correct"]
 
 
@@ -146,6 +154,10 @@ def main(argv=None) -> int:
     same = sum(p.get(DIGESTS) is not None and p.get(DIGESTS) == c.get(DIGESTS)
                for p, c in zip(runs["parent"], runs["change"]))
     print(f"equal output digests (trials.csv, aggregate.csv): {same} of {args.pairs} pairs")
+    for side, side_runs in runs.items():
+        ratios = [ratio for run in side_runs for ratio in run.get(KERNEL, [])]
+        median = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
+        print(f"{side} kernel after/before sweep: median {median} over {len(ratios)} sweeps")
     return 1 if any(incorrect.values()) else 0
 
 

@@ -128,6 +128,7 @@ def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
                 # conjugation flips signs, which rounding commutes with
                 coef = np.conj(np.einsum("nkp,np->nk", previous, np.conj(v)))
                 v -= np.einsum("nkp,nk->np", previous, coef)
+                del coef  # before the next pass computes its own
         anchor_at = np.argmax(np.abs(v), axis=1)
         anchor = v[rows, anchor_at]
         magnitude = np.abs(anchor)
@@ -136,6 +137,7 @@ def _orthonormalize(g: np.ndarray, out: np.ndarray) -> None:
         pairs = v.view(float)
         norm = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
         np.divide(pairs, norm[:, None], out=out[:, j].view(float))
+        del v, pairs  # before the next column step copies its own
 
 
 def codeword_scores(codewords: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:

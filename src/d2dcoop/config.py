@@ -165,10 +165,11 @@ class ExperimentConfig:
         Gram inverse: 9 + 8P + 32P^2) and records (40 per grid point), and one count's output id
         and flag cells (72) and working state, 48P^2 + 24: selection's running choices, scores and
         weights (24P^2 + 16), the usable index and an evaluation chunk's P x P products (16P^2 a
-        trial). Then the codebook stream, 32P^2 + 96P per codeword of a block: its draw buffer and
-        block store (16P^2 each) and ``_orthonormalize``'s column temporaries, within six complex
-        P-vectors (at most the column, its conjugate, two coefficient vectors and einsum's buffer
-        are live at once). Then eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or
+        trial). Then the codebook stream, 32P^2 + 48P + 64 per codeword of a block: its draw buffer
+        and block store (16P^2 each) and ``_orthonormalize``'s column step, three complex
+        P-vectors (the column with its conjugate and coefficients, or with the coefficients and
+        their product) and 64 B of scalars (row index, anchor index, value, magnitude and phase,
+        and norm). Then eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or
         one item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
         chunk too, and in quantized mode one trial's overload tails (80 per tail and SNR).
         """
@@ -176,7 +177,7 @@ class ExperimentConfig:
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
         held = trials * (72 + sum(9 + 8 * p + 32 * p * p + 40 * bits * per_b for p in counts))
         users = max(counts)
-        stream = (32 * users**2 + 96 * users) * min(1 << max(self.b_grid), BLOCK)
+        stream = (32 * users**2 + 48 * users + 64) * min(1 << max(self.b_grid), BLOCK)
         temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
         chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR

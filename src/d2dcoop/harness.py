@@ -9,11 +9,11 @@ stream, user_count)`` only, so smaller codebooks are exact prefixes of
 bigger ones and one streamed pass per user count chooses every trial's
 codeword for every b and SNR. Every grid point is then a closed form run over
 the grid axes and a chunk of trials at once, from :func:`draw_trials`, the only
-channel draw, to one float array of records per user count, which :func:`point_rows`
-turns into CSV cells a chunk of rows at a time. :func:`run_trial` is the per-point
-reference. Trial-prefix contract: no trial's records depend on how many trials run, so
-each :class:`CountResult`'s ``values[..., :N]`` of an N-trial sweep equal, bitwise and
-NaN cells included, those of the same config run with more trials.
+channel draw, to one float array of records per user count, from which :func:`point_rows`
+derives the CSV cells, aggregate included, a chunk of rows at a time. :func:`run_trial` is
+the per-point reference. Trial-prefix contract: no trial's records depend on how many
+trials run, so each :class:`CountResult`'s ``values[..., :N]`` of an N-trial sweep equal,
+bitwise and NaN cells included, those of the same config run with more trials.
 """
 
 import dataclasses
@@ -179,12 +179,10 @@ class CountResult:
     """One user count's sweep: ``values`` (5, N, T) holds the capacity_coop,
     capacity_zf, capacity_ideal, capacity_bound and overload_rate of its N
     grid points, in sweep order, and T ``trials``, NaN in every empty cell (a
-    flagged trial's, a bound below two users); ``stats`` (6, N) holds each
-    point's :func:`summarize_point` statistics."""
+    flagged trial's, a bound below two users). The writer derives the aggregate."""
 
     trials: Trials
     values: np.ndarray
-    stats: np.ndarray
 
     @property
     def num_failed(self) -> int:
@@ -202,18 +200,8 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     (one :func:`~d2dcoop.quantization.cooperative_snr` call over the (SNR, link) grid; a
     zero-bit link takes the zero-forcing capacity) and, from two users on, the lower bound.
     Only the overload audit runs per (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are
-    too many to stack. Then, the running choices released, :func:`summarize_point` reduces
-    C-contiguous copies of the usable trials' capacities, a chunk of points at a time.
+    too many to stack.
     """
-    values = _records(config, users, trials, choices).reshape(5, -1, len(trials.ids))
-    stats = np.empty((6, values.shape[1]))
-    for points in _chunks(values.shape[1], 3 * len(trials.ids)):
-        stats[:, points] = summarize_point(*np.compress(trials.usable, values[:3, points], axis=-1))
-    return CountResult(trials, values, stats)
-
-
-def _records(config: ExperimentConfig, users: int, trials: Trials, choices) -> np.ndarray:
-    """The (5, B, S, K, T) records of :func:`evaluate_trials`; its return frees the choices."""
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
     column = noise[:, None, None]  # (S, 1, 1) against the (trials, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
@@ -244,7 +232,7 @@ def _records(config: ExperimentConfig, users: int, trials: Trials, choices) -> n
             if users >= 2:
                 terms = snr_lower_bound_terms(trials.eigenvalues[at], bits, column)
                 bound[i][..., at] = capacity(terms)[:, None]
-    return values
+    return CountResult(trials, values.reshape(5, -1, len(trials.ids)))
 
 
 def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRecord:
@@ -371,18 +359,22 @@ def point_rows(config: ExperimentConfig, results):
     in sweep order: the point's :class:`GridPoint` fields, the chunk's rows as columns (a
     list per field of :data:`TRIAL_FIELDS` after the key) and its aggregate rows: the
     point's :data:`SUMMARY_FIELDS` after the key on its first chunk, none on the others.
-    A chunk holds as many rows as keep the cells of their CSV rows within
-    ``ELEMENT_BOUND``, and leaves numpy in one ``tolist`` per field; a count's ``trial``,
-    ``cond_fail``, ``num_ok`` and ``num_failed`` cells are formatted once for its points."""
+    A count's :func:`summarize_point` calls run, a chunk of points each, before its first
+    point. A chunk of rows keeps their cells, 128 B each at most (``str``, list slot, row
+    text), within the ``64 * ELEMENT_BOUND`` B that ``sweep_bytes`` counts for a chunk."""
     keys = itertools.product(*config.sweep_axes())
     for result in results:
+        values, usable = result.values, result.trials.usable
+        stats = np.empty((6, values.shape[1]))
+        for points in _chunks(values.shape[1], 3 * len(usable)):
+            stats[:, points] = summarize_point(*np.compress(usable, values[:3, points], axis=-1))
         ids = _cells(result.trials.ids.tolist())
-        cond_fail = [("1", "0")[ok] for ok in result.trials.usable.tolist()]  # two shared cells
+        cond_fail = [("1", "0")[ok] for ok in usable.tolist()]  # two shared cells
         counts = _cells((len(result.trials.a_inv), result.num_failed))
-        for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
-            key, summaries = _cells(next(keys)), [_cells(stats.tolist()) + counts]
-            for rows in _chunks(len(ids), TRIAL_CSV_HEADER.count(",") + 1):
-                coop, zf, ideal, bound, overload = map(_cells, values[:, rows].tolist())
+        for records, point_stats in zip(values.swapaxes(0, 1), stats.T):
+            key, summaries = _cells(next(keys)), [_cells(point_stats.tolist()) + counts]
+            for rows in _chunks(len(ids), 2 * (TRIAL_CSV_HEADER.count(",") + 1)):
+                coop, zf, ideal, bound, overload = map(_cells, records[:, rows].tolist())
                 yield key, [ids[rows], coop, zf, ideal, bound, cond_fail[rows], overload], summaries
                 summaries = []
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+# bound at import, so that a test spying on harness.summarize_point sees only the harness's calls
+from d2dcoop.harness import summarize_point
+
 # the (S, 1) column of noise powers the sweep passes, here -10, -2.5, 0 and 7.5 dB
 NOISE_COLUMN = np.array([[10.0 ** (-snr_db / 10.0)] for snr_db in (-10.0, -2.5, 0.0, 7.5)])
 
@@ -78,9 +81,10 @@ def collect_choices(pairs) -> dict:
 
 def columns(config, results):
     """``run_experiment`` results as two ``{field: list}`` tables in sweep order:
-    the records over ``harness.TRIAL_FIELDS`` and the summaries over
-    ``harness.SUMMARY_FIELDS``, read from each ``harness.CountResult``'s arrays
-    as Python values, with None for NaN."""
+    the records over ``harness.TRIAL_FIELDS``, read from each ``harness.CountResult``'s
+    arrays as Python values, with None for NaN, and the summaries over
+    ``harness.SUMMARY_FIELDS``, each count's from one ``summarize_point`` call on
+    C-contiguous copies of its usable trials' capacities."""
     from d2dcoop.harness import SUMMARY_FIELDS, TRIAL_FIELDS, grid_points
 
     def nones(values):
@@ -91,12 +95,13 @@ def columns(config, results):
     for result in results:
         ids, cond_fail = result.trials.ids.tolist(), (~result.trials.usable).astype(int).tolist()
         counts = (len(result.trials.a_inv), result.num_failed)
-        for values, stats in zip(result.values.swapaxes(0, 1), result.stats.T):
+        stats = summarize_point(*np.compress(result.trials.usable, result.values[:3], axis=-1))
+        for values, point_stats in zip(result.values.swapaxes(0, 1), stats.T):
             key = dataclasses.astuple(next(keys))
             coop, zf, ideal, bound, overload = map(nones, values)
             rows = zip(ids, coop, zf, ideal, bound, cond_fail, overload)
             records += [(*key, *row) for row in rows]
-            summaries.append((*key, *nones(stats), *counts))
+            summaries.append((*key, *nones(point_stats), *counts))
     return (
         {name: list(column) for name, column in zip(TRIAL_FIELDS, zip(*records))},
         {name: list(column) for name, column in zip(SUMMARY_FIELDS, zip(*summaries))},

@@ -432,7 +432,10 @@ def test_paired_perfbench_counts_incorrect_runs(tmp_path, monkeypatch, capsys, b
         side = Path(tree).name
         seen.append((side, workload, seed, seconds))
         correct = not (side == bad_side and seed == 8)
-        return {"ms_per_trial_point": 1.0 + seed, paired.WALL: 2.0 + seed}, correct
+        # the parent's one sweep a run, the change's two
+        kernel = [1.0 + seed / 100] if side == "parent" else [0.8, 0.9]
+        return {"ms_per_trial_point": 1.0 + seed, paired.WALL: 2.0 + seed,
+                paired.KERNEL: kernel}, correct
 
     monkeypatch.setattr(paired, "run_once", fake_run_once)
     argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
@@ -447,10 +450,13 @@ def test_paired_perfbench_counts_incorrect_runs(tmp_path, monkeypatch, capsys, b
     assert f"incorrect runs: parent {counts['parent']} of 3, change {counts['change']} of 3" in out
     assert out.count("INCORRECT OUTPUT") == sum(counts.values())
     assert f"| {paired.WALL} | 10 (9.5–10.5) | 10 (9.5–10.5) | 1.0000 | 0 of 3 | no | n/a |" in out
+    assert "parent kernel after/before sweep: median 1.080 over 3 sweeps" in out
+    assert "change kernel after/before sweep: median 0.850 over 6 sweeps" in out
 
 
 # a stand-in for perfbench/run.py: it writes a record with the given output
-# digests, a different trials.csv digest at the seeds listed, and prints a result
+# digests, a different trials.csv digest at the seeds listed, and two sweeps, one
+# of them failed and without kernel times, and prints a result
 FAKE_PERFBENCH = """
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -459,7 +465,9 @@ digests = {"trials.csv": "%s" if seed in %r else "t", "aggregate.csv": "a"}
 os.makedirs(os.path.join("perfbench", "out"), exist_ok=True)
 path = os.path.join("perfbench", "out", f"{args['--workload']}-seed{seed}-trace0.json")
 with open(path, "w") as fh:
-    json.dump({"wall": {"ms_per_trial_point": 1.0 + seed}, "digests": digests}, fh)
+    sweeps = [{"kernel_s": [2.0, 1.6]}, {"returncode": None}]
+    json.dump({"wall": {"ms_per_trial_point": 1.0 + seed}, "digests": digests,
+               "sweeps": sweeps}, fh)
 print(json.dumps({"metrics": {"ms_per_trial_point": {"value": 2.0}}, "correct": True}))
 """
 
@@ -479,11 +487,13 @@ def test_paired_perfbench_counts_pairs_with_equal_digests(tmp_path, capsys):
     values, correct = paired.run_once(str(trees["change"]), "snr-sweep", 8, 0.5)
     assert correct and values[paired.WALL] == 9.0
     assert values[paired.DIGESTS] == {"trials.csv": "change", "aggregate.csv": "a"}
+    assert values[paired.KERNEL] == [0.8]
     argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
             "--pairs", "3", "--seconds", "0.5", "--seed", "7"]
     assert paired.main(argv) == 0
     out = capsys.readouterr().out
     assert "equal output digests (trials.csv, aggregate.csv): 2 of 3 pairs" in out
+    assert "change kernel after/before sweep: median 0.800 over 3 sweeps" in out
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,20 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="D=2 is below the largest user count 4"):
             run_trial(config, GridPoint(4, 2, -5.0, None, None), 0)
 
+    def test_makes_no_summary(self, monkeypatch):
+        # the per-point reference returns its records; only the writer summarizes
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return summarize_point(*args)
+
+        monkeypatch.setattr(harness, "summarize_point", spy)
+        config = small_config()
+        record = run_trial(config, next(iter(grid_points(config))), 0)
+        assert record.capacity_coop is not None
+        assert calls == []
+
 
 class TestDrawTrials:
     @settings(deadline=None, max_examples=20)
@@ -430,8 +444,8 @@ class TestRunExperiment:
         assert all(sem >= 0.0 for sem in summaries["sem_coop"])
 
     def test_summarize_point_runs_once_per_user_count(self, monkeypatch):
-        # one stacked reduction over (b, SNR, link, usable trial) per user
-        # count, not one call per grid point
+        # the writer's cells make one stacked reduction over (b, SNR, link,
+        # usable trial) per user count, not one call per grid point
         calls = []
 
         def spy(*args):
@@ -440,10 +454,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "summarize_point", spy)
         config = small_config(user_count_grid=[2, 3, 4])
-        _, summaries = columns(config, run_experiment(config))
+        chunks = list(point_rows(config, run_experiment(config)))
         assert len(calls) == 3
         assert [args[0].shape[:-1] for args in calls] == [(4,)] * 3
-        assert len(summaries["users"]) == 12
+        assert sum(len(summaries) for _, _, summaries in chunks) == 12
 
     def test_all_zero_capacities_leave_norm_capacity_empty(self, tmp_path):
         # below about -170 dB every log2(1 + snr) rounds to 0.0, so the
@@ -778,10 +792,10 @@ class TestRunExperiment:
             )
         assert many - one <= many_records - one_records + 64 * bound
 
-    def test_summary_holds_no_running_choices(self, monkeypatch):
-        # the evaluation drops selection's running choices, one P x P codeword
-        # per usable trial, before the summary, which does not read them: kept
-        # alive by a loop variable, they were a 256 B per trial block of codebook.py
+    def test_summary_holds_no_running_choices(self, monkeypatch, tmp_path):
+        # the sweep drops selection's running choices, one P x P codeword per
+        # usable trial, before the writer derives the aggregate, which does not
+        # read them: kept alive, they were a 256 B per trial block of codebook.py
         config = small_config(b_grid=[6], num_trials=500)
         largest = []
 
@@ -795,6 +809,7 @@ class TestRunExperiment:
         tracemalloc.start()
         try:
             (result,) = run_experiment(config)
+            write_outputs(tmp_path, config, [result])
         finally:
             tracemalloc.stop()
         choices = len(result.trials.a_inv) * 16 * 4 * 4
@@ -903,18 +918,25 @@ class TestCsvOutput:
         # that of paths outnumbering half the array, where one trial's L x L
         # path Gram is the largest draw temporary, and that of 40 users, where
         # one codeword's P**3 lifted features pass ELEMENT_BOUND, stay within
-        # what validate counts against the budget
+        # what validate counts against the budget. The writer alone, above the
+        # sweep's end state, stays within the chunk term that counts it, even on
+        # one point of 3000 trials whose 17-digit grid values make rows of about 185 characters
         def peak_bytes(config, out):
+            """The peak of the sweep and its two files, and the writer's own peak."""
             tracemalloc.start()
             try:
-                write_outputs(out, config, run_experiment(config))
-                return tracemalloc.get_traced_memory()[1]
+                results = run_experiment(config)
+                held, peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                write_outputs(out, config, results)
+                writer = tracemalloc.get_traced_memory()[1]
+                return max(peak, writer), writer - held
             finally:
                 tracemalloc.stop()
 
         config = preset_config("fig-capacity-vs-bandwidth-snr", num_trials=200)
         rows = sum(1 for _ in grid_points(config)) * config.num_trials
-        peak = peak_bytes(config, tmp_path)
+        peak, _ = peak_bytes(config, tmp_path)
         assert rows == 9000
         assert peak / rows < 300
         assert peak <= config.sweep_bytes()
@@ -924,7 +946,15 @@ class TestCsvOutput:
             ExperimentConfig(M=128, L=64, D=40, user_count_grid=[40], b_grid=[4], num_trials=2)
         )
         for index, small in enumerate(smalls):
-            assert peak_bytes(small, tmp_path / str(index)) <= small.sweep_bytes()
+            assert peak_bytes(small, tmp_path / str(index))[0] <= small.sweep_bytes()
+        wide = ExperimentConfig(
+            M=16, L=8, D=4, user_count_grid=[2], b_grid=[1], snr_db_grid=[-1.2345678901234567],
+            mode="quantized-rsi", gamma_db_grid=[10.123456789012345],
+            bandwidth_ratio_grid=[2.1234567890123457], num_trials=3000,
+        )
+        peak, writer = peak_bytes(wide, tmp_path / "wide")
+        assert peak <= wide.sweep_bytes()
+        assert writer <= 64 * ELEMENT_BOUND
 
 
 def test_grid_point_is_hashable_record():
