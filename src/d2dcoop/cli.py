@@ -1,6 +1,8 @@
 """Command-line front end: run a config, run a preset, or validate a config."""
 
 import argparse
+import errno
+import os
 import sys
 
 from .config import PRESET_NAMES, ConfigError, load_config, preset_config
@@ -40,6 +42,18 @@ def _common_run_args(sub) -> None:
     )
 
 
+def _check_out(out) -> None:
+    """Raise before the sweep if ``out`` cannot be a directory: it must be one, or its
+    nearest existing ancestor must, for ``write_outputs`` to make it."""
+    if not out:  # os.makedirs("") fails
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    ancestor = os.path.abspath(out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), ancestor)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -51,6 +65,7 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         else:
             config = preset_config(args.name, args.trials, args.seed)
+        _check_out(args.out)
         results = run_experiment(config)
         written = write_outputs(args.out, config, results)
         points = sum(1 for _ in grid_points(config))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .channel import path_temporary_elements
 from .codebook import BLOCK, DEFAULT_BUDGET_BYTES, ELEMENT_BOUND, over_budget, part_elements
-from .quantization import OVERLOAD_MAX_USERS, link_variances
+from .quantization import link_variances
 
 MODES = ("ideal-rsi", "quantized-rsi")
 
@@ -117,10 +117,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"a cooperation link is unusable: {exc}") from exc
         worst = max(self.user_count_grid)
-        if self.mode == "quantized-rsi" and worst > OVERLOAD_MAX_USERS:
-            raise ConfigError(
-                f"quantized mode audits overload for at most {OVERLOAD_MAX_USERS} users"
-            )
         if self.D > min(self.M, self.L):
             raise ConfigError(
                 f"D={self.D} exceeds min(M, L), the rank of the spatial covariance; "
@@ -138,10 +134,16 @@ class ExperimentConfig:
         need = self.sweep_bytes()
         if need > DEFAULT_BUDGET_BYTES:
             rows = math.prod(map(len, self.sweep_axes())) * self.num_trials
+            audit = ""
+            if self.mode == "quantized-rsi":
+                tails = worst * 4**worst // 2
+                if worst > 1000:  # str refuses 4**P's digits from P = 7143 on
+                    tails, need = "2P * 4**(P - 1)", "more than 10**600"
+                audit = f", and P={worst} an overload audit of {tails} tails per SNR"
             raise ConfigError(
                 f"num_trials={self.num_trials} makes {rows} record rows, M={self.M} and "
                 f"L={self.L} a draw temporary of {path_temporary_elements(self.M, self.L)} "
-                f"elements: the sweep needs {need} bytes at its peak, budget is "
+                f"elements{audit}: the sweep needs {need} bytes at its peak, budget is "
                 f"{DEFAULT_BUDGET_BYTES}"
             )
         # float fields hold floats, so 0 and 0.0 write the same bytes; grids are tuples
@@ -171,7 +173,7 @@ class ExperimentConfig:
         their product) and 64 B of scalars (row index, anchor index, value, magnitude and phase,
         and norm). Then eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or
         one item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
-        chunk too, and in quantized mode one trial's overload tails (80 per tail and SNR).
+        chunk too; in quantized mode one trial's overload audit: 24 a tail and 65 a tail and SNR.
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
@@ -181,7 +183,7 @@ class ExperimentConfig:
         temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
         chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
-        tails = 40 * snrs * max(p * 4**p for p in counts) if quantized else 0
+        tails = (65 * snrs + 24) * users * 4**users // 2 if quantized else 0
         return held + trials * (48 * users**2 + 24) + stream + chunk + tails
 
     def to_dict(self) -> dict:
@@ -207,7 +209,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -241,6 +243,16 @@ def preset_config(
     overrides = {"num_trials": num_trials, "master_seed": master_seed}
     data.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(data)
+
+
+def _unique_keys(pairs) -> dict:
+    # a plain json.load keeps a repeated key's last value and drops the others
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config repeats the key {key!r}")
+        data[key] = value
+    return data
 
 
 def _is_int(value) -> bool:

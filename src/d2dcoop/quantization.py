@@ -19,9 +19,6 @@ from .precoding import check_noise_power, noncooperative_baseline_snr, snr_denom
 
 # 2.0**1024 overflows a float, so total_bits stays below this
 TOTAL_BITS_CAP = 1024
-# expected_overload enumerates 4**(users - 1) symbol vectors; 6 is the
-# largest user count the default effective dimension D = 6 admits
-OVERLOAD_MAX_USERS = 6
 
 # math.erfc is exactly 0.0 from 27.2264 on, so larger arguments skip it
 ERFC_ZERO = 27.3
@@ -225,9 +222,9 @@ def expected_overload(
     (uniform-quantizer overload, Gray & Neuhoff 1998), averaged here over
     both parts of every sample and all symbol vectors. Rotating every
     symbol by ``j`` keeps the tails, so user 0's symbol is fixed and
-    ``4**(users - 1)`` vectors remain; ``ExperimentConfig.validate`` caps
-    quantized sweeps at ``OVERLOAD_MAX_USERS``. An array of noise powers
-    shares the means and gives an array of fractions of the same shape.
+    ``4**(users - 1)`` vectors remain: ``2 * users * 4**(users - 1)`` tails per noise
+    power, whose working set ``ExperimentConfig.sweep_bytes`` counts. An array of noise
+    powers shares the means and gives an array of fractions of the same shape.
     """
     check_noise_power(noise_power)
     q = np.asarray(decoding)

@@ -76,6 +76,45 @@ def test_validate_rejects_a_sweep_over_the_memory_budget(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    # a plain json.load keeps the last value, so the first num_trials would be
+    # dropped without a word
+    path = tmp_path / "repeated.json"
+    path.write_text('{"num_trials": 5, "num_trials": 7, "b_grid": [2]}')
+    out = tmp_path / "results"
+    for command in (["validate"], ["run", "--out", str(out)]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: config repeats the key 'num_trials'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("res",), ("res", "deeper")])
+def test_out_that_cannot_be_a_directory_fails_before_the_sweep(
+    tmp_path, capsys, monkeypatch, below
+):
+    # a regular file at --out or on its path would stop write_outputs only
+    # after the whole sweep; the check before it creates nothing
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    out = blocker.joinpath(*below)
+    swept = []
+    monkeypatch.setattr(d2dcoop.cli, "run_experiment", lambda config: swept.append(config))
+    argv = ["preset", "fig-capacity-vs-bits", "--trials", "40", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 20] Not a directory")
+    assert str(blocker) in err
+    assert swept == []
+    assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
+def test_empty_out_fails_before_the_sweep(capsys, monkeypatch):
+    # os.makedirs("") would fail only after the sweep
+    monkeypatch.setattr(d2dcoop.cli, "run_experiment", pytest.fail)
+    assert main(["preset", "fig-capacity-vs-snr", "--trials", "2", "--out", ""]) == 1
+    assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     for content in (b"{oops", b'\xff\xfe{"M": 16}'):  # not JSON; not UTF-8

@@ -26,8 +26,38 @@ from d2dcoop.config import MODES
 from d2dcoop.quantization import link_variances
 
 
+# nine SNRs, as the wide preset grids
+NINE_SNRS = [-10.0 + 2.5 * step for step in range(9)]
+
+
 def test_defaults_validate():
     ExperimentConfig().validate()
+
+
+def test_overload_audit_is_bounded_by_the_budget_alone():
+    # the audit's 2P * 4**(P - 1) tails per SNR are counted against the budget,
+    # so quantized groups of any size build while they fit it: at 200 trials,
+    # ten users at one SNR, nine users at nine
+    ExperimentConfig(mode="quantized-rsi", user_count_grid=(7,), D=8)
+    ExperimentConfig(mode="quantized-rsi", user_count_grid=[10], D=10)
+    ExperimentConfig(mode="quantized-rsi", user_count_grid=[9], D=9, snr_db_grid=NINE_SNRS)
+    for users, snrs in ((10, NINE_SNRS), (11, [-5.0])):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(
+                mode="quantized-rsi", user_count_grid=[users], D=users, snr_db_grid=snrs
+            )
+        tails = 2 * users * 4 ** (users - 1)
+        assert f", and P={users} an overload audit of {tails} tails per SNR: " in str(info.value)
+    # an ideal sweep runs no audit, and its message names none
+    with pytest.raises(ConfigError, match="elements: the sweep needs"):
+        ExperimentConfig(user_count_grid=[10], D=10, num_trials=10**7)
+    # from P = 7143 on the audit's counts have more digits than str converts;
+    # one codeword of 8000 users fits the codebook's budget
+    huge = ", and P=8000 an overload audit of 2P * 4**(P - 1) tails per SNR: the sweep needs more "
+    for mode in MODES:
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(M=8000, L=8000, D=8000, user_count_grid=[8000], b_grid=[0], mode=mode)
+        assert (huge + "than 10**600 bytes" in str(info.value)) is (mode == "quantized-rsi")
 
 
 def test_unknown_field_rejected():
@@ -78,7 +108,8 @@ def test_missing_fields_take_defaults():
         {"mode": "quantized-rsi", "gamma_db_grid": [-4000.0, 10.0]},
         {"snr_db_grid": [4000.0]},
         {"snr_db_grid": [-4000.0]},
-        {"mode": "quantized-rsi", "user_count_grid": [7], "D": 8},
+        # past the budget through the overload audit's tails alone
+        {"mode": "quantized-rsi", "user_count_grid": [10], "D": 10, "snr_db_grid": NINE_SNRS},
         {"mode": "quantized-rsi", "tau": 1e300},
         {"mode": "quantized-rsi", "user_count_grid": [1], "tau": 1e154},
         {"P": 4},

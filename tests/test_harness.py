@@ -497,11 +497,25 @@ class TestRunExperiment:
             # a narrow sector leaves trial 0 usable and trials 1 and 2
             # ill-conditioned, so the usable rows sit between flagged ones
             dict(sector_spread=0.01),
+            # the memory budget is the audit's one limit, so a group of seven,
+            # whose audit enumerates 4**6 symbol vectors, takes the same route
+            dict(
+                mode="quantized-rsi",
+                M=16,
+                D=7,
+                user_count_grid=[7],
+                b_grid=[1],
+                snr_db_grid=[-5.0],
+                num_trials=2,
+                tau=1.0,
+                gamma_db_grid=[10.0],
+                bandwidth_ratio_grid=[2.0],
+            ),
         ],
-        ids=["quantized", "mixed"],
+        ids=["quantized", "mixed", "quantized-seven"],
     )
     def test_sweep_equals_per_point_reference(self, overrides, monkeypatch):
-        config = small_config(num_trials=3, **overrides)
+        config = small_config(**{"num_trials": 3, **overrides})
         generated = spy_codebooks(monkeypatch)
         reference = per_point_reference(config)
         by_reference = len(generated)
@@ -511,8 +525,9 @@ class TestRunExperiment:
             assert any(rate > 0.0 for rate in records["overload_rate"])
             assert_overload_shared_across_links(records)
             # one 2**max(b) stream per user count, and no whole codebook
+            bits = max(config.b_grid)
             assert generated[by_reference:] == [
-                ("codebook_blocks", 3, 3), ("codebook_blocks", 4, 3)
+                ("codebook_blocks", users, bits) for users in config.user_count_grid
             ]
         else:
             assert set(records["cond_fail"]) == {0, 1}
@@ -573,6 +588,31 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert result.num_failed == 0
         assert peak < config.num_trials * 2 * 6 * 4**5 * 8
+
+    @pytest.mark.parametrize(
+        "users, snr_db_grid",
+        [(7, [-5.0]), (8, [-5.0]), (7, [-10.0, -7.5, -5.0]), (8, [-5.0, 5.0, 10.0])],
+    )
+    def test_overload_audit_peak_within_sweep_bytes(self, users, snr_db_grid):
+        # the budget is the audit's one limit, so sweep_bytes counts its whole
+        # working set: 24 B a tail for the symbols and means at any SNR count,
+        # and 65 B a tail and SNR for the erfc arguments, results and Python
+        # floats; 80 B a tail and SNR alone held 0.94 of P = 8's peak at one
+        # SNR. Up to -5 dB every argument is below ERFC_ZERO and live, from
+        # 5 dB on none is, so P = 8 at three SNRs holds one SNR's Python floats
+        # and costs about the tracemalloc time of one
+        config = ExperimentConfig(
+            D=max(6, users), user_count_grid=[users], b_grid=[1], snr_db_grid=snr_db_grid,
+            mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0], num_trials=1,
+        )
+        tracemalloc.start()
+        try:
+            (result,) = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.num_failed == 0
+        assert peak <= config.sweep_bytes()
 
     @pytest.mark.parametrize("bits", [3, 12])
     def test_codebook_blocks_concatenate_to_codebook_for(self, bits):
