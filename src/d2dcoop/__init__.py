@@ -63,11 +63,9 @@ from .quantization import (
     QuantizerConfig,
     bits_from_bandwidth,
     expected_overload,
-    overload_count,
     overload_fraction,
     quantization_noise_variance,
     quantized_snr,
-    rate_budget_bits,
     uniform_quantize,
 )
 

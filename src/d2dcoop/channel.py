@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import phase_canonicalize
+from .precoding import phase_canonicalize
 
 HALF_PI = np.pi / 2
 

@@ -19,27 +19,20 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a sweep described by a JSON config")
     run.add_argument("--config", required=True, help="path to the JSON config")
     run.add_argument("--out", required=True, help="output directory for CSV files")
-    _common_run_args(run)
 
     preset = sub.add_parser("preset", help="run one of the built-in figure sweeps")
     preset.add_argument("name", choices=PRESET_NAMES)
     preset.add_argument("--out", required=True, help="output directory for CSV files")
     preset.add_argument("--trials", type=int, default=None, help="override trial count")
     preset.add_argument("--seed", type=int, default=None, help="override master seed")
-    _common_run_args(preset)
+    preset.add_argument(
+        "--threads", type=int, default=None,
+        help="ignored, as the sweep runs on one thread; accepted for perfbench, which passes it",
+    )
 
     validate = sub.add_parser("validate", help="check a JSON config without running it")
     validate.add_argument("--config", required=True)
     return parser
-
-
-def _common_run_args(sub) -> None:
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="ignored; the sweep runs on one thread",
-    )
 
 
 def _check_out(out) -> None:

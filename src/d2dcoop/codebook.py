@@ -35,20 +35,15 @@ class CodebookBudgetError(RuntimeError):
     """Requested codebook would exceed the configured memory budget."""
 
 
-def codebook_bytes(num_users: int, bits: int) -> int:
-    """Memory held by a codebook of ``2**bits`` complex128 user x user matrices."""
-    return (1 << bits) * num_users * num_users * 16
-
-
 def over_budget(num_users: int, bits: int) -> str | None:
-    """Why a codebook of ``2**bits`` matrices for ``num_users`` users exceeds
+    """Why a codebook of ``2**bits`` complex128 matrices for ``num_users`` users exceeds
     ``DEFAULT_BUDGET_BYTES``, or None when it fits.
 
     ``2**bits`` codewords exceed it for any user count from its bit length on, so
     the check stops there, before a huge ``bits`` overflows the shift or exhausts memory.
     """
     limit = DEFAULT_BUDGET_BYTES.bit_length()
-    if bits >= limit or codebook_bytes(num_users, bits) > DEFAULT_BUDGET_BYTES:
+    if bits >= limit or (1 << bits) * num_users * num_users * 16 > DEFAULT_BUDGET_BYTES:
         return (
             f"a codebook of 2**{bits} matrices for {num_users} users exceeds the "
             f"budget of {DEFAULT_BUDGET_BYTES} bytes"

@@ -82,13 +82,15 @@ class ExperimentConfig:
         for name in ("M", "D", "L", "num_trials"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{name} must be a positive integer, got {_shown(value)}")
+            if value >= 2**63:  # the budget rejects it too, but its message would print the digits
+                raise ConfigError(f"{name} must be below 2**63")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {_shown(self.mode)}")
         if self.figure_preset is not None and self.figure_preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown figure_preset {self.figure_preset!r}")
+            raise ConfigError(f"unknown figure_preset {_shown(self.figure_preset)}")
         if not _is_finite_number(self.sector_center):
             raise ConfigError("sector_center must be a finite number")
         if not _is_finite_number(self.sector_spread) or self.sector_spread <= 0:
@@ -103,8 +105,11 @@ class ExperimentConfig:
             raise ConfigError("tau must be a positive finite number")
 
         _check_grid(self.snr_db_grid, "snr_db_grid", _is_db)
-        _check_grid(self.b_grid, "b_grid", lambda b: _is_int(b) and b >= 0)
-        _check_grid(self.user_count_grid, "user_count_grid", lambda p: _is_int(p) and p >= 1)
+        # below 2**63, as the integer fields: the codebook rule rejects more, printing the digits
+        _check_grid(self.b_grid, "b_grid", lambda b: _is_int(b) and 0 <= b < 2**63)
+        _check_grid(
+            self.user_count_grid, "user_count_grid", lambda p: _is_int(p) and 1 <= p < 2**63
+        )
         _check_grid(self.gamma_db_grid, "gamma_db_grid", _is_db)
         _check_grid(
             self.bandwidth_ratio_grid,
@@ -173,7 +178,10 @@ class ExperimentConfig:
         their product) and 64 B of scalars (row index, anchor index, value, magnitude and phase,
         and norm). Then eight float64 arrays of the largest chunk (``ELEMENT_BOUND``, or
         one item's ``path_temporary_elements``, SNRs or ``part_elements``), which hold any other
-        chunk too; in quantized mode one trial's overload audit: 24 a tail and 65 a tail and SNR.
+        chunk too; in quantized mode one trial's overload audit: 24 a tail (the symbol matrix,
+        the means, and their real and imaginary parts in one array) and 41 a tail and SNR,
+        held while the second ``_erfc`` runs: five float64 arrays (the first one's result,
+        the second's arguments, output, live arguments and their values) and its live mask.
         """
         _, bits, snrs, gammas, ratios = map(len, self.sweep_axes())
         per_b, counts, trials = snrs * gammas * ratios, self.user_count_grid, self.num_trials
@@ -183,16 +191,11 @@ class ExperimentConfig:
         temporaries = path_temporary_elements(self.M, self.L), part_elements(users)
         chunk = 64 * max(ELEMENT_BOUND, per_b * users, *temporaries)
         quantized = self.mode == "quantized-rsi"  # 2P * 4**(P - 1) overload tails per SNR
-        tails = (65 * snrs + 24) * users * 4**users // 2 if quantized else 0
+        tails = (41 * snrs + 24) * users * 4**users // 2 if quantized else 0
         return held + trials * (48 * users**2 + 24) + stream + chunk + tails
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -209,11 +212,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            data = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_parse_int)
+        except ConfigError:  # the repeated-key hook's, which is a ValueError too
+            raise
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -255,6 +260,23 @@ def _unique_keys(pairs) -> dict:
     return data
 
 
+def _parse_int(literal: str):
+    # int() refuses a literal of more than 4300 digits; as a float it reads as +-inf,
+    # which every field rejects by name
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
+def _shown(value) -> str:
+    """``repr`` of a rejected value; ``str`` refuses an integer of more than 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer of more than 4300 digits"
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -277,6 +299,6 @@ def _check_grid(grid, name, predicate) -> None:
         raise ConfigError(f"{name} must be a nonempty list")
     for entry in grid:
         if not predicate(entry):
-            raise ConfigError(f"{name} has invalid entry {entry!r}")
+            raise ConfigError(f"{name} has invalid entry {_shown(entry)}")
     if len(set(grid)) != len(grid):
         raise ConfigError(f"{name} has duplicate entries; each would write the same rows twice")

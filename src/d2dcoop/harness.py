@@ -189,8 +189,8 @@ class CountResult:
         return len(self.trials.ids) - len(self.trials.a_inv)
 
 
-def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choices):
-    """The :class:`CountResult` of drawn trials at every grid point of ``users``.
+def evaluate_trials(config: ExperimentConfig, trials: Trials, choices):
+    """The :class:`CountResult` of drawn trials at every grid point of their user count.
 
     ``choices`` yields ``(b, (indices, codewords))`` per b, the codewords chosen for the
     usable trials, each read before the next is asked for. Each capacity is a closed form
@@ -202,6 +202,7 @@ def evaluate_trials(config: ExperimentConfig, users: int, trials: Trials, choice
     Only the overload audit runs per (trial, b): its ``2P * 4**(P - 1)`` tails per SNR are
     too many to stack.
     """
+    users = trials.eigenvalues.shape[1]
     noise = np.array([10.0 ** (-snr_db / 10.0) for snr_db in config.snr_db_grid])
     column = noise[:, None, None]  # (S, 1, 1) against the (trials, P) rows
     variances, carries = np.zeros(1), np.ones(1, dtype=bool)  # ideal sharing: one noiseless link
@@ -254,7 +255,7 @@ def run_trial(config: ExperimentConfig, point: GridPoint, trial: int) -> TrialRe
         noise_power = 10.0 ** (-point.snr_db / 10.0)
         index, codeword, _ = select_codeword(codebook, trials.a_inv[0], noise_power)
         choices.append((point.bits, (np.array([index]), codeword[None])))
-    values = evaluate_trials(one_point, point.users, trials, choices).values[:, 0, 0].tolist()
+    values = evaluate_trials(one_point, trials, choices).values[:, 0, 0].tolist()
     coop, zf, ideal, bound, overload = (None if value != value else value for value in values)
     key, cond_fail = dataclasses.astuple(point), int(not trials.usable[0])
     return TrialRecord(*key, trial, coop, zf, ideal, bound, cond_fail, overload)
@@ -286,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     for users, trials in drawn.items():
         parts = prefix_parts(codebook_blocks(config, users, max(config.b_grid)), config.b_grid)
         choices = select_prefix_codewords(parts, trials.a_inv)
-        results.append(evaluate_trials(config, users, trials, choices))
+        results.append(evaluate_trials(config, trials, choices))
     return results
 
 

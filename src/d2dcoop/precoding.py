@@ -18,11 +18,17 @@ of channels (leading trial axes); each member equals, bitwise, the
 result of its own call. :func:`per_user_snr_gram` and :func:`zf_outer_precoder` are oracles:
 they factorise the overall-channel Gram on their own route (SVD
 condition number, LU inverse), independent of the production path.
+
+Eigenvectors of a Hermitian matrix are only defined up to a unit-modulus
+phase, so raw LAPACK output is not reproducible enough to use as a
+precoder or as a Gram's eigenbasis: :func:`sorted_eigh` pins that phase
+down (:func:`phase_canonicalize`). Inside a degenerate eigenspace any
+rotation is an equally valid basis; no column order makes it canonical,
+and the package leaves LAPACK's choice, which is the same on identical
+input.
 """
 
 import numpy as np
-
-from .linalg import sorted_eigh
 
 COND_LIMIT = 1e12
 
@@ -62,6 +68,32 @@ def effective_channel(inner: np.ndarray, channel: np.ndarray) -> np.ndarray:
 def _adjoint(matrix: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return np.swapaxes(np.conj(matrix), -1, -2)
+
+
+def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Accepts a single matrix or a stack of matrices (columns live on the
+    last axis). Zero columns are returned unchanged.
+    """
+    v = np.asarray(vectors)
+    idx = np.argmax(np.abs(v), axis=-2)
+    anchors = np.take_along_axis(v, idx[..., None, :], axis=-2)[..., 0, :]
+    mags = np.abs(anchors)
+    phases = np.where(mags > 0, anchors / np.where(mags == 0, 1.0, mags), 1.0)
+    return v * np.conj(phases)[..., None, :]
+
+
+def sorted_eigh(matrix: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix with reproducible output.
+
+    Accepts a single matrix or a stack of matrices (leading axes); each
+    matrix of a stack gets bitwise the result of its own call. Returns
+    ``(eigenvalues, eigenvectors)`` with eigenvalues in descending order
+    and phase-canonicalized eigenvectors.
+    """
+    vals, vecs = np.linalg.eigh(matrix)
+    return vals[..., ::-1].copy(), phase_canonicalize(vecs[..., ::-1])
 
 
 def gram(h_e: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def uniform_quantize(samples, config: QuantizerConfig):
     """Midrise uniform quantization of real and imaginary parts.
 
     Out-of-range components saturate at the extreme reconstruction level;
-    use :func:`overload_count` to audit how often that happens.
+    use :func:`overload_fraction` to audit how often that happens.
     """
     y = np.asarray(samples)
     step = config.step
@@ -86,21 +86,14 @@ def uniform_quantize(samples, config: QuantizerConfig):
     return _component(y.real) + 1j * _component(y.imag)
 
 
-def overload_count(samples, config: QuantizerConfig) -> int:
-    """Number of real components falling outside [-tau, tau]."""
-    y = np.asarray(samples)
-    tau = config.clip_level
-    return int(
-        np.count_nonzero(np.abs(y.real) > tau) + np.count_nonzero(np.abs(y.imag) > tau)
-    )
-
-
 def overload_fraction(samples, config: QuantizerConfig) -> float:
-    """Overloaded fraction of the 2 * samples.size real components."""
+    """Fraction of the 2 * samples.size real components outside [-tau, tau]."""
     y = np.asarray(samples)
     if y.size == 0:
         return 0.0
-    return overload_count(y, config) / (2.0 * y.size)
+    tau = config.clip_level
+    overloaded = np.count_nonzero(np.abs(y.real) > tau) + np.count_nonzero(np.abs(y.imag) > tau)
+    return overloaded / (2.0 * y.size)
 
 
 def quantization_noise_variance(config: QuantizerConfig) -> float:
@@ -112,19 +105,15 @@ def quantization_noise_variance(config: QuantizerConfig) -> float:
     return 2.0 * config.clip_level**2 / (3.0 * 2.0**config.total_bits)
 
 
-def rate_budget_bits(link: CooperationLink) -> float:
-    """Unrounded bits per shared sample the link can carry."""
-    return link.bandwidth_ratio * math.log2(1.0 + link.link_snr)
-
-
 def bits_from_bandwidth(link: CooperationLink) -> int:
     """Largest even bit count the sharing link supports per sample.
 
-    Zero means the budget cannot carry even one bit per component and
-    cooperation is infeasible at this operating point. Raises ValueError,
-    naming the budget, when it reaches ``TOTAL_BITS_CAP`` bits.
+    The budget is the unrounded ``Wc/W * log2(1 + gamma)`` bits. Zero means it
+    cannot carry even one bit per component and cooperation is infeasible at
+    this operating point. Raises ValueError, naming the budget, when it reaches
+    ``TOTAL_BITS_CAP`` bits.
     """
-    budget = rate_budget_bits(link)
+    budget = link.bandwidth_ratio * math.log2(1.0 + link.link_snr)
     if not budget < TOTAL_BITS_CAP:
         raise ValueError(
             f"a link budget of {budget!r} bits per sample is at or over the "
@@ -201,8 +190,9 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     """``math.erfc`` of each entry, bitwise; entries at or above ``ERFC_ZERO`` are 0.0."""
     out = np.zeros(x.shape)
     live = ~(x >= ERFC_ZERO)
-    args = x[live].tolist()
-    out[live] = np.fromiter(map(math.erfc, args), float, len(args))
+    # a memoryview yields each argument as a Python float only for its own call
+    args = x[live]
+    out[live] = np.fromiter(map(math.erfc, memoryview(args)), float, len(args))
     return out
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -126,7 +127,7 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
 def test_run_writes_outputs(tmp_path):
     config = write_config(tmp_path / "config.json")
     out = tmp_path / "results"
-    assert main(["run", "--config", str(config), "--out", str(out), "--threads", "2"]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "trials.csv").exists()
     assert (out / "aggregate.csv").exists()
     lines = (out / "trials.csv").read_text().splitlines()
@@ -175,6 +176,53 @@ def test_json_flag_is_rejected(tmp_path, command):
     with pytest.raises(SystemExit) as info:
         main([*source, "--out", str(out), "--json"])
     assert info.value.code == 2
+    assert not out.exists()
+
+
+def test_run_rejects_threads(tmp_path):
+    # run ignored --threads; only preset keeps it, for perfbench's child command
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path / "config.json")), "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--threads", "2"])
+    assert info.value.code == 2
+    assert not out.exists()
+    child = ["preset", "fig-capacity-vs-snr", "--seed", "3", "--trials", "2", "--threads", "1"]
+    assert main([*child, "--out", str(out)]) == 0
+
+
+# json.load raises ValueError on an integer literal of more than 4300 digits and
+# RecursionError on deep nesting; str refuses to print such an integer
+HUGE = 10**5000
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ('{"num_trials": 1' + "0" * 5000 + "}", "num_trials must be a positive integer, got inf"),
+        ('{"b_grid": ' + DEEP + "}", "config is not valid JSON: maximum recursion depth exceeded"),
+        *(({name: HUGE}, f"{name} must be below 2**63") for name in ("M", "L", "D", "num_trials")),
+        ({"b_grid": (HUGE,)}, "b_grid has invalid entry an integer of more than 4300 digits"),
+        (
+            {"user_count_grid": (HUGE,)},
+            "user_count_grid has invalid entry an integer of more than 4300 digits",
+        ),
+    ],
+    ids=["json-digits", "json-depth", "M", "L", "D", "num_trials", "b_grid", "user_count_grid"],
+)
+def test_value_too_large_to_print_is_a_config_error(tmp_path, capsys, monkeypatch, source, message):
+    # a JSON text goes through load_config; the fields of a dict build the config
+    # in its place, as from Python
+    path = tmp_path / "config.json"
+    if isinstance(source, str):
+        path.write_text(source)
+    else:
+        monkeypatch.setattr(d2dcoop.cli, "load_config", lambda _: ExperimentConfig(**source))
+    out = tmp_path / "results"
+    for command in (["validate"], ["run", "--out", str(out)]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
 
 
@@ -231,6 +279,17 @@ def test_readme_cli_synopsis_parses():
     for command in commands:
         words = shlex.split(command.replace("[", "").replace("]", ""))[1:]
         d2dcoop.cli.build_parser().parse_args(["1" if w in ("N", "S", "T") else w for w in words])
+
+
+def test_readme_library_layout_names_each_module_once():
+    # "Library layout" lists the package module by module: a module merged,
+    # split or renamed must not leave the list stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"`d2dcoop\.(\w+)`", layout)
+    package = Path(d2dcoop.__file__).parent
+    modules = [path.stem for path in package.glob("*.py") if path.stem != "__init__"]
+    assert sorted(named) == sorted(modules)
 
 
 def test_preset_rejects_unknown_name(tmp_path):
@@ -573,3 +632,28 @@ def test_paired_perfbench_regression_verdict(tmp_path, monkeypatch, capsys,
     assert rows[0].endswith("| regression |")
     assert rows[1].startswith("| metric |") and rows[1].endswith(f"| {verdict} |")
     assert rows[2].startswith(f"| {paired.WALL} |") and rows[2].endswith("| n/a |")
+
+
+@pytest.mark.parametrize("wall, verdict", [(1.3, "worse"), (1.05, "no")])
+def test_paired_perfbench_wall_takes_the_scaled_bound(tmp_path, monkeypatch, capsys, wall, verdict):
+    # the unscaled wall is judged by ms_per_trial_point's bound, while the
+    # scaled metric, which the kernel scaling moves, may read unchanged
+    paired = load_paired_perfbench()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("")
+    metric = {"name": "ms_per_trial_point", "better": "lower", "bound": 0.25}
+    (trees["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    walls = {"parent": 1.0, "change": wall}
+
+    def fake_run_once(tree, workload, seed, seconds):
+        return {"ms_per_trial_point": 1.0, paired.WALL: walls[Path(tree).name]}, True
+
+    monkeypatch.setattr(paired, "run_once", fake_run_once)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "snr-sweep",
+            "--pairs", "4", "--seconds", "0.5", "--seed", "0"]
+    assert paired.main(argv) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| ")]
+    assert rows[1].startswith("| ms_per_trial_point |") and rows[1].endswith("| no |")
+    assert rows[2].startswith(f"| {paired.WALL} |") and rows[2].endswith(f"| {verdict} |")

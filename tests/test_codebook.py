@@ -29,15 +29,13 @@ from d2dcoop.codebook import (
     BLOCK,
     ELEMENT_BOUND,
     _orthonormalize,
-    codebook_bytes,
     codebook_stream,
     codeword_scores,
     part_elements,
     prefix_parts,
     select_prefix_codewords,
 )
-from d2dcoop.linalg import phase_canonicalize
-from d2dcoop.precoding import eigen_spectrum, gram, snr_denominators
+from d2dcoop.precoding import eigen_spectrum, gram, phase_canonicalize, snr_denominators
 
 
 def gaussian_draws(users, bits, seed):
@@ -197,7 +195,8 @@ def test_generation_peak_is_codebook_plus_a_few_blocks(users):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= codebook_bytes(users, 14) + 8 * codebook_bytes(users, 10)
+    book = (1 << 14) * users * users * 16  # bytes of the complex128 codebook
+    assert peak <= book + 8 * (book >> 4)
 
 
 @pytest.mark.parametrize("users", [1, 2, 3, 5, 6, 12])

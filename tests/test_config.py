@@ -286,7 +286,8 @@ def test_json_round_trip(tmp_path):
     for name in PRESET_NAMES:
         config = preset_config(name, num_trials=7, master_seed=5)
         path = tmp_path / f"{name}.json"
-        config.to_json(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config.to_dict(), fh)
         assert load_config(path) == config
 
 

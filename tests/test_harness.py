@@ -37,7 +37,7 @@ from d2dcoop import (
 from d2dcoop import codebook as codebook_module
 from d2dcoop import harness
 from d2dcoop.channel import path_effective_channel, path_gains, path_temporary_elements, ray_sum
-from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, codebook_bytes, prefix_parts
+from d2dcoop.codebook import BLOCK, ELEMENT_BOUND, prefix_parts
 from d2dcoop.codebook import select_prefix_codewords
 from d2dcoop.harness import (
     AGGREGATE_CSV_HEADER,
@@ -568,14 +568,14 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert result.num_failed == 0
-        assert peak < 4 * codebook_bytes(5, 10)
+        assert peak < 4 * BLOCK * 5 * 5 * 16  # four blocks of 5 x 5 complex128 codewords
 
     def test_overload_audit_holds_one_trial(self):
         # expected_overload forms 2P * 4**(P-1) symbol tails per SNR, 96 KiB
-        # of floats per trial at P = 6, and their erfc arguments as a list
-        # of Python floats. Called once per (trial, b), the sweep peaks at
-        # 0.66 MB; stacked over the 16 trials it would hold every trial's
-        # tails at once, 1.5 MB for one array of them, and it peaked at 8.4 MB
+        # of floats per trial at P = 6, and their erfc arguments and results.
+        # Called once per (trial, b), the sweep peaks at 0.68 MB; stacked over
+        # the 16 trials it would hold every trial's tails at once, 1.5 MB for
+        # one array of them, and it peaked at 8.4 MB
         config = small_config(
             user_count_grid=[6], mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0],
             snr_db_grid=[0.0], b_grid=[1], num_trials=16,
@@ -596,11 +596,10 @@ class TestRunExperiment:
     def test_overload_audit_peak_within_sweep_bytes(self, users, snr_db_grid):
         # the budget is the audit's one limit, so sweep_bytes counts its whole
         # working set: 24 B a tail for the symbols and means at any SNR count,
-        # and 65 B a tail and SNR for the erfc arguments, results and Python
-        # floats; 80 B a tail and SNR alone held 0.94 of P = 8's peak at one
-        # SNR. Up to -5 dB every argument is below ERFC_ZERO and live, from
-        # 5 dB on none is, so P = 8 at three SNRs holds one SNR's Python floats
-        # and costs about the tracemalloc time of one
+        # and 41 B a tail and SNR for the erfc arguments, results and live mask.
+        # Up to -5 dB every argument is below ERFC_ZERO and live, from 5 dB on
+        # none is, so P = 8 at three SNRs holds one SNR's live arguments and
+        # costs about the tracemalloc time of one
         config = ExperimentConfig(
             D=max(6, users), user_count_grid=[users], b_grid=[1], snr_db_grid=snr_db_grid,
             mode="quantized-rsi", gamma_db_grid=[10.0], bandwidth_ratio_grid=[2.0], num_trials=1,

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from d2dcoop.linalg import phase_canonicalize, sorted_eigh
+from d2dcoop.precoding import phase_canonicalize, sorted_eigh
 
 
 def test_anchor_entry_real_positive():
